@@ -31,6 +31,7 @@ from .commitment import (
     commit,
     params_to_dict,
     verify_opening,
+    verify_openings,
 )
 from .groups import Scalar
 from .measurement import FirmLedger, FirmReport, aggregate, spot_check
@@ -352,17 +353,28 @@ class AuditSession:
         """Country-side check of every firm's opening and range (step 3 body).
 
         Raises MissingReport if a firm never reported; returns None and
-        leaves abort state to the caller's step wrapper otherwise.
+        leaves abort state to the caller's step wrapper otherwise.  The
+        culprit is the first failing firm in roster order: presence and
+        range are scanned first, then the openings before that firm are
+        checked as one batch.
         """
         pp = self.config.pp
+        items = []
+        failure = None
         for fid in self.config.roster:
             if fid not in self.state.reports:
-                raise MissingReport(fid)
+                failure = MissingReport(fid)
+                break
             claim, r = self.state.reports[fid]
             if not isinstance(claim, int) or claim < 0 or claim >= MAX_EMISSIONS_KG:
-                raise _ExamineFailed(fid, f"reported total {claim} out of range")
-            if not verify_opening(pp, self.state.commitments[fid], pp.group.scalar(claim), r):
-                raise _ExamineFailed(fid, "opening does not match the commitment")
+                failure = _ExamineFailed(fid, f"reported total {claim} out of range")
+                break
+            items.append((self.state.commitments[fid], pp.group.scalar(claim), r))
+        bad = verify_openings(pp, items)
+        if bad is not None:
+            raise _ExamineFailed(self.config.roster[bad], "opening does not match the commitment")
+        if failure is not None:
+            raise failure
 
     def step3_examine(self):
         self._require(Step.EXAMINE)
@@ -497,10 +509,8 @@ class AuditSession:
             self._abort(Step.SUM_CHECK, ROLE_VERIFIER, VERIFIER_ID, "went silent")
             return
         pp = self.config.pp
-        total = pp.group.identity
-        for fid in self.config.roster:
-            if fid in self.state.commitments:
-                total = total + self.state.commitments[fid]
+        commitments = self.state.commitments
+        total = pp.group.sum(commitments[fid] for fid in self.config.roster if fid in commitments)
         m_pub, r_pub = self.state.published_m, self.state.published_r
         # The opening check works modulo q, so the published integer must
         # also sit in the only range n in-range reports can sum to.

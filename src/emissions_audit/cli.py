@@ -27,23 +27,16 @@ from . import measurement as ms
 from . import pick as pk
 from .audit import ConfigInvalid
 from .commitment import (
+    MAX_EMISSIONS_KG,
     commit,
     params_from_dict,
     params_to_dict,
     setup,
     verify_opening,
+    verify_openings,
 )
-from .groups import group_by_name
+from .groups import GroupError, group_by_name
 
-GROUP_ALIASES = {
-    "toy": "toy",
-    "toy_group": "toy",
-    "mod607": "toy",
-    "prod": "secp256k1",
-    "production": "secp256k1",
-    "production_curve": "secp256k1",
-    "secp256k1": "secp256k1",
-}
 MODE_ALIASES = {
     "hash": "hash_derived",
     "hash_derived": "hash_derived",
@@ -75,6 +68,14 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _read_format(path: str, fmt: str) -> dict:
+    """A JSON object whose ``format`` field is ``fmt``; ConfigInvalid otherwise."""
+    data = _read_json(path)
+    if not isinstance(data, dict) or data.get("format") != fmt:
+        raise ConfigInvalid(f"{path} is not a {fmt} file")
+    return data
+
+
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -85,8 +86,8 @@ def _load_pp(path: str):
 
 def _resolve_group(name: str):
     try:
-        return group_by_name(GROUP_ALIASES[name])
-    except KeyError:
+        return group_by_name(name)
+    except GroupError:
         raise ConfigInvalid(f"unknown group {name!r}") from None
 
 
@@ -127,9 +128,7 @@ def _load_meter_key(path: str, seed: int | None) -> ms.MeterKeypair:
     import os
 
     if os.path.exists(path):
-        data = _read_json(path)
-        if data.get("format") != "meter-key/v1":
-            raise ConfigInvalid(f"{path} is not a meter key file")
+        data = _read_format(path, "meter-key/v1")
         return ms.MeterKeypair.from_seed(bytes.fromhex(data["sk"]))
     if seed is None:
         raise ConfigInvalid(f"meter key {path} not found; pass --seed to generate one")
@@ -206,62 +205,81 @@ class SubmissionInvalid(ValueError):
         self.reason = reason
 
 
+def _load_submission(path: str, fmt: str) -> dict:
+    data = _read_format(path, fmt)
+    if not isinstance(data.get("firm_id"), str) or not isinstance(data.get("cycle_id"), str):
+        raise ConfigInvalid(f"{path} lacks a firm_id or cycle_id string")
+    return data
+
+
 def _load_report(pp, path: str) -> dict:
-    data = _read_json(path)
-    if data.get("format") != "report/v1":
-        raise ConfigInvalid(f"{path} is not a report file")
+    data = _load_submission(path, "report/v1")
     try:
         data["c_point"] = pp.group.decode_point(bytes.fromhex(data["c"]))
-    except ValueError as exc:
-        raise SubmissionInvalid(data.get("firm_id", "?"),
-                                f"malformed commitment: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SubmissionInvalid(data["firm_id"], f"malformed commitment: {exc}") from exc
     return data
 
 
 def _load_opening(pp, path: str) -> dict:
-    data = _read_json(path)
-    if data.get("format") != "opening/v1":
-        raise ConfigInvalid(f"{path} is not an opening file")
+    data = _load_submission(path, "opening/v1")
     try:
         data["r_scalar"] = pp.group.decode_scalar(bytes.fromhex(data["r"]))
-    except ValueError as exc:
-        raise SubmissionInvalid(data.get("firm_id", "?"),
-                                f"malformed blinding: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SubmissionInvalid(data["firm_id"], f"malformed blinding: {exc}") from exc
     return data
 
 
-def cmd_aggregate(args) -> int:
-    from .commitment import MAX_EMISSIONS_KG
+def _by_firm(files: list[dict], what: str) -> dict:
+    """Files keyed by firm id; each firm may appear only once."""
+    by_firm = {f["firm_id"]: f for f in files}
+    if len(by_firm) != len(files):
+        raise ConfigInvalid(f"duplicate firm ids among {what}")
+    return by_firm
 
+
+def _single_cycle(files: list[dict]) -> str:
+    cycles = sorted({f["cycle_id"] for f in files})
+    if len(cycles) != 1:
+        raise ConfigInvalid(f"files span cycles {cycles}; use one cycle at a time")
+    return cycles[0]
+
+
+def cmd_aggregate(args) -> int:
     pp = _load_pp(args.pp)
     try:
         reports = [_load_report(pp, p) for p in args.report]
-        openings = {o["firm_id"]: o for p in args.opening for o in [_load_opening(pp, p)]}
+        opening_files = [_load_opening(pp, p) for p in args.opening]
     except SubmissionInvalid as exc:
         _emit({"verdict": "REJECT", "step": 3, "culprit": exc.firm_id,
                "reason": exc.reason})
         return 1
-    ids = [r["firm_id"] for r in reports]
-    if len(set(ids)) != len(ids):
-        raise ConfigInvalid("duplicate firm ids among reports")
+    cycle = _single_cycle(reports + opening_files)
+    ids = list(_by_firm(reports, "reports"))
+    openings = _by_firm(opening_files, "openings")
     if set(openings) != set(ids):
         raise ConfigInvalid("openings do not match reports one-to-one")
-    m_total = 0
-    r_total = pp.group.scalar(0)
-    for rep in reports:  # the examination step, firm by firm
-        op = openings[rep["firm_id"]]
-        m = op["m"]
+    # The examination step: the first firm out of range, then the first
+    # bad opening before it, in report order.
+    items = []
+    out_of_range = None
+    for fid, rep in zip(ids, reports):
+        m = openings[fid].get("m")
         if not isinstance(m, int) or m < 0 or m >= MAX_EMISSIONS_KG:
-            _emit({"verdict": "REJECT", "step": 3, "culprit": rep["firm_id"],
-                   "reason": "reported total out of range"})
-            return 1
-        if not verify_opening(pp, rep["c_point"], pp.group.scalar(m), op["r_scalar"]):
-            _emit({"verdict": "REJECT", "step": 3, "culprit": rep["firm_id"],
-                   "reason": "opening does not match the commitment"})
-            return 1
-        m_total += m
-        r_total = r_total + op["r_scalar"]
-    cycle = reports[0]["cycle_id"] if reports else "cycle-0"
+            out_of_range = fid
+            break
+        items.append((rep["c_point"], pp.group.scalar(m), openings[fid]["r_scalar"]))
+    bad = verify_openings(pp, items)
+    if bad is not None:
+        _emit({"verdict": "REJECT", "step": 3, "culprit": ids[bad],
+               "reason": "opening does not match the commitment"})
+        return 1
+    if out_of_range is not None:
+        _emit({"verdict": "REJECT", "step": 3, "culprit": out_of_range,
+               "reason": "reported total out of range"})
+        return 1
+    m_total = sum(openings[fid]["m"] for fid in ids)
+    r_total = sum((openings[fid]["r_scalar"] for fid in ids), pp.group.scalar(0))
     prov_inputs = {f"report_{r['firm_id']}": p for r, p in zip(reports, args.report)}
     _write_json(args.out, {
         "format": "sums/v1",
@@ -276,8 +294,6 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_verify_sum(args) -> int:
-    from .commitment import MAX_EMISSIONS_KG
-
     pp = _load_pp(args.pp)
     try:
         reports = [_load_report(pp, p) for p in args.report]
@@ -285,16 +301,22 @@ def cmd_verify_sum(args) -> int:
         _emit({"verdict": "REJECT", "step": 7, "culprit": exc.firm_id,
                "reason": exc.reason})
         return 1
-    sums = _read_json(args.sums)
-    if sums.get("format") != "sums/v1":
-        raise ConfigInvalid(f"{args.sums} is not a sums file")
-    m = sums["m"]
-    r = pp.group.decode_scalar(bytes.fromhex(sums["r"]))
-    total = pp.group.identity
-    for rep in reports:
-        total = total + rep["c_point"]
+    cycle = _single_cycle(reports)
+    _by_firm(reports, "reports")
+    sums = _read_format(args.sums, "sums/v1")
+    if sums.get("cycle_id") != cycle:
+        raise ConfigInvalid(f"{args.sums} is for cycle {sums.get('cycle_id')!r}, "
+                            f"the reports for {cycle!r}")
+    m = sums.get("m")
+    if not isinstance(m, int):
+        raise ConfigInvalid(f"{args.sums} has no integer total m")
+    try:
+        r = pp.group.decode_scalar(bytes.fromhex(sums["r"]))
+    except (KeyError, TypeError) as exc:
+        raise ConfigInvalid(f"{args.sums} has no hex blinding total r: {exc!r}") from None
+    total = pp.group.sum(rep["c_point"] for rep in reports)
     max_total = len(reports) * (MAX_EMISSIONS_KG - 1)
-    if not isinstance(m, int) or m < 0 or m > max_total:
+    if m < 0 or m > max_total:
         _emit({"verdict": "REJECT", "step": 7, "culprit": "country",
                "reason": "published total outside the admissible range"})
         return 1
@@ -339,12 +361,8 @@ def cmd_pick_commit(args) -> int:
 
 
 def cmd_pick_reveal(args) -> int:
-    state = _read_json(args.state)
-    if state.get("format") != "pick-state/v1":
-        raise ConfigInvalid(f"{args.state} is not a pick state file")
-    peer = _read_json(args.peer_commit)
-    if peer.get("format") != "pick-commit/v1":
-        raise ConfigInvalid(f"{args.peer_commit} is not a pick commit file")
+    state = _read_format(args.state, "pick-state/v1")
+    peer = _read_format(args.peer_commit, "pick-commit/v1")
     if peer["party"] != pk.other(state["party"]):
         raise ConfigInvalid("peer commitment is not from the other party")
     if peer["l"] != state["l"] or peer["round"] != state["round"]:
@@ -367,16 +385,12 @@ def cmd_pick_reveal(args) -> int:
 
 def cmd_pick_settle(args) -> int:
     pp = _load_pp(args.pp)
-    state = _read_json(args.state)
-    if state.get("format") != "pick-state/v1":
-        raise ConfigInvalid(f"{args.state} is not a pick state file")
+    state = _read_format(args.state, "pick-state/v1")
     if state.get("peer_commitment") is None:
         raise ConfigInvalid("no peer commitment on record; run pick-reveal first")
     if state.get("pp_digest") != _file_digest(args.pp):
         raise ConfigInvalid("public parameters differ from the commit step")
-    reveal = _read_json(args.peer_reveal)
-    if reveal.get("format") != "pick-reveal/v1":
-        raise ConfigInvalid(f"{args.peer_reveal} is not a pick reveal file")
+    reveal = _read_format(args.peer_reveal, "pick-reveal/v1")
     peer_party = pk.other(state["party"])
     if reveal["party"] != peer_party:
         raise ConfigInvalid("peer reveal is not from the other party")

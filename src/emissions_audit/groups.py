@@ -81,7 +81,7 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.value == 0:
             raise ZeroDivisionError("zero scalar has no inverse")
-        return Scalar(pow(self.value, self.q - 2, self.q), self.q)
+        return Scalar(pow(self.value, -1, self.q), self.q)
 
     def __eq__(self, other) -> bool:
         return (
@@ -95,6 +95,19 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.value})"
+
+
+def _multiplier(k, q: int) -> int:
+    """Validate a scalar multiplier for the group of order q; return an int."""
+    if isinstance(k, Scalar):
+        if k.q != q:
+            raise ValueError("scalar from a different group")
+        return k.value
+    if not isinstance(k, int):
+        raise TypeError(f"expected int or Scalar, got {type(k).__name__}")
+    if k < 0:
+        raise ValueError("scalar multiplier must be non-negative")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +135,15 @@ class ToyPoint:
         return ToyPoint(self.value * other.value % TOY_P)
 
     def __rmul__(self, k) -> "ToyPoint":
-        if isinstance(k, Scalar):
-            if k.q != TOY_Q:
-                raise ValueError("scalar from a different group")
-            k = k.value
-        if not isinstance(k, int):
+        if not isinstance(k, (int, Scalar)):
             return NotImplemented
-        if k < 0:
-            raise ValueError("scalar multiplier must be non-negative")
         # k is deliberately not reduced mod q first: q * P falling back to
         # the identity must come from the group structure, not from our
         # arithmetic shortcutting it.
-        return ToyPoint(pow(self.value, k, TOY_P))
+        return ToyPoint(pow(self.value, _multiplier(k, TOY_Q), TOY_P))
 
     def __neg__(self) -> "ToyPoint":
-        return ToyPoint(pow(self.value, TOY_P - 2, TOY_P))
+        return ToyPoint(pow(self.value, -1, TOY_P))
 
     def is_identity(self) -> bool:
         return self.value == 1
@@ -233,7 +240,7 @@ def _jac_to_affine(pt):
     X, Y, Z = pt
     if Z == 0:
         return None
-    zinv = pow(Z, _P - 2, _P)
+    zinv = pow(Z, -1, _P)
     zinv2 = zinv * zinv % _P
     return (X * zinv2 % _P, Y * zinv2 * zinv % _P)
 
@@ -244,7 +251,7 @@ def _batch_to_affine(points):
     prefix = [1] * (len(zs) + 1)
     for i, z in enumerate(zs):
         prefix[i + 1] = prefix[i] * z % _P
-    inv = pow(prefix[-1], _P - 2, _P)
+    inv = pow(prefix[-1], -1, _P)
     out = [None] * len(points)
     for i in range(len(points) - 1, -1, -1):
         zinv = inv * prefix[i] % _P
@@ -253,6 +260,20 @@ def _batch_to_affine(points):
         zinv2 = zinv * zinv % _P
         out[i] = (X * zinv2 % _P, Y * zinv2 * zinv % _P)
     return out
+
+
+def _jac_mul(k, xy):
+    """k * (x, y) in Jacobian form, by double-and-add over the unreduced k.
+
+    k is deliberately not reduced mod q, for the same reason as the toy
+    backend: q * P == identity must be observable.
+    """
+    acc = _INF_JAC
+    for bit in bin(k)[2:]:
+        acc = _jac_double(acc)
+        if bit == "1":
+            acc = _jac_add_affine(acc, xy)
+    return acc
 
 
 class CurvePoint:
@@ -277,36 +298,20 @@ class CurvePoint:
         if self.x == other.x:
             if (self.y + other.y) % _P == 0:
                 return _CURVE_IDENTITY
-            lam = 3 * self.x * self.x * pow(2 * self.y, _P - 2, _P) % _P
+            lam = 3 * self.x * self.x * pow(2 * self.y, -1, _P) % _P
         else:
-            lam = (other.y - self.y) * pow(other.x - self.x, _P - 2, _P) % _P
+            lam = (other.y - self.y) * pow(other.x - self.x, -1, _P) % _P
         x3 = (lam * lam - self.x - other.x) % _P
         y3 = (lam * (self.x - x3) - self.y) % _P
         return CurvePoint(x3, y3)
 
     def __rmul__(self, k) -> "CurvePoint":
-        if isinstance(k, Scalar):
-            if k.q != _Q:
-                raise ValueError("scalar from a different group")
-            k = k.value
-        if not isinstance(k, int):
+        if not isinstance(k, (int, Scalar)):
             return NotImplemented
-        if k < 0:
-            raise ValueError("scalar multiplier must be non-negative")
+        k = _multiplier(k, _Q)
         if k == 0 or self.x is None:
             return _CURVE_IDENTITY
-        # Plain double-and-add over the unreduced multiplier, for the same
-        # reason as the toy backend: q * P == identity must be observable.
-        acc = _INF_JAC
-        base = (self.x, self.y, 1)
-        for bit in bin(k)[2:]:
-            acc = _jac_double(acc)
-            if bit == "1":
-                acc = _jac_add(acc, base)
-        aff = _jac_to_affine(acc)
-        if aff is None:
-            return _CURVE_IDENTITY
-        return CurvePoint(aff[0], aff[1])
+        return _to_point(_jac_mul(k, (self.x, self.y)))
 
     def __neg__(self) -> "CurvePoint":
         if self.x is None:
@@ -330,6 +335,14 @@ class CurvePoint:
 
 
 _CURVE_IDENTITY = CurvePoint(None, None)
+
+
+def _to_point(pt) -> CurvePoint:
+    aff = _jac_to_affine(pt)
+    if aff is None:
+        return _CURVE_IDENTITY
+    return CurvePoint(aff[0], aff[1])
+
 
 _WINDOW_BITS = 8
 _WINDOW_ROWS = 32  # covers multipliers below 2**256
@@ -357,8 +370,8 @@ class _FixedBaseTable:
         size = (1 << _WINDOW_BITS) - 1
         self.rows = [affine[i * size : (i + 1) * size] for i in range(_WINDOW_ROWS)]
 
-    def mul(self, k: int) -> CurvePoint:
-        acc = _INF_JAC
+    def add_mul(self, acc, k: int):
+        """Jacobian acc + k * base, one mixed addition per nonzero byte of k."""
         for row in self.rows:
             if k == 0:
                 break
@@ -366,10 +379,7 @@ class _FixedBaseTable:
             k >>= 8
             if d:
                 acc = _jac_add_affine(acc, row[d - 1])
-        aff = _jac_to_affine(acc)
-        if aff is None:
-            return _CURVE_IDENTITY
-        return CurvePoint(aff[0], aff[1])
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +410,21 @@ class Group:
     def mul(self, k, point):
         """Scalar multiplication; subclasses may accelerate fixed bases."""
         return k * point
+
+    def mul2(self, a, p1, b, p2):
+        """a*p1 + b*p2, the shape of every commitment."""
+        return self.mul(a, p1) + self.mul(b, p2)
+
+    def is_mul2(self, a, p1, b, p2, c) -> bool:
+        """Whether a*p1 + b*p2 == c."""
+        return self.mul2(a, p1, b, p2) == c
+
+    def sum(self, points):
+        """Sum of an iterable of points; the identity when it is empty."""
+        total = self.identity
+        for point in points:
+            total = total + point
+        return total
 
     def encode_scalar(self, s: Scalar) -> bytes:
         return s.value.to_bytes(self.descriptor.scalar_bytes, "big")
@@ -456,6 +481,15 @@ class ToyGroup(Group):
             raise NotInSubgroup(f"{v} is not in the order-{TOY_Q} subgroup")
         return ToyPoint(v)
 
+    # Straight-line overrides: commitments are most of the toy simulator's
+    # group work, and the generic path's extra calls show in its throughput.
+    def mul2(self, a, p1: ToyPoint, b, p2: ToyPoint) -> ToyPoint:
+        a, b = _multiplier(a, TOY_Q), _multiplier(b, TOY_Q)
+        return ToyPoint(pow(p1.value, a, TOY_P) * pow(p2.value, b, TOY_P) % TOY_P)
+
+    def is_mul2(self, a, p1: ToyPoint, b, p2: ToyPoint, c) -> bool:
+        return self.mul2(a, p1, b, p2) == c
+
     def brute_force_dlog(self, point: ToyPoint) -> int:
         if self._dlog_table is None:
             table = {}
@@ -506,20 +540,77 @@ class Secp256k1Group(Group):
             self._tables[point] = _FixedBaseTable(point)
 
     def mul(self, k, point: CurvePoint):
-        table = self._tables.get(point)
-        if table is None:
+        if point not in self._tables:
             return k * point
-        if isinstance(k, Scalar):
-            if k.q != _Q:
-                raise ValueError("scalar from a different group")
-            k = k.value
-        if not isinstance(k, int):
-            raise TypeError(f"expected int or Scalar, got {type(k).__name__}")
-        if k < 0:
-            raise ValueError("scalar multiplier must be non-negative")
-        if k >> (_WINDOW_BITS * _WINDOW_ROWS):
-            return k * point  # beyond table range; fall back
-        return table.mul(k)
+        return _to_point(self._add_mul(_INF_JAC, k, point))
+
+    def _add_mul(self, acc, k, point: CurvePoint):
+        """Jacobian acc + k * point, through the point's table if it has one."""
+        k = _multiplier(k, _Q)
+        if k == 0 or point.x is None:
+            return acc
+        table = self._tables.get(point)
+        if table is not None and not k >> (_WINDOW_BITS * _WINDOW_ROWS):
+            return table.add_mul(acc, k)
+        return _jac_add(acc, _jac_mul(k, (point.x, point.y)))  # no table, or k too wide
+
+    def mul2(self, a, p1: CurvePoint, b, p2: CurvePoint) -> CurvePoint:
+        """a*p1 + b*p2 in one Jacobian accumulator: a single inversion."""
+        return _to_point(self._add_mul(self._add_mul(_INF_JAC, a, p1), b, p2))
+
+    def is_mul2(self, a, p1: CurvePoint, b, p2: CurvePoint, c) -> bool:
+        """a*p1 + b*p2 == c without an inversion: X == x*Z^2 and Y == y*Z^3."""
+        X, Y, Z = self._add_mul(self._add_mul(_INF_JAC, a, p1), b, p2)
+        if not isinstance(c, CurvePoint):
+            return False
+        if Z == 0 or c.x is None:
+            return Z == 0 and c.x is None
+        zz = Z * Z % _P
+        return X == c.x * zz % _P and Y == c.y * zz * Z % _P
+
+    def sum(self, points) -> CurvePoint:
+        """Mixed Jacobian additions, one inversion for the whole sum."""
+        acc = _INF_JAC
+        for point in points:
+            if not isinstance(point, CurvePoint):
+                raise TypeError(f"expected CurvePoint, got {type(point).__name__}")
+            if point.x is not None:
+                acc = _jac_add_affine(acc, (point.x, point.y))
+        return _to_point(acc)
+
+    def msm(self, scalars, points) -> CurvePoint:
+        """Bucket (Pippenger) multi-scalar multiplication, one inversion.
+
+        Each c-bit window of the multipliers drops every point into the
+        bucket of its digit with one mixed addition; a running sum over the
+        buckets then weighs bucket d by d.  The window width minimises
+        windows * (points + 2 * buckets) additions.
+        """
+        terms = []
+        for k, point in zip(scalars, points):
+            k = _multiplier(k, _Q)
+            if k and point.x is not None:
+                terms.append((k, (point.x, point.y)))
+        if not terms:
+            return _CURVE_IDENTITY
+        bits = max(k.bit_length() for k, _ in terms)
+        width = min(range(1, 17), key=lambda c: -(-bits // c) * (len(terms) + (2 << c)))
+        mask = (1 << width) - 1
+        total = _INF_JAC
+        for shift in range(-(-bits // width) * width - width, -1, -width):
+            for _ in range(width):
+                total = _jac_double(total)
+            buckets = [_INF_JAC] * (mask + 1)
+            for k, xy in terms:
+                d = (k >> shift) & mask
+                if d:
+                    buckets[d] = _jac_add_affine(buckets[d], xy)
+            running = window = _INF_JAC
+            for d in range(mask, 0, -1):
+                running = _jac_add(running, buckets[d])
+                window = _jac_add(window, running)
+            total = _jac_add(total, window)
+        return _to_point(total)
 
     def encode_point(self, point: CurvePoint) -> bytes:
         if point.is_identity():
@@ -555,6 +646,7 @@ _GROUPS_BY_NAME = {
     "toy": _TOY,
     "toy_group": _TOY,
     "mod607": _TOY,
+    "prod": _SECP256K1,
     "production": _SECP256K1,
     "production_curve": _SECP256K1,
     "secp256k1": _SECP256K1,

@@ -39,6 +39,7 @@ from .commitment import (
     params_to_dict,
     setup,
     verify_opening,
+    verify_openings,
 )
 from .groups import group_by_name
 
@@ -935,14 +936,22 @@ def replay_verdict(transcript: Transcript) -> dict:
                 "abort": {"step": step, "culprit_role": role,
                           "culprit": culprit, "reason": reason}}
 
+    items = []
+    failure = None
     for fid in roster:
         if fid not in reports or fid not in commitments:
-            return aborted(3, "firm", fid, "report missing")
+            failure = aborted(3, "firm", fid, "report missing")
+            break
         m, r = reports[fid]
         if not isinstance(m, int) or m < 0 or m >= MAX_EMISSIONS_KG:
-            return aborted(3, "firm", fid, f"reported total {m} out of range")
-        if not verify_opening(pp, commitments[fid], pp.group.scalar(m), r):
-            return aborted(3, "firm", fid, "opening does not match the commitment")
+            failure = aborted(3, "firm", fid, f"reported total {m} out of range")
+            break
+        items.append((commitments[fid], pp.group.scalar(m), r))
+    bad = verify_openings(pp, items)
+    if bad is not None:
+        return aborted(3, "firm", roster[bad], "opening does not match the commitment")
+    if failure is not None:
+        return failure
     if sums is None:
         return aborted(4, "country", COUNTRY_ID, "went silent")
     if v_list is None:
@@ -961,10 +970,7 @@ def replay_verdict(transcript: Transcript) -> dict:
         if not verify_opening(pp, commitments[fid], pp.group.scalar(truths[fid]), reveals[fid]):
             return aborted(6, "firm", fid, "commitment does not open to the true total")
     m_pub, r_pub = sums
-    total = pp.group.identity
-    for fid in roster:
-        if fid in commitments:
-            total = total + commitments[fid]
+    total = pp.group.sum(commitments[fid] for fid in roster if fid in commitments)
     max_total = len(roster) * (MAX_EMISSIONS_KG - 1)
     if not isinstance(m_pub, int) or m_pub < 0 or m_pub > max_total:
         return aborted(7, "country", COUNTRY_ID, "published total outside the admissible range")
@@ -979,15 +985,23 @@ def audit_transcript(transcript: Transcript) -> dict:
 
     Returns {ok, violations, replayed, recorded}.  A recorded abort whose
     reason is behavioral (silence, ledger contents, pick faults) cannot be
-    contradicted by message data alone and is accepted as consistent.
+    contradicted by message data alone and is accepted as consistent.  A
+    payload the replay cannot decode is a violation, and ``replayed`` is
+    then None.
     """
     violations = []
     violations.extend(routing_violations(transcript))
     violations.extend(leakage_violations(transcript))
     recorded = transcript.verdict
-    replayed = replay_verdict(transcript)
+    try:
+        replayed = replay_verdict(transcript)
+    except (KeyError, TypeError, ValueError) as exc:
+        replayed = None
+        violations.append(f"recorded messages do not replay: {type(exc).__name__}: {exc}")
     if recorded is None:
         violations.append("transcript carries no verdict record")
+    elif replayed is None:
+        pass  # already reported above
     else:
         rec_abort = recorded.get("abort")
         if rec_abort is not None and _is_behavioral(rec_abort.get("reason", "")):

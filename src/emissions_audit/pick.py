@@ -409,38 +409,3 @@ def run_pick(
 
     return PickOutcome(picked=tuple(session.picked), rounds=session.rounds, fault=fault)
 
-
-def outcome_to_dict(outcome: PickOutcome, pp: PublicParams) -> dict:
-    """Exportable record of a finished selection, with a digest over rounds."""
-    import hashlib
-    import json
-
-    rounds = []
-    for rnd in outcome.rounds:
-        rounds.append({
-            "round": rnd.round_index,
-            "l": rnd.l,
-            "commitments": {
-                party: pp.group.encode_point(c).hex()
-                for party, c in sorted(rnd.commitments.items())
-            },
-            "reveals": {
-                party: {"m": m, "r": pp.group.encode_scalar(r).hex()}
-                for party, (m, r) in sorted(rnd.reveals.items())
-            },
-            "verdict": rnd.phase,
-            "index": rnd.index,
-            "picked": rnd.picked,
-        })
-    body = {
-        "list": list(outcome.picked) if outcome.picked is not None else None,
-        "fault": (
-            {"party": outcome.fault.party, "round": outcome.fault.round_index,
-             "reason": outcome.fault.reason}
-            if outcome.fault else None
-        ),
-        "rounds": rounds,
-    }
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    body["digest"] = hashlib.sha256(blob).hexdigest()
-    return body

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from emissions_audit import commitment
 from emissions_audit.cli import main
 
 
@@ -180,6 +181,108 @@ def test_miscounted_sums_rejected_at_final_check(capsys, ws):
     code, verdict, _ = run_cli(capsys, *args)
     assert code == 1
     assert verdict["step"] == 7 and verdict["culprit"] == "country"
+
+
+def _rewritten(path, out, **changes):
+    """Copy of a JSON file with top-level fields replaced; returns the copy."""
+    data = json.loads(path.read_text())
+    data.update(changes)
+    out.write_text(json.dumps(data))
+    return out
+
+
+def _verify_sum_args(pp, reports, sums):
+    args = ["verify-sum", "--pp", str(pp), "--sums", str(sums)]
+    for rep in reports:
+        args += ["--report", str(rep)]
+    return args
+
+
+def _aggregate_args(pp, out, reports, openings):
+    args = ["aggregate", "--pp", str(pp), "--out", str(out)]
+    for rep in reports:
+        args += ["--report", str(rep)]
+    for op in openings:
+        args += ["--opening", str(op)]
+    return args
+
+
+def _assert_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out is None
+    assert err["error"] == "ConfigInvalid"
+
+
+def test_verify_sum_rejects_sums_without_m_as_input_error(capsys, ws):
+    pp, reports, _, sums = _pipeline(capsys, ws)
+    data = json.loads(sums.read_text())
+    del data["m"]
+    bad = ws / "no_m.json"
+    bad.write_text(json.dumps(data))
+    _assert_config_error(capsys, _verify_sum_args(pp, reports, bad))
+
+
+def test_verify_sum_rejects_non_hex_r_as_input_error(capsys, ws):
+    pp, reports, _, sums = _pipeline(capsys, ws)
+    bad = _rewritten(sums, ws / "r7.json", r=7)
+    _assert_config_error(capsys, _verify_sum_args(pp, reports, bad))
+
+
+def test_verify_sum_rejects_top_level_list_as_input_error(capsys, ws):
+    pp, reports, _, sums = _pipeline(capsys, ws)
+    bad = ws / "list.json"
+    bad.write_text(json.dumps([json.loads(sums.read_text())]))
+    _assert_config_error(capsys, _verify_sum_args(pp, reports, bad))
+
+
+def test_aggregate_rejects_second_opening_for_same_firm(capsys, ws):
+    pp, reports, openings, _ = _pipeline(capsys, ws)
+    _assert_config_error(capsys, _aggregate_args(
+        pp, ws / "s.json", reports, [openings[0], openings[1], openings[1]]))
+    # A forged second opening must not silently replace the first.
+    lie = _rewritten(openings[1], ws / "lie.json", m=1)
+    _assert_config_error(capsys, _aggregate_args(
+        pp, ws / "s.json", reports, [openings[0], openings[1], lie]))
+
+
+def test_aggregate_rejects_files_from_two_cycles(capsys, ws):
+    pp, reports, openings, _ = _pipeline(capsys, ws)
+    other_report = _rewritten(reports[1], ws / "r2.json", cycle_id="cy-2")
+    other_opening = _rewritten(openings[1], ws / "o2.json", cycle_id="cy-2")
+    _assert_config_error(capsys, _aggregate_args(
+        pp, ws / "s.json", [reports[0], other_report], [openings[0], other_opening]))
+    _assert_config_error(capsys, _aggregate_args(
+        pp, ws / "s.json", reports, [openings[0], other_opening]))
+
+
+def test_verify_sum_rejects_files_from_two_cycles(capsys, ws):
+    pp, reports, _, sums = _pipeline(capsys, ws)
+    other_report = _rewritten(reports[1], ws / "r2.json", cycle_id="cy-2")
+    _assert_config_error(capsys, _verify_sum_args(pp, [reports[0], other_report], sums))
+    other_sums = _rewritten(sums, ws / "s2.json", cycle_id="cy-2")
+    _assert_config_error(capsys, _verify_sum_args(pp, reports, other_sums))
+    _assert_config_error(capsys, _verify_sum_args(pp, [reports[0], reports[0]], sums))
+
+
+@pytest.mark.parametrize("first, second, culprit, reason", [
+    ("opening", "range", "F1", "opening does not match the commitment"),
+    ("range", "opening", "F1", "reported total out of range"),
+    (None, "opening", "F2", "opening does not match the commitment"),
+    ("opening", "opening", "F1", "opening does not match the commitment"),
+])
+def test_aggregate_batch_names_first_failure_in_report_order(
+    capsys, ws, monkeypatch, first, second, culprit, reason
+):
+    monkeypatch.setattr(commitment, "BATCH_MIN_ITEMS", 2)
+    pp, reports, openings, _ = _pipeline(capsys, ws, group="secp256k1")
+    bad_openings = []
+    for i, (path, fault) in enumerate(zip(openings, (first, second))):
+        m = json.loads(path.read_text())["m"]
+        changes = {"opening": {"m": m + 1}, "range": {"m": 1 << 40}, None: {}}[fault]
+        bad_openings.append(_rewritten(path, ws / f"bad{i}.json", **changes))
+    code, verdict, _ = run_cli(capsys, *_aggregate_args(pp, ws / "s.json", reports, bad_openings))
+    assert code == 1
+    assert (verdict["step"], verdict["culprit"], verdict["reason"]) == (3, culprit, reason)
 
 
 def test_ingest_extends_existing_ledger(capsys, ws):

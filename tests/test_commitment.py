@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from emissions_audit import commitment
 from emissions_audit.commitment import (
     DegenerateCollision,
     MAX_EMISSIONS_KG,
@@ -22,8 +23,9 @@ from emissions_audit.commitment import (
     random_blinding,
     setup,
     verify_opening,
+    verify_openings,
 )
-from emissions_audit.groups import production_group, toy_group
+from emissions_audit.groups import Secp256k1Group, production_group, toy_group
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +260,118 @@ def test_opening_bytes_roundtrip(toy_pp, prod_pp):
         r = random_blinding(pp, rng)
         m2, r2 = opening_from_bytes(pp, opening_to_bytes(pp, m, r))
         assert (m2, r2) == (m, r)
+
+
+# ---------------------------------------------------------------------------
+# Batch verification of openings.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def msm_calls(monkeypatch):
+    """Batch sizes seen by the secp256k1 multi-scalar multiplication."""
+    calls = []
+    original = Secp256k1Group.msm
+
+    def spy(self, scalars, points):
+        scalars = list(scalars)
+        calls.append(len(scalars))
+        return original(self, scalars, points)
+
+    monkeypatch.setattr(Secp256k1Group, "msm", spy)
+    return calls
+
+
+@pytest.fixture()
+def batch_always(monkeypatch):
+    """Take the batch path for every batch of two or more openings."""
+    monkeypatch.setattr(commitment, "BATCH_MIN_ITEMS", 2)
+
+
+def _openings(pp, n, seed):
+    rng = random.Random(seed)
+    items = []
+    for _ in range(n):
+        m = pp.group.scalar(rng.randrange(MAX_EMISSIONS_KG))
+        r = random_blinding(pp, rng)
+        items.append((commit(pp, m, r), m, r))
+    return items
+
+
+def _first_bad_affine(pp, items):
+    """Reference: the item-by-item loop over plain affine arithmetic."""
+    for i, (c, m, r) in enumerate(items):
+        if pp.group.mul(m, pp.g) + pp.group.mul(r, pp.h) != c:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("fix", ["toy_pp", "prod_pp"])
+def test_verify_openings_names_every_single_corruption(request, fix, batch_always, msm_calls):
+    pp = _params(request, fix)
+    items = _openings(pp, 50, seed=40)
+    assert verify_openings(pp, items) is None
+    one = pp.group.scalar(1)
+    for i in range(len(items)):
+        c, m, r = items[i]
+        for bad_item in ((c, m + one, r), (c, m, r + one)):
+            batch = items[:i] + [bad_item] + items[i + 1:]
+            assert verify_openings(pp, batch) == _first_bad_affine(pp, batch) == i
+    if fix == "prod_pp":
+        assert msm_calls and set(msm_calls) == {50}
+    else:
+        assert msm_calls == [] and not hasattr(pp.group, "msm")  # item by item
+
+
+def test_verify_openings_names_first_of_several_corruptions(prod_pp, batch_always):
+    items = _openings(prod_pp, 50, seed=41)
+    rng = random.Random(42)
+    one = prod_pp.group.scalar(1)
+    for _ in range(10):
+        batch = list(items)
+        for i in rng.sample(range(len(batch)), rng.randrange(2, 6)):
+            c, m, r = batch[i]
+            batch[i] = (c, m, r + one)
+        assert verify_openings(prod_pp, batch) == _first_bad_affine(prod_pp, batch)
+
+
+def test_verify_openings_batches_at_the_default_size(prod_pp, msm_calls):
+    n = commitment.BATCH_MIN_ITEMS
+    items = _openings(prod_pp, n, seed=43)
+    assert verify_openings(prod_pp, items) is None
+    assert verify_openings(prod_pp, items[:-1]) is None
+    assert msm_calls == [n]
+    c, m, r = items[-1]
+    bad = items[:-1] + [(c, m, r + prod_pp.group.scalar(1))]
+    assert verify_openings(prod_pp, bad) == n - 1
+
+
+def test_verify_openings_edge_batches(prod_pp, batch_always):
+    assert verify_openings(prod_pp, []) is None
+    zero = prod_pp.group.scalar(0)
+    identity = prod_pp.group.identity
+    assert verify_openings(prod_pp, [(identity, zero, zero)] * 3) is None
+    items = _openings(prod_pp, 3, seed=44)
+    assert verify_openings(prod_pp, items + [(identity, zero, zero)]) is None
+    assert verify_openings(prod_pp, items + [(identity, zero, prod_pp.group.scalar(1))]) == 3
+    # The same commitment twice lands in the same buckets (doubling there).
+    assert verify_openings(prod_pp, items + items) is None
+
+
+def test_batch_weights_bind_the_whole_batch(prod_pp):
+    items = _openings(prod_pp, 5, seed=45)
+    weights = commitment._batch_weights(prod_pp, items)
+    assert weights == commitment._batch_weights(prod_pp, list(items))
+    assert all(0 < w < 2 ** commitment.BATCH_WEIGHT_BITS for w in weights)
+    assert len(set(weights)) == len(weights)
+    c, m, r = items[-1]
+    changed = commitment._batch_weights(prod_pp, items[:-1] + [(c, m, r + prod_pp.group.scalar(1))])
+    assert changed[0] != weights[0]
+    assert commitment._batch_weights(prod_pp, items[::-1])[0] != weights[-1]
+
+
+def test_verify_openings_rejects_scalars_from_another_group(prod_pp, toy_pp, batch_always):
+    items = _openings(prod_pp, 3, seed=46)
+    c, m, _ = items[0]
+    with pytest.raises(ValueError, match="different group"):
+        verify_openings(prod_pp, [(c, m, toy_pp.group.scalar(1))] + items)

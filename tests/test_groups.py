@@ -4,7 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from emissions_audit.commitment import H_DOMAIN, hash_to_point
 from emissions_audit.groups import (
     MalformedPoint,
     MalformedScalar,
@@ -254,6 +257,7 @@ def test_group_lookup_aliases():
 
     assert group_by_name("toy") is group_by_name("mod607")
     assert group_by_name("production") is group_by_name("secp256k1")
+    assert group_by_name("prod") is group_by_name("secp256k1")
     with pytest.raises(GroupError):
         group_by_name("nonsense")
 
@@ -262,3 +266,152 @@ def test_secp256k1_generator_satisfies_curve_equation(prod):
     g = prod.generator
     p = 2**256 - 2**32 - 977
     assert (g.y * g.y - (g.x**3 + 7)) % p == 0
+
+
+# ---------------------------------------------------------------------------
+# Fast paths (mul2, is_mul2, sum, msm) against the plain affine arithmetic.
+# ---------------------------------------------------------------------------
+
+# Hypothesis draws on both backends.  secp256k1 examples are costly (a
+# generic mul is ~2 ms), so the example count stays modest.
+FAST_PATH_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _pool(group):
+    """Points that hit the edge cases: identity, tabled bases, negations."""
+    g = group.generator
+    h = hash_to_point(group, H_DOMAIN)
+    group.register_fixed_base(g)
+    group.register_fixed_base(h)
+    p = group.mul(12345, g)
+    return [group.identity, g, h, p, -g, -p, g + g]
+
+
+@st.composite
+def _scalar_or_int(draw, group):
+    """A Scalar or a plain int; zero and q - 1 are common, big ints occur."""
+    value = draw(st.one_of(
+        st.sampled_from([0, 1, 2, group.q - 1]),
+        st.integers(0, group.q - 1),
+        st.integers(0, 2**40),
+    ))
+    if draw(st.booleans()):
+        return group.scalar(value)
+    return value + draw(st.sampled_from([0, 0, group.q]))  # unreduced ints too
+
+
+@st.composite
+def _mul2_case(draw, name):
+    group = group_by_name(name)
+    pool = _pool(group)
+    return (group, draw(_scalar_or_int(group)), draw(st.sampled_from(pool)),
+            draw(_scalar_or_int(group)), draw(st.sampled_from(pool)))
+
+
+GROUP_NAMES = st.sampled_from(["toy", "secp256k1"])
+
+
+@FAST_PATH_SETTINGS
+@given(GROUP_NAMES.flatmap(_mul2_case))
+def test_mul2_matches_mul_mul_add(case):
+    group, a, p, b, q = case
+    assert group.mul2(a, p, b, q) == group.mul(a, p) + group.mul(b, q)
+
+
+@FAST_PATH_SETTINGS
+@given(GROUP_NAMES.flatmap(_mul2_case), st.sampled_from(["same", "shifted", "identity", "other"]))
+def test_is_mul2_matches_equality(case, target):
+    group, a, p, b, q = case
+    reference = group.mul(a, p) + group.mul(b, q)
+    c = {
+        "same": reference,
+        "shifted": reference + group.generator,
+        "identity": group.identity,
+        "other": None,
+    }[target]
+    assert group.is_mul2(a, p, b, q, c) == (reference == c)
+
+
+@pytest.mark.parametrize("name", ["toy", "secp256k1"])
+def test_mul2_edge_cases(name):
+    group = group_by_name(name)
+    g = group.generator
+    h = hash_to_point(group, H_DOMAIN)
+    zero = group.scalar(0)
+    assert group.mul2(zero, g, zero, h) == group.identity  # m = r = 0
+    assert group.is_mul2(zero, g, zero, h, group.identity)
+    assert not group.is_mul2(zero, g, zero, h, g)
+    assert group.mul2(1, g, 1, g) == g + g  # doubling inside the accumulator
+    assert group.mul2(1, g, 1, -g) == group.identity  # P + (-P)
+    assert group.mul2(1, g, group.q - 1, g) == group.identity
+    assert group.is_mul2(3, group.identity, 0, h, group.identity)
+    assert group.is_mul2(1, g, 1, g, g + g)
+
+
+@FAST_PATH_SETTINGS
+@given(GROUP_NAMES.flatmap(lambda name: st.tuples(
+    st.just(group_by_name(name)),
+    st.lists(st.sampled_from(_pool(group_by_name(name))), max_size=12),
+)))
+def test_sum_matches_folded_addition(case):
+    group, points = case
+    expected = group.identity
+    for point in points:
+        expected = expected + point
+    assert group.sum(points) == expected
+    assert group.sum(iter(points)) == expected
+
+
+@pytest.mark.parametrize("name", ["toy", "secp256k1"])
+def test_sum_edge_cases(name):
+    group = group_by_name(name)
+    g = group.generator
+    assert group.sum([]) == group.identity
+    assert group.sum([group.identity, group.identity]) == group.identity
+    assert group.sum([g, g]) == g + g  # doubling branch of the mixed add
+    assert group.sum([g, g, g]) == group.mul(3, g)
+    assert group.sum([g, -g]) == group.identity  # P + (-P)
+    assert group.sum([g, -g, g]) == g
+
+
+@FAST_PATH_SETTINGS
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 2**130)),
+                          st.integers(0, 6)), max_size=20))
+def test_msm_matches_sum_of_muls(terms):
+    prod = production_group()
+    pool = _pool(prod)
+    expected = prod.identity
+    for k, i in terms:
+        expected = expected + prod.mul(k, pool[i])
+    assert prod.msm([k for k, _ in terms], [pool[i] for _, i in terms]) == expected
+
+
+def test_msm_repeated_and_cancelling_points(prod):
+    g = prod.generator
+    k = 2**127 + 12345
+    # Every window drops both points into the same bucket: doubling there,
+    # then cancellation against the negated point.
+    assert prod.msm([k, k], [g, g]) == prod.mul(2 * k, g)
+    assert prod.msm([k, k], [g, -g]) == prod.identity
+    assert prod.msm([k, prod.q - k], [g, g]) == prod.identity
+    assert prod.msm([], []) == prod.identity
+
+
+@pytest.mark.parametrize("name, other", [("toy", "secp256k1"), ("secp256k1", "toy")])
+def test_fast_paths_reject_scalars_from_another_group(name, other):
+    group, foreign = group_by_name(name), group_by_name(other)
+    g = group.generator
+    bad, ok = foreign.scalar(3), group.scalar(3)
+    with pytest.raises(ValueError, match="different group"):
+        group.mul(bad, g)
+    with pytest.raises(ValueError, match="different group"):
+        group.mul2(bad, g, ok, g)
+    with pytest.raises(ValueError, match="different group"):
+        group.mul2(ok, g, bad, g)
+    with pytest.raises(ValueError, match="different group"):
+        group.is_mul2(ok, g, bad, g, g)
+    if name == "secp256k1":
+        with pytest.raises(ValueError, match="different group"):
+            group.msm([ok, bad], [g, g])

@@ -1,11 +1,14 @@
 """Simulation harness: determinism, views, checkers, scenarios, replay."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from emissions_audit import commitment
 from emissions_audit.audit import (
+    AuditSession,
     ConfigInvalid,
     COUNTRY_ID,
     ENV_ID,
@@ -13,8 +16,8 @@ from emissions_audit.audit import (
     SessionConfig,
     VERIFIER_ID,
 )
-from emissions_audit.commitment import setup
-from emissions_audit.groups import toy_group
+from emissions_audit.commitment import MAX_EMISSIONS_KG, setup
+from emissions_audit.groups import production_group, toy_group
 from emissions_audit.harness import (
     AbortAt,
     AdversarySpec,
@@ -432,3 +435,121 @@ def test_pick_fault_replays_as_behavioral_abort(pp):
     assert result.verdict.abort is not None and result.verdict.abort.step == 5
     report = audit_transcript(result.transcript)
     assert report["ok"], report["violations"]
+
+
+def _edited(transcript, edit):
+    """Copy of the transcript with edit(event) for each event; None drops it."""
+    out = Transcript(transcript.header)
+    out.verdict = transcript.verdict
+    out.events = [ev for ev in map(edit, transcript.events) if ev is not None]
+    return out
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("commitment", "c", "02" + "00" * 32),  # x = 0 is not on the curve
+    ("commitment", "c", "zz"),
+    ("report", "r", "ff" * 32),  # not below the group order
+    ("reveal_opening", "r", "00"),  # wrong width
+    ("sum", "r", 7),
+])
+def test_undecodable_payload_is_a_violation_not_a_crash(kind, field, value):
+    pp = setup(production_group(), "hash_derived")
+    transcript = run_session(_config(pp, [10, 20, 30], k=3), seed=18).transcript
+    firm = "F2" if kind != "sum" else None
+
+    def edit(ev):
+        if ev.kind == kind and ev.payload.get("firm") == firm:
+            return dataclasses.replace(ev, payload=dict(ev.payload, **{field: value}))
+        return ev
+
+    tampered = _edited(transcript, edit)
+    with pytest.raises((ValueError, TypeError)):
+        replay_verdict(tampered)
+    report = audit_transcript(tampered)
+    assert not report["ok"] and report["replayed"] is None
+    assert any("do not replay" in v for v in report["violations"])
+
+
+# ---------------------------------------------------------------------------
+# Batched examination: the culprit is the one the item-by-item loop names.
+# ---------------------------------------------------------------------------
+
+EXAMINE_N = 50
+
+
+@pytest.fixture(scope="module")
+def examined_session():
+    """An honest secp256k1 roster after step 2, and its recorded transcript."""
+    pp = setup(production_group(), "hash_derived")
+    config = _config(pp, [1000 + 7 * i for i in range(EXAMINE_N)], k=0)
+    session = AuditSession(config, random.Random(5))
+    session.step1_setup()
+    session.step2_reports()
+    transcript = run_session(config, seed=5).transcript
+    return session, transcript
+
+
+def _reference_examine(pp, roster, reports, commitments):
+    """The sequential step-3 loop over plain affine arithmetic."""
+    for fid in roster:
+        if fid not in reports:
+            return fid, "report missing"
+        m, r = reports[fid]
+        if not isinstance(m, int) or m < 0 or m >= MAX_EMISSIONS_KG:
+            return fid, f"reported total {m} out of range"
+        if pp.group.mul(m, pp.g) + pp.group.mul(r, pp.h) != commitments[fid]:
+            return fid, "opening does not match the commitment"
+    return None
+
+
+def _apply(reports, faults):
+    """faults: {firm: "opening" | "range" | "negative" | "missing"}."""
+    reports = dict(reports)
+    for fid, fault in faults.items():
+        m, r = reports[fid]
+        if fault == "missing":
+            del reports[fid]
+        else:
+            reports[fid] = ({"opening": m + 1, "range": MAX_EMISSIONS_KG, "negative": -1}[fault], r)
+    return reports
+
+
+def _mixed_cases():
+    spots = (0, 1, 24, 48, 49)
+    for i in spots:
+        yield {i: "opening"}
+        for j in spots:
+            if j != i:
+                yield {i: "opening", j: "opening"}
+                for other in ("range", "negative", "missing"):
+                    yield {i: "opening", j: other}
+
+
+def test_batched_examine_names_the_sequential_culprit(examined_session, monkeypatch):
+    monkeypatch.setattr(commitment, "BATCH_MIN_ITEMS", 2)
+    base, transcript = examined_session
+    pp, roster = base.config.pp, base.config.roster
+    checked = 0
+    for positions in _mixed_cases():
+        faults = {roster[i]: fault for i, fault in positions.items()}
+        reports = _apply(base.state.reports, faults)
+        expected = _reference_examine(pp, roster, reports, base.state.commitments)
+
+        session = AuditSession(base.config, random.Random(0))
+        session.state = dataclasses.replace(base.state, reports=reports, broadcast_log=[])
+        session.step3_examine()
+        abort = session.state.abort
+        assert (abort.culprit_id, abort.reason) == expected, positions
+
+        def edit(ev):
+            fid = ev.payload.get("firm")
+            if ev.kind != "report" or fid not in faults:
+                return ev
+            if fid not in reports:
+                return None
+            return dataclasses.replace(ev, payload=dict(ev.payload, m=reports[fid][0]))
+
+        replayed = replay_verdict(_edited(transcript, edit))["abort"]
+        assert (replayed["culprit"], replayed["reason"]) == expected, positions
+        checked += 1
+    assert checked == 5 + 5 * 4 * 4
