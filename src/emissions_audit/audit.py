@@ -28,7 +28,7 @@ from . import pick as pick_mod
 from .commitment import (
     MAX_EMISSIONS_KG,
     PublicParams,
-    commit,
+    commit_many,
     params_to_dict,
     verify_opening,
     verify_openings,
@@ -329,17 +329,25 @@ class AuditSession:
         self.state.next_step = 2
 
     def step2_reports(self):
-        """Each firm broadcasts its commitment and reports the opening."""
+        """Each firm broadcasts its commitment and reports the opening.
+
+        Openings are drawn firm by firm in roster order, so the rng stream
+        is the same as committing one at a time; the commitments are then
+        computed in one batch.
+        """
         self._require(Step.REPORT)
         pp = self.config.pp
-        for fid in self.config.roster:
+        # A silent firm sends nothing; its absence is caught at step 3.
+        reporting = [fid for fid in self.config.roster
+                     if not self.firm_behaviors[fid].silent_at(2)]
+        openings = []
+        for fid in reporting:
             behavior = self.firm_behaviors[fid]
-            if behavior.silent_at(2):
-                continue  # absence is caught at the examination step
             claim = behavior.claim(self.state.env.m_assignments[fid])
-            r = behavior.blinding(pp, self.rng)
+            openings.append((claim, behavior.blinding(pp, self.rng)))
+        commitments = commit_many(pp, [(pp.group.scalar(m), r) for m, r in openings])
+        for fid, (claim, r), c in zip(reporting, openings, commitments):
             self._firm_blindings[fid] = r
-            c = commit(pp, pp.group.scalar(claim), r)
             self.state.commitments[fid] = c
             self.state.reports[fid] = (claim, r)
             self._emit(Step.REPORT, "commitment", fid,

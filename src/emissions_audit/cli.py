@@ -68,12 +68,22 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _read_format(path: str, fmt: str) -> dict:
-    """A JSON object whose ``format`` field is ``fmt``; ConfigInvalid otherwise."""
+def _read_format(path: str, fmt: str, **fields) -> dict:
+    """A JSON object whose ``format`` field is ``fmt`` and whose named
+    fields have the given types; ConfigInvalid otherwise."""
     data = _read_json(path)
     if not isinstance(data, dict) or data.get("format") != fmt:
         raise ConfigInvalid(f"{path} is not a {fmt} file")
+    for name, kind in fields.items():
+        if not isinstance(data.get(name), kind):
+            raise ConfigInvalid(f"{path} lacks a {kind.__name__} field {name!r}")
     return data
+
+
+# Typed fields of the pick exchange files, beyond their format.
+_PICK_ROUND = {"party": str, "round": int, "l": int}
+_PICK_COMMIT = {**_PICK_ROUND, "c": str}
+_PICK_OPENING = {**_PICK_ROUND, "m": int, "r": str}
 
 
 def _emit(obj: dict) -> None:
@@ -128,7 +138,7 @@ def _load_meter_key(path: str, seed: int | None) -> ms.MeterKeypair:
     import os
 
     if os.path.exists(path):
-        data = _read_format(path, "meter-key/v1")
+        data = _read_format(path, "meter-key/v1", sk=str)
         return ms.MeterKeypair.from_seed(bytes.fromhex(data["sk"]))
     if seed is None:
         raise ConfigInvalid(f"meter key {path} not found; pass --seed to generate one")
@@ -205,15 +215,8 @@ class SubmissionInvalid(ValueError):
         self.reason = reason
 
 
-def _load_submission(path: str, fmt: str) -> dict:
-    data = _read_format(path, fmt)
-    if not isinstance(data.get("firm_id"), str) or not isinstance(data.get("cycle_id"), str):
-        raise ConfigInvalid(f"{path} lacks a firm_id or cycle_id string")
-    return data
-
-
 def _load_report(pp, path: str) -> dict:
-    data = _load_submission(path, "report/v1")
+    data = _read_format(path, "report/v1", firm_id=str, cycle_id=str)
     try:
         data["c_point"] = pp.group.decode_point(bytes.fromhex(data["c"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -222,7 +225,7 @@ def _load_report(pp, path: str) -> dict:
 
 
 def _load_opening(pp, path: str) -> dict:
-    data = _load_submission(path, "opening/v1")
+    data = _read_format(path, "opening/v1", firm_id=str, cycle_id=str)
     try:
         data["r_scalar"] = pp.group.decode_scalar(bytes.fromhex(data["r"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -361,8 +364,8 @@ def cmd_pick_commit(args) -> int:
 
 
 def cmd_pick_reveal(args) -> int:
-    state = _read_format(args.state, "pick-state/v1")
-    peer = _read_format(args.peer_commit, "pick-commit/v1")
+    state = _read_format(args.state, "pick-state/v1", **_PICK_OPENING)
+    peer = _read_format(args.peer_commit, "pick-commit/v1", **_PICK_COMMIT)
     if peer["party"] != pk.other(state["party"]):
         raise ConfigInvalid("peer commitment is not from the other party")
     if peer["l"] != state["l"] or peer["round"] != state["round"]:
@@ -385,12 +388,12 @@ def cmd_pick_reveal(args) -> int:
 
 def cmd_pick_settle(args) -> int:
     pp = _load_pp(args.pp)
-    state = _read_format(args.state, "pick-state/v1")
-    if state.get("peer_commitment") is None:
+    state = _read_format(args.state, "pick-state/v1", **_PICK_OPENING)
+    if not isinstance(state.get("peer_commitment"), str):
         raise ConfigInvalid("no peer commitment on record; run pick-reveal first")
     if state.get("pp_digest") != _file_digest(args.pp):
         raise ConfigInvalid("public parameters differ from the commit step")
-    reveal = _read_format(args.peer_reveal, "pick-reveal/v1")
+    reveal = _read_format(args.peer_reveal, "pick-reveal/v1", **_PICK_OPENING)
     peer_party = pk.other(state["party"])
     if reveal["party"] != peer_party:
         raise ConfigInvalid("peer reveal is not from the other party")

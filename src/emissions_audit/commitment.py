@@ -129,6 +129,11 @@ def commit(pp: PublicParams, m: Scalar, r: Scalar):
     return pp.group.mul2(m, pp.g, r, pp.h)
 
 
+def commit_many(pp: PublicParams, pairs) -> list:
+    """Commitments m*G + r*H for each (m, r) in pairs, batched by the group."""
+    return pp.group.mul2_many(pairs, pp.g, pp.h)
+
+
 def verify_opening(pp: PublicParams, c, m: Scalar, r: Scalar) -> bool:
     return pp.group.is_mul2(m, pp.g, r, pp.h, c)
 
@@ -245,13 +250,15 @@ def params_to_dict(pp: PublicParams) -> dict:
 
 
 def params_from_dict(data: dict) -> PublicParams:
+    if not isinstance(data, dict):
+        raise SetupError(f"params must be a JSON object, got {type(data).__name__}")
     if data.get("format") != PP_FORMAT:
         raise SetupError(f"unexpected params format {data.get('format')!r}")
     if data.get("scheme") != "pedersen":
         raise SetupError(f"unexpected scheme {data.get('scheme')!r}")
     try:
         group = group_by_name(data["group"])
-    except (KeyError, GroupError) as exc:
+    except (KeyError, TypeError, GroupError) as exc:
         raise SetupError(f"unknown group in params: {exc}") from None
     if data.get("q") != group.q:
         raise SetupError("group order in params does not match the backend")
@@ -261,7 +268,7 @@ def params_from_dict(data: dict) -> PublicParams:
     try:
         g = group.decode_point(bytes.fromhex(data["g"]))
         h = group.decode_point(bytes.fromhex(data["h"]))
-    except (KeyError, ValueError) as exc:  # covers Malformed/NotInSubgroup
+    except (KeyError, TypeError, ValueError) as exc:  # covers Malformed/NotInSubgroup
         raise SetupError(f"bad base point: {exc}") from None
     if g.is_identity() or h.is_identity():
         raise SetupError("base points must not be the identity")

@@ -245,21 +245,83 @@ def _jac_to_affine(pt):
     return (X * zinv2 % _P, Y * zinv2 * zinv % _P)
 
 
+def _batch_inverse(values):
+    """Inverses mod p of nonzero field elements, with a single inversion.
+
+    Montgomery's trick: invert the product of all values once, then peel
+    each inverse off the prefix products.
+    """
+    prefix = [1] * (len(values) + 1)
+    acc = 1
+    for i, v in enumerate(values):
+        acc = acc * v % _P
+        prefix[i + 1] = acc
+    inv = pow(acc, -1, _P)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % _P
+        inv = inv * values[i] % _P
+    return out
+
+
 def _batch_to_affine(points):
     """Convert many Jacobian points at once with a single field inversion."""
-    zs = [pt[2] for pt in points]
-    prefix = [1] * (len(zs) + 1)
-    for i, z in enumerate(zs):
-        prefix[i + 1] = prefix[i] * z % _P
-    inv = pow(prefix[-1], -1, _P)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        zinv = inv * prefix[i] % _P
-        inv = inv * zs[i] % _P
-        X, Y, _ = points[i]
+    out = []
+    for (X, Y, _), zinv in zip(points, _batch_inverse([pt[2] for pt in points])):
         zinv2 = zinv * zinv % _P
-        out[i] = (X * zinv2 % _P, Y * zinv2 * zinv % _P)
+        out.append((X * zinv2 % _P, Y * zinv2 * zinv % _P))
     return out
+
+
+def _batch_add(lhs, rhs):
+    """Affine sums lhs[i] + rhs[i] of independent pairs, one inversion in all.
+
+    Points are (x, y) tuples, None for the identity.  An identity operand
+    passes the other through, and pairs with equal x (doubling, or
+    P + (-P)) take the Jacobian formulas, so no zero is ever inverted.
+    """
+    out = [None] * len(lhs)
+    todo = []
+    dxs = []
+    for i, (a, b) in enumerate(zip(lhs, rhs)):
+        if a is None:
+            out[i] = b
+        elif b is None:
+            out[i] = a
+        elif a[0] == b[0]:
+            out[i] = _jac_to_affine(_jac_add_affine((a[0], a[1], 1), b))
+        else:
+            todo.append(i)
+            dxs.append(b[0] - a[0])
+    for i, inv in zip(todo, _batch_inverse(dxs)):
+        x1, y1 = lhs[i]
+        x2, y2 = rhs[i]
+        lam = (y2 - y1) * inv % _P
+        x3 = (lam * lam - x1 - x2) % _P
+        out[i] = (x3, (lam * (x1 - x3) - y1) % _P)
+    return out
+
+
+def _batch_sums(lists):
+    """The sum of each list of affine points (None when it is empty).
+
+    Every level adds neighbouring points of all lists in one _batch_add,
+    halving each list, so the whole reduction costs one inversion a level.
+    """
+    lists = list(lists)
+    while True:
+        lhs, rhs = [], []
+        for pts in lists:
+            lhs += pts[0:len(pts) - 1:2]
+            rhs += pts[1::2]
+        if not lhs:
+            return [pts[0] if pts else None for pts in lists]
+        sums = _batch_add(lhs, rhs)
+        pos = 0
+        for j, pts in enumerate(lists):
+            half = len(pts) // 2
+            lists[j] = sums[pos:pos + half] + pts[2 * half:]
+            pos += half
 
 
 def _jac_mul(k, xy):
@@ -337,11 +399,12 @@ class CurvePoint:
 _CURVE_IDENTITY = CurvePoint(None, None)
 
 
+def _affine_point(xy) -> CurvePoint:
+    return _CURVE_IDENTITY if xy is None else CurvePoint(xy[0], xy[1])
+
+
 def _to_point(pt) -> CurvePoint:
-    aff = _jac_to_affine(pt)
-    if aff is None:
-        return _CURVE_IDENTITY
-    return CurvePoint(aff[0], aff[1])
+    return _affine_point(_jac_to_affine(pt))
 
 
 _WINDOW_BITS = 8
@@ -414,6 +477,10 @@ class Group:
     def mul2(self, a, p1, b, p2):
         """a*p1 + b*p2, the shape of every commitment."""
         return self.mul(a, p1) + self.mul(b, p2)
+
+    def mul2_many(self, pairs, p1, p2) -> list:
+        """[a*p1 + b*p2 for each (a, b) in pairs]."""
+        return [self.mul2(a, p1, b, p2) for a, b in pairs]
 
     def is_mul2(self, a, p1, b, p2, c) -> bool:
         """Whether a*p1 + b*p2 == c."""
@@ -558,6 +625,32 @@ class Secp256k1Group(Group):
         """a*p1 + b*p2 in one Jacobian accumulator: a single inversion."""
         return _to_point(self._add_mul(self._add_mul(_INF_JAC, a, p1), b, p2))
 
+    def mul2_many(self, pairs, p1: CurvePoint, p2: CurvePoint) -> list:
+        """mul2 for each (a, b) in pairs, computed in lockstep over all pairs.
+
+        The rows of p1's table, then of p2's, are walked once: each row is
+        one _batch_add over every pair with a nonzero digit there, so a row
+        costs one inversion for all pairs.  Without a
+        table for both bases, or with a multiplier too wide for the tables,
+        the pairs go through mul2 one by one.
+        """
+        ks = [(_multiplier(a, _Q), _multiplier(b, _Q)) for a, b in pairs]
+        tables = (self._tables.get(p1), self._tables.get(p2))
+        widest = max((max(pair) for pair in ks), default=0)
+        if None in tables or widest >> (_WINDOW_BITS * _WINDOW_ROWS):
+            return [self.mul2(a, p1, b, p2) for a, b in ks]
+        accs = [None] * len(ks)
+        for col, table in enumerate(tables):
+            column = [pair[col] for pair in ks]
+            digits = [k.to_bytes(_WINDOW_ROWS, "little") for k in column]
+            used = -(-max(column, default=0).bit_length() // _WINDOW_BITS)
+            for j, row in enumerate(table.rows[:used]):
+                todo = [i for i, d in enumerate(digits) if d[j]]
+                sums = _batch_add([accs[i] for i in todo], [row[digits[i][j] - 1] for i in todo])
+                for i, xy in zip(todo, sums):
+                    accs[i] = xy
+        return [_affine_point(xy) for xy in accs]
+
     def is_mul2(self, a, p1: CurvePoint, b, p2: CurvePoint, c) -> bool:
         """a*p1 + b*p2 == c without an inversion: X == x*Z^2 and Y == y*Z^3."""
         X, Y, Z = self._add_mul(self._add_mul(_INF_JAC, a, p1), b, p2)
@@ -579,12 +672,14 @@ class Secp256k1Group(Group):
         return _to_point(acc)
 
     def msm(self, scalars, points) -> CurvePoint:
-        """Bucket (Pippenger) multi-scalar multiplication, one inversion.
+        """Bucket (Pippenger) multi-scalar multiplication.
 
         Each c-bit window of the multipliers drops every point into the
-        bucket of its digit with one mixed addition; a running sum over the
-        buckets then weighs bucket d by d.  The window width minimises
-        windows * (points + 2 * buckets) additions.
+        bucket of its digit; _batch_sums adds up all buckets in affine
+        coordinates with one inversion per level of its pairwise reduction.
+        A Jacobian running sum over the buckets then weighs bucket d by d.
+        The window width minimises windows * (points + 2 * buckets)
+        additions.
         """
         terms = []
         for k, point in zip(scalars, points):
@@ -600,14 +695,13 @@ class Secp256k1Group(Group):
         for shift in range(-(-bits // width) * width - width, -1, -width):
             for _ in range(width):
                 total = _jac_double(total)
-            buckets = [_INF_JAC] * (mask + 1)
+            buckets = [[] for _ in range(mask + 1)]
             for k, xy in terms:
-                d = (k >> shift) & mask
-                if d:
-                    buckets[d] = _jac_add_affine(buckets[d], xy)
+                buckets[(k >> shift) & mask].append(xy)
             running = window = _INF_JAC
-            for d in range(mask, 0, -1):
-                running = _jac_add(running, buckets[d])
+            for xy in reversed(_batch_sums(buckets[1:])):
+                if xy is not None:
+                    running = _jac_add_affine(running, xy)
                 window = _jac_add(window, running)
             total = _jac_add(total, window)
         return _to_point(total)

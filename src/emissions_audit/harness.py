@@ -592,9 +592,19 @@ OPENING_FIELDS = {
 }
 
 
+def _header_violations(header: dict) -> list[str]:
+    """Views are built from these header fields: each a list of strings."""
+    return [
+        f"header field {name!r} is not a list of strings"
+        for name in ("participants", "roster")
+        if not isinstance(header.get(name), list)
+        or not all(isinstance(pid, str) for pid in header[name])
+    ]
+
+
 def routing_violations(transcript: Transcript) -> list[str]:
     """No private-lane message may be addressed outside its lane."""
-    out = []
+    out = _header_violations(transcript.header)
     last_seq = -1
     last_step = 0
     for ev in transcript.events:
@@ -869,6 +879,8 @@ def parse_transcript(data: bytes) -> Transcript:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise TranscriptFormatError(f"line {line_no}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise TranscriptFormatError(f"line {line_no}: not a JSON object")
         if "header" in obj:
             header = obj["header"]
         elif "verdict" in obj:
@@ -878,8 +890,10 @@ def parse_transcript(data: bytes) -> Transcript:
                 events.append(Event(**obj))
             except TypeError as exc:
                 raise TranscriptFormatError(f"line {line_no}: {exc}") from None
-    if header is None:
-        raise TranscriptFormatError("transcript has no header line")
+    if not isinstance(header, dict):
+        raise TranscriptFormatError("transcript has no header object")
+    if verdict is not None and not isinstance(verdict, dict):
+        raise TranscriptFormatError("transcript verdict is not an object")
     t = Transcript(header)
     t.events = events
     t.verdict = verdict
@@ -989,10 +1003,12 @@ def audit_transcript(transcript: Transcript) -> dict:
     payload the replay cannot decode is a violation, and ``replayed`` is
     then None.
     """
-    violations = []
-    violations.extend(routing_violations(transcript))
-    violations.extend(leakage_violations(transcript))
+    violations = routing_violations(transcript)
     recorded = transcript.verdict
+    if _header_violations(transcript.header):
+        # Views and the replay are defined over the header's rosters.
+        return {"ok": False, "violations": violations, "replayed": None, "recorded": recorded}
+    violations.extend(leakage_violations(transcript))
     try:
         replayed = replay_verdict(transcript)
     except (KeyError, TypeError, ValueError) as exc:

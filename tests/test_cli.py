@@ -349,6 +349,16 @@ def _pick_setup(capsys, ws):
     return pp
 
 
+def _revealed_pair(capsys, ws):
+    """Both parties' state and reveal files after a full pick-reveal."""
+    pp = _pick_setup(capsys, ws)
+    for tag, peer in (("c", "v"), ("v", "c")):
+        run_cli(capsys, "pick-reveal", "--state", str(ws / f"{tag}.state.json"),
+                "--peer-commit", str(ws / f"{peer}.commit.json"),
+                "--out", str(ws / f"{tag}.reveal.json"))
+    return pp
+
+
 def test_pick_exchange_settles_identically_for_both(capsys, ws):
     pp = _pick_setup(capsys, ws)
     for tag, peer in (("c", "v"), ("v", "c")):
@@ -373,11 +383,7 @@ def test_pick_exchange_settles_identically_for_both(capsys, ws):
 
 
 def test_pick_settle_faults_cheating_reveal(capsys, ws):
-    pp = _pick_setup(capsys, ws)
-    for tag, peer in (("c", "v"), ("v", "c")):
-        run_cli(capsys, "pick-reveal", "--state", str(ws / f"{tag}.state.json"),
-                "--peer-commit", str(ws / f"{peer}.commit.json"),
-                "--out", str(ws / f"{tag}.reveal.json"))
+    pp = _revealed_pair(capsys, ws)
     cheat = json.loads((ws / "v.reveal.json").read_text())
     cheat["m"] = (cheat["m"] + 1) % cheat["l"]
     (ws / "v.cheat.json").write_text(json.dumps(cheat))
@@ -418,11 +424,7 @@ def test_pick_settle_requires_reveal_first(capsys, ws):
 
 
 def test_pick_settle_rejects_swapped_params(capsys, ws):
-    pp = _pick_setup(capsys, ws)
-    for tag, peer in (("c", "v"), ("v", "c")):
-        run_cli(capsys, "pick-reveal", "--state", str(ws / f"{tag}.state.json"),
-                "--peer-commit", str(ws / f"{peer}.commit.json"),
-                "--out", str(ws / f"{tag}.reveal.json"))
+    _revealed_pair(capsys, ws)
     other_pp = ws / "pp2.json"
     run_cli(capsys, "setup", "--group", "toy", "--mode", "trusted", "--seed", "9",
             "--out", str(other_pp))
@@ -432,6 +434,66 @@ def test_pick_settle_rejects_swapped_params(capsys, ws):
         "--peer-reveal", str(ws / "v.reveal.json"),
     )
     assert code == 2 and err["error"] == "ConfigInvalid"
+
+
+def _without(path, out, field):
+    data = json.loads(path.read_text())
+    del data[field]
+    out.write_text(json.dumps(data))
+    return out
+
+
+@pytest.mark.parametrize("field", ["party", "round", "l", "c"])
+def test_pick_reveal_rejects_commit_file_missing_a_field(capsys, ws, field):
+    _pick_setup(capsys, ws)
+    bad = _without(ws / "v.commit.json", ws / "v.bad.json", field)
+    _assert_config_error(capsys, ["pick-reveal", "--state", str(ws / "c.state.json"),
+                                  "--peer-commit", str(bad), "--out", str(ws / "c.reveal.json")])
+
+
+@pytest.mark.parametrize("field", ["party", "round", "l", "m", "r"])
+def test_pick_settle_rejects_reveal_file_missing_a_field(capsys, ws, field):
+    pp = _revealed_pair(capsys, ws)
+    bad = _without(ws / "v.reveal.json", ws / "v.bad.json", field)
+    _assert_config_error(capsys, ["pick-settle", "--pp", str(pp), "--state",
+                                  str(ws / "c.state.json"), "--peer-reveal", str(bad)])
+
+
+def test_pick_settle_rejects_reveal_file_with_string_m(capsys, ws):
+    pp = _revealed_pair(capsys, ws)
+    bad = _rewritten(ws / "v.reveal.json", ws / "v.bad.json", m="1")
+    _assert_config_error(capsys, ["pick-settle", "--pp", str(pp), "--state",
+                                  str(ws / "c.state.json"), "--peer-reveal", str(bad)])
+
+
+# ---------------------------------------------------------------------------
+# --pp files that are not JSON objects
+# ---------------------------------------------------------------------------
+
+
+PP_SUBCOMMANDS = {
+    "report": ["--ledger", "l.jsonl", "--meter-key", "k.json", "--seed", "1",
+               "--out", "r.json", "--opening-out", "o.json"],
+    "aggregate": ["--report", "r.json", "--opening", "o.json", "--out", "s.json"],
+    "verify-sum": ["--report", "r.json", "--sums", "s.json"],
+    "pick-commit": ["--party", "country", "--l", "5", "--seed", "1",
+                    "--state", "st.json", "--out", "c.json"],
+    "pick-settle": ["--state", "st.json", "--peer-reveal", "rv.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PP_SUBCOMMANDS))
+@pytest.mark.parametrize("body", ["[1, 2]", '"pp/v1"', "null"])
+def test_pp_file_that_is_not_an_object_is_an_input_error(capsys, ws, command, body):
+    pp = ws / "pp.json"
+    pp.write_text(body)
+    argv = [command, "--pp", str(pp)] + [
+        str(ws / a) if a.endswith((".json", ".jsonl")) else a
+        for a in PP_SUBCOMMANDS[command]
+    ]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out is None
+    assert err["error"] == "SetupError"
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +552,15 @@ def test_simulate_scenario_file_and_transcript_audit(capsys, ws):
 def test_simulate_unknown_scenario(capsys, ws):
     code, _, err = run_cli(capsys, "simulate", "--scenario", "mystery-meat")
     assert code == 2 and err["error"] == "ConfigInvalid"
+
+
+def test_transcript_audit_reports_header_without_participants(capsys, ws):
+    t = ws / "t.jsonl"
+    t.write_text('{"header": {"roster": ["F1"]}}\n')
+    code, report, err = run_cli(capsys, "transcript-audit", "--transcript", str(t))
+    assert code == 1 and err is None
+    assert not report["ok"] and report["replayed"] is None
+    assert report["violations"] == ["header field 'participants' is not a list of strings"]
 
 
 def test_transcript_audit_rejects_malformed_file(capsys, ws):

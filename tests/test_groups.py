@@ -415,3 +415,97 @@ def test_fast_paths_reject_scalars_from_another_group(name, other):
     if name == "secp256k1":
         with pytest.raises(ValueError, match="different group"):
             group.msm([ok, bad], [g, g])
+
+
+# ---------------------------------------------------------------------------
+# Batched-affine paths: mul2_many, the batch-add primitive, shared buckets.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _mul2_many_case(draw, name):
+    """Base pairs mostly with tables on both sides (the lockstep path),
+    sometimes without; repeated pairs and the empty list occur."""
+    group = group_by_name(name)
+    identity, g, h, p = _pool(group)[:4]
+    p1, p2 = draw(st.sampled_from([(g, h), (g, h), (h, g), (g, g), (g, p), (p, h), (identity, h)]))
+    pairs = draw(st.lists(st.tuples(_scalar_or_int(group), _scalar_or_int(group)), max_size=8))
+    pairs += pairs[: draw(st.integers(0, len(pairs)))]
+    return group, pairs, p1, p2
+
+
+@FAST_PATH_SETTINGS
+@given(GROUP_NAMES.flatmap(_mul2_many_case))
+def test_mul2_many_matches_mul2_item_by_item(case):
+    group, pairs, p1, p2 = case
+    assert group.mul2_many(pairs, p1, p2) == [group.mul2(a, p1, b, p2) for a, b in pairs]
+
+
+@pytest.mark.parametrize("name", ["toy", "secp256k1"])
+def test_mul2_many_edge_cases(name):
+    group = group_by_name(name)
+    g = group.generator
+    h = hash_to_point(group, H_DOMAIN)
+    zero, one = group.scalar(0), group.scalar(1)
+    assert group.mul2_many([], g, h) == []
+    pairs = [(zero, zero), (zero, one), (one, zero), (group.q - 1, 1), (5, 7), (5, 7)]
+    for p1, p2 in ((g, h), (g, g), (g, -g), (-g, h)):
+        assert group.mul2_many(pairs, p1, p2) == [group.mul2(a, p1, b, p2) for a, b in pairs]
+    # A multiplier too wide for the tables sends the pairs through mul2.
+    wide = [(5, 7), (2**300 + 3, 1)]
+    assert group.mul2_many(wide, g, h) == [group.mul2(a, g, b, h) for a, b in wide]
+
+
+@pytest.mark.parametrize("name, other", [("toy", "secp256k1"), ("secp256k1", "toy")])
+@pytest.mark.parametrize("bad_at", [0, 1])
+def test_mul2_many_raises_what_mul2_raises(name, other, bad_at):
+    group, foreign = group_by_name(name), group_by_name(other)
+    g = group.generator
+    h = hash_to_point(group, H_DOMAIN)
+    for bad in (foreign.scalar(3), -1, 2.5):
+        pairs = [(3, 4), (3, 4)]
+        pairs[1] = (3, bad) if bad_at else (bad, 4)
+        with pytest.raises((TypeError, ValueError)) as expected:
+            [group.mul2(a, g, b, h) for a, b in pairs]
+        with pytest.raises(expected.type) as got:
+            group.mul2_many(pairs, g, h)
+        assert str(got.value) == str(expected.value)
+
+
+def _affine(point):
+    return None if point.x is None else (point.x, point.y)
+
+
+@FAST_PATH_SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=16))
+def test_batch_add_matches_affine_addition(index_pairs):
+    from emissions_audit.groups import _batch_add
+
+    prod = production_group()
+    pool = _pool(prod)  # identity, P and -P, and P + P all occur
+    lhs = [_affine(pool[i]) for i, _ in index_pairs]
+    rhs = [_affine(pool[j]) for _, j in index_pairs]
+    expected = [_affine(pool[i] + pool[j]) for i, j in index_pairs]
+    assert _batch_add(lhs, rhs) == expected
+
+
+def test_batch_add_special_cases_in_one_batch(prod):
+    from emissions_audit.groups import _batch_add
+
+    g = prod.generator
+    p = prod.mul(777, g)
+    cases = [(g, g), (g, -g), (prod.identity, p), (p, prod.identity),
+             (prod.identity, prod.identity), (g, p), (p, -p), (p, p)]
+    got = _batch_add([_affine(a) for a, _ in cases], [_affine(b) for _, b in cases])
+    assert got == [_affine(a + b) for a, b in cases]
+
+
+def test_msm_hundreds_of_copies_share_one_bucket(prod):
+    g = prod.generator
+    k, k2 = 2**127 + 12345, 3**70
+    scalars = [k] * 300 + [k] * 200 + [k2] * 250
+    points = [g] * 300 + [-g] * 200 + [g] * 250
+    # Affine reference: the generic ladder on the plain point type.
+    expected = ((100 * k + 250 * k2) % prod.q) * g
+    assert prod.msm(scalars, points) == expected
+    assert prod.msm([k] * 300, [g] * 150 + [-g] * 150) == prod.identity

@@ -370,6 +370,22 @@ def test_parse_rejects_malformed_stream(pp):
         parse_transcript(no_header)
 
 
+@pytest.mark.parametrize("line", [b"[1]", b'{"header": 5}', b'{"header": {}}\n{"verdict": 3}'])
+def test_parse_rejects_non_object_lines(line):
+    with pytest.raises(TranscriptFormatError):
+        parse_transcript(line)
+
+
+@pytest.mark.parametrize("participants", [None, "E", ["E", 3]])
+def test_audit_reports_header_without_participants_list(pp, participants):
+    header = {"roster": ["F1"]}
+    if participants is not None:
+        header["participants"] = participants
+    report = audit_transcript(parse_transcript(canonical_json({"header": header})))
+    assert not report["ok"] and report["replayed"] is None
+    assert report["violations"] == ["header field 'participants' is not a list of strings"]
+
+
 @pytest.mark.parametrize(
     "adversary,expect_step",
     [
