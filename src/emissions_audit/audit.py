@@ -14,8 +14,8 @@ function of (config, behaviors, seed).
 
 Two data modes: *abstract* sessions take each firm's true total straight
 from the config; *integrated* sessions derive it from the firm's signed
-meter ledger and extend the verifier's step-6 check with a full ledger
-spot check.
+meter ledger, once, when the config is built, and extend the verifier's
+step-6 check with a full ledger spot check that walks the ledger afresh.
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ class SessionConfig:
     pick_base_mode: str = "shared"
     pick_fault_policy: str = "complete"
     allow_custom_behaviors: bool = False
+    # Each firm's ground truth, fixed when the config is built: true_m in
+    # abstract mode, the verified ledger total in integrated mode.
+    truths: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.firms = tuple(self.firms)
@@ -108,17 +111,24 @@ class SessionConfig:
             raise ConfigInvalid(f"unknown data mode {self.data_mode!r}")
         if self.pick_mode not in ("env", "joint"):
             raise ConfigInvalid(f"unknown pick mode {self.pick_mode!r}")
+        self.truths = {}
         for f in self.firms:
             if self.data_mode == "abstract":
                 if not isinstance(f.true_m, int):
                     raise ConfigInvalid(f"firm {f.firm_id}: abstract mode needs true_m")
                 if f.true_m < 0 or f.true_m >= MAX_EMISSIONS_KG:
                     raise ConfigInvalid(f"firm {f.firm_id}: true_m out of range")
+                self.truths[f.firm_id] = f.true_m
             else:
                 if f.ledger is None or f.meter_pk is None:
                     raise ConfigInvalid(
                         f"firm {f.firm_id}: integrated mode needs ledger and meter_pk"
                     )
+                try:
+                    self.truths[f.firm_id] = aggregate(f.ledger, f.meter_pk)
+                except ValueError as exc:
+                    raise ConfigInvalid(
+                        f"firm {f.firm_id}: ledger does not verify: {exc!r}") from None
 
     @property
     def n(self) -> int:
@@ -171,22 +181,16 @@ class EnvAssignment:
 def env_setup(config: SessionConfig, rng: random.Random) -> EnvAssignment:
     """Assign ground truth and (env pick mode) seal a uniform k-subset.
 
-    In integrated mode ground truth is the verified aggregate of each
-    firm's signed ledger; the environment is the only party trusted to
-    compute it ahead of time.
+    Ground truth is the config's snapshot (in integrated mode, of each
+    firm's verified ledger total); the environment is the only party
+    trusted to compute it ahead of time.
     """
-    assignments = {}
-    for f in config.firms:
-        if config.data_mode == "abstract":
-            assignments[f.firm_id] = f.true_m
-        else:
-            assignments[f.firm_id] = aggregate(f.ledger, f.meter_pk)
     if config.pick_mode == "env":
         chosen = set(rng.sample(config.roster, config.k))
         v_list = tuple(fid for fid in config.roster if fid in chosen)
     else:
         v_list = None  # picked jointly at the reveal step
-    return EnvAssignment(assignments, v_list)
+    return EnvAssignment(config.truths, v_list)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +575,4 @@ class _ExamineFailed(Exception):
 
 def true_total(config: SessionConfig) -> int:
     """Ground-truth sum the session should accept when everyone is honest."""
-    total = 0
-    for f in config.firms:
-        if config.data_mode == "abstract":
-            total += f.true_m
-        else:
-            total += aggregate(f.ledger, f.meter_pk)
-    return total
+    return sum(config.truths.values())

@@ -6,11 +6,11 @@ check, the two-operator random pick (commit / reveal / settle exchanged as
 files, so no shared process state is needed), bulk simulation, and
 independent transcript auditing.
 
-Conventions: every command is deterministic under ``--seed``; every output
-file embeds a provenance block with the SHA-256 of each input file; exit
-code 0 means success/accept, 1 means a protocol-level rejection or fault
-(verdict JSON on stdout), 2 means an error (JSON with the error class on
-stderr).
+Conventions: secrets come from the OS CSPRNG unless ``--seed`` asks for a
+deterministic replay; every output file embeds a provenance block with the
+SHA-256 of each input file, never a seed; exit code 0 means success/accept,
+1 means a protocol-level rejection or fault (verdict JSON on stdout), 2
+means an error (JSON with the error class on stderr).
 """
 
 from __future__ import annotations
@@ -49,13 +49,19 @@ def _file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _provenance(command: str, seed: int | None = None, **input_paths) -> dict:
+def _provenance(command: str, **input_paths) -> dict:
     return {
         "command": command,
-        "seed": seed,
         "inputs": {name: _file_digest(path) for name, path in sorted(input_paths.items())},
         "tool": f"emissions-audit {__version__}",
     }
+
+
+def _secret_rng(seed: int | None, *labels) -> random.Random:
+    """OS randomness, or a replayable stream derived from ``--seed``."""
+    if seed is None:
+        return random.SystemRandom()
+    return random.Random(hz.derive_seed(seed, *labels))
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -121,7 +127,8 @@ def cmd_setup(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
     pp = setup(group, mode, rng)
     envelope = params_to_dict(pp)
-    envelope["provenance"] = _provenance("setup", seed=args.seed)
+    # A trusted-setup seed yields the trapdoor, so it stays out of pp.json.
+    envelope["provenance"] = _provenance("setup")
     _write_json(args.out, envelope)
     if args.trapdoor_out:
         if pp.trapdoor is None:
@@ -134,27 +141,23 @@ def cmd_setup(args) -> int:
     return 0
 
 
-def _load_meter_key(path: str, seed: int | None) -> ms.MeterKeypair:
-    import os
-
-    if os.path.exists(path):
-        data = _read_format(path, "meter-key/v1", sk=str)
-        return ms.MeterKeypair.from_seed(bytes.fromhex(data["sk"]))
-    if seed is None:
-        raise ConfigInvalid(f"meter key {path} not found; pass --seed to generate one")
-    kp = ms.MeterKeypair.generate(random.Random(hz.derive_seed(seed, "meter-key")))
-    _write_json(path, {
-        "format": "meter-key/v1",
-        "sk": kp.seed_bytes().hex(),
-        "pk": kp.public_bytes.hex(),
-    })
-    return kp
+def _load_meter_key(path: str) -> ms.MeterKeypair:
+    data = _read_format(path, "meter-key/v1", sk=str)
+    return ms.MeterKeypair.from_seed(bytes.fromhex(data["sk"]))
 
 
 def cmd_ingest(args) -> int:
     import os
 
-    kp = _load_meter_key(args.meter_key, args.seed)
+    if os.path.exists(args.meter_key):
+        kp = _load_meter_key(args.meter_key)
+    else:
+        kp = ms.MeterKeypair.generate(_secret_rng(args.seed, "meter-key"))
+        _write_json(args.meter_key, {
+            "format": "meter-key/v1",
+            "sk": kp.seed_bytes().hex(),
+            "pk": kp.public_bytes.hex(),
+        })
     if os.path.exists(args.ledger):
         ledger = ms.read_ledger(args.ledger)
         if ledger.firm_id != args.firm_id:
@@ -183,11 +186,11 @@ def cmd_ingest(args) -> int:
 
 def cmd_report(args) -> int:
     pp = _load_pp(args.pp)
-    kp = _load_meter_key(args.meter_key, None)
+    kp = _load_meter_key(args.meter_key)
     ledger = ms.read_ledger(args.ledger)
-    rng = random.Random(hz.derive_seed(args.seed, "report", ledger.firm_id, args.cycle))
+    rng = _secret_rng(args.seed, "report", ledger.firm_id, args.cycle)
     report = ms.build_report(pp, ledger, kp.public_bytes, args.cycle, rng)
-    prov = _provenance("report", seed=args.seed, pp=args.pp, ledger=args.ledger)
+    prov = _provenance("report", pp=args.pp, ledger=args.ledger)
     _write_json(args.out, {
         "format": "report/v1",
         "firm_id": report.firm_id,
@@ -340,8 +343,7 @@ def cmd_pick_commit(args) -> int:
     if args.party not in pk.PARTIES:
         raise ConfigInvalid(f"party must be one of {pk.PARTIES}")
     pp = _load_pp(args.pp)
-    rng = random.Random(hz.derive_seed(args.seed, "pick", args.party, args.round))
-    m, r, c = pk.round_commit(args.l, pp, rng)
+    m, r, c = pk.round_commit(args.l, pp, _secret_rng(args.seed, "pick", args.party, args.round))
     _write_json(args.state, {
         "format": "pick-state/v1",
         "party": args.party,
@@ -465,9 +467,9 @@ def cmd_simulate(args) -> int:
     if args.out:
         body = dict(table)
         if args.scenario not in hz.BUILTIN_SCENARIOS:
-            body["provenance"] = _provenance("simulate", seed=seed, scenario=args.scenario)
+            body["provenance"] = _provenance("simulate", scenario=args.scenario)
         else:
-            body["provenance"] = _provenance("simulate", seed=seed)
+            body["provenance"] = _provenance("simulate")
         _write_json(args.out, body)
     _emit(table)
     return 0
@@ -515,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--readings", required=True, help="CSV of hour,value rows")
     sp.add_argument("--ledger", required=True, help="ledger file (extended if present)")
     sp.add_argument("--meter-key", required=True,
-                    help="meter key file (generated under --seed if missing)")
-    sp.add_argument("--seed", type=int, default=None)
+                    help="meter key file (generated if missing)")
+    sp.add_argument("--seed", type=int, default=None, help="replay: derive a new key from it")
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("report", help="aggregate a ledger into a committed report")
@@ -524,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ledger", required=True)
     sp.add_argument("--meter-key", required=True)
     sp.add_argument("--cycle", default="cycle-0")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=int, default=None, help="replay: derive r from it")
     sp.add_argument("--out", required=True, help="public report file")
     sp.add_argument("--opening-out", required=True, help="private opening file")
     sp.set_defaults(func=cmd_report)
@@ -547,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--party", required=True, help="country | verifier")
     sp.add_argument("--l", type=int, required=True, help="remaining list length")
     sp.add_argument("--round", type=int, default=0)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=int, default=None, help="replay: derive the draw from it")
     sp.add_argument("--state", required=True, help="private state file (keep secret)")
     sp.add_argument("--out", required=True, help="commitment message for the peer")
     sp.set_defaults(func=cmd_pick_commit)

@@ -592,13 +592,17 @@ OPENING_FIELDS = {
 }
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _header_violations(header: dict) -> list[str]:
-    """Views are built from these header fields: each a list of strings."""
+    """Views are built from these header fields: each a list of strings
+    (``corrupted`` may be absent)."""
     return [
         f"header field {name!r} is not a list of strings"
-        for name in ("participants", "roster")
-        if not isinstance(header.get(name), list)
-        or not all(isinstance(pid, str) for pid in header[name])
+        for name, default in (("participants", None), ("roster", None), ("corrupted", []))
+        if not _is_str_list(header.get(name, default))
     ]
 
 
@@ -636,9 +640,11 @@ def routing_violations(transcript: Transcript) -> list[str]:
 
 
 def _revealed_list(transcript: Transcript) -> tuple[str, ...] | None:
+    """The first revealed list; empty if malformed (leakage_violations says so)."""
     for ev in transcript.events:
         if ev.kind == "verification_list":
-            return tuple(ev.payload["v"])
+            v = ev.payload.get("v")
+            return tuple(v) if _is_str_list(v) else ()
     return None
 
 
@@ -652,14 +658,18 @@ def leakage_violations(transcript: Transcript) -> list[str]:
     corrupted = set(transcript.header.get("corrupted", ()))
     roster = list(transcript.header["roster"])
     picked = set(_revealed_list(transcript) or ())
-    out = []
+    out = [
+        f"verification_list at seq {ev.seq} is not a list of firm ids"
+        for ev in transcript.events
+        if ev.kind == "verification_list" and not _is_str_list(ev.payload.get("v"))
+    ]
     for viewer in (*roster, VERIFIER_ID):
         for ev in transcript.view_of(viewer):
             fields = OPENING_FIELDS.get(ev.kind)
             if not fields:
                 continue
             subject = ev.payload.get("firm")
-            if subject is None or subject in corrupted:
+            if not isinstance(subject, str) or subject in corrupted:
                 continue
             if viewer in roster and subject != viewer:
                 out.append(
@@ -866,6 +876,12 @@ class TranscriptFormatError(ValueError):
     """Transcript file is not a well-formed event stream."""
 
 
+_EVENT_FIELD_TYPES = {
+    "seq": int, "step": int, "kind": str, "sender": str, "channel": str,
+    "recipient": (str, type(None)), "payload": dict, "digest": str,
+}
+
+
 def parse_transcript(data: bytes) -> Transcript:
     """Rebuild a Transcript object from its JSONL serialization."""
     header = None
@@ -886,10 +902,12 @@ def parse_transcript(data: bytes) -> Transcript:
         elif "verdict" in obj:
             verdict = obj["verdict"]
         else:
-            try:
-                events.append(Event(**obj))
-            except TypeError as exc:
-                raise TranscriptFormatError(f"line {line_no}: {exc}") from None
+            bad = sorted(obj.keys() ^ _EVENT_FIELD_TYPES.keys()) or [
+                name for name, kind in _EVENT_FIELD_TYPES.items()
+                if isinstance(obj[name], bool) or not isinstance(obj[name], kind)]
+            if bad:
+                raise TranscriptFormatError(f"line {line_no}: bad event fields {bad}")
+            events.append(Event(**obj))
     if not isinstance(header, dict):
         raise TranscriptFormatError("transcript has no header object")
     if verdict is not None and not isinstance(verdict, dict):
@@ -905,8 +923,8 @@ def parse_transcript(data: bytes) -> Transcript:
 _BEHAVIORAL_REASONS = ("went silent", "ledger check failed", "pick fault")
 
 
-def _is_behavioral(reason: str) -> bool:
-    return any(reason.startswith(prefix) for prefix in _BEHAVIORAL_REASONS)
+def _is_behavioral(reason) -> bool:
+    return isinstance(reason, str) and reason.startswith(_BEHAVIORAL_REASONS)
 
 
 def replay_verdict(transcript: Transcript) -> dict:
@@ -1019,8 +1037,10 @@ def audit_transcript(transcript: Transcript) -> dict:
     elif replayed is None:
         pass  # already reported above
     else:
-        rec_abort = recorded.get("abort")
-        if rec_abort is not None and _is_behavioral(rec_abort.get("reason", "")):
+        rec_abort = recorded.get("abort") or {}
+        if not isinstance(rec_abort, dict):
+            violations.append("recorded abort is not an object")
+        elif _is_behavioral(rec_abort.get("reason")):
             pass  # not reconstructible from the message record
         elif recorded.get("status") != replayed.get("status"):
             violations.append(

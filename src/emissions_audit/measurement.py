@@ -162,8 +162,9 @@ class LedgerEntry:
     chain: bytes  # SHA-256 head over all entries up to and including this one
 
 
-def chain_head(prev: bytes, reading: MeterReading) -> bytes:
-    return hashlib.sha256(prev + reading.signing_bytes() + reading.signature).digest()
+def chain_head(prev: bytes, message: bytes, signature: bytes) -> bytes:
+    """Head after one entry whose signing bytes are ``message``."""
+    return hashlib.sha256(prev + message + signature).digest()
 
 
 @dataclass
@@ -197,29 +198,60 @@ def append_reading(ledger: FirmLedger, reading: MeterReading, meter_pk: bytes) -
             raise NonMonotonicHour(
                 f"{hour_iso(reading.hour)} precedes latest {hour_iso(last)}"
             )
-    entry = LedgerEntry(reading=reading, chain=chain_head(ledger.head, reading))
+    chain = chain_head(ledger.head, reading.signing_bytes(), reading.signature)
+    entry = LedgerEntry(reading=reading, chain=chain)
     ledger.entries.append(entry)
     return entry
 
 
-def verify_ledger(ledger: FirmLedger, meter_pk: bytes) -> None:
-    """Replay the whole ledger; raise on the first broken invariant."""
+@dataclass(frozen=True)
+class CheckFailure:
+    kind: str  # "identity" | "signature" | "order" | "chain" | "range" | "aggregation" | "opening"
+    detail: str
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    failures: tuple[CheckFailure, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def walk_ledger(ledger: FirmLedger, meter_pk: bytes):
+    """Replay the whole ledger, yielding a CheckFailure per broken invariant:
+    per entry its signature (else, if validly signed, its firm id), its hour
+    order and its chain link.  The meter key is built once per ledger."""
+    key = Ed25519PublicKey.from_public_bytes(meter_pk)
     prev = b""
     prev_hour = None
-    for entry in ledger.entries:
+    for i, entry in enumerate(ledger.entries):
         reading = entry.reading
-        if reading.firm_id != ledger.firm_id:
-            raise LedgerFormatError("entry firm id does not match ledger")
-        verify_reading(reading, meter_pk)
-        if prev_hour is not None:
-            if reading.hour == prev_hour:
-                raise DuplicateHour(f"duplicate hour {hour_iso(reading.hour)}")
-            if reading.hour < prev_hour:
-                raise NonMonotonicHour(f"hour {hour_iso(reading.hour)} out of order")
-        if chain_head(prev, reading) != entry.chain:
-            raise ChainBroken(f"chain mismatch at {hour_iso(reading.hour)}")
+        message = reading.signing_bytes()
+        try:
+            key.verify(reading.signature, message)
+            kinds = ["identity"] if reading.firm_id != ledger.firm_id else []
+        except InvalidSignature:
+            kinds = ["signature"]
+        if prev_hour is not None and reading.hour <= prev_hour:
+            kinds.append("order")
+        if chain_head(prev, message, reading.signature) != entry.chain:
+            kinds.append("chain")
+        for kind in kinds:
+            yield CheckFailure(kind, f"entry {i} ({hour_iso(reading.hour)})")
         prev = entry.chain
         prev_hour = reading.hour
+
+
+_WALK_ERRORS = {"signature": BadSignature, "identity": LedgerFormatError,
+                "order": NonMonotonicHour, "chain": ChainBroken}
+
+
+def verify_ledger(ledger: FirmLedger, meter_pk: bytes) -> None:
+    """Replay the whole ledger; raise on the first broken invariant."""
+    for failure in walk_ledger(ledger, meter_pk):
+        raise _WALK_ERRORS[failure.kind](f"{failure.kind} check failed at {failure.detail}")
 
 
 def aggregate(ledger: FirmLedger, meter_pk: bytes) -> int:
@@ -259,52 +291,22 @@ def build_report(
     )
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    kind: str  # "identity" | "signature" | "order" | "chain" | "range" | "aggregation" | "opening"
-    detail: str
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    failures: tuple[CheckFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def spot_check(
     pp: PublicParams, report: FirmReport, ledger: FirmLedger, meter_pk: bytes
 ) -> CheckReport:
     """Auditor-side recheck of one firm: enumerate every failure, never raise.
 
-    Walks the ledger (signatures, hour ordering, chain links, per-reading
-    ranges), re-derives the total, and checks it against the reported
-    commitment through the revealed blinding factor.
+    Walks the ledger from scratch (every walk_ledger failure), re-derives
+    the total, and checks it against the reported commitment through the
+    revealed blinding factor.
     """
     failures: list[CheckFailure] = []
     if ledger.firm_id != report.firm_id:
         failures.append(
             CheckFailure("identity", f"ledger belongs to {ledger.firm_id!r}")
         )
-    prev = b""
-    prev_hour = None
-    total = 0
-    for i, entry in enumerate(ledger.entries):
-        reading = entry.reading
-        label = f"entry {i} ({hour_iso(reading.hour)})"
-        try:
-            verify_reading(reading, meter_pk)
-        except BadSignature:
-            failures.append(CheckFailure("signature", label))
-        if prev_hour is not None and reading.hour <= prev_hour:
-            failures.append(CheckFailure("order", label))
-        if chain_head(prev, reading) != entry.chain:
-            failures.append(CheckFailure("chain", label))
-        total += reading.e
-        prev = entry.chain
-        prev_hour = reading.hour
+    failures.extend(walk_ledger(ledger, meter_pk))
+    total = sum(entry.reading.e for entry in ledger.entries)
     if total >= MAX_EMISSIONS_KG:
         failures.append(CheckFailure("range", f"ledger total {total}"))
     if report.total_kg < 0 or report.total_kg >= MAX_EMISSIONS_KG:

@@ -478,3 +478,63 @@ def test_true_total_matches_both_modes(pp):
     )
     abstract = _config(pp, [10])
     assert true_total(integrated) == true_total(abstract) == 10
+
+
+def test_integrated_truth_is_computed_once_per_config(pp, monkeypatch):
+    import emissions_audit.audit as audit_mod
+    import emissions_audit.measurement as measurement_mod
+    from emissions_audit.harness import run_trials
+
+    calls = []
+    original = measurement_mod.aggregate
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(measurement_mod, "aggregate", counting)
+    monkeypatch.setattr(audit_mod, "aggregate", counting)
+    firms = []
+    for i, values in enumerate(([5, 10], [1, 2, 3], [7])):
+        ledger, pk = _small_ledger(f"F{i + 1}", values, seed=70 + i)
+        firms.append(FirmSpec(f"F{i + 1}", ledger=ledger, meter_pk=pk))
+    config = SessionConfig(pp=pp, firms=tuple(firms), k=2, data_mode="integrated")
+    stats = run_trials(config, trials=5, seed=3)
+    assert stats.completions == stats.accepted_correct == 5
+    assert len(calls) == config.n
+
+
+def test_integrated_config_rejects_tampered_ledger(pp):
+    import dataclasses
+
+    from emissions_audit.measurement import LedgerEntry
+
+    good, pk1 = _small_ledger("F1", [5, 10], seed=80)
+    bad, pk2 = _small_ledger("F2", [1, 2, 3], seed=81)
+    entry = bad.entries[1]
+    bad.entries[1] = LedgerEntry(dataclasses.replace(entry.reading, e=20), entry.chain)
+    with pytest.raises(ConfigInvalid, match="firm F2: ledger does not verify: BadSignature"):
+        SessionConfig(
+            pp=pp,
+            firms=(FirmSpec("F1", ledger=good, meter_pk=pk1),
+                   FirmSpec("F2", ledger=bad, meter_pk=pk2)),
+            k=1, data_mode="integrated",
+        )
+
+
+def test_ledger_appended_after_config_fails_the_spot_check(pp):
+    l1, pk1 = _small_ledger("F1", [5, 10], seed=82)
+    l2, pk2 = _small_ledger("F2", [1, 2], seed=83)
+    config = SessionConfig(
+        pp=pp,
+        firms=(FirmSpec("F1", ledger=l1, meter_pk=pk1), FirmSpec("F2", ledger=l2, meter_pk=pk2)),
+        k=2, data_mode="integrated",
+    )
+    assert config.truths == {"F1": 15, "F2": 3}
+    kp = MeterKeypair.generate(random.Random(82))
+    append_reading(l1, kp.sign_reading("F1", parse_hour("2026-03-01T05:00:00Z"), 4), pk1)
+    for seed in range(3):
+        verdict = _run(config, seed=seed)
+        assert not verdict.completed
+        assert (verdict.abort.step, verdict.abort.culprit_id, verdict.abort.reason) == (
+            Step.SPOT_CHECK, "F1", "ledger check failed: aggregation")

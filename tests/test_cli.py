@@ -329,6 +329,100 @@ def test_ingest_detects_ledger_tampering(capsys, ws):
     assert err["error"] in ("BadSignature", "ChainBroken")
 
 
+def test_report_provenance_carries_no_seed(capsys, ws):
+    _, reports, _, _ = _pipeline(capsys, ws)
+    for rep in reports:
+        assert "seed" not in json.loads(rep.read_text())["provenance"]
+
+
+def test_secrets_come_from_the_os_without_seed(capsys, ws):
+    pp = ws / "pp.json"
+    run_cli(capsys, "setup", "--group", "toy", "--out", str(pp))
+    csv = ws / "F1.csv"
+    _write_csv(csv, [("2026-04-01T00:00:00Z", 5)])
+    keys = set()
+    for i in range(2):
+        key = ws / f"F1-{i}.key.json"
+        code, out, _ = run_cli(capsys, "ingest", "--firm-id", "F1", "--readings", str(csv),
+                               "--ledger", str(ws / f"F1-{i}.jsonl"), "--meter-key", str(key))
+        assert code == 0
+        keys.add(out["meter_pk"])
+    assert len(keys) == 2
+    blindings, draws = set(), set()
+    for i in range(8):
+        code, _, _ = run_cli(
+            capsys, "report", "--pp", str(pp), "--ledger", str(ws / "F1-0.jsonl"),
+            "--meter-key", str(ws / "F1-0.key.json"), "--cycle", "cy-1",
+            "--out", str(ws / f"r{i}.json"), "--opening-out", str(ws / f"o{i}.json"))
+        assert code == 0
+        blindings.add(json.loads((ws / f"o{i}.json").read_text())["r"])
+        code, _, _ = run_cli(
+            capsys, "pick-commit", "--pp", str(pp), "--party", "country", "--l", "5",
+            "--state", str(ws / f"s{i}.json"), "--out", str(ws / f"c{i}.json"))
+        assert code == 0
+        draws.add(json.loads((ws / f"s{i}.json").read_text())["r"])
+    # Eight toy-group blindings (q = 101) from one fixed stream would all match.
+    assert len(blindings) > 1 and len(draws) > 1
+
+
+def _integers_in(path):
+    """Every decimal digit run in a file, JSON numbers and hex fragments alike."""
+    import re
+
+    return {int(run) for run in re.findall(rb"\d+", path.read_bytes())}
+
+
+def test_public_files_do_not_yield_the_secrets(capsys, ws):
+    """An attacker who tries every integer in a public file as --seed must
+    not recover a report's blinding or a pick draw."""
+    import random
+
+    from emissions_audit.cli import _load_pp
+    from emissions_audit.harness import derive_seed
+    from emissions_audit.pick import round_commit
+
+    pp_path, reports, openings, _ = _pipeline(capsys, ws, group="prod")
+    pp = _load_pp(str(pp_path))
+    for rep, opening in zip(reports, openings):
+        public = json.loads(rep.read_text())
+        r = json.loads(opening.read_text())["r"]
+        for guess in _integers_in(rep) | _integers_in(pp_path):
+            for rng in (random.Random(guess), random.Random(
+                    derive_seed(guess, "report", public["firm_id"], public["cycle_id"]))):
+                assert pp.group.encode_scalar(pp.group.random_scalar(rng)).hex() != r
+
+    msg = ws / "c.commit.json"
+    code, _, _ = run_cli(capsys, "pick-commit", "--pp", str(pp_path), "--party", "country",
+                         "--l", "5", "--seed", "21", "--state", str(ws / "c.state.json"),
+                         "--out", str(msg))
+    assert code == 0
+    public = json.loads(msg.read_text())
+    for guess in _integers_in(msg) | _integers_in(pp_path):
+        for rng in (random.Random(guess), random.Random(
+                derive_seed(guess, "pick", public["party"], public["round"]))):
+            _, _, c = round_commit(public["l"], pp, rng)
+            assert pp.group.encode_point(c).hex() != public["c"]
+
+
+def test_simulate_rejects_scenario_with_tampered_ledger(capsys, ws):
+    csv = ws / "F1.csv"
+    _write_csv(csv, [(f"2026-04-01T{h:02d}:00:00Z", 10 + h) for h in range(3)])
+    ledger = ws / "F1.jsonl"
+    code, out, _ = run_cli(capsys, "ingest", "--firm-id", "F1", "--readings", str(csv),
+                           "--ledger", str(ledger), "--meter-key", str(ws / "F1.key.json"),
+                           "--seed", "3")
+    assert code == 0
+    ledger.write_text(ledger.read_text().replace('"e": 11', '"e": 12'))
+    scenario = ws / "sc.json"
+    scenario.write_text(json.dumps({
+        "group": "toy", "k": 1, "trials": 2,
+        "firms": [{"id": "F1", "ledger": str(ledger), "meter_pk": out["meter_pk"]}],
+    }))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and err["error"] == "ConfigInvalid"
+    assert err["message"].startswith("firm F1: ledger does not verify")
+
+
 # ---------------------------------------------------------------------------
 # Two-operator pick over files.
 # ---------------------------------------------------------------------------
@@ -568,3 +662,26 @@ def test_transcript_audit_rejects_malformed_file(capsys, ws):
     bad.write_text("this is not a transcript\n")
     code, _, err = run_cli(capsys, "transcript-audit", "--transcript", str(bad))
     assert code == 2 and err["error"] == "TranscriptFormatError"
+
+
+_TWO_LINE_HEADER = '{"header": {"participants": ["E", "C", "V", "F1"], "roster": ["F1"]}}\n'
+
+
+def test_transcript_audit_rejects_event_with_string_seq(capsys, ws):
+    t = ws / "t.jsonl"
+    t.write_text(_TWO_LINE_HEADER + json.dumps({
+        "seq": "a", "step": 1, "kind": "pp", "sender": "E", "channel": "broadcast",
+        "recipient": None, "payload": {}, "digest": "00"}) + "\n")
+    code, _, err = run_cli(capsys, "transcript-audit", "--transcript", str(t))
+    assert code == 2 and err["error"] == "TranscriptFormatError"
+    assert "'seq'" in err["message"]
+
+
+def test_transcript_audit_reports_verification_list_without_v(capsys, ws):
+    t = ws / "t.jsonl"
+    t.write_text(_TWO_LINE_HEADER + json.dumps({
+        "seq": 0, "step": 5, "kind": "verification_list", "sender": "E",
+        "channel": "broadcast", "recipient": None, "payload": {}, "digest": "00"}) + "\n")
+    code, report, err = run_cli(capsys, "transcript-audit", "--transcript", str(t))
+    assert code == 1 and err is None and not report["ok"]
+    assert "verification_list at seq 0 is not a list of firm ids" in report["violations"]

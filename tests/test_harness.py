@@ -386,6 +386,45 @@ def test_audit_reports_header_without_participants_list(pp, participants):
     assert report["violations"] == ["header field 'participants' is not a list of strings"]
 
 
+def _edited_lines(pp, edit):
+    """An engine transcript's JSONL after edit(list of line objects)."""
+    blob = run_session(_config(pp, [10, 20, 30], k=2), seed=19).transcript.to_jsonl()
+    lines = [json.loads(line) for line in blob.splitlines()]
+    edit(lines)
+    return b"\n".join(canonical_json(obj) for obj in lines)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seq", "a"), ("seq", True), ("step", 1.5), ("kind", 3), ("sender", None),
+    ("channel", None), ("recipient", 5), ("payload", []), ("digest", None),
+])
+def test_parse_rejects_mistyped_event_fields(pp, field, value):
+    blob = _edited_lines(pp, lambda lines: lines[1].update({field: value}))
+    with pytest.raises(TranscriptFormatError, match=repr(field)):
+        parse_transcript(blob)
+
+
+def _set_payload(kind, key, value):
+    def edit(lines):
+        for obj in lines:
+            if obj.get("kind") == kind:
+                obj["payload"][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (lambda lines: lines[0]["header"].update(corrupted=5),
+     "header field 'corrupted' is not a list of strings"),
+    (lambda lines: lines[-1]["verdict"].update(abort="x"), "recorded abort is not an object"),
+    (_set_payload("verification_list", "v", "F1"), "is not a list of firm ids"),
+    (_set_payload("env_truth", "firm", []), "do not replay"),
+])
+def test_audit_reports_malformed_records_without_crashing(pp, edit, violation):
+    report = audit_transcript(parse_transcript(_edited_lines(pp, edit)))
+    assert not report["ok"]
+    assert any(violation in v for v in report["violations"]), report["violations"]
+
+
 @pytest.mark.parametrize(
     "adversary,expect_step",
     [

@@ -4,11 +4,15 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emissions_audit.commitment import setup, verify_opening
+from emissions_audit.commitment import MAX_EMISSIONS_KG, setup, verify_opening
 from emissions_audit.groups import toy_group
 from emissions_audit.measurement import (
     BadSignature,
+    CheckFailure,
+    LedgerFormatError,
     parse_hour,
     hour_iso,
     ChainBroken,
@@ -22,6 +26,7 @@ from emissions_audit.measurement import (
     aggregate,
     append_reading,
     build_report,
+    chain_head,
     entry_from_dict,
     entry_to_dict,
     read_ledger,
@@ -30,6 +35,7 @@ from emissions_audit.measurement import (
     spot_check,
     verify_ledger,
     verify_reading,
+    walk_ledger,
     write_ledger,
 )
 
@@ -237,6 +243,116 @@ def test_spot_check_never_raises_on_garbage(keypair):
     hostile = FirmLedger("F9", [])
     result = spot_check(pp, report, hostile, keypair.public_bytes)
     assert not result.ok and result.failures
+
+
+def test_spot_check_flags_foreign_entry_signed_by_the_meter(keypair):
+    # Validly signed and chained, but for another firm: only the firm id is wrong.
+    ledger = _ledger(keypair, [1, 2])
+    foreign = keypair.sign_reading("F2", _hours(3)[2], 3)
+    ledger.entries.append(LedgerEntry(foreign, chain_head(
+        ledger.head, foreign.signing_bytes(), foreign.signature)))
+    pp = setup(toy_group(), "hash_derived")
+    report = build_report(pp, _ledger(keypair, [1, 2, 3]), keypair.public_bytes, "cy-1",
+                          random.Random(28))
+    failures = spot_check(pp, report, ledger, keypair.public_bytes).failures
+    assert [(f.kind, f.detail) for f in failures] == [
+        ("identity", "entry 2 (2026-02-01T02:00:00Z)")]
+    with pytest.raises(LedgerFormatError):
+        verify_ledger(ledger, keypair.public_bytes)
+
+
+def _old_spot_check(pp, report, ledger, meter_pk):
+    """The spot check as written before walk_ledger: three separate passes
+    per reading (signature with a fresh key, order, chain), kept here as
+    the reference for the shared walker."""
+    failures = []
+    if ledger.firm_id != report.firm_id:
+        failures.append(CheckFailure("identity", f"ledger belongs to {ledger.firm_id!r}"))
+    prev, prev_hour, total = b"", None, 0
+    for i, entry in enumerate(ledger.entries):
+        reading = entry.reading
+        label = f"entry {i} ({hour_iso(reading.hour)})"
+        try:
+            verify_reading(reading, meter_pk)
+        except BadSignature:
+            failures.append(CheckFailure("signature", label))
+        if prev_hour is not None and reading.hour <= prev_hour:
+            failures.append(CheckFailure("order", label))
+        expected = hashlib.sha256(prev + reading.signing_bytes() + reading.signature).digest()
+        if expected != entry.chain:
+            failures.append(CheckFailure("chain", label))
+        total += reading.e
+        prev, prev_hour = entry.chain, reading.hour
+    if total >= MAX_EMISSIONS_KG:
+        failures.append(CheckFailure("range", f"ledger total {total}"))
+    if report.total_kg < 0 or report.total_kg >= MAX_EMISSIONS_KG:
+        failures.append(CheckFailure("range", f"reported total {report.total_kg}"))
+    if total != report.total_kg:
+        failures.append(CheckFailure(
+            "aggregation", f"ledger sums to {total}, report says {report.total_kg}"))
+    if not verify_opening(pp, report.commitment, report.m_scalar(pp), report.r):
+        failures.append(CheckFailure("opening", "commitment does not open to the report"))
+    return tuple(failures)
+
+
+_A9_KP = MeterKeypair.generate(random.Random(901))
+_A9_PP = setup(toy_group(), "hash_derived")
+_A9_LEDGER = FirmLedger.empty("F2")
+for _h in range(24):
+    append_reading(_A9_LEDGER, _A9_KP.sign_reading(
+        "F2", parse_hour(f"2026-05-01T{_h:02d}:00:00Z"), 100 + _h), _A9_KP.public_bytes)
+_A9_REPORT = build_report(_A9_PP, _A9_LEDGER, _A9_KP.public_bytes, "cy-a9", random.Random(902))
+
+# A single-field mutation of one entry, as in the A9 acceptance fuzz; a
+# drawn list mutates distinct entries.
+_A9_MUTATION = st.tuples(
+    st.integers(0, 23),
+    st.sampled_from(["e", "hour", "firm_id", "signature", "chain"]),
+    st.integers(1, 49),  # value offset
+    st.integers(1, 28),  # day of the replacement hour
+    st.integers(0, 255),  # byte position (mod length) and bit to flip
+)
+
+
+def _mutate(entries, mutation):
+    import dataclasses
+
+    idx, field, delta, day, pos = mutation
+    entry = entries[idx]
+    reading, chain = entry.reading, entry.chain
+    if field == "e":
+        reading = dataclasses.replace(reading, e=reading.e + delta)
+    elif field == "hour":
+        reading = dataclasses.replace(reading, hour=parse_hour(f"2026-06-{day:02d}T00:00:00Z"))
+    elif field == "firm_id":
+        reading = dataclasses.replace(reading, firm_id="F2-shadow")
+    elif field == "signature":
+        sig = bytearray(reading.signature)
+        sig[pos % len(sig)] ^= 1 << (pos % 8)
+        reading = dataclasses.replace(reading, signature=bytes(sig))
+    else:
+        raw = bytearray(chain)
+        raw[pos % len(raw)] ^= 1 << (pos % 8)
+        chain = bytes(raw)
+    entries[idx] = LedgerEntry(reading, chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_A9_MUTATION, max_size=3, unique_by=lambda m: m[0]))
+def test_walker_matches_old_spot_check_on_a9_mutations(mutations):
+    entries = list(_A9_LEDGER.entries)
+    for mutation in mutations:
+        _mutate(entries, mutation)
+    tampered = FirmLedger("F2", entries)
+    new = spot_check(_A9_PP, _A9_REPORT, tampered, _A9_KP.public_bytes).failures
+    assert new == _old_spot_check(_A9_PP, _A9_REPORT, tampered, _A9_KP.public_bytes)
+    walked = list(walk_ledger(tampered, _A9_KP.public_bytes))
+    assert bool(walked) == bool(mutations)
+    if walked:
+        with pytest.raises(ValueError):
+            aggregate(tampered, _A9_KP.public_bytes)
+    else:
+        assert aggregate(tampered, _A9_KP.public_bytes) == sum(100 + h for h in range(24))
 
 
 # ---------------------------------------------------------------------------
