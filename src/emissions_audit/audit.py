@@ -45,6 +45,10 @@ ROLE_FIRM = "firm"
 ROLE_COUNTRY = "country"
 ROLE_VERIFIER = "verifier"
 
+# Sender id of a pick message by pick party; "both" and the like are the
+# environment's.
+_PICK_SENDERS = {pick_mod.COUNTRY: COUNTRY_ID, pick_mod.VERIFIER: VERIFIER_ID}
+
 
 class Step(IntEnum):
     SETUP = 1
@@ -93,14 +97,18 @@ class SessionConfig:
     pick_base_mode: str = "shared"
     pick_fault_policy: str = "complete"
     allow_custom_behaviors: bool = False
-    # Each firm's ground truth, fixed when the config is built: true_m in
-    # abstract mode, the verified ledger total in integrated mode.
+    # Derived when the config is built: the firm ids in roster order, each
+    # firm's spec by id, and each firm's ground truth (true_m in abstract
+    # mode, the verified ledger total in integrated mode).
+    roster: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    firm_by_id: dict[str, FirmSpec] = field(init=False, repr=False, compare=False)
     truths: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.firms = tuple(self.firms)
-        ids = [f.firm_id for f in self.firms]
-        if len(set(ids)) != len(ids):
+        self.roster = ids = tuple(f.firm_id for f in self.firms)
+        self.firm_by_id = dict(zip(ids, self.firms))
+        if len(self.firm_by_id) != len(ids):
             raise ConfigInvalid("duplicate firm ids in roster")
         for fid in ids:
             if not fid or fid in (ENV_ID, COUNTRY_ID, VERIFIER_ID):
@@ -133,10 +141,6 @@ class SessionConfig:
     @property
     def n(self) -> int:
         return len(self.firms)
-
-    @property
-    def roster(self) -> tuple[str, ...]:
-        return tuple(f.firm_id for f in self.firms)
 
 
 @dataclass(frozen=True)
@@ -466,7 +470,7 @@ class AuditSession:
                            {"firm": fid, "r": self._hex_scalar(r_fwd)},
                            recipient=VERIFIER_ID)
             if self.config.data_mode == "integrated":
-                spec = next(f for f in self.config.firms if f.firm_id == fid)
+                spec = self.config.firm_by_id[fid]
                 self.state.verifier_ledgers[fid] = spec.ledger
                 self._emit(Step.REVEAL, "ledger_forward", fid,
                            {"firm": fid, "entries": len(spec.ledger.entries),
@@ -475,9 +479,7 @@ class AuditSession:
         self.state.next_step = 6
 
     def _pick_recorder(self, kind, round_index, party, payload):
-        sender = {pick_mod.COUNTRY: COUNTRY_ID, pick_mod.VERIFIER: VERIFIER_ID}.get(
-            party, ENV_ID
-        )
+        sender = _PICK_SENDERS.get(party, ENV_ID)
         self._emit(Step.REVEAL, kind, sender, dict(payload, round=round_index))
 
     def step6_spot_checks(self):
@@ -501,7 +503,7 @@ class AuditSession:
                             "commitment does not open to the true total")
                 return
             if self.config.data_mode == "integrated":
-                spec = next(f for f in self.config.firms if f.firm_id == fid)
+                spec = self.config.firm_by_id[fid]
                 claim, _ = self.state.reports.get(fid, (true_m, None))
                 report = FirmReport(
                     firm_id=fid, cycle_id=self.config.cycle_id, total_kg=claim,

@@ -17,6 +17,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import pick as pick_mod
 from .audit import (
@@ -44,8 +45,29 @@ from .commitment import (
 from .groups import group_by_name
 
 
+# canonical_json gives the bytes of json.dumps(obj, sort_keys=True,
+# separators=(",", ":")) from one encoder built here: json.dumps builds a new
+# one per call, which costs more than encoding a small payload, and every
+# recorded event is hashed twice (when recorded and when its routing is
+# rechecked).  The encoder keeps no circular-reference markers, so it holds
+# no state between calls; a cyclic object raises RecursionError instead of
+# ValueError.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+if c_make_encoder is None:
+    _encode = _ENCODER.encode
+else:
+    # (markers, default, encoder, indent, key_separator, item_separator,
+    #  sort_keys, skipkeys, allow_nan), as JSONEncoder.iterencode passes them.
+    _c_encode = c_make_encoder(None, _ENCODER.default, encode_basestring_ascii, None,
+                               ":", ",", True, False, True)
+
+    def _encode(obj) -> str:
+        return "".join(_c_encode(obj, 0))
+
+
 def canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    """Sorted-key, separator-free JSON: byte for byte what json.dumps gives."""
+    return _encode(obj).encode()
 
 
 def digest_of(obj) -> str:
@@ -291,7 +313,7 @@ class UnknownParticipant(ValueError):
     """view_of asked about an id that never took part in the session."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     seq: int
     step: int
@@ -653,8 +675,12 @@ def leakage_violations(transcript: Transcript) -> list[str]:
 
     The country legitimately receives every opening at the report step and
     the environment generates the data, so the boundary under test is the
-    views of the firms and of the verifier.
+    views of the firms and of the verifier.  A header whose views cannot be
+    built yields its header violations instead.
     """
+    bad_header = _header_violations(transcript.header)
+    if bad_header:
+        return bad_header
     corrupted = set(transcript.header.get("corrupted", ()))
     roster = list(transcript.header["roster"])
     picked = set(_revealed_list(transcript) or ())
@@ -686,8 +712,12 @@ def corruption_view_violations(transcript: Transcript) -> list[str]:
     """Flag honest-firm plaintext inside any corrupted participant's view.
 
     Skipped (returns []) when the country is corrupted, since the country
-    legitimately holds every opening.
+    legitimately holds every opening.  A header whose views cannot be built
+    yields its header violations instead.
     """
+    bad_header = _header_violations(transcript.header)
+    if bad_header:
+        return bad_header
     corrupted = set(transcript.header.get("corrupted", ()))
     if not corrupted or COUNTRY_ID in corrupted:
         return []

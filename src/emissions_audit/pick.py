@@ -321,7 +321,8 @@ def run_pick(
 
     ``strategies`` maps "country"/"verifier" to PickStrategy instances;
     omitted parties play honestly.  ``recorder`` receives
-    (kind, round_index, party, payload) callbacks for transcripting.
+    (kind, round_index, party, payload) callbacks for transcripting; the
+    payloads are built only when it is set.
     """
     session = PickSession.start(candidates, k)
     if on_fault not in ("complete", "abort"):
@@ -339,17 +340,12 @@ def run_pick(
     party_rng = {p: random.Random(rng.getrandbits(64)) for p in PARTIES}
     bases = _base_params(pp, base_mode, rng)
 
-    def emit(kind, round_index, party, payload):
-        if recorder is not None:
-            recorder(kind, round_index, party, payload)
-
-    if base_mode == "cross":
+    if base_mode == "cross" and recorder is not None:
         for committer in PARTIES:
             base = bases[committer]
             # The peer published this base; the committer uses it blind.
-            emit("pick_base", -1, other(committer),
-                 {"committer": committer,
-                  "h": pp.group.encode_point(base.h).hex()})
+            recorder("pick_base", -1, other(committer),
+                     {"committer": committer, "h": pp.group.encode_point(base.h).hex()})
 
     fault: Faulted | None = None
     for _ in range(k):
@@ -358,8 +354,9 @@ def run_pick(
             # Earlier fault: the honest party picks alone, fresh uniform.
             index = party_rng[other(fault.party)].randrange(rnd.l)
             settle_round(session, index)
-            emit("pick_settle", rnd.round_index, other(fault.party),
-                 {"index": index, "picked": rnd.picked})
+            if recorder is not None:
+                recorder("pick_settle", rnd.round_index, other(fault.party),
+                         {"index": index, "picked": rnd.picked})
             continue
 
         # Commit phase; a rushing party chooses after seeing the peer's
@@ -378,19 +375,22 @@ def run_pick(
             chosen[party] = m
             blind[party] = r
             record_commitment(rnd, party, commit(base, base.group.scalar(m), r))
-            emit("pick_commit", rnd.round_index, party,
-                 {"c": base.group.encode_point(rnd.commitments[party]).hex()})
+            if recorder is not None:
+                recorder("pick_commit", rnd.round_index, party,
+                         {"c": base.group.encode_point(rnd.commitments[party]).hex()})
 
         # Reveal phase; each reveal is checked as it lands.
         for party in PARTIES:
             m_rev = strategies[party].reveal_value(chosen[party], rnd.round_index)
             phase = round_reveal_and_check(rnd, party, m_rev, blind[party], bases[party])
-            emit("pick_reveal", rnd.round_index, party,
-                 {"m": m_rev, "r": pp.group.encode_scalar(blind[party]).hex()})
+            if recorder is not None:
+                recorder("pick_reveal", rnd.round_index, party,
+                         {"m": m_rev, "r": pp.group.encode_scalar(blind[party]).hex()})
             if phase == FAULTED:
                 fault = rnd.fault
                 session.fault = fault
-                emit("pick_fault", rnd.round_index, fault.party, {"reason": fault.reason})
+                if recorder is not None:
+                    recorder("pick_fault", rnd.round_index, fault.party, {"reason": fault.reason})
                 break
 
         if fault is not None:
@@ -403,9 +403,10 @@ def run_pick(
         else:
             index = rnd.index
         settle_round(session, index)
-        emit("pick_settle", rnd.round_index,
-             "both" if fault is None else other(fault.party),
-             {"index": index, "picked": rnd.picked})
+        if recorder is not None:
+            recorder("pick_settle", rnd.round_index,
+                     "both" if fault is None else other(fault.party),
+                     {"index": index, "picked": rnd.picked})
 
     return PickOutcome(picked=tuple(session.picked), rounds=session.rounds, fault=fault)
 

@@ -70,6 +70,16 @@ def test_config_rejects_bad_k_and_values(pp):
         _config(pp, [-5], k=0)
 
 
+def test_config_derives_roster_and_firm_lookup_once(pp):
+    config = _config(pp, [5, 6, 7])
+    assert config.roster == ("F1", "F2", "F3")
+    assert config.roster is config.roster
+    assert {fid: spec.true_m for fid, spec in config.firm_by_id.items()} == {
+        "F1": 5, "F2": 6, "F3": 7}
+    assert config == _config(pp, [5, 6, 7])
+    assert "firm_by_id" not in repr(config)
+
+
 def test_config_integrated_mode_requires_ledger(pp):
     with pytest.raises(ConfigInvalid):
         SessionConfig(

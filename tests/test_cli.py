@@ -1,10 +1,14 @@
 """Command-line workflow: operator pipeline, pick exchange, simulation."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from emissions_audit import commitment
+from emissions_audit import commitment, harness
 from emissions_audit.cli import main
 
 
@@ -685,3 +689,64 @@ def test_transcript_audit_reports_verification_list_without_v(capsys, ws):
     code, report, err = run_cli(capsys, "transcript-audit", "--transcript", str(t))
     assert code == 1 and err is None and not report["ok"]
     assert "verification_list at seq 0 is not a list of firm ids" in report["violations"]
+
+
+@pytest.fixture(scope="module")
+def engine_transcripts():
+    """Recorded toy sessions: completed, aborted at the spot check, joint pick."""
+    blobs = []
+    for name, seed in (("honest", 1), ("one-tamperer-always-picked", 2), ("bias-pick-zero", 3)):
+        scenario = harness.load_scenario(name)
+        result = harness.run_session(scenario.config, scenario.adversary, seed=seed)
+        blobs.append(result.transcript.to_jsonl())
+    return blobs
+
+
+# One byte edit: (operation, position, span, bytes).  A digit or letter
+# written over a hex digit or a number keeps the line valid JSON, so the
+# audit runs past the parser; structural bytes and raw binary hit the parser.
+_BYTE_EDIT = st.tuples(
+    st.sampled_from(["set", "set", "delete", "insert"]),
+    st.integers(min_value=0, max_value=1 << 20),
+    st.integers(min_value=1, max_value=16),
+    st.sampled_from([b"0", b"7", b"a", b"F", b"-"])
+    | st.sampled_from([b'"', b"{", b"}", b"[", b"]", b",", b":", b"\n", b"null", b"true",
+                       b'"F1"', b"1e999", b"\xff"])
+    | st.binary(min_size=1, max_size=4),
+)
+
+
+def _mutate(blob: bytes, edits) -> bytes:
+    data = bytearray(blob)
+    for op, pos, span, chunk in edits:
+        i = pos % (len(data) + 1)
+        if op == "set":
+            data[i:i + len(chunk)] = chunk
+        elif op == "delete":
+            del data[i:i + span]
+        else:
+            data[i:i] = chunk
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(min_value=0, max_value=2),
+       edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
+def test_transcript_audit_exit_contract_on_mutated_transcripts(
+        engine_transcripts, tmp_path_factory, which, edits):
+    path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    path.write_bytes(_mutate(engine_transcripts[which], edits))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["transcript-audit", "--transcript", str(path)])
+    out_lines, err_lines = out.getvalue().splitlines(), err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    event(f"exit {code}")
+    if code == 2:
+        assert out_lines == [] and len(err_lines) == 1
+        assert set(json.loads(err_lines[0])) == {"error", "message"}
+    else:
+        assert err_lines == [] and len(out_lines) == 1
+        verdict = json.loads(out_lines[0])
+        assert verdict["ok"] is (code == 0)
+        assert code == 0 or verdict["violations"]

@@ -1,9 +1,11 @@
-"""Pinned secp256k1 transcripts: digests and verdicts under fixed seeds.
+"""Pinned transcripts: digests and verdicts under fixed seeds.
 
 The curve arithmetic may change how a commitment is computed, never which
-point comes out, so every transcript byte under a seed must stay the same.
-The abstract sessions have n >= BATCH_MIN_ITEMS, so their examine step
-takes the batch path.
+point comes out, and the transcript encoder may change how bytes are
+produced, never which bytes, so every transcript byte under a seed must
+stay the same.  The abstract secp256k1 sessions have n >= BATCH_MIN_ITEMS,
+so their examine step takes the batch path; the toy-group pins cover every
+builtin scenario plus a joint pick that ends in a pick fault.
 """
 
 import random
@@ -15,10 +17,12 @@ from emissions_audit.commitment import BATCH_MIN_ITEMS, setup
 from emissions_audit.groups import production_group
 from emissions_audit.harness import (
     AdversarySpec,
+    BUILTIN_SCENARIOS,
     HONEST_ADVERSARY,
     InconsistentReveal,
     TamperReport,
     run_session,
+    scenario_from_dict,
 )
 from emissions_audit.measurement import FirmLedger, MeterKeypair, append_reading, parse_hour
 
@@ -100,4 +104,76 @@ def test_abstract_sessions_take_the_batch_path():
                          ids=[f"{m}-{a}-seed{s}" for m, a, s, _, _ in GOLDEN])
 def test_secp256k1_transcript_is_pinned(pp, mode, adversary, seed, digest, verdict):
     result = run_session(_CONFIGS[mode](pp), _ADVERSARIES[adversary], seed=seed)
+    assert (result.transcript.digest(), _verdict_line(result.verdict)) == (digest, verdict)
+
+
+_TOY_SCENARIOS = {
+    **BUILTIN_SCENARIOS,
+    "pick-fault": {
+        "group": "toy", "n": 5, "k": 2, "pick_mode": "joint", "pick_fault_policy": "abort",
+        "adversary": {"corrupted": ["V"], "behaviors": {"V": {"type": "inconsistent_reveal"}}},
+    },
+}
+
+TOY_GOLDEN = [
+    ("honest", 1,
+     "bb63c9498a8cdb94416afeb4e18a39fab2b431ea86a13404cbe421b94fb034c4",
+     "completed:1500"),
+    ("honest", 2,
+     "344557a8e9778abc7e1ed12aef70cac97b7a3084855db463c3ac595677a69f40",
+     "completed:1500"),
+    ("one-tamperer-n10-k3", 1,
+     "01360d11b06dabfb26872a74e86751455ebcf382191f8246ef4c40e08b1577c4",
+     "aborted:6:F3:commitment does not open to the true total"),
+    ("one-tamperer-n10-k3", 2,
+     "6a36769438569b82610582522b7c4605fac1d0316edf6a78e8165052e08e2230",
+     "completed:5600"),
+    ("one-tamperer-always-picked", 1,
+     "eef58e6b8ad3caa692a09c6cd23ca5739b76c559ecfff803beee4f27fde60493",
+     "aborted:6:F3:commitment does not open to the true total"),
+    ("one-tamperer-always-picked", 2,
+     "768f89d4d1b4d9f291f8ea6e34608c9d8e369b1882b68ef775009e1b670ef68b",
+     "aborted:6:F3:commitment does not open to the true total"),
+    ("misreport-sum", 1,
+     "96473f0ff38eac1c6605090999dc94faf45ba31e34a7e8698234edf9133fd649",
+     "aborted:7:C:aggregate commitment does not open to the published sums"),
+    ("misreport-sum", 2,
+     "834dd2bebc78f608594bda3459f3beb5740d5df7f1fb63b4f7c3f249ea667955",
+     "aborted:7:C:aggregate commitment does not open to the published sums"),
+    ("inconsistent-reveal", 1,
+     "5a8b44e4ec939e62c02509188af873feedadc0d58d356090d903ab72478c60e8",
+     "aborted:6:F2:commitment does not open to the true total"),
+    ("inconsistent-reveal", 2,
+     "091ec042df55ce6909e68dbef8671f2b932d2cfcf672d842e1622bc52926cf6c",
+     "aborted:6:F2:commitment does not open to the true total"),
+    ("bias-pick-zero", 1,
+     "3f9839cacce68433494c28fde7d04dc9d36b5cb6cf53dd72309af520db4ee544",
+     "completed:1500"),
+    ("bias-pick-zero", 2,
+     "d4665262cf120bdd36727a7517e29833e04cd10af25909594ccca7efcd454ad4",
+     "completed:1500"),
+    ("silent-country", 1,
+     "046c8ab800d1be3209fce0f90cb0122f36e3401c953f9c63a206c60725c476bc",
+     "aborted:4:C:went silent"),
+    ("silent-country", 2,
+     "ec149eeb70c9ab36e2f02e7043c55c3110aca7137b87d4570dfdcb6e8f38c651",
+     "aborted:4:C:went silent"),
+    ("pick-fault", 1,
+     "704b63a910daef413da86f47459dfaa6eee4eac0ff306315326ad9c82a8b821a",
+     "aborted:5:V:pick fault: contribution 5 outside [0, 5)"),
+    ("pick-fault", 2,
+     "bf83db7932d3334b6b3a7277498979a31d62daf15f1d537a906295afbe4f0f07",
+     "aborted:5:V:pick fault: reveal does not open the commitment"),
+]
+
+
+def test_toy_pins_cover_every_builtin_scenario():
+    assert {name for name, _, _, _ in TOY_GOLDEN} == set(_TOY_SCENARIOS)
+
+
+@pytest.mark.parametrize("name,seed,digest,verdict", TOY_GOLDEN,
+                         ids=[f"{n}-seed{s}" for n, s, _, _ in TOY_GOLDEN])
+def test_toy_transcript_is_pinned(name, seed, digest, verdict):
+    scenario = scenario_from_dict(_TOY_SCENARIOS[name], name=name)
+    result = run_session(scenario.config, scenario.adversary, seed=seed)
     assert (result.transcript.digest(), _verdict_line(result.verdict)) == (digest, verdict)

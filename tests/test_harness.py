@@ -5,8 +5,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emissions_audit import commitment
+from emissions_audit import commitment, harness
 from emissions_audit.audit import (
     AuditSession,
     ConfigInvalid,
@@ -76,6 +78,41 @@ def test_derive_seed_is_stable_and_label_sensitive():
 def test_canonical_json_is_key_order_invariant():
     assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
     assert digest_of({"x": [1, 2]}) == digest_of({"x": [1, 2]})
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(1 << 80), max_value=1 << 80)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_canonical_json_is_byte_identical_to_json_dumps(value):
+    # Non-ASCII text (escaped as \uXXXX), ints beyond 64 bits, bools and None,
+    # at the top level and nested in dicts and lists.
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    assert canonical_json(value) == expected
+    # The encoder used where the C accelerator is missing gives the same bytes.
+    assert harness._ENCODER.encode(value).encode() == expected
+    assert canonical_json({"k": value, "é": [value]}) == json.dumps(
+        {"k": value, "é": [value]}, sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_canonical_json_errors_are_not_remembered():
+    # The encoder is shared: a payload it cannot encode, or a cyclic one,
+    # raises and leaves the next call unaffected.
+    payload = {"a": [1, 2]}
+    with pytest.raises(TypeError):
+        canonical_json({"a": [1, object()]})
+    cyclic: dict = {}
+    cyclic["self"] = cyclic
+    with pytest.raises(RecursionError):
+        canonical_json(cyclic)
+    assert canonical_json(payload) == b'{"a":[1,2]}'
+    assert canonical_json([payload, payload]) == b'[{"a":[1,2]},{"a":[1,2]}]'
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +272,13 @@ def test_leakage_checker_flags_opening_sent_to_peer_firm(pp):
     bad.record(step=5, kind="env_truth", sender=ENV_ID, channel="private",
                recipient=VERIFIER_ID, payload={"firm": unpicked, "m": 10})
     assert any("unpicked" in v for v in leakage_violations(bad))
+
+
+@pytest.mark.parametrize("checker", [corruption_view_violations, leakage_violations])
+def test_view_checkers_report_an_unhashable_corrupted_entry(pp, checker):
+    transcript = run_session(_config(pp, [10, 20], k=1), seed=7).transcript
+    transcript.header["corrupted"] = ["F1", ["x"]]
+    assert checker(transcript) == ["header field 'corrupted' is not a list of strings"]
 
 
 def test_corruption_view_checker_flags_plaintext_to_corrupted_firm(pp):

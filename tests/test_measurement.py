@@ -245,6 +245,24 @@ def test_spot_check_never_raises_on_garbage(keypair):
     assert not result.ok and result.failures
 
 
+@pytest.mark.parametrize("meter_pk", [b"short", b"", None, "00" * 32, bytearray(32)],
+                         ids=["short", "empty", "none", "str", "bytearray"])
+def test_ledger_walk_rejects_a_meter_key_that_is_not_ed25519(keypair, meter_pk):
+    # A key that cannot be an Ed25519 key verifies no signature: every entry
+    # fails its signature check instead of the walk raising.
+    ledger = _ledger(keypair, [1, 2])
+    pp = setup(toy_group(), "hash_derived")
+    report = build_report(pp, ledger, keypair.public_bytes, "cy-1", random.Random(29))
+    failures = spot_check(pp, report, ledger, meter_pk).failures
+    assert [(f.kind, f.detail) for f in failures] == [
+        ("signature", "entry 0 (2026-02-01T00:00:00Z)"),
+        ("signature", "entry 1 (2026-02-01T01:00:00Z)")]
+    with pytest.raises(BadSignature, match="signature check failed at entry 0"):
+        verify_ledger(ledger, meter_pk)
+    with pytest.raises(BadSignature):
+        aggregate(ledger, meter_pk)
+
+
 def test_spot_check_flags_foreign_entry_signed_by_the_meter(keypair):
     # Validly signed and chained, but for another firm: only the firm id is wrong.
     ledger = _ledger(keypair, [1, 2])

@@ -282,6 +282,28 @@ def test_cross_base_mode_completes_and_transcripts_bases(pp):
     assert committers == {COUNTRY, VERIFIER}
 
 
+@pytest.mark.parametrize("base_mode", ["shared", "cross"])
+@pytest.mark.parametrize("on_fault", ["complete", "abort"])
+@pytest.mark.parametrize("strategies", [
+    {}, {COUNTRY: InconsistentRevealPick(bad_round=0)},
+    {VERIFIER: InconsistentRevealPick(bad_round=1)}, {COUNTRY: PeerSeededPick()},
+    {VERIFIER: MaxPick()},
+], ids=["honest", "country-lies-round0", "verifier-lies-round1", "rushing", "max"])
+def test_recorder_does_not_change_the_draws(pp, base_mode, on_fault, strategies):
+    # Payloads are built only for a recorder; the rng stream must not notice.
+    for seed in range(5):
+        def pick(recorder=None):
+            return run_pick(list("abcdefg"), 3, pp, random.Random(seed), strategies=strategies,
+                            base_mode=base_mode, on_fault=on_fault, recorder=recorder)
+
+        events = []
+        recorded = pick(lambda *event: events.append(event))
+        silent = pick()
+        assert (recorded.picked, recorded.fault) == (silent.picked, silent.fault)
+        assert [rnd.index for rnd in recorded.rounds] == [rnd.index for rnd in silent.rounds]
+        assert {kind for kind, *_ in events} >= {"pick_commit", "pick_reveal"}
+
+
 def test_cross_base_mode_catches_cheats_too(pp):
     out = run_pick(
         list("abcde"), 2, pp, random.Random(43),
