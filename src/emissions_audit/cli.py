@@ -71,7 +71,10 @@ def _write_json(path: str, obj: dict) -> None:
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ConfigInvalid(f"{path}: JSON nested too deeply") from None
 
 
 def _read_format(path: str, fmt: str, **fields) -> dict:

@@ -166,7 +166,6 @@ _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 _Q = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 _GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
-_B = 7
 
 _INF_JAC = (1, 1, 0)  # Z == 0 marks the point at infinity
 
@@ -720,17 +719,18 @@ class Secp256k1Group(Group):
         prefix = data[0]
         if prefix not in (2, 3):
             raise MalformedPoint(f"bad prefix byte {prefix:#04x}")
-        x = int.from_bytes(data[1:], "big")
-        if x >= _P:
+        if int.from_bytes(data[1:], "big") >= _P:
             raise MalformedPoint("x coordinate not a canonical field element")
-        y_sq = (pow(x, 3, _P) + _B) % _P
-        y = pow(y_sq, (_P + 1) // 4, _P)
-        if y * y % _P != y_sq:
-            raise MalformedPoint("x is not on the curve")
-        if (y & 1) != (prefix & 1):
-            y = _P - y
+        # Imported here so that toy-group processes never load it.
+        from cryptography.hazmat.primitives.asymmetric import ec
+
+        try:  # OpenSSL takes the square root and checks the curve equation
+            numbers = ec.EllipticCurvePublicKey.from_encoded_point(
+                ec.SECP256K1(), data).public_numbers()
+        except ValueError:
+            raise MalformedPoint("x is not on the curve") from None
         # Cofactor 1: every curve point is in the prime-order subgroup.
-        return CurvePoint(x, y)
+        return CurvePoint(numbers.x, numbers.y)
 
 
 _TOY = ToyGroup()

@@ -819,7 +819,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         adversary = AdversarySpec(
             corrupted=frozenset(adv_data.get("corrupted", ())), behaviors=behaviors
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigInvalid):
             raise
         raise ConfigInvalid(f"bad scenario: {exc}") from None
@@ -894,7 +894,9 @@ def load_scenario(name_or_path: str) -> Scenario:
             f"unknown scenario {name_or_path!r}; builtins: "
             + ", ".join(sorted(BUILTIN_SCENARIOS))
         ) from None
-    return scenario_from_dict(data, name=data.get("name", name_or_path))
+    except RecursionError:
+        raise ConfigInvalid(f"{name_or_path}: JSON nested too deeply") from None
+    return scenario_from_dict(data, name=name_or_path)
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +925,7 @@ def parse_transcript(data: bytes) -> Transcript:
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TranscriptFormatError(f"line {line_no}: {exc}") from None
         if not isinstance(obj, dict):
             raise TranscriptFormatError(f"line {line_no}: not a JSON object")

@@ -376,7 +376,7 @@ def read_ledger(path) -> FirmLedger:
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise LedgerFormatError(f"line {line_no}: {exc}") from None
             entry = entry_from_dict(data)
             if firm_id is None:

@@ -5,11 +5,12 @@ import io
 import json
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from emissions_audit import commitment, harness
 from emissions_audit.cli import main
+from emissions_audit.groups import production_group
 
 
 def run_cli(capsys, *argv):
@@ -595,6 +596,41 @@ def test_pp_file_that_is_not_an_object_is_an_input_error(capsys, ws, command, bo
 
 
 # ---------------------------------------------------------------------------
+# JSON nested past the parser's recursion limit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["transcript-audit", "verify-sum", "report", "simulate"])
+def test_deeply_nested_json_is_an_input_error(capsys, ws, command):
+    pp, reports, _, sums = _pipeline(capsys, ws)
+    deep = ws / "deep.json"
+    deep.write_text("[" * 100_000 + "\n")
+    argv = {
+        "transcript-audit": ["--transcript", deep],
+        "verify-sum": ["--pp", deep, "--report", reports[0], "--sums", sums],
+        "report": ["--pp", pp, "--ledger", deep, "--meter-key", ws / "F1.key.json",
+                   "--cycle", "cy-1", "--seed", "1", "--out", ws / "r.json",
+                   "--opening-out", ws / "o.json"],
+        "simulate": ["--scenario", deep, "--trials", "1"],
+    }[command]
+    assert main([command] + [str(a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert set(json.loads(err_lines[0])) == {"error", "message"}
+
+
+@pytest.mark.parametrize("body", ["[1, 2]", '{"n": 3, "k": 1, "adversary": []}',
+                                  '{"n": 3, "k": 1, "adversary": {"behaviors": {"F1": []}}}'])
+def test_scenario_file_of_the_wrong_shape_is_an_input_error(capsys, ws, body):
+    scenario = ws / "sc.json"
+    scenario.write_text(body)
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and err["error"] == "ConfigInvalid"
+
+
+# ---------------------------------------------------------------------------
 # simulate and transcript-audit
 # ---------------------------------------------------------------------------
 
@@ -729,6 +765,25 @@ def _mutate(blob: bytes, edits) -> bytes:
     return bytes(data)
 
 
+def _exit_contract(argv):
+    """Runs the CLI in-process and checks the exit-code contract: 0, 1 or 2;
+    exit 2 prints one {"error", "message"} line on stderr and nothing on
+    stdout; exits 0 and 1 print one verdict line on stdout and nothing on
+    stderr.  Returns the exit code and the verdict (None on exit 2)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    out_lines, err_lines = out.getvalue().splitlines(), err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    event(f"{argv[0]} exit {code}")
+    if code == 2:
+        assert out_lines == [] and len(err_lines) == 1
+        assert set(json.loads(err_lines[0])) == {"error", "message"}
+        return code, None
+    assert err_lines == [] and len(out_lines) == 1
+    return code, json.loads(out_lines[0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(which=st.integers(min_value=0, max_value=2),
        edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
@@ -736,17 +791,79 @@ def test_transcript_audit_exit_contract_on_mutated_transcripts(
         engine_transcripts, tmp_path_factory, which, edits):
     path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
     path.write_bytes(_mutate(engine_transcripts[which], edits))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["transcript-audit", "--transcript", str(path)])
-    out_lines, err_lines = out.getvalue().splitlines(), err.getvalue().splitlines()
-    assert code in (0, 1, 2)
-    event(f"exit {code}")
-    if code == 2:
-        assert out_lines == [] and len(err_lines) == 1
-        assert set(json.loads(err_lines[0])) == {"error", "message"}
-    else:
-        assert err_lines == [] and len(out_lines) == 1
-        verdict = json.loads(out_lines[0])
+    code, verdict = _exit_contract(["transcript-audit", "--transcript", path])
+    if code != 2:
         assert verdict["ok"] is (code == 0)
         assert code == 0 or verdict["violations"]
+
+
+@pytest.fixture()
+def secp_pipeline(capsys, ws):
+    return _pipeline(capsys, ws, group="secp256k1")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(["report", "commitment", "opening", "sums"]),
+       edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
+def test_aggregate_and_verify_sum_exit_contract_on_mutated_files(
+        secp_pipeline, ws, which, edits):
+    """Byte edits to F1's report, to the commitment bytes inside it (the
+    file stays valid), to F1's opening, or to the sums file."""
+    pp, reports, openings, sums = secp_pipeline
+    bad = ws / f"mutated-{which}.json"
+    if which == "commitment":
+        data = json.loads(reports[0].read_text())
+        c = data["c"]
+        data["c"] = _mutate(bytes.fromhex(c), edits).hex()
+        changed = data["c"] != c
+        bad.write_text(json.dumps(data))
+    else:
+        original = {"report": reports[0], "opening": openings[0], "sums": sums}[which]
+        bad.write_bytes(_mutate(original.read_bytes(), edits))
+    report = reports[0] if which in ("opening", "sums") else bad
+    opening = bad if which == "opening" else openings[0]
+    # A rejection names the firm whose file failed; the sum check may also
+    # blame the country.  Files behind an exit 1 parsed, so they name a firm.
+    if which != "sums":
+        code, verdict = _exit_contract(_aggregate_args(
+            pp, ws / "s.json", [report, reports[1]], [opening, openings[1]]))
+        if which == "commitment":
+            assert code == (1 if changed else 0)
+        if code != 2:
+            assert verdict["verdict"] == ("ACCEPT" if code == 0 else "REJECT")
+            assert code == 0 or verdict["culprit"] == json.loads(bad.read_text())["firm_id"]
+    if which != "opening":
+        code, verdict = _exit_contract(_verify_sum_args(
+            pp, [report, reports[1]], bad if which == "sums" else sums))
+        if which == "commitment":
+            assert code == (1 if changed else 0)
+        if code != 2:
+            assert verdict["verdict"] == ("ACCEPT" if code == 0 else "REJECT")
+            firm = json.loads(report.read_text())["firm_id"] if code else None
+            assert code == 0 or verdict["culprit"] in ("country", firm)
+
+
+_G_HEX = production_group().encode_point(production_group().generator).hex()
+
+
+@pytest.mark.parametrize("c", [
+    f"02{5:064x}",  # x = 5 is not on the curve
+    f"02{2**256 - 2**32 - 977:064x}",  # x = p is not a field element
+    "04" + _G_HEX[2:],  # uncompressed prefix
+    _G_HEX[:-2],  # 32 bytes
+    "not hex",
+])
+def test_undecodable_commitment_is_rejected_naming_the_firm(capsys, ws, c):
+    pp, reports, openings, sums = _pipeline(capsys, ws, group="secp256k1")
+    bad = _rewritten(reports[1], ws / "bad_c.json", c=c)
+    code, verdict, err = run_cli(capsys, *_aggregate_args(
+        pp, ws / "s2.json", [reports[0], bad], openings))
+    assert code == 1 and err is None
+    assert verdict == {"verdict": "REJECT", "step": 3, "culprit": "F2",
+                       "reason": verdict["reason"]}
+    assert verdict["reason"].startswith("malformed commitment")
+    code, verdict, err = run_cli(capsys, *_verify_sum_args(pp, [reports[0], bad], sums))
+    assert code == 1 and err is None
+    assert verdict["verdict"] == "REJECT" and verdict["step"] == 7
+    assert verdict["culprit"] == "F2"

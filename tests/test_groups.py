@@ -242,6 +242,52 @@ def test_curve_decode_rejects_garbage(prod):
         prod.decode_point(b"\x02" + (5).to_bytes(32, "big"))
 
 
+_SECP_P = 2**256 - 2**32 - 977
+
+
+def _reference_decode(data):
+    """SEC 1 v2 section 2.3.4 decompression in plain integers: the affine
+    (x, y), None for the all-zero identity, or MalformedPoint."""
+    if len(data) != 33:
+        raise MalformedPoint("length")
+    if data == bytes(33):
+        return None
+    if data[0] not in (2, 3):
+        raise MalformedPoint("prefix")
+    x = int.from_bytes(data[1:], "big")
+    if x >= _SECP_P:
+        raise MalformedPoint("x not canonical")
+    y_sq = (x**3 + 7) % _SECP_P
+    y = pow(y_sq, (_SECP_P + 1) // 4, _SECP_P)  # p = 3 mod 4
+    if y * y % _SECP_P != y_sq:
+        raise MalformedPoint("not on the curve")
+    return (x, y if y & 1 == data[0] & 1 else _SECP_P - y)
+
+
+_X_EDGES = [0, 5, _SECP_P - 1, _SECP_P, _SECP_P + 1, 2**256 - 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(prefix=st.sampled_from([0, 2, 3, 4]) | st.integers(0, 255),
+       x=st.sampled_from(_X_EDGES) | st.integers(0, 2**256 - 1))
+def test_curve_decode_agrees_with_reference(prod, prefix, x):
+    data = bytes([prefix]) + x.to_bytes(32, "big")
+    try:
+        expected = _reference_decode(data)
+    except MalformedPoint:
+        with pytest.raises(MalformedPoint):
+            prod.decode_point(data)
+    else:
+        assert _affine(prod.decode_point(data)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(0, 2**256))
+def test_curve_encoding_roundtrip_on_random_multiples(prod, k):
+    point = prod.mul(k, prod.generator)
+    assert prod.decode_point(prod.encode_point(point)) == point
+
+
 @pytest.mark.parametrize("name", ["toy", "secp256k1"])
 def test_scalar_decode_rejects_garbage(name):
     group = group_by_name(name)
