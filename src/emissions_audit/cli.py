@@ -77,14 +77,20 @@ def _read_json(path: str) -> dict:
             raise ConfigInvalid(f"{path}: JSON nested too deeply") from None
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_format(path: str, fmt: str, **fields) -> dict:
     """A JSON object whose ``format`` field is ``fmt`` and whose named
-    fields have the given types; ConfigInvalid otherwise."""
+    fields have the given types (never bool); ConfigInvalid otherwise."""
     data = _read_json(path)
     if not isinstance(data, dict) or data.get("format") != fmt:
         raise ConfigInvalid(f"{path} is not a {fmt} file")
     for name, kind in fields.items():
-        if not isinstance(data.get(name), kind):
+        value = data.get(name)
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigInvalid(f"{path} lacks a {kind.__name__} field {name!r}")
     return data
 
@@ -274,7 +280,7 @@ def cmd_aggregate(args) -> int:
     out_of_range = None
     for fid, rep in zip(ids, reports):
         m = openings[fid].get("m")
-        if not isinstance(m, int) or m < 0 or m >= MAX_EMISSIONS_KG:
+        if not _is_int(m) or m < 0 or m >= MAX_EMISSIONS_KG:
             out_of_range = fid
             break
         items.append((rep["c_point"], pp.group.scalar(m), openings[fid]["r_scalar"]))
@@ -317,7 +323,7 @@ def cmd_verify_sum(args) -> int:
         raise ConfigInvalid(f"{args.sums} is for cycle {sums.get('cycle_id')!r}, "
                             f"the reports for {cycle!r}")
     m = sums.get("m")
-    if not isinstance(m, int):
+    if not _is_int(m):
         raise ConfigInvalid(f"{args.sums} has no integer total m")
     try:
         r = pp.group.decode_scalar(bytes.fromhex(sums["r"]))
@@ -536,14 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("aggregate", help="examine openings and publish sums")
     sp.add_argument("--pp", required=True)
-    sp.add_argument("--report", action="append", required=True)
-    sp.add_argument("--opening", action="append", required=True)
+    sp.add_argument("--report", action="extend", nargs="+", required=True)
+    sp.add_argument("--opening", action="extend", nargs="+", required=True)
     sp.add_argument("--out", required=True, help="sums file")
     sp.set_defaults(func=cmd_aggregate)
 
     sp = sub.add_parser("verify-sum", help="check commitments against published sums")
     sp.add_argument("--pp", required=True)
-    sp.add_argument("--report", action="append", required=True)
+    sp.add_argument("--report", action="extend", nargs="+", required=True)
     sp.add_argument("--sums", required=True)
     sp.set_defaults(func=cmd_verify_sum)
 

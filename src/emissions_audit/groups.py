@@ -411,26 +411,26 @@ _WINDOW_ROWS = 32  # covers multipliers below 2**256
 
 
 class _FixedBaseTable:
-    """Per-base window table: rows[i][d] = (d << 8*i) * base, affine."""
+    """Per-base window table: rows[i][d - 1] = (d << 8*i) * base, affine.
+
+    Column d > 2 is one _batch_add of column d - 1 and the row bases, one
+    inversion for all rows; no pair has equal x, as (d +- 1) * base != 0.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, point: CurvePoint):
-        jac_rows = []
-        row_base = (point.x, point.y, 1)
-        for _ in range(_WINDOW_ROWS):
-            acc = row_base
-            row = [acc]
-            for _ in range(2, 1 << _WINDOW_BITS):
-                acc = _jac_add(acc, row_base)
-                row.append(acc)
-            jac_rows.append(row)
-            for _ in range(_WINDOW_BITS):
-                row_base = _jac_double(row_base)
-        flat = [pt for row in jac_rows for pt in row]
-        affine = _batch_to_affine(flat)
-        size = (1 << _WINDOW_BITS) - 1
-        self.rows = [affine[i * size : (i + 1) * size] for i in range(_WINDOW_ROWS)]
+        chain, pt = [], (point.x, point.y, 1)
+        for i in range(_WINDOW_ROWS * _WINDOW_BITS):
+            if i % _WINDOW_BITS < 2:  # each row's base and its double
+                chain.append(pt)
+            pt = _jac_double(pt)
+        affine = _batch_to_affine(chain)
+        bases = affine[0::2]
+        cols = [bases, affine[1::2]]
+        for _ in range(3, 1 << _WINDOW_BITS):
+            cols.append(_batch_add(cols[-1], bases))
+        self.rows = [list(row) for row in zip(*cols)]
 
     def add_mul(self, acc, k: int):
         """Jacobian acc + k * base, one mixed addition per nonzero byte of k."""

@@ -325,16 +325,7 @@ class Event:
     digest: str
 
     def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "step": self.step,
-            "kind": self.kind,
-            "sender": self.sender,
-            "channel": self.channel,
-            "recipient": self.recipient,
-            "payload": self.payload,
-            "digest": self.digest,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class Transcript:
@@ -344,10 +335,6 @@ class Transcript:
         self.header = dict(header)
         self.events: list[Event] = []
         self.verdict: dict | None = None
-
-    @property
-    def participants(self) -> tuple[str, ...]:
-        return tuple(self.header["participants"])
 
     def record(self, *, step, kind, sender, channel, recipient, payload):
         self.events.append(
@@ -363,18 +350,27 @@ class Transcript:
             )
         )
 
-    def set_verdict(self, verdict: dict):
-        self.verdict = verdict
-
     def view_of(self, participant: str) -> list[Event]:
         """Everything the participant received: broadcasts plus its lane."""
-        if participant not in self.participants:
-            raise UnknownParticipant(participant)
-        return [
-            ev
-            for ev in self.events
-            if ev.channel == "broadcast" or ev.recipient == participant
-        ]
+        return [ev for _, ev in self.seen_by([participant])]
+
+    def seen_by(self, viewers, kinds=None) -> list[tuple[str, Event]]:
+        """(viewer, event) for each event (of ``kinds``, if given) in each view,
+        grouped per viewer in the order given.  One pass over the events routes
+        each to everyone if broadcast, else to its recipient."""
+        views = {viewer: [] for viewer in viewers}
+        unknown = views.keys() - set(self.header["participants"])
+        if unknown:
+            raise UnknownParticipant(next(v for v in views if v in unknown))
+        for ev in self.events:
+            if kinds is not None and ev.kind not in kinds:
+                continue
+            if ev.channel == "broadcast":
+                for view in views.values():
+                    view.append(ev)
+            elif ev.recipient in views:
+                views[ev.recipient].append(ev)
+        return [(viewer, ev) for viewer in viewers for ev in views[viewer]]
 
     def to_jsonl(self) -> bytes:
         lines = [canonical_json({"header": self.header})]
@@ -448,7 +444,7 @@ def run_session(
     )
     verdict = session.run()
     if transcript is not None:
-        transcript.set_verdict(verdict_to_dict(verdict))
+        transcript.verdict = verdict_to_dict(verdict)
     return SessionResult(verdict=verdict, transcript=transcript)
 
 
@@ -682,29 +678,27 @@ def leakage_violations(transcript: Transcript) -> list[str]:
     if bad_header:
         return bad_header
     corrupted = set(transcript.header.get("corrupted", ()))
-    roster = list(transcript.header["roster"])
+    roster = transcript.header["roster"]
+    firms = set(roster)
     picked = set(_revealed_list(transcript) or ())
     out = [
         f"verification_list at seq {ev.seq} is not a list of firm ids"
         for ev in transcript.events
         if ev.kind == "verification_list" and not _is_str_list(ev.payload.get("v"))
     ]
-    for viewer in (*roster, VERIFIER_ID):
-        for ev in transcript.view_of(viewer):
-            fields = OPENING_FIELDS.get(ev.kind)
-            if not fields:
-                continue
-            subject = ev.payload.get("firm")
-            if not isinstance(subject, str) or subject in corrupted:
-                continue
-            if viewer in roster and subject != viewer:
-                out.append(
-                    f"{viewer} sees {ev.kind}({','.join(fields)}) of {subject} at seq {ev.seq}"
-                )
-            if viewer == VERIFIER_ID and subject not in picked:
-                out.append(
-                    f"verifier sees {ev.kind} of unpicked {subject} at seq {ev.seq}"
-                )
+    for viewer, ev in transcript.seen_by((*roster, VERIFIER_ID), OPENING_FIELDS):
+        fields = OPENING_FIELDS[ev.kind]
+        subject = ev.payload.get("firm")
+        if not isinstance(subject, str) or subject in corrupted:
+            continue
+        if viewer in firms and subject != viewer:
+            out.append(
+                f"{viewer} sees {ev.kind}({','.join(fields)}) of {subject} at seq {ev.seq}"
+            )
+        if viewer == VERIFIER_ID and subject not in picked:
+            out.append(
+                f"verifier sees {ev.kind} of unpicked {subject} at seq {ev.seq}"
+            )
     return out
 
 
@@ -723,19 +717,17 @@ def corruption_view_violations(transcript: Transcript) -> list[str]:
         return []
     picked = set(_revealed_list(transcript) or ())
     out = []
-    for viewer in sorted(corrupted):
-        for ev in transcript.view_of(viewer):
-            fields = OPENING_FIELDS.get(ev.kind)
-            if not fields or "m" not in fields:
-                continue
-            subject = ev.payload.get("firm")
-            if subject is None or subject in corrupted:
-                continue
-            if viewer == VERIFIER_ID and subject in picked:
-                continue
-            out.append(
-                f"corrupted {viewer} sees plaintext of honest {subject} at seq {ev.seq}"
-            )
+    for viewer, ev in transcript.seen_by(sorted(corrupted), OPENING_FIELDS):
+        if "m" not in OPENING_FIELDS[ev.kind]:
+            continue
+        subject = ev.payload.get("firm")
+        if subject is None or subject in corrupted:
+            continue
+        if viewer == VERIFIER_ID and subject in picked:
+            continue
+        out.append(
+            f"corrupted {viewer} sees plaintext of honest {subject} at seq {ev.seq}"
+        )
     return out
 
 

@@ -867,3 +867,125 @@ def test_undecodable_commitment_is_rejected_naming_the_firm(capsys, ws, c):
     assert code == 1 and err is None
     assert verdict["verdict"] == "REJECT" and verdict["step"] == 7
     assert verdict["culprit"] == "F2"
+
+
+# ---------------------------------------------------------------------------
+# JSON booleans are not integers
+# ---------------------------------------------------------------------------
+
+
+def test_verify_sum_rejects_boolean_m_as_input_error(capsys, ws):
+    pp, reports, _, sums = _pipeline(capsys, ws)
+    bad = _rewritten(sums, ws / "true.json", m=True)
+    _assert_config_error(capsys, _verify_sum_args(pp, reports, bad))
+
+
+def test_aggregate_rejects_boolean_m_naming_the_firm(capsys, ws):
+    # F1's commitment is to 1, so an opening "m": true (== 1 as a Python
+    # int) would open it; it must be rejected as out of range instead.
+    pp, reports, openings, _ = _pipeline(capsys, ws)
+    params = commitment.params_from_dict(json.loads(pp.read_text()))
+    r = params.group.decode_scalar(bytes.fromhex(json.loads(openings[0].read_text())["r"]))
+    c = commitment.commit(params, params.group.scalar(1), r)
+    report = _rewritten(reports[0], ws / "r1.json", c=params.group.encode_point(c).hex())
+    opening = _rewritten(openings[0], ws / "o1.json", m=True)
+    code, verdict, _ = run_cli(capsys, *_aggregate_args(
+        pp, ws / "s.json", [report, reports[1]], [opening, openings[1]]))
+    assert code == 1
+    assert verdict == {"verdict": "REJECT", "step": 3, "culprit": "F1",
+                       "reason": "reported total out of range"}
+
+
+@pytest.mark.parametrize("field", ["round", "l", "m"])
+def test_pick_settle_rejects_reveal_file_with_boolean_field(capsys, ws, field):
+    pp = _revealed_pair(capsys, ws)
+    bad = _rewritten(ws / "v.reveal.json", ws / "v.bad.json", **{field: True})
+    _assert_config_error(capsys, ["pick-settle", "--pp", str(pp), "--state",
+                                  str(ws / "c.state.json"), "--peer-reveal", str(bad)])
+
+
+# ---------------------------------------------------------------------------
+# --report / --opening: one flag with many paths, or one flag per path
+# ---------------------------------------------------------------------------
+
+
+def test_one_flag_and_repeated_flags_give_identical_output(capsys, ws):
+    pp, reports, openings, sums = _pipeline(capsys, ws)
+    results = []
+    for repeated in (True, False):
+        if repeated:
+            aggregate = _aggregate_args(pp, sums, reports, openings)
+            verify = _verify_sum_args(pp, reports, sums)
+        else:
+            aggregate = ["aggregate", "--pp", str(pp), "--out", str(sums),
+                         "--report", *map(str, reports), "--opening", *map(str, openings)]
+            verify = ["verify-sum", "--pp", str(pp), "--sums", str(sums),
+                      "--report", *map(str, reports)]
+        assert main(aggregate) == 0
+        aggregated = capsys.readouterr().out
+        sums_bytes = sums.read_bytes()
+        assert main(verify) == 0
+        results.append((aggregated, sums_bytes, capsys.readouterr().out))
+    assert results[0] == results[1]
+    # The forms mix: one flag may carry several paths, another only one.
+    mixed = ["aggregate", "--pp", str(pp), "--out", str(ws / "mixed.json"),
+             "--report", *map(str, reports), "--opening", str(openings[0]),
+             "--opening", str(openings[1])]
+    assert main(mixed) == 0 and (ws / "mixed.json").read_bytes() == results[0][1]
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract of report and of the pick exchange on mutated files
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(["ledger", "meter-key"]),
+       edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
+def test_report_exit_contract_on_mutated_files(capsys, ws, which, edits):
+    """report has no verdict to give: it succeeds, or fails with exit 2."""
+    if not (ws / "pp.json").exists():
+        _pipeline(capsys, ws)
+    ledger, key = ws / "F1.jsonl", ws / "F1.key.json"
+    bad = ws / f"mutated-{which}"
+    bad.write_bytes(_mutate((ledger if which == "ledger" else key).read_bytes(), edits))
+    code, _ = _exit_contract([
+        "report", "--pp", ws / "pp.json", "--ledger", bad if which == "ledger" else ledger,
+        "--meter-key", bad if which == "meter-key" else key, "--cycle", "cy-1",
+        "--seed", "1", "--out", ws / "r.json", "--opening-out", ws / "o.json"])
+    assert code in (0, 2)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(["pp", "state", "peer-commit", "settle-state", "peer-reveal"]),
+       edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
+def test_pick_exit_contract_on_mutated_files(capsys, ws, which, edits):
+    """pick-commit and pick-reveal give no verdict (exit 0 or 2); pick-settle
+    exits 1 only with a FAULT verdict.  Each run reads fresh copies, since
+    pick-reveal rewrites its state file."""
+    if not (ws / "c.reveal.json").exists():
+        _revealed_pair(capsys, ws)
+    pp = ws / "pp.json"
+    sources = {"pp": pp, "state": ws / "c.state.json", "peer-commit": ws / "v.commit.json",
+               "settle-state": ws / "c.state.json", "peer-reveal": ws / "v.reveal.json"}
+    files = {}
+    for name, path in sources.items():
+        files[name] = ws / f"run-{name}.json"
+        data = path.read_bytes()
+        files[name].write_bytes(_mutate(data, edits) if name == which else data)
+    if which == "pp":
+        argv = ["pick-commit", "--pp", files["pp"], "--party", "country", "--l", "5",
+                "--state", ws / "run-out-state.json", "--out", ws / "run-out.json"]
+    elif which in ("state", "peer-commit"):
+        argv = ["pick-reveal", "--state", files["state"], "--peer-commit",
+                files["peer-commit"], "--out", ws / "run-out.json"]
+    else:
+        argv = ["pick-settle", "--pp", pp, "--state", files["settle-state"],
+                "--peer-reveal", files["peer-reveal"]]
+    code, verdict = _exit_contract(argv)
+    if argv[0] == "pick-settle" and code != 2:
+        assert verdict["verdict"] == ("SETTLED" if code == 0 else "FAULT")
+    else:
+        assert code in (0, 2)

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from emissions_audit.commitment import H_DOMAIN, hash_to_point
@@ -148,6 +148,56 @@ def test_fixed_base_table_matches_generic_mul(prod):
         assert prod.mul(k, g) == k * g
     for k in (0, 1, 2, prod.q - 1, prod.q, prod.q + 1):
         assert prod.mul(k, g) == k * g
+
+
+def _jacobian_table_rows(point):
+    """Reference rows[i][d - 1] = (d << 8*i) * point: each row by 254 full
+    Jacobian additions of its base, all converted to affine at the end."""
+    from emissions_audit.groups import _batch_to_affine, _jac_add, _jac_double
+
+    jac_rows = []
+    row_base = (point.x, point.y, 1)
+    for _ in range(32):
+        acc = row_base
+        row = [acc]
+        for _ in range(2, 256):
+            acc = _jac_add(acc, row_base)
+            row.append(acc)
+        jac_rows.append(row)
+        for _ in range(8):
+            row_base = _jac_double(row_base)
+    affine = _batch_to_affine([pt for row in jac_rows for pt in row])
+    return [affine[i * 255:(i + 1) * 255] for i in range(32)]
+
+
+def _lockstep_rows(point):
+    """The table's rows, built with the per-pair (equal-x) path of
+    _batch_add disabled: every column must cost one shared inversion."""
+    from unittest import mock
+
+    from emissions_audit import groups
+
+    def per_pair(*_):
+        raise AssertionError("a table column reached the equal-x path")
+
+    with mock.patch.object(groups, "_jac_add_affine", per_pair):
+        return groups._FixedBaseTable(point).rows
+
+
+@pytest.mark.parametrize("base", ["G", "H"])
+def test_fixed_base_rows_match_jacobian_reference(prod, base):
+    point = prod.generator if base == "G" else hash_to_point(prod, H_DOMAIN)
+    assert _lockstep_rows(point) == _jacobian_table_rows(point)
+
+
+@settings(max_examples=5, deadline=None)
+@given(k=st.integers(1, production_group().q - 1))
+@example(k=1)
+@example(k=2)
+@example(k=3)
+def test_fixed_base_rows_match_reference_for_drawn_bases(prod, k):
+    point = prod.mul(k, prod.generator)
+    assert _lockstep_rows(point) == _jacobian_table_rows(point)
 
 
 # ---------------------------------------------------------------------------
