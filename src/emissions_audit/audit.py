@@ -111,7 +111,7 @@ class SessionConfig:
         if len(self.firm_by_id) != len(ids):
             raise ConfigInvalid("duplicate firm ids in roster")
         for fid in ids:
-            if not fid or fid in (ENV_ID, COUNTRY_ID, VERIFIER_ID):
+            if not isinstance(fid, str) or not fid or fid in (ENV_ID, COUNTRY_ID, VERIFIER_ID):
                 raise ConfigInvalid(f"bad firm id {fid!r}")
         if not isinstance(self.k, int) or self.k < 0 or self.k > len(ids):
             raise ConfigInvalid(f"k={self.k!r} not in [0, {len(ids)}]")

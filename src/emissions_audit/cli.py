@@ -29,6 +29,7 @@ from .audit import ConfigInvalid
 from .commitment import (
     MAX_EMISSIONS_KG,
     commit,
+    is_int,
     params_from_dict,
     params_to_dict,
     setup,
@@ -75,11 +76,6 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
         except RecursionError:
             raise ConfigInvalid(f"{path}: JSON nested too deeply") from None
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: ``true`` and ``false`` load as bools, which are ints."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _read_format(path: str, fmt: str, **fields) -> dict:
@@ -280,7 +276,7 @@ def cmd_aggregate(args) -> int:
     out_of_range = None
     for fid, rep in zip(ids, reports):
         m = openings[fid].get("m")
-        if not _is_int(m) or m < 0 or m >= MAX_EMISSIONS_KG:
+        if not is_int(m) or m < 0 or m >= MAX_EMISSIONS_KG:
             out_of_range = fid
             break
         items.append((rep["c_point"], pp.group.scalar(m), openings[fid]["r_scalar"]))
@@ -323,7 +319,7 @@ def cmd_verify_sum(args) -> int:
         raise ConfigInvalid(f"{args.sums} is for cycle {sums.get('cycle_id')!r}, "
                             f"the reports for {cycle!r}")
     m = sums.get("m")
-    if not _is_int(m):
+    if not is_int(m):
         raise ConfigInvalid(f"{args.sums} has no integer total m")
     try:
         r = pp.group.decode_scalar(bytes.fromhex(sums["r"]))
@@ -595,8 +591,58 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Each subcommand's list flags (action="extend") and its other flags.
+_LIST_FLAGS = {"aggregate": ("--report", "--opening"), "verify-sum": ("--report",)}
+_OTHER_FLAGS = {"aggregate": ("-h", "--help", "--pp", "--out"),
+                "verify-sum": ("-h", "--help", "--pp", "--sums")}
+
+
+def _coalesce_list_flags(argv: list[str]) -> list[str]:
+    """argv with each list flag's values merged into one flag, at its last.
+
+    Python 3.11's argparse takes time quadratic in the number of flags, so
+    ``--report A --pp P --report=B`` is passed on as ``--pp P --report A B``,
+    which parses to the same namespace.  Exact flags and ``--flag=value``
+    before any ``--`` are merged; where argparse could read a token another
+    way (an abbreviation, an unknown or dash-led token, a flag without a
+    value, a value after ``--flag=value``), argv is passed on unchanged.
+    """
+    lists = _LIST_FLAGS.get(argv[0]) if argv else None
+    if lists is None:
+        return argv
+    end = argv.index("--") if "--" in argv else len(argv)
+    known = {*lists, *_OTHER_FLAGS[argv[0]]}
+    groups = [[]]  # the tokens before "--", split before each flag
+    for tok in argv[1:end]:
+        if tok == "-" or not tok.startswith("-"):
+            groups[-1].append(tok)
+        elif tok.partition("=")[0] in known:
+            groups.append([tok])
+        else:
+            return argv
+    merged, last = {}, {}
+    for group in groups[1:]:
+        flag, eq, value = group[0].partition("=")
+        if flag in lists:
+            values = [value] if eq else group[1:]
+            if not values or eq and (len(group) > 1 or value.startswith("-") and value != "-"
+                                     or group is groups[-1] and end < len(argv)):
+                return argv
+            merged.setdefault(flag, []).extend(values)
+            last[flag] = group
+    out = argv[:1] + groups[0]
+    for group in groups[1:]:
+        flag = group[0].partition("=")[0]
+        if flag not in lists:
+            out += group
+        elif last[flag] is group:
+            out += [flag, *merged[flag]]
+    return out + argv[end:]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_coalesce_list_flags(argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

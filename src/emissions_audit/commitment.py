@@ -49,17 +49,26 @@ class DegenerateCollision(ValueError):
 
 @dataclass
 class PublicParams:
-    """Commitment bases.  ``trapdoor`` is only set by trusted local setup."""
+    """Commitment bases.  ``trapdoor`` is only set by trusted local setup.
+    ``tables`` holds the fixed-base tables of (g, h) once _tables builds them."""
 
     group: Group
     g: object
     h: object
     mode: str
     trapdoor: Scalar | None = field(default=None, repr=False, compare=False)
+    tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    single_ops: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def q(self) -> int:
         return self.group.q
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool: JSON ``true`` and ``false`` load as
+    bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_range(m: int, bound: int = MAX_EMISSIONS_KG) -> None:
@@ -97,13 +106,8 @@ def setup(
     group: Group,
     mode: str = "hash_derived",
     rng: random.Random | None = None,
-    register_bases: bool = True,
 ) -> PublicParams:
-    """Generate public parameters (G, H) for the given backend.
-
-    ``register_bases=False`` skips the fixed-base acceleration tables;
-    useful for ephemeral per-session bases that see only a few mults.
-    """
+    """Generate public parameters (G, H) for the given backend."""
     g = group.generator
     if mode == "hash_derived":
         h = hash_to_point(group, H_DOMAIN)
@@ -118,24 +122,39 @@ def setup(
         trapdoor = td
     else:
         raise SetupError(f"unknown setup mode {mode!r}")
-    if register_bases:
-        group.register_fixed_base(g)
-        group.register_fixed_base(h)
     return PublicParams(group=group, g=g, h=h, mode=mode, trapdoor=trapdoor)
+
+
+# On secp256k1 one commitment or check costs about 4 ms by the generic ladder
+# and 0.5 ms through the fixed-base tables, which take about 160 ms to build.
+# Single operations use the ladder until this many have run on the params, so
+# a process doing a few never builds tables, and one doing many pays at most
+# about twice what the better of the two ways would cost it.
+TABLES_AFTER_SINGLE_OPS = 40
+
+
+def _tables(pp: PublicParams, batch: bool = False):
+    """pp's fixed-base tables, built on the first batch or on the single
+    operation after TABLES_AFTER_SINGLE_OPS of them; None before that."""
+    if pp.tables is None:
+        pp.single_ops += not batch
+        if batch or pp.single_ops > TABLES_AFTER_SINGLE_OPS:
+            pp.tables = (pp.group.fixed_base_table(pp.g), pp.group.fixed_base_table(pp.h))
+    return pp.tables
 
 
 def commit(pp: PublicParams, m: Scalar, r: Scalar):
     """Commitment point m*G + r*H."""
-    return pp.group.mul2(m, pp.g, r, pp.h)
+    return pp.group.mul2(m, pp.g, r, pp.h, _tables(pp))
 
 
 def commit_many(pp: PublicParams, pairs) -> list:
     """Commitments m*G + r*H for each (m, r) in pairs, batched by the group."""
-    return pp.group.mul2_many(pairs, pp.g, pp.h)
+    return pp.group.mul2_many(pairs, pp.g, pp.h, _tables(pp, batch=True))
 
 
 def verify_opening(pp: PublicParams, c, m: Scalar, r: Scalar) -> bool:
-    return pp.group.is_mul2(m, pp.g, r, pp.h, c)
+    return pp.group.is_mul2(m, pp.g, r, pp.h, c, _tables(pp))
 
 
 # Batch weights are this many bits wide, so a batch with any bad opening
@@ -186,7 +205,7 @@ def verify_openings(pp: PublicParams, items) -> int | None:
         m_sum = sum(w * m.value for w, (_, m, _) in zip(weights, items)) % pp.q
         r_sum = sum(w * r.value for w, (_, _, r) in zip(weights, items)) % pp.q
         lhs = pp.group.msm(weights, [c for c, _, _ in items])
-        if pp.group.is_mul2(m_sum, pp.g, r_sum, pp.h, lhs):
+        if pp.group.is_mul2(m_sum, pp.g, r_sum, pp.h, lhs, _tables(pp)):
             return None
     for i, (c, m, r) in enumerate(items):
         if not verify_opening(pp, c, m, r):
@@ -275,8 +294,6 @@ def params_from_dict(data: dict) -> PublicParams:
     if mode == "hash_derived" and h != hash_to_point(group, H_DOMAIN):
         raise SetupError("hash_derived params carry a base H that does not "
                          "match the domain-separated derivation")
-    group.register_fixed_base(g)
-    group.register_fixed_base(h)
     return PublicParams(group=group, g=g, h=h, mode=mode, trapdoor=None)
 
 

@@ -3,8 +3,8 @@
 Two interchangeable backends sit behind one small interface:
 
 * ``secp256k1`` -- the production curve (prime order, cofactor 1, ~128-bit
-  security).  Scalar multiplication of the fixed bases is accelerated with
-  precomputed window tables; everything else uses Jacobian coordinates.
+  security).  Scalar multiplication uses Jacobian coordinates, and through
+  a precomputed window table where the caller passes one for the base.
 * the toy group -- the order-101 subgroup of Z_607*, small enough that tests
   can brute-force discrete logs and enumerate every commitment exhaustively.
 
@@ -119,6 +119,8 @@ TOY_Q = 101  # subgroup order (prime)
 # Smallest element of multiplicative order 101 modulo 607.  Pinned here;
 # a test re-derives it from (TOY_P, TOY_Q) and compares.
 TOY_GENERATOR = 7
+# Discrete logs of the whole subgroup: generator power -> exponent.
+_TOY_DLOG = {pow(TOY_GENERATOR, e, TOY_P): e for e in range(TOY_Q)}
 
 
 class ToyPoint:
@@ -420,6 +422,8 @@ class _FixedBaseTable:
     __slots__ = ("rows",)
 
     def __init__(self, point: CurvePoint):
+        if point.is_identity():
+            raise GroupError("cannot build a table for the identity")
         chain, pt = [], (point.x, point.y, 1)
         for i in range(_WINDOW_ROWS * _WINDOW_BITS):
             if i % _WINDOW_BITS < 2:  # each row's base and its double
@@ -442,6 +446,16 @@ class _FixedBaseTable:
             if d:
                 acc = _jac_add_affine(acc, row[d - 1])
         return acc
+
+
+def _add_mul(acc, k, point: CurvePoint, table):
+    """Jacobian acc + k * point, through ``table`` (point's) if one is given."""
+    k = _multiplier(k, _Q)
+    if k == 0 or point.x is None:
+        return acc
+    if table is not None and not k >> (_WINDOW_BITS * _WINDOW_ROWS):
+        return table.add_mul(acc, k)
+    return _jac_add(acc, _jac_mul(k, (point.x, point.y)))  # no table, or k too wide
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +484,25 @@ class Group:
                 return Scalar(v, self.q)
 
     def mul(self, k, point):
-        """Scalar multiplication; subclasses may accelerate fixed bases."""
+        """Scalar multiplication k * point."""
         return k * point
 
-    def mul2(self, a, p1, b, p2):
+    def fixed_base_table(self, point):
+        """A table of multiples of ``point`` for the ``tables`` pair of mul2,
+        mul2_many and is_mul2 (which give the same points without); None."""
+        return None
+
+    def mul2(self, a, p1, b, p2, tables=None):
         """a*p1 + b*p2, the shape of every commitment."""
         return self.mul(a, p1) + self.mul(b, p2)
 
-    def mul2_many(self, pairs, p1, p2) -> list:
+    def mul2_many(self, pairs, p1, p2, tables=None) -> list:
         """[a*p1 + b*p2 for each (a, b) in pairs]."""
-        return [self.mul2(a, p1, b, p2) for a, b in pairs]
+        return [self.mul2(a, p1, b, p2, tables) for a, b in pairs]
 
-    def is_mul2(self, a, p1, b, p2, c) -> bool:
+    def is_mul2(self, a, p1, b, p2, c, tables=None) -> bool:
         """Whether a*p1 + b*p2 == c."""
-        return self.mul2(a, p1, b, p2) == c
+        return self.mul2(a, p1, b, p2, tables) == c
 
     def sum(self, points):
         """Sum of an iterable of points; the identity when it is empty."""
@@ -505,9 +524,6 @@ class Group:
             raise MalformedScalar("scalar not in canonical range")
         return Scalar(v, self.q)
 
-    def register_fixed_base(self, point) -> None:
-        """Hint that ``point`` will be multiplied often.  Default: no-op."""
-
     def brute_force_dlog(self, point) -> int:
         raise GroupError("discrete-log search is only available on the toy group")
 
@@ -524,7 +540,6 @@ class ToyGroup(Group):
             point_bytes=2,
         )
         self._generator = ToyPoint(TOY_GENERATOR)
-        self._dlog_table = None
 
     @property
     def generator(self) -> ToyPoint:
@@ -549,23 +564,13 @@ class ToyGroup(Group):
 
     # Straight-line overrides: commitments are most of the toy simulator's
     # group work, and the generic path's extra calls show in its throughput.
-    def mul2(self, a, p1: ToyPoint, b, p2: ToyPoint) -> ToyPoint:
+    def mul2(self, a, p1: ToyPoint, b, p2: ToyPoint, tables=None) -> ToyPoint:
         a, b = _multiplier(a, TOY_Q), _multiplier(b, TOY_Q)
         return ToyPoint(pow(p1.value, a, TOY_P) * pow(p2.value, b, TOY_P) % TOY_P)
 
-    def is_mul2(self, a, p1: ToyPoint, b, p2: ToyPoint, c) -> bool:
-        return self.mul2(a, p1, b, p2) == c
-
     def brute_force_dlog(self, point: ToyPoint) -> int:
-        if self._dlog_table is None:
-            table = {}
-            acc = ToyPoint(1)
-            for e in range(TOY_Q):
-                table[acc.value] = e
-                acc = acc + self._generator
-            self._dlog_table = table
         try:
-            return self._dlog_table[point.value]
+            return _TOY_DLOG[point.value]
         except KeyError:
             raise NotInSubgroup(f"{point.value} is not in the subgroup") from None
 
@@ -578,7 +583,7 @@ class ToyGroup(Group):
 
 
 class Secp256k1Group(Group):
-    """secp256k1 with window-table acceleration for registered bases."""
+    """secp256k1, with window tables for the bases a caller passes them for."""
 
     def __init__(self):
         self.descriptor = GroupDescriptor(
@@ -589,7 +594,6 @@ class Secp256k1Group(Group):
             point_bytes=33,
         )
         self._generator = CurvePoint(_GX, _GY)
-        self._tables: dict[CurvePoint, _FixedBaseTable] = {}
 
     @property
     def generator(self) -> CurvePoint:
@@ -599,45 +603,28 @@ class Secp256k1Group(Group):
     def identity(self) -> CurvePoint:
         return _CURVE_IDENTITY
 
-    def register_fixed_base(self, point: CurvePoint) -> None:
-        if point.is_identity():
-            raise GroupError("cannot build a table for the identity")
-        if point not in self._tables:
-            self._tables[point] = _FixedBaseTable(point)
+    def fixed_base_table(self, point: CurvePoint) -> _FixedBaseTable:
+        return _FixedBaseTable(point)
 
-    def mul(self, k, point: CurvePoint):
-        if point not in self._tables:
-            return k * point
-        return _to_point(self._add_mul(_INF_JAC, k, point))
-
-    def _add_mul(self, acc, k, point: CurvePoint):
-        """Jacobian acc + k * point, through the point's table if it has one."""
-        k = _multiplier(k, _Q)
-        if k == 0 or point.x is None:
-            return acc
-        table = self._tables.get(point)
-        if table is not None and not k >> (_WINDOW_BITS * _WINDOW_ROWS):
-            return table.add_mul(acc, k)
-        return _jac_add(acc, _jac_mul(k, (point.x, point.y)))  # no table, or k too wide
-
-    def mul2(self, a, p1: CurvePoint, b, p2: CurvePoint) -> CurvePoint:
+    def mul2(self, a, p1: CurvePoint, b, p2: CurvePoint, tables=None) -> CurvePoint:
         """a*p1 + b*p2 in one Jacobian accumulator: a single inversion."""
-        return _to_point(self._add_mul(self._add_mul(_INF_JAC, a, p1), b, p2))
+        t1, t2 = tables or (None, None)
+        return _to_point(_add_mul(_add_mul(_INF_JAC, a, p1, t1), b, p2, t2))
 
-    def mul2_many(self, pairs, p1: CurvePoint, p2: CurvePoint) -> list:
+    def mul2_many(self, pairs, p1: CurvePoint, p2: CurvePoint, tables=None) -> list:
         """mul2 for each (a, b) in pairs, computed in lockstep over all pairs.
 
         The rows of p1's table, then of p2's, are walked once: each row is
         one _batch_add over every pair with a nonzero digit there, so a row
-        costs one inversion for all pairs.  Without a
-        table for both bases, or with a multiplier too wide for the tables,
-        the pairs go through mul2 one by one.
+        costs one inversion for all pairs.  Without a table for both bases,
+        or with a multiplier too wide for the tables, the pairs go through
+        mul2 one by one.
         """
         ks = [(_multiplier(a, _Q), _multiplier(b, _Q)) for a, b in pairs]
-        tables = (self._tables.get(p1), self._tables.get(p2))
+        tables = tables or (None, None)
         widest = max((max(pair) for pair in ks), default=0)
         if None in tables or widest >> (_WINDOW_BITS * _WINDOW_ROWS):
-            return [self.mul2(a, p1, b, p2) for a, b in ks]
+            return [self.mul2(a, p1, b, p2, tables) for a, b in ks]
         accs = [None] * len(ks)
         for col, table in enumerate(tables):
             column = [pair[col] for pair in ks]
@@ -650,9 +637,10 @@ class Secp256k1Group(Group):
                     accs[i] = xy
         return [_affine_point(xy) for xy in accs]
 
-    def is_mul2(self, a, p1: CurvePoint, b, p2: CurvePoint, c) -> bool:
+    def is_mul2(self, a, p1: CurvePoint, b, p2: CurvePoint, c, tables=None) -> bool:
         """a*p1 + b*p2 == c without an inversion: X == x*Z^2 and Y == y*Z^3."""
-        X, Y, Z = self._add_mul(self._add_mul(_INF_JAC, a, p1), b, p2)
+        t1, t2 = tables or (None, None)
+        X, Y, Z = _add_mul(_add_mul(_INF_JAC, a, p1, t1), b, p2, t2)
         if not isinstance(c, CurvePoint):
             return False
         if Z == 0 or c.x is None:

@@ -36,6 +36,7 @@ from .audit import (
 )
 from .commitment import (
     MAX_EMISSIONS_KG,
+    is_int,
     params_from_dict,
     params_to_dict,
     setup,
@@ -137,7 +138,7 @@ class AbortAt:
     step: int
 
     def __post_init__(self):
-        if not isinstance(self.step, int) or not (1 <= self.step <= 7):
+        if not is_int(self.step) or not (1 <= self.step <= 7):
             raise ConfigInvalid(f"AbortAt step must be in 1..7, got {self.step!r}")
 
 
@@ -745,15 +746,23 @@ class Scenario:
     seed: int
 
 
+def _int_field(d: dict, key: str, default=None):
+    """d[key] if it is an integer (never a bool), default if it is absent."""
+    value = d.get(key, default)
+    if value is not default and not is_int(value):
+        raise ConfigInvalid(f"behavior field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 _BEHAVIOR_PARSERS = {
     "honest_observed": lambda d: HonestButObserved(),
     "tamper_report": lambda d: TamperReport(
-        delta=d.get("delta"), absolute=d.get("absolute")
+        delta=_int_field(d, "delta"), absolute=_int_field(d, "absolute")
     ),
-    "misreport_sum": lambda d: MisreportSum(dm=d.get("dm", 0), dr=d.get("dr", 0)),
-    "inconsistent_reveal": lambda d: InconsistentReveal(round_index=d.get("round", 0)),
+    "misreport_sum": lambda d: MisreportSum(dm=_int_field(d, "dm", 0), dr=_int_field(d, "dr", 0)),
+    "inconsistent_reveal": lambda d: InconsistentReveal(round_index=_int_field(d, "round", 0)),
     "bias_pick": lambda d: BiasPick(strategy=d.get("strategy", "zero")),
-    "abort_at": lambda d: AbortAt(step=d["step"]),
+    "abort_at": lambda d: AbortAt(step=_int_field(d, "step")),
 }
 
 
@@ -811,7 +820,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         adversary = AdversarySpec(
             corrupted=frozenset(adv_data.get("corrupted", ())), behaviors=behaviors
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigInvalid):
             raise
         raise ConfigInvalid(f"bad scenario: {exc}") from None
@@ -999,7 +1008,7 @@ def replay_verdict(transcript: Transcript) -> dict:
             failure = aborted(3, "firm", fid, "report missing")
             break
         m, r = reports[fid]
-        if not isinstance(m, int) or m < 0 or m >= MAX_EMISSIONS_KG:
+        if not is_int(m) or m < 0 or m >= MAX_EMISSIONS_KG:
             failure = aborted(3, "firm", fid, f"reported total {m} out of range")
             break
         items.append((commitments[fid], pp.group.scalar(m), r))
@@ -1023,12 +1032,14 @@ def replay_verdict(transcript: Transcript) -> dict:
             return aborted(6, "firm", fid, "blinding factor not revealed")
         if fid not in truths:
             return aborted(6, "environment", ENV_ID, "ground truth missing")
+        if not is_int(truths[fid]):
+            raise TypeError(f"ground truth of {fid} is not an integer: {truths[fid]!r}")
         if not verify_opening(pp, commitments[fid], pp.group.scalar(truths[fid]), reveals[fid]):
             return aborted(6, "firm", fid, "commitment does not open to the true total")
     m_pub, r_pub = sums
     total = pp.group.sum(commitments[fid] for fid in roster if fid in commitments)
     max_total = len(roster) * (MAX_EMISSIONS_KG - 1)
-    if not isinstance(m_pub, int) or m_pub < 0 or m_pub > max_total:
+    if not is_int(m_pub) or m_pub < 0 or m_pub > max_total:
         return aborted(7, "country", COUNTRY_ID, "published total outside the admissible range")
     if not verify_opening(pp, total, pp.group.scalar(m_pub), r_pub):
         return aborted(7, "country", COUNTRY_ID,

@@ -301,8 +301,8 @@ def _base_params(pp: PublicParams, base_mode: str, rng: random.Random) -> dict:
         # Each side runs a trusted setup and publishes its base; the peer
         # commits under it, so the committer never knows the trapdoor of
         # the base binding its own commitment.
-        base_by_country = setup(pp.group, "trusted", rng, register_bases=False)
-        base_by_verifier = setup(pp.group, "trusted", rng, register_bases=False)
+        base_by_country = setup(pp.group, "trusted", rng)
+        base_by_verifier = setup(pp.group, "trusted", rng)
         return {COUNTRY: base_by_verifier, VERIFIER: base_by_country}
     raise PickError(f"unknown base mode {base_mode!r}")
 

@@ -1,4 +1,5 @@
-"""Shared test plumbing: the acceptance-criteria summary block."""
+"""Shared test plumbing: the acceptance-criteria summary block and a
+counter of fixed-base table builds."""
 
 import pytest
 
@@ -27,3 +28,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture()
+def table_builds(monkeypatch):
+    """The bases of every secp256k1 fixed-base table built during the test."""
+    from emissions_audit import groups
+
+    built = []
+
+    class CountedTable(groups._FixedBaseTable):
+        __slots__ = ()
+
+        def __init__(self, point):
+            built.append(point)
+            super().__init__(point)
+
+    monkeypatch.setattr(groups, "_FixedBaseTable", CountedTable)
+    return built

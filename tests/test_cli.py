@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from emissions_audit import commitment, harness
-from emissions_audit.cli import main
+from emissions_audit.cli import _coalesce_list_flags, build_parser, main
 from emissions_audit.groups import production_group
 
 
@@ -433,9 +433,9 @@ def test_simulate_rejects_scenario_with_tampered_ledger(capsys, ws):
 # ---------------------------------------------------------------------------
 
 
-def _pick_setup(capsys, ws):
+def _pick_setup(capsys, ws, group="toy"):
     pp = ws / "pp.json"
-    run_cli(capsys, "setup", "--group", "toy", "--mode", "hash", "--out", str(pp))
+    run_cli(capsys, "setup", "--group", group, "--mode", "hash", "--out", str(pp))
     for party, seed in (("country", 21), ("verifier", 22)):
         tag = party[0]
         code, _, _ = run_cli(
@@ -448,9 +448,9 @@ def _pick_setup(capsys, ws):
     return pp
 
 
-def _revealed_pair(capsys, ws):
+def _revealed_pair(capsys, ws, group="toy"):
     """Both parties' state and reveal files after a full pick-reveal."""
-    pp = _pick_setup(capsys, ws)
+    pp = _pick_setup(capsys, ws, group)
     for tag, peer in (("c", "v"), ("v", "c")):
         run_cli(capsys, "pick-reveal", "--state", str(ws / f"{tag}.state.json"),
                 "--peer-commit", str(ws / f"{peer}.commit.json"),
@@ -989,3 +989,214 @@ def test_pick_exit_contract_on_mutated_files(capsys, ws, which, edits):
         assert verdict["verdict"] == ("SETTLED" if code == 0 else "FAULT")
     else:
         assert code in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Repeated list flags are merged before argparse sees them
+# ---------------------------------------------------------------------------
+
+
+def _parsed(argv):
+    """build_parser().parse_args(argv), or its exit code and its output
+    where it exits (help, or a usage error)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue())
+
+
+_PLAIN = st.sampled_from(["a.json", "b.json", "c", "-"])
+_ODD_VALUE = st.sampled_from(["", "x y", "-5", "-x", "--", "--report", "--pp"])
+_EXACT_FLAG = st.sampled_from(["--report", "--opening", "--pp", "--out", "--sums"])
+_ODD_FLAG = st.sampled_from(["--rep", "--op", "--o", "--reportx", "-h"])
+# Blocks the rewrite may not merge: abbreviations, unknown flags, dash
+# values, "--" and flags without a value.
+_ODD_BLOCK = st.one_of(
+    st.tuples(_EXACT_FLAG | _ODD_FLAG, st.lists(_PLAIN | _ODD_VALUE, max_size=3)).map(
+        lambda t: [t[0], *t[1]]),
+    st.tuples(st.sampled_from(["--report=", "--opening=", "--pp=", "--rep="]),
+              _PLAIN | _ODD_VALUE).map(lambda t: [t[0] + t[1]]),
+    (_PLAIN | _ODD_VALUE).map(lambda v: [v]),
+)
+
+
+@st.composite
+def _list_flag_argv(draw):
+    command = draw(st.sampled_from(["aggregate", "verify-sum"]))
+    exact = {"aggregate": ["--report", "--opening", "--pp", "--out"],
+             "verify-sum": ["--report", "--pp", "--sums"]}[command]
+    clean = st.one_of(
+        st.tuples(st.sampled_from(exact), st.lists(_PLAIN, min_size=1, max_size=3)).map(
+            lambda t: [t[0], *t[1]]),
+        st.sampled_from(exact[:-2]).flatmap(
+            lambda flag: _PLAIN.map(lambda v: [f"{flag}={v}"])),
+    )
+    if draw(st.booleans()):  # half of the examples mix in odd blocks
+        clean = st.one_of(clean, clean, _ODD_BLOCK)
+    blocks = draw(st.lists(clean, max_size=10))
+    # Mostly with every required flag given, so that a parse that differs
+    # shows as a namespace or an error of its own.
+    required = draw(st.sampled_from([[], exact, exact]))
+    return [command] + [t for flag in required for t in (flag, "r")] + [
+        token for block in blocks for token in block]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_list_flag_argv())
+def test_merged_list_flags_parse_like_the_original(argv):
+    """Interleaved and mixed flag forms, "-" and dash values, abbreviations,
+    unknown flags, "--" and flags without a value: the rewritten argv gives
+    an equal namespace, or the same exit code and message."""
+    merged = _coalesce_list_flags(argv)
+    event("merged" if merged != argv else "unchanged")
+    assert _parsed(merged) == _parsed(argv)
+
+
+def test_repeated_list_flags_become_one_flag_each():
+    argv = _aggregate_args("pp.json", "s.json", ["r1", "r2", "r3"], ["o1", "o2", "o3"])
+    assert _coalesce_list_flags(argv) == [
+        "aggregate", "--pp", "pp.json", "--out", "s.json",
+        "--report", "r1", "r2", "r3", "--opening", "o1", "o2", "o3"]
+    argv = ["verify-sum", "--report=r1", "--pp", "p", "--report", "r2", "-", "--sums", "s",
+            "--report", "r3"]
+    assert _coalesce_list_flags(argv) == ["verify-sum", "--pp", "p", "--sums", "s",
+                                          "--report", "r1", "r2", "-", "r3"]
+    assert _parsed(argv).report == ["r1", "r2", "-", "r3"]
+    # Nothing after "--" is touched.
+    tail = ["--", "--report", "r5"]
+    assert _coalesce_list_flags(argv + tail)[-3:] == tail
+
+
+# ---------------------------------------------------------------------------
+# CLI processes build no fixed-base table
+# ---------------------------------------------------------------------------
+
+
+def test_cli_subcommands_build_no_fixed_base_table(capsys, ws, table_builds):
+    """setup, ingest, report, aggregate, verify-sum, the pick exchange and
+    transcript-audit on secp256k1 commit and check one at a time; simulate
+    runs sessions, whose first batch builds the two tables once."""
+    pp, reports, _, sums = _pipeline(capsys, ws, group="secp256k1")
+    assert main(_verify_sum_args(pp, reports, sums)) == 0
+    _revealed_pair(capsys, ws, group="secp256k1")
+    code, out, _ = run_cli(capsys, "pick-settle", "--pp", str(pp), "--state",
+                           str(ws / "c.state.json"), "--peer-reveal", str(ws / "v.reveal.json"))
+    assert code == 0 and out["verdict"] == "SETTLED"
+    assert table_builds == []
+    scenario = ws / "sc.json"
+    scenario.write_text(json.dumps({"group": "secp256k1", "n": 3, "k": 1, "seed": 5}))
+    t = ws / "t.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "3",
+                         "--transcript", str(t))
+    assert code == 0 and len(table_builds) == 2
+    table_builds.clear()
+    code, report, _ = run_cli(capsys, "transcript-audit", "--transcript", str(t))
+    assert code == 0 and report["ok"]
+    assert table_builds == []
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract of ingest and simulate on mutated files
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(["readings", "meter-key"]),
+       edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
+def test_ingest_exit_contract_on_mutated_files(ws, which, edits):
+    """ingest has no verdict to give: it succeeds, or fails with exit 2."""
+    csv, key = ws / "F1.csv", ws / "F1.key.json"
+    if not key.exists():
+        _write_csv(csv, [(f"2026-04-01T{h:02d}:00:00Z", 40 + h) for h in range(4)])
+        assert _exit_contract(["ingest", "--firm-id", "F1", "--readings", csv,
+                               "--ledger", ws / "F1.jsonl", "--meter-key", key,
+                               "--seed", "3"])[0] == 0
+    bad = ws / f"mutated-{which}"
+    bad.write_bytes(_mutate((csv if which == "readings" else key).read_bytes(), edits))
+    ledger = ws / "fuzz.jsonl"
+    ledger.unlink(missing_ok=True)
+    code, _ = _exit_contract([
+        "ingest", "--firm-id", "F1", "--readings", bad if which == "readings" else csv,
+        "--ledger", ledger, "--meter-key", bad if which == "meter-key" else key])
+    assert code in (0, 2)
+
+
+_SCENARIOS = [
+    {"group": "toy", "n": 4, "k": 2, "pick_mode": "joint", "seed": 5,
+     "adversary": {"corrupted": ["F2", "C"],
+                   "behaviors": {"F2": {"type": "tamper_report", "delta": 3},
+                                 "C": {"type": "bias_pick", "strategy": "zero"}}}},
+    {"group": "toy", "k": 1, "pick_fault_policy": "abort",
+     "firms": [{"id": "F1", "m": 40}, {"id": "F2", "m": 7}],
+     "adversary": {"corrupted": ["V"], "behaviors": {"V": {"type": "inconsistent_reveal"}}}},
+]
+
+
+def _leaf_paths(obj, path=()):
+    """Paths to every value inside a JSON object, containers included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _leaf_paths(value, path + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return copy
+
+
+# JSON values of every type, the ones Python mistakes for ints among them.
+_ODD_JSON = st.sampled_from([1e999, -1e999, 1.5, -1, 0, True, False, None, "3", "",
+                             [], {}, [1], {"type": "abort_at"}])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.integers(min_value=0, max_value=len(_SCENARIOS) - 1),
+       edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3),
+       value_edit=st.none() | st.tuples(st.integers(min_value=0), _ODD_JSON))
+def test_simulate_exit_contract_on_mutated_scenario_files(ws, which, edits, value_edit):
+    """simulate prints statistics, not a verdict: exit 0 or 2.  The file
+    gets byte edits, or one of its values is replaced by an odd one."""
+    data = _SCENARIOS[which]
+    if value_edit is None:
+        blob = _mutate(json.dumps(data).encode(), edits)
+    else:
+        paths = list(_leaf_paths(data))
+        blob = json.dumps(_replaced(data, paths[value_edit[0] % len(paths)], value_edit[1])).encode()
+    scenario = ws / "mutated-scenario.json"
+    scenario.write_bytes(blob)
+    code, _ = _exit_contract(["simulate", "--scenario", scenario, "--trials", "1"])
+    assert code in (0, 2)
+
+
+@pytest.mark.parametrize("body", [
+    '{"n": 1e999, "k": 1}',
+    '{"n": 3, "k": 1, "seed": 1e999}',
+    '{"k": 1, "firms": [{"id": "F1", "m": 1e999}]}',
+    '{"k": 1, "firms": [{"id": 1e999, "m": 5}]}',
+    '{"k": 1, "firms": [{"id": 7, "m": 5}]}',
+    '{"n": 3, "k": 1, "adversary": {"corrupted": ["F1"],'
+    ' "behaviors": {"F1": {"type": "tamper_report", "delta": 1e999}}}}',
+    '{"n": 3, "k": 1, "adversary": {"corrupted": ["F1"],'
+    ' "behaviors": {"F1": {"type": "tamper_report", "absolute": 2.5}}}}',
+    '{"n": 3, "k": 1, "adversary": {"corrupted": ["C"],'
+    ' "behaviors": {"C": {"type": "misreport_sum", "dr": 1.5}}}}',
+    '{"n": 3, "k": 1, "adversary": {"corrupted": ["C"],'
+    ' "behaviors": {"C": {"type": "abort_at", "step": true}}}}',
+    '{"n": 3, "k": 1, "pick_mode": "joint", "adversary": {"corrupted": ["V"],'
+    ' "behaviors": {"V": {"type": "inconsistent_reveal", "round": "0"}}}}',
+])
+def test_scenario_file_with_mistyped_numbers_is_an_input_error(capsys, ws, body):
+    """Infinite or fractional numbers, JSON booleans and non-string firm ids
+    are input errors (exit 2), not tracebacks during the trials."""
+    scenario = ws / "sc.json"
+    scenario.write_text(body)
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "1")
+    assert code == 2 and err["error"] == "ConfigInvalid"

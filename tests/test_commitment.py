@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emissions_audit import commitment
 from emissions_audit.commitment import (
@@ -375,3 +377,69 @@ def test_verify_openings_rejects_scalars_from_another_group(prod_pp, toy_pp, bat
     c, m, _ = items[0]
     with pytest.raises(ValueError, match="different group"):
         verify_openings(prod_pp, [(c, m, toy_pp.group.scalar(1))] + items)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-base tables: owned by the parameters, built by the first batch.
+# ---------------------------------------------------------------------------
+
+
+def test_params_build_tables_on_first_batch_only(table_builds):
+    pp = setup(production_group(), "hash_derived")
+    loaded = params_from_dict(params_to_dict(pp))
+    rng = random.Random(31)
+    m, r = pp.group.scalar(7), random_blinding(pp, rng)
+    c = commit(pp, m, r)
+    assert verify_opening(loaded, c, m, r)
+    assert verify_openings(loaded, [(c, m, r)]) is None
+    assert table_builds == [] and pp.tables is None and loaded.tables is None
+    assert commitment.commit_many(pp, [(m, r)]) == [c]
+    assert table_builds == [pp.g, pp.h]
+    tables = pp.tables
+    assert commitment.commit_many(pp, [(m, r), (m, m)])[0] == c
+    assert commit(pp, m, r) == c and verify_opening(pp, c, m, r)
+    assert pp.tables is tables and len(table_builds) == 2
+    # Tables are a cache of the bases: not part of equality or the repr.
+    assert pp == loaded and repr(pp) == repr(loaded)
+    assert loaded.tables is None
+
+
+def test_toy_params_have_no_tables():
+    pp = setup(toy_group(), "hash_derived")
+    commitment.commit_many(pp, [(pp.group.scalar(1), pp.group.scalar(2))])
+    assert pp.tables == (None, None)
+
+
+@pytest.fixture(scope="module")
+def prod_pp_tabled():
+    pp = setup(production_group(), "hash_derived")
+    commitment.commit_many(pp, [])
+    assert pp.tables is not None
+    return pp
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([0, 1, MAX_EMISSIONS_KG - 1]) | st.integers(0, MAX_EMISSIONS_KG - 1),
+       r=st.sampled_from([0, 1, production_group().q - 1])
+       | st.integers(0, production_group().q - 1))
+def test_commitments_identical_with_and_without_tables(prod_pp_tabled, m, r):
+    pp = prod_pp_tabled
+    group = pp.group
+    m, r = group.scalar(m), group.scalar(r)
+    bare = group.mul2(m, pp.g, r, pp.h)  # the generic ladder, no tables
+    assert group.encode_point(commit(pp, m, r)) == group.encode_point(bare)
+    assert commitment.commit_many(pp, [(m, r)]) == [bare]
+    assert verify_opening(pp, bare, m, r) and group.is_mul2(m, pp.g, r, pp.h, bare)
+    assert not verify_opening(pp, bare, m + group.scalar(1), r)
+
+
+def test_tables_built_after_a_run_of_single_operations(table_builds):
+    pp = setup(production_group(), "hash_derived")
+    m, r = pp.group.scalar(3), pp.group.scalar(4)
+    c = commit(pp, m, r)
+    for _ in range(commitment.TABLES_AFTER_SINGLE_OPS - 2):
+        assert verify_opening(pp, c, m, r)
+    assert commit(pp, m, r) == c
+    assert table_builds == [] and pp.tables is None
+    assert verify_opening(pp, c, m, r)
+    assert table_builds == [pp.g, pp.h] and pp.tables is not None

@@ -1,5 +1,6 @@
 """Group layer: toy subgroup and secp256k1 against independent oracles."""
 
+import functools
 import math
 import random
 
@@ -142,12 +143,20 @@ def test_point_negation_and_subtraction(prod, toy):
 def test_fixed_base_table_matches_generic_mul(prod):
     rng = random.Random(4)
     g = prod.generator
-    # The generator's table is registered by the module itself.
+    tables = (prod.fixed_base_table(g), None)
     for _ in range(50):
         k = rng.randrange(prod.q)
-        assert prod.mul(k, g) == k * g
+        assert prod.mul2(k, g, 0, g, tables) == k * g
     for k in (0, 1, 2, prod.q - 1, prod.q, prod.q + 1):
-        assert prod.mul(k, g) == k * g
+        assert prod.mul2(k, g, 0, g, tables) == k * g
+
+
+def test_no_table_for_the_identity(prod, toy):
+    from emissions_audit.groups import GroupError
+
+    with pytest.raises(GroupError):
+        prod.fixed_base_table(prod.identity)
+    assert toy.fixed_base_table(toy.generator) is None
 
 
 def _jacobian_table_rows(point):
@@ -376,13 +385,27 @@ FAST_PATH_SETTINGS = settings(
 
 
 def _pool(group):
-    """Points that hit the edge cases: identity, tabled bases, negations."""
+    """Points that hit the edge cases: identity, the two bases, negations."""
     g = group.generator
     h = hash_to_point(group, H_DOMAIN)
-    group.register_fixed_base(g)
-    group.register_fixed_base(h)
     p = group.mul(12345, g)
     return [group.identity, g, h, p, -g, -p, g + g]
+
+
+@functools.cache
+def _table(group, point):
+    """The point's fixed-base table, built once for the whole test run."""
+    return group.fixed_base_table(point)
+
+
+@st.composite
+def _tables(draw, group, p1, p2):
+    """A tables argument for (p1, p2): None, or a pair in which each base
+    has its table or not.  The identity never has one."""
+    if draw(st.booleans()):
+        return None
+    return tuple(None if p.is_identity() or not draw(st.booleans()) else _table(group, p)
+                 for p in (p1, p2))
 
 
 @st.composite
@@ -402,8 +425,9 @@ def _scalar_or_int(draw, group):
 def _mul2_case(draw, name):
     group = group_by_name(name)
     pool = _pool(group)
-    return (group, draw(_scalar_or_int(group)), draw(st.sampled_from(pool)),
-            draw(_scalar_or_int(group)), draw(st.sampled_from(pool)))
+    p1, p2 = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    return (group, draw(_scalar_or_int(group)), p1, draw(_scalar_or_int(group)), p2,
+            draw(_tables(group, p1, p2)))
 
 
 GROUP_NAMES = st.sampled_from(["toy", "secp256k1"])
@@ -412,14 +436,14 @@ GROUP_NAMES = st.sampled_from(["toy", "secp256k1"])
 @FAST_PATH_SETTINGS
 @given(GROUP_NAMES.flatmap(_mul2_case))
 def test_mul2_matches_mul_mul_add(case):
-    group, a, p, b, q = case
-    assert group.mul2(a, p, b, q) == group.mul(a, p) + group.mul(b, q)
+    group, a, p, b, q, tables = case
+    assert group.mul2(a, p, b, q, tables) == group.mul(a, p) + group.mul(b, q)
 
 
 @FAST_PATH_SETTINGS
 @given(GROUP_NAMES.flatmap(_mul2_case), st.sampled_from(["same", "shifted", "identity", "other"]))
 def test_is_mul2_matches_equality(case, target):
-    group, a, p, b, q = case
+    group, a, p, b, q, tables = case
     reference = group.mul(a, p) + group.mul(b, q)
     c = {
         "same": reference,
@@ -427,7 +451,7 @@ def test_is_mul2_matches_equality(case, target):
         "identity": group.identity,
         "other": None,
     }[target]
-    assert group.is_mul2(a, p, b, q, c) == (reference == c)
+    assert group.is_mul2(a, p, b, q, c, tables) == (reference == c)
 
 
 @pytest.mark.parametrize("name", ["toy", "secp256k1"])
@@ -436,14 +460,16 @@ def test_mul2_edge_cases(name):
     g = group.generator
     h = hash_to_point(group, H_DOMAIN)
     zero = group.scalar(0)
-    assert group.mul2(zero, g, zero, h) == group.identity  # m = r = 0
-    assert group.is_mul2(zero, g, zero, h, group.identity)
-    assert not group.is_mul2(zero, g, zero, h, g)
-    assert group.mul2(1, g, 1, g) == g + g  # doubling inside the accumulator
-    assert group.mul2(1, g, 1, -g) == group.identity  # P + (-P)
-    assert group.mul2(1, g, group.q - 1, g) == group.identity
-    assert group.is_mul2(3, group.identity, 0, h, group.identity)
-    assert group.is_mul2(1, g, 1, g, g + g)
+    for tabled in (False, True):
+        tg, th, tng = (_table(group, p) if tabled else None for p in (g, h, -g))
+        assert group.mul2(zero, g, zero, h, (tg, th)) == group.identity  # m = r = 0
+        assert group.is_mul2(zero, g, zero, h, group.identity, (tg, th))
+        assert not group.is_mul2(zero, g, zero, h, g, (tg, th))
+        assert group.mul2(1, g, 1, g, (tg, tg)) == g + g  # doubling inside the accumulator
+        assert group.mul2(1, g, 1, -g, (tg, tng)) == group.identity  # P + (-P)
+        assert group.mul2(1, g, group.q - 1, g, (tg, tg)) == group.identity
+        assert group.is_mul2(3, group.identity, 0, h, group.identity, (None, th))
+        assert group.is_mul2(1, g, 1, g, g + g, (tg, tg))
 
 
 @FAST_PATH_SETTINGS
@@ -525,16 +551,18 @@ def _mul2_many_case(draw, name):
     group = group_by_name(name)
     identity, g, h, p = _pool(group)[:4]
     p1, p2 = draw(st.sampled_from([(g, h), (g, h), (h, g), (g, g), (g, p), (p, h), (identity, h)]))
+    both = tuple(None if q.is_identity() else _table(group, q) for q in (p1, p2))
+    tables = draw(st.one_of(st.just(both), _tables(group, p1, p2)))
     pairs = draw(st.lists(st.tuples(_scalar_or_int(group), _scalar_or_int(group)), max_size=8))
     pairs += pairs[: draw(st.integers(0, len(pairs)))]
-    return group, pairs, p1, p2
+    return group, pairs, p1, p2, tables
 
 
 @FAST_PATH_SETTINGS
 @given(GROUP_NAMES.flatmap(_mul2_many_case))
 def test_mul2_many_matches_mul2_item_by_item(case):
-    group, pairs, p1, p2 = case
-    assert group.mul2_many(pairs, p1, p2) == [group.mul2(a, p1, b, p2) for a, b in pairs]
+    group, pairs, p1, p2, tables = case
+    assert group.mul2_many(pairs, p1, p2, tables) == [group.mul2(a, p1, b, p2) for a, b in pairs]
 
 
 @pytest.mark.parametrize("name", ["toy", "secp256k1"])
@@ -544,12 +572,16 @@ def test_mul2_many_edge_cases(name):
     h = hash_to_point(group, H_DOMAIN)
     zero, one = group.scalar(0), group.scalar(1)
     assert group.mul2_many([], g, h) == []
+    assert group.mul2_many([], g, h, (_table(group, g), _table(group, h))) == []
     pairs = [(zero, zero), (zero, one), (one, zero), (group.q - 1, 1), (5, 7), (5, 7)]
     for p1, p2 in ((g, h), (g, g), (g, -g), (-g, h)):
-        assert group.mul2_many(pairs, p1, p2) == [group.mul2(a, p1, b, p2) for a, b in pairs]
+        expected = [group.mul2(a, p1, b, p2) for a, b in pairs]
+        assert group.mul2_many(pairs, p1, p2) == expected
+        assert group.mul2_many(pairs, p1, p2, (_table(group, p1), _table(group, p2))) == expected
     # A multiplier too wide for the tables sends the pairs through mul2.
     wide = [(5, 7), (2**300 + 3, 1)]
-    assert group.mul2_many(wide, g, h) == [group.mul2(a, g, b, h) for a, b in wide]
+    tables = (_table(group, g), _table(group, h))
+    assert group.mul2_many(wide, g, h, tables) == [group.mul2(a, g, b, h) for a, b in wide]
 
 
 @pytest.mark.parametrize("name, other", [("toy", "secp256k1"), ("secp256k1", "toy")])
@@ -558,14 +590,16 @@ def test_mul2_many_raises_what_mul2_raises(name, other, bad_at):
     group, foreign = group_by_name(name), group_by_name(other)
     g = group.generator
     h = hash_to_point(group, H_DOMAIN)
+    tables = (_table(group, g), _table(group, h))
     for bad in (foreign.scalar(3), -1, 2.5):
         pairs = [(3, 4), (3, 4)]
         pairs[1] = (3, bad) if bad_at else (bad, 4)
         with pytest.raises((TypeError, ValueError)) as expected:
             [group.mul2(a, g, b, h) for a, b in pairs]
-        with pytest.raises(expected.type) as got:
-            group.mul2_many(pairs, g, h)
-        assert str(got.value) == str(expected.value)
+        for args in ((), (tables,)):
+            with pytest.raises(expected.type) as got:
+                group.mul2_many(pairs, g, h, *args)
+            assert str(got.value) == str(expected.value)
 
 
 def _affine(point):
@@ -605,3 +639,26 @@ def test_msm_hundreds_of_copies_share_one_bucket(prod):
     expected = ((100 * k + 250 * k2) % prod.q) * g
     assert prod.msm(scalars, points) == expected
     assert prod.msm([k] * 300, [g] * 150 + [-g] * 150) == prod.identity
+
+
+def test_group_singletons_hold_no_mutable_state(monkeypatch):
+    """Commitments, batch checks and discrete-log searches on both groups
+    leave the module's group objects exactly as they were."""
+    import copy
+
+    from emissions_audit import commitment
+    from emissions_audit.groups import GroupError
+
+    monkeypatch.setattr(commitment, "BATCH_MIN_ITEMS", 2)
+    toy, prod = toy_group(), production_group()
+    before = [copy.copy(vars(group)) for group in (toy, prod)]
+    for group in (toy, prod):
+        pp = commitment.setup(group, "hash_derived")
+        pairs = [(group.scalar(m), group.scalar(m + 1)) for m in range(3)]
+        cs = commitment.commit_many(pp, pairs)
+        assert commitment.verify_openings(pp, [(c, *pair) for c, pair in zip(cs, pairs)]) is None
+        assert commitment.verify_opening(pp, cs[0], *pairs[0])
+    assert toy.brute_force_dlog(toy.mul(42, toy.generator)) == 42
+    with pytest.raises(GroupError):
+        prod.brute_force_dlog(prod.generator)
+    assert [vars(group) for group in (toy, prod)] == before

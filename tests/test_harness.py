@@ -652,3 +652,65 @@ def test_batched_examine_names_the_sequential_culprit(examined_session, monkeypa
         assert (replayed["culprit"], replayed["reason"]) == expected, positions
         checked += 1
     assert checked == 5 + 5 * 4 * 4
+
+
+def _with_true_m(pp, kinds, k):
+    """A two-firm toy transcript (totals 1 and 0) whose payloads of the given
+    kinds carry "m": true for F1 (or for the sum), digests recomputed."""
+    blob = run_session(_config(pp, [1, 0], k=k), seed=21).transcript.to_jsonl()
+    lines = [json.loads(line) for line in blob.splitlines()]
+    assert lines[-1]["verdict"]["accepted_m"] == 1
+    for obj in lines[1:-1]:
+        if obj["kind"] in kinds and obj["payload"].get("firm", "F1") == "F1":
+            obj["payload"]["m"] = True
+            obj["digest"] = harness.digest_of(obj["payload"])
+    edited = parse_transcript(b"\n".join(canonical_json(obj) for obj in lines))
+    assert routing_violations(edited) == []
+    return edited
+
+
+def test_replay_does_not_take_json_true_for_one(pp):
+    """A report and a published sum whose m is JSON true (Python's 1): the
+    replay must not accept true as a total."""
+    report = audit_transcript(_with_true_m(pp, ("report", "sum"), k=0))
+    assert not report["ok"]
+    assert report["replayed"]["status"] == "aborted"
+    assert report["replayed"]["abort"]["step"] == 3
+    assert report["replayed"]["abort"]["culprit"] == "F1"
+
+
+def test_replay_does_not_take_json_true_as_ground_truth(pp):
+    report = audit_transcript(_with_true_m(pp, ("env_truth",), k=2))
+    assert not report["ok"] and report["replayed"] is None
+    assert any("ground truth of F1 is not an integer" in v for v in report["violations"])
+
+
+# ---------------------------------------------------------------------------
+# Fixed-base tables: built once per parameters, never by the replay.
+# ---------------------------------------------------------------------------
+
+
+def test_two_sessions_on_one_pp_build_two_tables(table_builds):
+    prod_pp = setup(production_group(), "hash_derived")
+    config = _config(prod_pp, [10, 20, 30], k=2)
+    for seed in (1, 2):
+        assert run_session(config, seed=seed).verdict.completed
+    assert table_builds == [prod_pp.g, prod_pp.h]
+
+
+@pytest.mark.parametrize("n", [3, 130])
+def test_audit_of_secp256k1_transcripts_builds_no_table(table_builds, n):
+    """Small rosters replay item by item, large ones by the batch check;
+    neither builds a table."""
+    prod_pp = setup(production_group(), "hash_derived")
+    config = _config(prod_pp, list(range(1, n + 1)), k=2)
+    blobs = [run_session(config, adversary, seed=5).transcript.to_jsonl() for adversary in (
+        HONEST_ADVERSARY,
+        AdversarySpec(frozenset({"F1"}), {"F1": TamperReport(delta=5)}),
+        AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: MisreportSum(dm=1)}),
+    )]
+    table_builds.clear()
+    for blob in blobs:
+        report = audit_transcript(parse_transcript(blob))
+        assert report["ok"], report["violations"]
+    assert table_builds == []
