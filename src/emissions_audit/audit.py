@@ -15,7 +15,11 @@ function of (config, behaviors, seed).
 Two data modes: *abstract* sessions take each firm's true total straight
 from the config; *integrated* sessions derive it from the firm's signed
 meter ledger, once, when the config is built, and extend the verifier's
-step-6 check with a full ledger spot check that walks the ledger afresh.
+step-6 check with a full ledger spot check.  That walk rechecks every
+entry's firm id, order and chain link; the signatures it checks are only
+those the config's walk did not already verify (see
+``measurement.walk_ledger``), so a ledger unchanged since the config costs
+no Ed25519 verify, and one changed after it is caught.
 """
 
 from __future__ import annotations

@@ -526,7 +526,9 @@ def run_trials(
     """N independent sessions with derived per-trial seeds.
 
     With structural_checks on (the default), every trial records a
-    transcript and the routing invariant is asserted on it.
+    transcript and the routing invariant is asserted on it.  In integrated
+    mode the trials share the config's ledgers, so their step-6 walks skip
+    the signatures that the config's walk verified.
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
@@ -750,7 +752,26 @@ def _int_field(d: dict, key: str, default=None):
     """d[key] if it is an integer (never a bool), default if it is absent."""
     value = d.get(key, default)
     if value is not default and not is_int(value):
-        raise ConfigInvalid(f"behavior field {key!r} must be an integer, got {value!r}")
+        raise ConfigInvalid(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+# A scenario file's sizes are bounded before any firm is built: a session
+# holds every firm's spec, report and commitment in memory, so "n": 2**64
+# would build firms until memory runs out, and a trial count has no other
+# limit.  100 000 firms is a hundred times the production-size n = 1000
+# session; 10 million trials is 500 times the largest builtin scenario.
+MAX_SCENARIO_FIRMS = 100_000
+MAX_SCENARIO_TRIALS = 10_000_000
+
+
+def _size_field(d: dict, key: str, low: int, high: int, default=None) -> int:
+    """d[key] (or default, if one is given and the key is absent) as an
+    integer in [low, high]."""
+    value = d[key] if default is None else d.get(key, default)
+    if not is_int(value) or not low <= value <= high:
+        raise ConfigInvalid(f"scenario {key!r} must be an integer in [{low}, {high}], "
+                            f"got {value!r}")
     return value
 
 
@@ -773,9 +794,15 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     k, data_mode?, pick_mode?, adversary: {corrupted, behaviors}, trials?, seed?}.
     """
     try:
+        seed = _int_field(data, "seed", 0)
+        k = _size_field(data, "k", 0, MAX_SCENARIO_FIRMS)
+        trials = _size_field(data, "trials", 1, MAX_SCENARIO_TRIALS, default=1)
+        if "firms" not in data:
+            n = _size_field(data, "n", 0, MAX_SCENARIO_FIRMS)
+        elif len(data["firms"]) > MAX_SCENARIO_FIRMS:
+            raise ConfigInvalid(f"scenario lists more than {MAX_SCENARIO_FIRMS} firms")
         group = group_by_name(data.get("group", "toy"))
         mode = data.get("setup_mode", "hash_derived")
-        seed = int(data.get("seed", 0))
         pp = setup(group, mode, random.Random(derive_seed(seed, "setup")))
         if "firms" in data:
             firms = []
@@ -791,19 +818,18 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
                         )
                     )
                 else:
-                    firms.append(FirmSpec(firm_id=f["id"], true_m=int(f["m"])))
+                    firms.append(FirmSpec(firm_id=f["id"], true_m=_int_field(f, "m")))
             data_mode = data.get(
                 "data_mode",
                 "integrated" if any(f.ledger is not None for f in firms) else "abstract",
             )
         else:
-            n = int(data["n"])
             firms = [FirmSpec(firm_id=f"F{i + 1}", true_m=100 * (i + 1)) for i in range(n)]
             data_mode = data.get("data_mode", "abstract")
         config = SessionConfig(
             pp=pp,
             firms=tuple(firms),
-            k=int(data["k"]),
+            k=k,
             cycle_id=data.get("cycle_id", "cycle-0"),
             data_mode=data_mode,
             pick_mode=data.get("pick_mode", "env"),
@@ -828,7 +854,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         name=data.get("name", name),
         config=config,
         adversary=adversary,
-        trials=int(data.get("trials", 1)),
+        trials=trials,
         seed=seed,
     )
 

@@ -1,5 +1,5 @@
-"""Shared test plumbing: the acceptance-criteria summary block and a
-counter of fixed-base table builds."""
+"""Shared test plumbing: the acceptance-criteria summary block, a
+counter of fixed-base table builds and a log of Ed25519 verifies."""
 
 import pytest
 
@@ -46,3 +46,28 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(groups, "_FixedBaseTable", CountedTable)
     return built
+
+
+@pytest.fixture()
+def verified_messages(monkeypatch):
+    """The message of every Ed25519 signature measurement checks during the
+    test, in order."""
+    from emissions_audit import measurement
+
+    real = measurement.Ed25519PublicKey
+    messages = []
+
+    class CountingKey:
+        def __init__(self, key):
+            self.key = key
+
+        @classmethod
+        def from_public_bytes(cls, data):
+            return cls(real.from_public_bytes(data))
+
+        def verify(self, signature, message):
+            messages.append(message)
+            self.key.verify(signature, message)
+
+    monkeypatch.setattr(measurement, "Ed25519PublicKey", CountingKey)
+    return messages

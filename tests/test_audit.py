@@ -548,3 +548,28 @@ def test_ledger_appended_after_config_fails_the_spot_check(pp):
         assert not verdict.completed
         assert (verdict.abort.step, verdict.abort.culprit_id, verdict.abort.reason) == (
             Step.SPOT_CHECK, "F1", "ledger check failed: aggregation")
+
+
+def test_spot_checks_reuse_the_configs_verified_ledgers(pp, monkeypatch, verified_messages):
+    """The config's walk records each ledger's head, so no session's step-6
+    walk verifies a signature again, while every chain link is rechecked."""
+    import emissions_audit.measurement as measurement
+
+    l1, pk1 = _small_ledger("F1", [5, 10], seed=84)
+    l2, pk2 = _small_ledger("F2", [1, 2, 3], seed=85)
+    real_chain_head, hashed = measurement.chain_head, []
+    monkeypatch.setattr(measurement, "chain_head",
+                        lambda *a: hashed.append(a) or real_chain_head(*a))
+    verified_messages.clear()
+    config = SessionConfig(
+        pp=pp,
+        firms=(FirmSpec("F1", ledger=l1, meter_pk=pk1), FirmSpec("F2", ledger=l2, meter_pk=pk2)),
+        k=2, data_mode="integrated",
+    )
+    assert len(verified_messages) == 5
+    verified_messages.clear()
+    hashed.clear()
+    for seed in range(3):
+        assert _run(config, seed=seed).completed
+    assert verified_messages == []
+    assert len(hashed) == 3 * 2 * 5  # both passes over both ledgers, per session

@@ -1125,11 +1125,11 @@ def test_ingest_exit_contract_on_mutated_files(ws, which, edits):
 
 
 _SCENARIOS = [
-    {"group": "toy", "n": 4, "k": 2, "pick_mode": "joint", "seed": 5,
+    {"group": "toy", "n": 4, "k": 2, "pick_mode": "joint", "seed": 5, "trials": 2,
      "adversary": {"corrupted": ["F2", "C"],
                    "behaviors": {"F2": {"type": "tamper_report", "delta": 3},
                                  "C": {"type": "bias_pick", "strategy": "zero"}}}},
-    {"group": "toy", "k": 1, "pick_fault_policy": "abort",
+    {"group": "toy", "k": 1, "pick_fault_policy": "abort", "trials": 3,
      "firms": [{"id": "F1", "m": 40}, {"id": "F2", "m": 7}],
      "adversary": {"corrupted": ["V"], "behaviors": {"V": {"type": "inconsistent_reveal"}}}},
 ]
@@ -1151,8 +1151,9 @@ def _replaced(obj, path, value):
     return copy
 
 
-# JSON values of every type, the ones Python mistakes for ints among them.
-_ODD_JSON = st.sampled_from([1e999, -1e999, 1.5, -1, 0, True, False, None, "3", "",
+# JSON values of every type, the ones Python mistakes for ints among them,
+# and an integer past every size bound.
+_ODD_JSON = st.sampled_from([1e999, -1e999, 1.5, -1, 0, 2**64, True, False, None, "3", "",
                              [], {}, [1], {"type": "abort_at"}])
 
 
@@ -1200,3 +1201,32 @@ def test_scenario_file_with_mistyped_numbers_is_an_input_error(capsys, ws, body)
     scenario.write_text(body)
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "1")
     assert code == 2 and err["error"] == "ConfigInvalid"
+
+
+@pytest.mark.parametrize("field,body", [
+    ("trials", '{"group": "toy", "n": 3, "k": 1, "trials": 1e999}'),
+    ("trials", '{"n": 3, "k": 1, "trials": 2.5}'),
+    ("trials", '{"n": 3, "k": 1, "trials": true}'),
+    ("trials", '{"n": 3, "k": 1, "trials": "7"}'),
+    ("trials", '{"n": 3, "k": 1, "trials": 0}'),
+    ("trials", '{"n": 3, "k": 1, "trials": 10000001}'),
+    ("n", '{"n": "3", "k": 1}'),
+    ("n", '{"n": 3.0, "k": 1}'),
+    ("n", '{"n": -1, "k": 0}'),
+    ("n", '{"n": 100001, "k": 1}'),
+    ("n", '{"n": 18446744073709551616, "k": 1}'),
+    ("k", '{"n": 3, "k": true}'),
+    ("k", '{"n": 3, "k": 18446744073709551616}'),
+    ("seed", '{"n": 3, "k": 1, "seed": "7"}'),
+    ("m", '{"k": 1, "firms": [{"id": "F1", "m": 1.9}]}'),
+    ("m", '{"k": 1, "firms": [{"id": "F1", "m": "2"}]}'),
+])
+def test_scenario_numbers_must_be_bounded_integers(capsys, ws, field, body):
+    """Scenario numbers are checked, not coerced with int(), and a size past
+    its bound is refused before any firm is built; the message names the
+    field.  A command-line --trials does not excuse a bad file value."""
+    scenario = ws / "sc.json"
+    scenario.write_text(body)
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "1")
+    assert code == 2 and err["error"] == "ConfigInvalid"
+    assert repr(field) in err["message"]

@@ -49,6 +49,8 @@ from emissions_audit.harness import (
     run_session,
     run_trials,
     scenario_from_dict,
+    MAX_SCENARIO_FIRMS,
+    MAX_SCENARIO_TRIALS,
 )
 
 
@@ -384,6 +386,19 @@ def test_scenario_loads_from_json_file(tmp_path):
     }))
     scenario = load_scenario(str(path))
     assert scenario.config.n == 3 and scenario.trials == 5
+
+
+def test_scenario_sizes_are_bounded_at_their_named_limits():
+    at_limit = scenario_from_dict({"n": MAX_SCENARIO_FIRMS, "k": MAX_SCENARIO_FIRMS,
+                                   "trials": MAX_SCENARIO_TRIALS})
+    assert at_limit.config.n == MAX_SCENARIO_FIRMS
+    assert at_limit.trials == MAX_SCENARIO_TRIALS
+    for body in ({"n": MAX_SCENARIO_FIRMS + 1, "k": 1},
+                 {"n": 3, "k": MAX_SCENARIO_FIRMS + 1},
+                 {"n": 3, "k": 1, "trials": MAX_SCENARIO_TRIALS + 1},
+                 {"k": 1, "firms": [{"id": "F1", "m": 1}] * (MAX_SCENARIO_FIRMS + 1)}):
+        with pytest.raises(ConfigInvalid):
+            scenario_from_dict(body)
 
 
 def test_unknown_scenario_name_rejected():

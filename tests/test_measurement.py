@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
@@ -371,6 +372,171 @@ def test_walker_matches_old_spot_check_on_a9_mutations(mutations):
             aggregate(tampered, _A9_KP.public_bytes)
     else:
         assert aggregate(tampered, _A9_KP.public_bytes) == sum(100 + h for h in range(24))
+
+
+# ---------------------------------------------------------------------------
+# Verified chain heads: repeat walks skip signatures already checked.
+# ---------------------------------------------------------------------------
+
+_B_KP = MeterKeypair.generate(random.Random(903))
+
+
+def _walked_a9_ledger():
+    """A copy of the A9 ledger whose clean walk under the meter key is on record."""
+    ledger = FirmLedger("F2", list(_A9_LEDGER.entries))
+    assert spot_check(_A9_PP, _A9_REPORT, ledger, _A9_KP.public_bytes).ok
+    assert ledger.verified_heads == {(_A9_KP.public_bytes, ledger.head)}
+    return ledger
+
+
+def _rechain(entries, start):
+    """Recompute the stored heads from entry ``start`` on, as a forger would."""
+    prev = entries[start - 1].chain if start else b""
+    for i in range(start, len(entries)):
+        reading = entries[i].reading
+        prev = chain_head(prev, reading.signing_bytes(), reading.signature)
+        entries[i] = LedgerEntry(reading, prev)
+
+
+def _append_forged(entries, e, sign_key, firm_id="F2"):
+    """Append a chained reading for the next hour, signed with ``sign_key``."""
+    reading = sign_key.sign_reading(firm_id, parse_hour("2026-05-02T00:00:00Z"), e)
+    entries.append(LedgerEntry(reading, chain_head(
+        entries[-1].chain if entries else b"", reading.signing_bytes(), reading.signature)))
+
+
+def _verify_outcome(ledger, meter_pk):
+    try:
+        verify_ledger(ledger, meter_pk)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_MEMO_TAMPER = st.one_of(
+    st.tuples(st.just("field"), _A9_MUTATION),
+    st.tuples(st.just("rechain"), _A9_MUTATION.filter(lambda m: m[1] != "chain")),
+    st.tuples(st.just("append"), st.sampled_from(["meter", "stranger", "foreign-firm"])),
+    st.tuples(st.just("truncate"), st.integers(0, 23)),
+    st.tuples(st.just("meter_pk"), st.just(None)),
+    st.tuples(st.just("firm_id"), st.just(None)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_MEMO_TAMPER, min_size=1, max_size=3))
+def test_walk_with_recorded_heads_matches_a_fresh_walk(tampers):
+    ledger = _walked_a9_ledger()
+    meter_pk = _A9_KP.public_bytes
+    for kind, arg in tampers:
+        entries = ledger.entries
+        if kind in ("field", "rechain") and arg[0] < len(entries):
+            _mutate(entries, arg)
+            if kind == "rechain":
+                _rechain(entries, arg[0])
+        elif kind == "append":
+            signer = _B_KP if arg == "stranger" else _A9_KP
+            _append_forged(entries, 7, signer, "F9" if arg == "foreign-firm" else "F2")
+        elif kind == "truncate":
+            del entries[arg:]
+        elif kind == "meter_pk":
+            meter_pk = _B_KP.public_bytes
+        elif kind == "firm_id":
+            ledger.firm_id = "F2-renamed"
+        # After every tamper, and twice: a head recorded by one walk must
+        # not hide a failure from the next.
+        fresh = FirmLedger(ledger.firm_id, list(ledger.entries))
+        want = spot_check(_A9_PP, _A9_REPORT, fresh, meter_pk).failures
+        for _ in range(2):
+            assert spot_check(_A9_PP, _A9_REPORT, ledger, meter_pk).failures == want
+            assert _verify_outcome(ledger, meter_pk) == _verify_outcome(
+                FirmLedger(ledger.firm_id, list(ledger.entries)), meter_pk)
+
+
+def test_heads_recorded_under_one_key_skip_nothing_under_another():
+    ledger = _walked_a9_ledger()
+    stranger = _B_KP.public_bytes
+    failures = spot_check(_A9_PP, _A9_REPORT, ledger, stranger).failures
+    assert [f.kind for f in failures] == ["signature"] * 24
+    assert failures == spot_check(
+        _A9_PP, _A9_REPORT, FirmLedger("F2", list(ledger.entries)), stranger).failures
+    # A ledger the stranger signed, walked clean under its key, gains nothing
+    # under the meter's key either.
+    theirs = FirmLedger("F2", [])
+    _append_forged(theirs.entries, 5, _B_KP)
+    assert list(walk_ledger(theirs, stranger)) == []
+    assert theirs.verified_heads == {(stranger, theirs.head)}
+    assert [f.kind for f in walk_ledger(theirs, _A9_KP.public_bytes)] == ["signature"]
+    # One ledger with heads on record under both keys: the meter's heads
+    # still skip nothing under the stranger's key.
+    meter_entries, ledger.entries = ledger.entries, theirs.entries
+    assert list(walk_ledger(ledger, stranger)) == []
+    ledger.entries = meter_entries
+    assert len(ledger.verified_heads) == 2
+    assert spot_check(_A9_PP, _A9_REPORT, ledger, stranger).failures == failures
+
+
+def test_a_signature_byte_cannot_pass_for_a_digit_of_the_reading():
+    # sha256(prev || "...\n<e>" || sig) is also the link of the reading
+    # 10*e + d with signature sig[1:] when sig starts with the digit d.
+    # Only 64-byte signatures may be skipped, so that forgery is caught.
+    kp = MeterKeypair.generate(random.Random(904))
+    ledger = FirmLedger.empty("F1")
+    hour = parse_hour("2026-05-01T00:00:00Z")
+    e = next(e for e in range(1, 10_000)
+             if chr(kp.sign_reading("F1", hour, e).signature[0]).isdigit())
+    append_reading(ledger, kp.sign_reading("F1", hour, e), kp.public_bytes)
+    assert aggregate(ledger, kp.public_bytes) == e
+    entry = ledger.entries[0]
+    sig = entry.reading.signature
+    shifted = MeterReading("F1", hour, 10 * e + int(chr(sig[0])), sig[1:])
+    assert chain_head(b"", shifted.signing_bytes(), shifted.signature) == entry.chain
+    ledger.entries[0] = LedgerEntry(shifted, entry.chain)
+    assert [f.kind for f in walk_ledger(ledger, kp.public_bytes)] == ["signature"]
+    with pytest.raises(BadSignature):
+        aggregate(ledger, kp.public_bytes)
+
+
+def test_repeat_walks_verify_only_signatures_not_yet_on_record(keypair, verified_messages):
+    ledger = _ledger(keypair, [3, 1, 4, 1, 5])
+    verified_messages.clear()
+    assert aggregate(ledger, keypair.public_bytes) == 14
+    assert len(verified_messages) == 5
+    verified_messages.clear()
+    assert aggregate(ledger, keypair.public_bytes) == 14
+    assert verified_messages == []
+    append_reading(ledger, keypair.sign_reading("F1", _hours(6)[5], 9), keypair.public_bytes)
+    verified_messages.clear()
+    assert aggregate(ledger, keypair.public_bytes) == 23
+    assert verified_messages == [ledger.entries[5].reading.signing_bytes()]
+    # A failed walk records nothing, so the bad entry is checked every time.
+    ledger.entries.append(LedgerEntry(ledger.entries[5].reading, b"\x00" * 32))
+    for _ in range(2):
+        verified_messages.clear()
+        assert list(walk_ledger(ledger, keypair.public_bytes))
+        assert len(verified_messages) == 1
+    assert len(ledger.verified_heads) == 2
+
+
+def test_recorded_heads_stay_out_of_equality_repr_and_loading(tmp_path, keypair):
+    ledger = _ledger(keypair, [1, 2])
+    assert ledger.verified_heads == set()  # append_reading records nothing
+    verify_ledger(ledger, keypair.public_bytes)
+    assert ledger.verified_heads
+    fresh = FirmLedger("F1", list(ledger.entries))
+    assert fresh == ledger and repr(fresh) == repr(ledger)
+    assert "verified_heads" not in repr(ledger)
+    path = tmp_path / "F1.jsonl"
+    write_ledger(ledger, path)
+    assert read_ledger(path).verified_heads == set()
+    with pytest.raises(TypeError):
+        FirmLedger("F1", [], verified_heads={(keypair.public_bytes, b"")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59)))
+def test_hour_iso_matches_strftime_over_every_year(dt):
+    assert hour_iso(dt) == dt.strftime("%Y-%m-%dT%H:00:00Z")
 
 
 # ---------------------------------------------------------------------------
