@@ -10,7 +10,9 @@ all broadcast commitments opens to the published totals.
 Steps are barriers: the engine processes firm messages in roster order
 within a step, advances monotonically, and stops at the first failed check
 with an abort naming the step and the culprit.  The verdict is a pure
-function of (config, behaviors, seed).
+function of (config, behaviors, seed).  The checks of steps 3, 6 and 7
+(``examine``, ``opening_check``, ``sum_check``) are module functions that
+return an ``Abort`` or None, shared with the transcript replayer and the CLI.
 
 Two data modes: *abstract* sessions take each firm's true total straight
 from the config; *integrated* sessions derive it from the firm's signed
@@ -33,6 +35,7 @@ from .commitment import (
     MAX_EMISSIONS_KG,
     PublicParams,
     commit_many,
+    is_int,
     params_to_dict,
     verify_opening,
     verify_openings,
@@ -74,10 +77,6 @@ class OutOfOrder(RuntimeError):
 
 class SealedError(RuntimeError):
     """Verification list accessed before its reveal step."""
-
-
-class MissingReport(ValueError):
-    """Country asked to examine before all firms reported."""
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ class SessionConfig:
         self.truths = {}
         for f in self.firms:
             if self.data_mode == "abstract":
-                if not isinstance(f.true_m, int):
+                if not is_int(f.true_m):
                     raise ConfigInvalid(f"firm {f.firm_id}: abstract mode needs true_m")
                 if f.true_m < 0 or f.true_m >= MAX_EMISSIONS_KG:
                     raise ConfigInvalid(f"firm {f.firm_id}: true_m out of range")
@@ -153,6 +152,68 @@ class Abort:
     culprit_role: str
     culprit_id: str
     reason: str
+
+    def as_dict(self) -> dict:
+        """The abort as transcripts record it."""
+        return {"step": self.step, "culprit_role": self.culprit_role,
+                "culprit": self.culprit_id, "reason": self.reason}
+
+
+def examine(pp: PublicParams, order, reports: dict, commitments: dict) -> Abort | None:
+    """Step 3, the country's check of every firm's opening and range.
+
+    ``reports`` maps a firm to its claimed (m, r), ``commitments`` to its
+    broadcast point.  The culprit is the first failing firm in ``order``:
+    presence and range are scanned first, then the openings before that
+    firm are checked as one batch.
+    """
+    items = []
+    failure = None
+    for fid in order:
+        if fid not in reports or fid not in commitments:
+            failure = Abort(3, ROLE_FIRM, fid, "report missing")
+            break
+        m, r = reports[fid]
+        if not is_int(m) or m < 0 or m >= MAX_EMISSIONS_KG:
+            failure = Abort(3, ROLE_FIRM, fid, f"reported total {m} out of range")
+            break
+        items.append((commitments[fid], pp.group.scalar(m), r))
+    bad = verify_openings(pp, items)
+    if bad is not None:
+        return Abort(3, ROLE_FIRM, order[bad], "opening does not match the commitment")
+    return failure
+
+
+def opening_check(pp: PublicParams, fid: str, commitments: dict, reveals: dict,
+                  truths: dict) -> Abort | None:
+    """Step 6 for one picked firm: its commitment opens, under the blinding
+    it revealed, to the environment's true total."""
+    if fid not in commitments:
+        return Abort(6, ROLE_FIRM, fid, "no commitment on record")
+    if fid not in reveals:
+        return Abort(6, ROLE_FIRM, fid, "blinding factor not revealed")
+    if fid not in truths:
+        return Abort(6, ROLE_ENV, ENV_ID, "ground truth missing")
+    if not is_int(truths[fid]):
+        raise TypeError(f"ground truth of {fid} is not an integer: {truths[fid]!r}")
+    if not verify_opening(pp, commitments[fid], pp.group.scalar(truths[fid]), reveals[fid]):
+        return Abort(6, ROLE_FIRM, fid, "commitment does not open to the true total")
+    return None
+
+
+def sum_check(pp: PublicParams, n: int, commitments, m_pub, r_pub) -> Abort | None:
+    """Step 7: the sum of the n firms' ``commitments`` opens to the
+    published (m_pub, r_pub).
+
+    The opening check works modulo q, so the published integer must also
+    sit in the only range n in-range reports can sum to.
+    """
+    if not is_int(m_pub) or m_pub < 0 or m_pub > n * (MAX_EMISSIONS_KG - 1):
+        return Abort(7, ROLE_COUNTRY, COUNTRY_ID, "published total outside the admissible range")
+    if not verify_opening(pp, pp.group.sum(commitments), pp.group.scalar(m_pub), r_pub):
+        return Abort(7, ROLE_COUNTRY, COUNTRY_ID,
+                     "aggregate commitment does not open to the published sums")
+    return None
 
 
 @dataclass(frozen=True)
@@ -312,12 +373,19 @@ class AuditSession:
                 f"step {int(step)} requested, protocol is at step {self.state.next_step}"
             )
 
-    def _abort(self, step: Step, role: str, culprit: str, reason: str):
+    def _abort(self, abort: Abort | None) -> bool:
+        """Record ``abort``, if there is one; True if the session aborted."""
+        if abort is None:
+            return False
         # The environment plays referee: it announces the failed execution.
-        self.state.abort = Abort(int(step), role, culprit, reason)
-        self._emit(step, "abort", ENV_ID,
-                   {"step": int(step), "culprit_role": role, "culprit": culprit,
-                    "reason": reason})
+        self.state.abort = abort
+        self._emit(abort.step, "abort", ENV_ID, abort.as_dict())
+        return True
+
+    def _silent(self, behavior, step: Step, role: str, culprit: str) -> bool:
+        """Abort naming ``culprit`` if its behavior is silent at ``step``."""
+        step = int(step)
+        return behavior.silent_at(step) and self._abort(Abort(step, role, culprit, "went silent"))
 
     def _hex_point(self, p) -> str:
         return self.config.pp.group.encode_point(p).hex()
@@ -369,53 +437,19 @@ class AuditSession:
                        recipient=COUNTRY_ID)
         self.state.next_step = 3
 
-    def examine_reports(self) -> None:
-        """Country-side check of every firm's opening and range (step 3 body).
-
-        Raises MissingReport if a firm never reported; returns None and
-        leaves abort state to the caller's step wrapper otherwise.  The
-        culprit is the first failing firm in roster order: presence and
-        range are scanned first, then the openings before that firm are
-        checked as one batch.
-        """
-        pp = self.config.pp
-        items = []
-        failure = None
-        for fid in self.config.roster:
-            if fid not in self.state.reports:
-                failure = MissingReport(fid)
-                break
-            claim, r = self.state.reports[fid]
-            if not isinstance(claim, int) or claim < 0 or claim >= MAX_EMISSIONS_KG:
-                failure = _ExamineFailed(fid, f"reported total {claim} out of range")
-                break
-            items.append((self.state.commitments[fid], pp.group.scalar(claim), r))
-        bad = verify_openings(pp, items)
-        if bad is not None:
-            raise _ExamineFailed(self.config.roster[bad], "opening does not match the commitment")
-        if failure is not None:
-            raise failure
-
     def step3_examine(self):
+        """Country checks every firm's opening and range (see ``examine``)."""
         self._require(Step.EXAMINE)
-        if self.country_behavior.silent_at(3):
-            self._abort(Step.EXAMINE, ROLE_COUNTRY, COUNTRY_ID, "went silent")
-            return
-        try:
-            self.examine_reports()
-        except MissingReport as exc:
-            self._abort(Step.EXAMINE, ROLE_FIRM, str(exc), "report missing")
-            return
-        except _ExamineFailed as exc:
-            self._abort(Step.EXAMINE, ROLE_FIRM, exc.firm_id, exc.reason)
+        if (self._silent(self.country_behavior, Step.EXAMINE, ROLE_COUNTRY, COUNTRY_ID)
+                or self._abort(examine(self.config.pp, self.config.roster,
+                                       self.state.reports, self.state.commitments))):
             return
         self.state.next_step = 4
 
     def step4_publish(self):
         """Country broadcasts the integer total and the blinding total."""
         self._require(Step.PUBLISH)
-        if self.country_behavior.silent_at(4):
-            self._abort(Step.PUBLISH, ROLE_COUNTRY, COUNTRY_ID, "went silent")
+        if self._silent(self.country_behavior, Step.PUBLISH, ROLE_COUNTRY, COUNTRY_ID):
             return
         pp = self.config.pp
         m_sum = sum(m for m, _ in self.state.reports.values())
@@ -435,11 +469,8 @@ class AuditSession:
         if self.config.pick_mode == "env":
             v_list = self.state.env.reveal()
         else:
-            if self.verifier_behavior.silent_at(5):
-                self._abort(Step.REVEAL, ROLE_VERIFIER, VERIFIER_ID, "went silent")
-                return
-            if self.country_behavior.silent_at(5):
-                self._abort(Step.REVEAL, ROLE_COUNTRY, COUNTRY_ID, "went silent")
+            if (self._silent(self.verifier_behavior, Step.REVEAL, ROLE_VERIFIER, VERIFIER_ID)
+                    or self._silent(self.country_behavior, Step.REVEAL, ROLE_COUNTRY, COUNTRY_ID)):
                 return
             outcome = pick_mod.run_pick(
                 self.config.roster,
@@ -455,7 +486,7 @@ class AuditSession:
                 fault = outcome.fault
                 role = ROLE_COUNTRY if fault.party == pick_mod.COUNTRY else ROLE_VERIFIER
                 cid = COUNTRY_ID if fault.party == pick_mod.COUNTRY else VERIFIER_ID
-                self._abort(Step.REVEAL, role, cid, f"pick fault: {fault.reason}")
+                self._abort(Abort(int(Step.REVEAL), role, cid, f"pick fault: {fault.reason}"))
                 return
             chosen = set(outcome.picked)
             v_list = tuple(fid for fid in self.config.roster if fid in chosen)
@@ -489,57 +520,41 @@ class AuditSession:
     def step6_spot_checks(self):
         """Verifier rechecks every picked firm against ground truth."""
         self._require(Step.SPOT_CHECK)
-        if self.verifier_behavior.silent_at(6):
-            self._abort(Step.SPOT_CHECK, ROLE_VERIFIER, VERIFIER_ID, "went silent")
+        if self._silent(self.verifier_behavior, Step.SPOT_CHECK, ROLE_VERIFIER, VERIFIER_ID):
             return
         pp = self.config.pp
-        for fid in self.state.v_list:
-            if fid not in self.state.commitments:
-                self._abort(Step.SPOT_CHECK, ROLE_FIRM, fid, "no commitment on record")
-                return
-            if fid not in self.state.verifier_blindings:
-                self._abort(Step.SPOT_CHECK, ROLE_FIRM, fid, "blinding factor not revealed")
-                return
-            true_m = self.state.verifier_truth[fid]
-            r = self.state.verifier_blindings[fid]
-            if not verify_opening(pp, self.state.commitments[fid], pp.group.scalar(true_m), r):
-                self._abort(Step.SPOT_CHECK, ROLE_FIRM, fid,
-                            "commitment does not open to the true total")
+        state = self.state
+        for fid in state.v_list:
+            if self._abort(opening_check(pp, fid, state.commitments, state.verifier_blindings,
+                                         state.verifier_truth)):
                 return
             if self.config.data_mode == "integrated":
                 spec = self.config.firm_by_id[fid]
-                claim, _ = self.state.reports.get(fid, (true_m, None))
+                r = state.verifier_blindings[fid]
+                claim, _ = state.reports.get(fid, (state.verifier_truth[fid], None))
                 report = FirmReport(
                     firm_id=fid, cycle_id=self.config.cycle_id, total_kg=claim,
-                    r=r, commitment=self.state.commitments[fid],
+                    r=r, commitment=state.commitments[fid],
                 )
-                check = spot_check(pp, report, self.state.verifier_ledgers[fid], spec.meter_pk)
+                check = spot_check(pp, report, state.verifier_ledgers[fid], spec.meter_pk)
                 if not check.ok:
                     kinds = ",".join(sorted({f.kind for f in check.failures}))
-                    self._abort(Step.SPOT_CHECK, ROLE_FIRM, fid, f"ledger check failed: {kinds}")
+                    self._abort(Abort(int(Step.SPOT_CHECK), ROLE_FIRM, fid,
+                                      f"ledger check failed: {kinds}"))
                     return
         self.state.next_step = 7
 
     def step7_sum_check(self):
         """Verifier checks the homomorphic aggregate against the sums."""
         self._require(Step.SUM_CHECK)
-        if self.verifier_behavior.silent_at(7):
-            self._abort(Step.SUM_CHECK, ROLE_VERIFIER, VERIFIER_ID, "went silent")
+        if self._silent(self.verifier_behavior, Step.SUM_CHECK, ROLE_VERIFIER, VERIFIER_ID):
             return
-        pp = self.config.pp
         commitments = self.state.commitments
-        total = pp.group.sum(commitments[fid] for fid in self.config.roster if fid in commitments)
-        m_pub, r_pub = self.state.published_m, self.state.published_r
-        # The opening check works modulo q, so the published integer must
-        # also sit in the only range n in-range reports can sum to.
-        max_total = self.config.n * (MAX_EMISSIONS_KG - 1)
-        if not isinstance(m_pub, int) or m_pub < 0 or m_pub > max_total:
-            self._abort(Step.SUM_CHECK, ROLE_COUNTRY, COUNTRY_ID,
-                        "published total outside the admissible range")
-            return
-        if not verify_opening(pp, total, pp.group.scalar(m_pub), r_pub):
-            self._abort(Step.SUM_CHECK, ROLE_COUNTRY, COUNTRY_ID,
-                        "aggregate commitment does not open to the published sums")
+        m_pub = self.state.published_m
+        if self._abort(sum_check(
+                self.config.pp, self.config.n,
+                (commitments[fid] for fid in self.config.roster if fid in commitments),
+                m_pub, self.state.published_r)):
             return
         self.state.completed = True
         self._emit(Step.SUM_CHECK, "verdict", VERIFIER_ID,
@@ -570,13 +585,6 @@ class AuditSession:
             abort=None,
             v_list=self.state.v_list,
         )
-
-
-class _ExamineFailed(Exception):
-    def __init__(self, firm_id: str, reason: str):
-        super().__init__(reason)
-        self.firm_id = firm_id
-        self.reason = reason
 
 
 def true_total(config: SessionConfig) -> int:

@@ -25,17 +25,8 @@ from . import __version__
 from . import harness as hz
 from . import measurement as ms
 from . import pick as pk
-from .audit import ConfigInvalid
-from .commitment import (
-    MAX_EMISSIONS_KG,
-    commit,
-    is_int,
-    params_from_dict,
-    params_to_dict,
-    setup,
-    verify_opening,
-    verify_openings,
-)
+from .audit import ConfigInvalid, examine, sum_check
+from .commitment import commit, is_int, params_from_dict, params_to_dict, setup
 from .groups import GroupError, group_by_name
 
 MODE_ALIASES = {
@@ -99,6 +90,11 @@ _PICK_OPENING = {**_PICK_ROUND, "m": int, "r": str}
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
+
+
+def _reject(step: int, culprit: str, reason: str) -> int:
+    _emit({"verdict": "REJECT", "step": step, "culprit": culprit, "reason": reason})
+    return 1
 
 
 def _load_pp(path: str):
@@ -262,33 +258,18 @@ def cmd_aggregate(args) -> int:
         reports = [_load_report(pp, p) for p in args.report]
         opening_files = [_load_opening(pp, p) for p in args.opening]
     except SubmissionInvalid as exc:
-        _emit({"verdict": "REJECT", "step": 3, "culprit": exc.firm_id,
-               "reason": exc.reason})
-        return 1
+        return _reject(3, exc.firm_id, exc.reason)
     cycle = _single_cycle(reports + opening_files)
     ids = list(_by_firm(reports, "reports"))
     openings = _by_firm(opening_files, "openings")
     if set(openings) != set(ids):
         raise ConfigInvalid("openings do not match reports one-to-one")
-    # The examination step: the first firm out of range, then the first
-    # bad opening before it, in report order.
-    items = []
-    out_of_range = None
-    for fid, rep in zip(ids, reports):
-        m = openings[fid].get("m")
-        if not is_int(m) or m < 0 or m >= MAX_EMISSIONS_KG:
-            out_of_range = fid
-            break
-        items.append((rep["c_point"], pp.group.scalar(m), openings[fid]["r_scalar"]))
-    bad = verify_openings(pp, items)
-    if bad is not None:
-        _emit({"verdict": "REJECT", "step": 3, "culprit": ids[bad],
-               "reason": "opening does not match the commitment"})
-        return 1
-    if out_of_range is not None:
-        _emit({"verdict": "REJECT", "step": 3, "culprit": out_of_range,
-               "reason": "reported total out of range"})
-        return 1
+    # The examination step, in report order.
+    abort = examine(pp, ids,
+                    {fid: (o.get("m"), o["r_scalar"]) for fid, o in openings.items()},
+                    {rep["firm_id"]: rep["c_point"] for rep in reports})
+    if abort is not None:
+        return _reject(3, abort.culprit_id, abort.reason)
     m_total = sum(openings[fid]["m"] for fid in ids)
     r_total = sum((openings[fid]["r_scalar"] for fid in ids), pp.group.scalar(0))
     prov_inputs = {f"report_{r['firm_id']}": p for r, p in zip(reports, args.report)}
@@ -309,9 +290,7 @@ def cmd_verify_sum(args) -> int:
     try:
         reports = [_load_report(pp, p) for p in args.report]
     except SubmissionInvalid as exc:
-        _emit({"verdict": "REJECT", "step": 7, "culprit": exc.firm_id,
-               "reason": exc.reason})
-        return 1
+        return _reject(7, exc.firm_id, exc.reason)
     cycle = _single_cycle(reports)
     _by_firm(reports, "reports")
     sums = _read_format(args.sums, "sums/v1")
@@ -325,16 +304,9 @@ def cmd_verify_sum(args) -> int:
         r = pp.group.decode_scalar(bytes.fromhex(sums["r"]))
     except (KeyError, TypeError) as exc:
         raise ConfigInvalid(f"{args.sums} has no hex blinding total r: {exc!r}") from None
-    total = pp.group.sum(rep["c_point"] for rep in reports)
-    max_total = len(reports) * (MAX_EMISSIONS_KG - 1)
-    if m < 0 or m > max_total:
-        _emit({"verdict": "REJECT", "step": 7, "culprit": "country",
-               "reason": "published total outside the admissible range"})
-        return 1
-    if not verify_opening(pp, total, pp.group.scalar(m), r):
-        _emit({"verdict": "REJECT", "step": 7, "culprit": "country",
-               "reason": "aggregate commitment does not open to the published sums"})
-        return 1
+    abort = sum_check(pp, len(reports), (rep["c_point"] for rep in reports), m, r)
+    if abort is not None:
+        return _reject(7, abort.culprit_role, abort.reason)
     _emit({"verdict": "ACCEPT", "m": m, "n": len(reports)})
     return 0
 

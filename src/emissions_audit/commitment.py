@@ -295,15 +295,3 @@ def params_from_dict(data: dict) -> PublicParams:
         raise SetupError("hash_derived params carry a base H that does not "
                          "match the domain-separated derivation")
     return PublicParams(group=group, g=g, h=h, mode=mode, trapdoor=None)
-
-
-def opening_to_bytes(pp: PublicParams, m: Scalar, r: Scalar) -> bytes:
-    """Fixed-width m || r, suitable for hashing into transcripts."""
-    return pp.group.encode_scalar(m) + pp.group.encode_scalar(r)
-
-
-def opening_from_bytes(pp: PublicParams, data: bytes) -> tuple[Scalar, Scalar]:
-    width = pp.group.descriptor.scalar_bytes
-    if len(data) != 2 * width:
-        raise GroupError(f"expected {2 * width} bytes, got {len(data)}")
-    return pp.group.decode_scalar(data[:width]), pp.group.decode_scalar(data[width:])

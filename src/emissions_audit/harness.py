@@ -23,7 +23,11 @@ from . import pick as pick_mod
 from .audit import (
     COUNTRY_ID,
     ENV_ID,
+    ROLE_COUNTRY,
+    ROLE_ENV,
+    ROLE_VERIFIER,
     VERIFIER_ID,
+    Abort,
     AuditSession,
     ConfigInvalid,
     CountryBehavior,
@@ -32,17 +36,12 @@ from .audit import (
     SessionConfig,
     Verdict,
     VerifierBehavior,
+    examine,
+    opening_check,
+    sum_check,
     true_total,
 )
-from .commitment import (
-    MAX_EMISSIONS_KG,
-    is_int,
-    params_from_dict,
-    params_to_dict,
-    setup,
-    verify_opening,
-    verify_openings,
-)
+from .commitment import is_int, params_from_dict, params_to_dict, setup
 from .groups import group_by_name
 
 
@@ -388,12 +387,7 @@ def verdict_to_dict(verdict: Verdict) -> dict:
     out = {"status": verdict.status, "accepted_m": verdict.accepted_m,
            "v_list": list(verdict.v_list) if verdict.v_list is not None else None}
     if verdict.abort is not None:
-        out["abort"] = {
-            "step": verdict.abort.step,
-            "culprit_role": verdict.abort.culprit_role,
-            "culprit": verdict.abort.culprit_id,
-            "reason": verdict.abort.reason,
-        }
+        out["abort"] = verdict.abort.as_dict()
     return out
 
 
@@ -475,18 +469,6 @@ class TrialStats:
             self.aborts_by_culprit_role[verdict.abort.culprit_role] += 1
         if verdict.v_list is not None:
             self.subset_counts[tuple(sorted(verdict.v_list))] += 1
-
-    def merge(self, other: "TrialStats") -> "TrialStats":
-        out = TrialStats(
-            trials=self.trials + other.trials,
-            completions=self.completions + other.completions,
-            aborts_by_step=self.aborts_by_step + other.aborts_by_step,
-            aborts_by_culprit_role=self.aborts_by_culprit_role + other.aborts_by_culprit_role,
-            accepted_correct=self.accepted_correct + other.accepted_correct,
-            accepted_wrong=self.accepted_wrong + other.accepted_wrong,
-        )
-        out.subset_counts = self.subset_counts + other.subset_counts
-        return out
 
     @property
     def total_aborts(self) -> int:
@@ -1022,54 +1004,28 @@ def replay_verdict(transcript: Transcript) -> dict:
         elif ev.kind == "pick_fault":
             pick_fault = (ev.sender, p.get("reason", "pick fault"))
 
-    def aborted(step, role, culprit, reason):
-        return {"status": "aborted",
-                "abort": {"step": step, "culprit_role": role,
-                          "culprit": culprit, "reason": reason}}
+    def aborted(abort: Abort) -> dict:
+        return {"status": "aborted", "abort": abort.as_dict()}
 
-    items = []
-    failure = None
-    for fid in roster:
-        if fid not in reports or fid not in commitments:
-            failure = aborted(3, "firm", fid, "report missing")
-            break
-        m, r = reports[fid]
-        if not is_int(m) or m < 0 or m >= MAX_EMISSIONS_KG:
-            failure = aborted(3, "firm", fid, f"reported total {m} out of range")
-            break
-        items.append((commitments[fid], pp.group.scalar(m), r))
-    bad = verify_openings(pp, items)
-    if bad is not None:
-        return aborted(3, "firm", roster[bad], "opening does not match the commitment")
-    if failure is not None:
-        return failure
+    abort = examine(pp, roster, reports, commitments)
+    if abort is not None:
+        return aborted(abort)
     if sums is None:
-        return aborted(4, "country", COUNTRY_ID, "went silent")
+        return aborted(Abort(4, ROLE_COUNTRY, COUNTRY_ID, "went silent"))
     if v_list is None:
         if pick_fault is not None:
             sender, reason = pick_fault
-            role = "country" if sender == COUNTRY_ID else "verifier"
-            return aborted(5, role, sender, f"pick fault: {reason}")
-        return aborted(5, "environment", ENV_ID, "verification list missing")
+            role = ROLE_COUNTRY if sender == COUNTRY_ID else ROLE_VERIFIER
+            return aborted(Abort(5, role, sender, f"pick fault: {reason}"))
+        return aborted(Abort(5, ROLE_ENV, ENV_ID, "verification list missing"))
     for fid in v_list:
-        if fid not in commitments:
-            return aborted(6, "firm", fid, "no commitment on record")
-        if fid not in reveals:
-            return aborted(6, "firm", fid, "blinding factor not revealed")
-        if fid not in truths:
-            return aborted(6, "environment", ENV_ID, "ground truth missing")
-        if not is_int(truths[fid]):
-            raise TypeError(f"ground truth of {fid} is not an integer: {truths[fid]!r}")
-        if not verify_opening(pp, commitments[fid], pp.group.scalar(truths[fid]), reveals[fid]):
-            return aborted(6, "firm", fid, "commitment does not open to the true total")
+        abort = opening_check(pp, fid, commitments, reveals, truths)
+        if abort is not None:
+            return aborted(abort)
     m_pub, r_pub = sums
-    total = pp.group.sum(commitments[fid] for fid in roster if fid in commitments)
-    max_total = len(roster) * (MAX_EMISSIONS_KG - 1)
-    if not is_int(m_pub) or m_pub < 0 or m_pub > max_total:
-        return aborted(7, "country", COUNTRY_ID, "published total outside the admissible range")
-    if not verify_opening(pp, total, pp.group.scalar(m_pub), r_pub):
-        return aborted(7, "country", COUNTRY_ID,
-                       "aggregate commitment does not open to the published sums")
+    abort = sum_check(pp, len(roster), (commitments[fid] for fid in roster), m_pub, r_pub)
+    if abort is not None:
+        return aborted(abort)
     return {"status": "completed", "accepted_m": m_pub, "abort": None}
 
 

@@ -35,7 +35,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .commitment import MAX_EMISSIONS_KG, PublicParams, check_range, commit, verify_opening
+from .commitment import MAX_EMISSIONS_KG, PublicParams, check_range, commit, is_int, verify_opening
 from .groups import Scalar
 
 SIGNING_CONTEXT = b"meter-reading/v1"
@@ -107,9 +107,10 @@ class MeterReading:
     def __post_init__(self):
         if not self.firm_id or "\n" in self.firm_id:
             raise ValueError(f"bad firm id {self.firm_id!r}")
-        if not isinstance(self.e, int) or self.e < 0 or self.e >= MAX_READING_KG:
+        if not is_int(self.e) or self.e < 0 or self.e >= MAX_READING_KG:
             raise ValueError(f"reading {self.e!r} outside [0, 2**32)")
-        normalize_hour(self.hour)
+        # Signed bytes print the UTC hour, so the hour is kept in UTC.
+        object.__setattr__(self, "hour", normalize_hour(self.hour))
 
     def signing_bytes(self) -> bytes:
         return signing_bytes(self.firm_id, self.hour, self.e)

@@ -18,8 +18,6 @@ from emissions_audit.commitment import (
     equivocate,
     extract_trapdoor_from_collision,
     hash_to_point,
-    opening_from_bytes,
-    opening_to_bytes,
     params_from_dict,
     params_to_dict,
     random_blinding,
@@ -253,15 +251,6 @@ def test_params_reject_wrong_format_fields(toy_pp):
     ):
         with pytest.raises(ValueError):
             params_from_dict(dict(base, **breakage))
-
-
-def test_opening_bytes_roundtrip(toy_pp, prod_pp):
-    rng = random.Random(17)
-    for pp in (toy_pp, prod_pp):
-        m = pp.group.scalar(12345 % pp.q)
-        r = random_blinding(pp, rng)
-        m2, r2 = opening_from_bytes(pp, opening_to_bytes(pp, m, r))
-        assert (m2, r2) == (m, r)
 
 
 # ---------------------------------------------------------------------------

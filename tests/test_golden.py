@@ -5,7 +5,9 @@ point comes out, and the transcript encoder may change how bytes are
 produced, never which bytes, so every transcript byte under a seed must
 stay the same.  The abstract secp256k1 sessions have n >= BATCH_MIN_ITEMS,
 so their examine step takes the batch path; the toy-group pins cover every
-builtin scenario plus a joint pick that ends in a pick fault.
+builtin scenario plus a joint pick that ends in a pick fault.  Every
+pinned transcript, read back from its bytes, also passes the independent
+audit, whose replay reaches the pinned verdict.
 """
 
 import random
@@ -21,6 +23,8 @@ from emissions_audit.harness import (
     HONEST_ADVERSARY,
     InconsistentReveal,
     TamperReport,
+    audit_transcript,
+    parse_transcript,
     run_session,
     scenario_from_dict,
 )
@@ -177,3 +181,31 @@ def test_toy_transcript_is_pinned(name, seed, digest, verdict):
     scenario = scenario_from_dict(_TOY_SCENARIOS[name], name=name)
     result = run_session(scenario.config, scenario.adversary, seed=seed)
     assert (result.transcript.digest(), _verdict_line(result.verdict)) == (digest, verdict)
+
+
+def _replay_line(replayed) -> str:
+    if replayed["status"] == "completed":
+        return f"completed:{replayed['accepted_m']}"
+    a = replayed["abort"]
+    return f"aborted:{a['step']}:{a['culprit']}:{a['reason']}"
+
+
+_REPLAY_PINS = [
+    *(pytest.param("secp256k1", (m, a), s, v, id=f"{m}-{a}-seed{s}") for m, a, s, _, v in GOLDEN),
+    *(pytest.param("toy", n, s, v, id=f"toy-{n}-seed{s}") for n, s, _, v in TOY_GOLDEN),
+]
+
+
+@pytest.mark.parametrize("group,case,seed,verdict", _REPLAY_PINS)
+def test_pinned_transcript_replays_to_its_verdict(pp, group, case, seed, verdict):
+    if group == "secp256k1":
+        mode, adversary = case
+        result = run_session(_CONFIGS[mode](pp), _ADVERSARIES[adversary], seed=seed)
+    else:
+        scenario = scenario_from_dict(_TOY_SCENARIOS[case], name=case)
+        result = run_session(scenario.config, scenario.adversary, seed=seed)
+    report = audit_transcript(parse_transcript(result.transcript.to_jsonl()))
+    assert report["ok"], report["violations"]
+    # The pinned silences and pick faults are recorded as events, so even
+    # these behavioral aborts replay to the pinned line.
+    assert _replay_line(report["replayed"]) == verdict

@@ -13,7 +13,9 @@ from emissions_audit.audit import (
     AuditSession,
     ConfigInvalid,
     COUNTRY_ID,
+    CountryBehavior,
     ENV_ID,
+    FirmBehavior,
     FirmSpec,
     SessionConfig,
     VERIFIER_ID,
@@ -169,8 +171,6 @@ def test_wiring_rejects_role_mismatched_behaviors(pp):
 
 
 def test_custom_behavior_requires_opt_in(pp):
-    from emissions_audit.audit import FirmBehavior
-
     custom = CustomBehavior(build=lambda pid: FirmBehavior())
     adversary = AdversarySpec(frozenset({"F1"}), {"F1": custom})
     config = _config(pp, [1], k=0)
@@ -320,14 +320,12 @@ def test_run_trials_tamperer_histogram(pp):
     assert stats.aborts_by_culprit_role["firm"] == 30
 
 
-def test_trial_stats_merge_and_invariants(pp):
+def test_trial_stats_invariants_and_table(pp):
     config = _config(pp, [10, 20], k=0)
-    a = run_trials(config, trials=10, seed=10)
-    b = run_trials(config, trials=15, seed=11)
-    merged = a.merge(b)
-    assert merged.trials == 25 and merged.completions == 25
-    merged.check_invariants()
-    table = merged.as_dict()
+    stats = run_trials(config, trials=25, seed=10)
+    assert stats.trials == 25 and stats.completions == 25
+    stats.check_invariants()
+    table = stats.as_dict()
     for key in ("trials", "completions", "abort_step_histogram",
                 "abort_culprit_roles", "detection_rate",
                 "accepted_correct", "accepted_wrong"):
@@ -698,6 +696,36 @@ def test_replay_does_not_take_json_true_as_ground_truth(pp):
     report = audit_transcript(_with_true_m(pp, ("env_truth",), k=2))
     assert not report["ok"] and report["replayed"] is None
     assert any("ground truth of F1 is not an integer" in v for v in report["violations"])
+
+
+class _ClaimsTrue(FirmBehavior):
+    def claim(self, true_m):
+        return True
+
+
+class _PublishesTrue(CountryBehavior):
+    def publish(self, m_sum, r_sum):
+        return True, r_sum
+
+
+@pytest.mark.parametrize("culprit, behavior, step, reason", [
+    ("F1", _ClaimsTrue(), 3, "reported total True out of range"),
+    (COUNTRY_ID, _PublishesTrue(), 7, "published total outside the admissible range"),
+], ids=["claim", "publish"])
+def test_engine_and_replay_refuse_true_as_a_total(pp, culprit, behavior, step, reason):
+    """F1's total is 1, so True would open its commitment and the sum's:
+    the engine aborts as the replay does, and the audit of its own
+    transcript holds."""
+    config = _config(pp, [1, 0], k=2, allow_custom_behaviors=True)
+    adversary = AdversarySpec(frozenset({culprit}),
+                              {culprit: CustomBehavior(build=lambda pid: behavior)})
+    result = run_session(config, adversary, seed=21)
+    abort = result.verdict.abort
+    assert (abort.step, abort.culprit_id, abort.reason) == (step, culprit, reason)
+    report = audit_transcript(result.transcript)
+    assert report["ok"], report["violations"]
+    replayed = report["replayed"]["abort"]
+    assert (replayed["step"], replayed["culprit"], replayed["reason"]) == (step, culprit, reason)
 
 
 # ---------------------------------------------------------------------------

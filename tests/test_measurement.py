@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +113,19 @@ def test_reading_validation():
         MeterReading("F1", hour, -1, b"")
     with pytest.raises(ValueError):
         MeterReading("F\n1", hour, 1, b"")  # breaks framing
+
+
+def test_reading_keeps_its_hour_in_utc():
+    """A reading built with a local hour signs that instant's UTC hour."""
+    local = datetime(2026, 1, 1, 13, tzinfo=timezone(timedelta(hours=5)))
+    reading = MeterReading("F1", local, 4, b"")
+    assert reading.hour == local and reading.hour.tzinfo == timezone.utc
+    assert reading.signing_bytes() == signing_bytes("F1", parse_hour("2026-01-01T08:00:00Z"), 4)
+
+
+def test_reading_refuses_a_bool_value():
+    with pytest.raises(ValueError):
+        MeterReading("F1", parse_hour("2026-02-01T00:00:00Z"), True, b"")
 
 
 def test_signing_bytes_are_injective_across_fields():
