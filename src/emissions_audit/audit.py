@@ -175,7 +175,7 @@ def examine(pp: PublicParams, order, reports: dict, commitments: dict) -> Abort 
             break
         m, r = reports[fid]
         if not is_int(m) or m < 0 or m >= MAX_EMISSIONS_KG:
-            failure = Abort(3, ROLE_FIRM, fid, f"reported total {m} out of range")
+            failure = Abort(3, ROLE_FIRM, fid, f"reported total {m!r} out of range")
             break
         items.append((commitments[fid], pp.group.scalar(m), r))
     bad = verify_openings(pp, items)

@@ -15,10 +15,12 @@ with ``hour_iso`` like ``2024-06-01T13:00:00Z``.  The chain head over
 entries 0..i is ``sha256(head_{i-1} || signing_bytes_i || signature_i)``
 with an empty prefix for the first entry.
 
+Each reading keeps its signing bytes, built once when the reading is made.
 Each ledger remembers the chain heads that a clean walk under a meter key
 ended on, so a later walk of the same entries (the step-6 spot check after
-the session config's walk, every trial of a simulation) recomputes the
-chain but verifies only the signatures it has not seen end a clean walk.
+the session config's walk, every trial of a simulation) hashes each chain
+link once and verifies only the signatures it has not seen end a clean
+walk: a repeat walk of an unchanged ledger costs one SHA-256 per entry.
 """
 
 from __future__ import annotations
@@ -95,25 +97,32 @@ def signing_bytes(firm_id: str, hour: datetime, e: int) -> bytes:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeterReading:
-    """One signed hourly reading as emitted by the meter."""
+    """One signed hourly reading as emitted by the meter.
+
+    ``message`` holds the reading's signing bytes, built once here; every
+    ``dataclasses.replace`` runs ``__post_init__`` again, so it cannot go
+    stale."""
 
     firm_id: str
     hour: datetime
     e: int
     signature: bytes
+    message: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.firm_id or "\n" in self.firm_id:
+        if not isinstance(self.firm_id, str) or not self.firm_id or "\n" in self.firm_id:
             raise ValueError(f"bad firm id {self.firm_id!r}")
         if not is_int(self.e) or self.e < 0 or self.e >= MAX_READING_KG:
             raise ValueError(f"reading {self.e!r} outside [0, 2**32)")
         # Signed bytes print the UTC hour, so the hour is kept in UTC.
-        object.__setattr__(self, "hour", normalize_hour(self.hour))
+        hour = normalize_hour(self.hour)
+        object.__setattr__(self, "hour", hour)
+        object.__setattr__(self, "message", signing_bytes(self.firm_id, hour, self.e))
 
     def signing_bytes(self) -> bytes:
-        return signing_bytes(self.firm_id, self.hour, self.e)
+        return self.message
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ def verify_reading(reading: MeterReading, meter_pk: bytes) -> None:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     reading: MeterReading
     chain: bytes  # SHA-256 head over all entries up to and including this one
@@ -235,22 +244,18 @@ def _reject_signature(signature: bytes, message: bytes) -> None:
     raise InvalidSignature
 
 
-def _verified_prefix(ledger: FirmLedger, key: bytes | None) -> int:
+def _verified_prefix(ledger: FirmLedger, key: bytes | None, links: list[bool]) -> int:
     """Length of the longest prefix whose links all recompute and whose last
     stored head a clean walk under ``key`` ended on (0 if none)."""
     heads = ledger.verified_heads
     if not any(pk == key for pk, _ in heads):
         return 0
     prefix = 0
-    prev = b""
-    for i, entry in enumerate(ledger.entries):
-        reading = entry.reading
-        if (len(reading.signature) != 64
-                or chain_head(prev, reading.signing_bytes(), reading.signature) != entry.chain):
+    for i, (entry, linked) in enumerate(zip(ledger.entries, links)):
+        if not linked or len(entry.reading.signature) != 64:
             break
         if (key, entry.chain) in heads:
             prefix = i + 1
-        prev = entry.chain
     return prefix
 
 
@@ -258,12 +263,15 @@ def walk_ledger(ledger: FirmLedger, meter_pk: bytes):
     """Replay the whole ledger, yielding a CheckFailure per broken invariant:
     per entry its signature (else, if validly signed, its firm id), its hour
     order and its chain link.  The meter key is built once per ledger; if
-    ``meter_pk`` is not a 32-byte Ed25519 key, no signature verifies.
+    ``meter_pk`` is not a 32-byte Ed25519 key, no signature verifies.  Each
+    link is hashed once, from the reading's stored signing bytes, and that
+    result serves both the prefix search below and the chain check.
 
     A walk that yields no failure under a valid key records
-    ``(meter_pk, head)`` in ``ledger.verified_heads``.  A later walk first
-    recomputes the links and skips the signature checks of the longest
-    prefix that ends on such a head.  The trust argument: every link of that
+    ``(meter_pk, head)`` in ``ledger.verified_heads``.  A later walk skips
+    the signature checks of the longest prefix whose links all recompute
+    and that ends on such a head, so a repeat walk of an unchanged ledger
+    costs one SHA-256 per entry.  The trust argument: every link of that
     prefix recomputes to the stored head, and a clean walk under the same
     key ended on that head, so under SHA-256 collision resistance (the
     assumption the chain check already makes) the prefix's signing bytes and
@@ -277,30 +285,31 @@ def walk_ledger(ledger: FirmLedger, meter_pk: bytes):
         verify, key = Ed25519PublicKey.from_public_bytes(meter_pk).verify, meter_pk
     except (TypeError, ValueError):
         verify, key = _reject_signature, None
-    verified = _verified_prefix(ledger, key)
+    entries = ledger.entries
+    prevs = [b"", *(entry.chain for entry in entries)]
+    links = [chain_head(prev, entry.reading.message, entry.reading.signature) == entry.chain
+             for prev, entry in zip(prevs, entries)]
+    verified = _verified_prefix(ledger, key, links)
     clean = True
-    prev = b""
     prev_hour = None
-    for i, entry in enumerate(ledger.entries):
+    for i, entry in enumerate(entries):
         reading = entry.reading
-        message = reading.signing_bytes()
         try:
             if i >= verified:
-                verify(reading.signature, message)
+                verify(reading.signature, reading.message)
             kinds = ["identity"] if reading.firm_id != ledger.firm_id else []
         except InvalidSignature:
             kinds = ["signature"]
         if prev_hour is not None and reading.hour <= prev_hour:
             kinds.append("order")
-        if chain_head(prev, message, reading.signature) != entry.chain:
+        if not links[i]:
             kinds.append("chain")
         for kind in kinds:
             clean = False
             yield CheckFailure(kind, f"entry {i} ({hour_iso(reading.hour)})")
-        prev = entry.chain
         prev_hour = reading.hour
-    if clean and ledger.entries and key is not None:
-        ledger.verified_heads.add((key, prev))
+    if clean and entries and key is not None:
+        ledger.verified_heads.add((key, entries[-1].chain))
 
 
 _WALK_ERRORS = {"signature": BadSignature, "identity": LedgerFormatError,

@@ -334,6 +334,21 @@ def test_ingest_detects_ledger_tampering(capsys, ws):
     assert err["error"] in ("BadSignature", "ChainBroken")
 
 
+@pytest.mark.parametrize("firm_id", [["F1"], {"F1": 1}, 7, None])
+def test_report_rejects_ledger_with_non_string_firm_id(capsys, ws, firm_id):
+    pp, _, _, _ = _pipeline(capsys, ws)
+    ledger = ws / "F1.jsonl"
+    lines = ledger.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "firm_id": firm_id})
+    ledger.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, "report", "--pp", str(pp), "--ledger", str(ledger), "--meter-key",
+        str(ws / "F1.key.json"), "--cycle", "cy-1", "--out", str(ws / "r.json"),
+        "--opening-out", str(ws / "o.json"))
+    assert code == 2 and out is None
+    assert err["error"] == "LedgerFormatError"
+
+
 def test_report_provenance_carries_no_seed(capsys, ws):
     _, reports, _, _ = _pipeline(capsys, ws)
     for rep in reports:
@@ -894,6 +909,19 @@ def test_aggregate_rejects_boolean_m_naming_the_firm(capsys, ws):
     assert code == 1
     assert verdict == {"verdict": "REJECT", "step": 3, "culprit": "F1",
                        "reason": "reported total True out of range"}
+
+
+@pytest.mark.parametrize("m, shown", [("12", "'12'"), (1.5, "1.5"), (None, "None")],
+                         ids=["string", "float", "null"])
+def test_aggregate_shows_a_non_integer_total_as_sent(capsys, ws, m, shown):
+    # The JSON string "12" must not read like the integer 12 in the reason.
+    pp, reports, openings, _ = _pipeline(capsys, ws)
+    opening = _rewritten(openings[0], ws / "o1.json", m=m)
+    code, verdict, _ = run_cli(capsys, *_aggregate_args(
+        pp, ws / "s.json", reports, [opening, openings[1]]))
+    assert code == 1
+    assert verdict == {"verdict": "REJECT", "step": 3, "culprit": "F1",
+                       "reason": f"reported total {shown} out of range"}
 
 
 @pytest.mark.parametrize("field", ["round", "l", "m"])

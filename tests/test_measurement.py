@@ -1,5 +1,6 @@
 """Signed meter readings, hash-chained ledgers, and spot checks."""
 
+import dataclasses
 import hashlib
 import random
 from datetime import datetime, timedelta, timezone
@@ -544,6 +545,103 @@ def test_recorded_heads_stay_out_of_equality_repr_and_loading(tmp_path, keypair)
     assert read_ledger(path).verified_heads == set()
     with pytest.raises(TypeError):
         FirmLedger("F1", [], verified_heads={(keypair.public_bytes, b"")})
+
+
+def test_a_repeat_walk_hashes_each_link_once_and_builds_no_signing_bytes(
+        keypair, monkeypatch, verified_messages):
+    import emissions_audit.measurement as measurement
+
+    ledger = _ledger(keypair, [3, 1, 4, 1, 5, 9, 2])
+    assert list(walk_ledger(ledger, keypair.public_bytes)) == []
+    built, hashed = [], []
+    real_signing_bytes, real_chain_head = measurement.signing_bytes, measurement.chain_head
+    monkeypatch.setattr(measurement, "signing_bytes",
+                        lambda *a: built.append(a) or real_signing_bytes(*a))
+    monkeypatch.setattr(measurement, "chain_head",
+                        lambda *a: hashed.append(a) or real_chain_head(*a))
+    verified_messages.clear()
+    for _ in range(2):
+        hashed.clear()
+        assert aggregate(ledger, keypair.public_bytes) == 25
+        assert len(hashed) == len(ledger.entries)
+    assert built == [] and verified_messages == []
+
+
+# ---------------------------------------------------------------------------
+# Each reading keeps its signing bytes.
+# ---------------------------------------------------------------------------
+
+_FIRM_IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+                    min_size=1, max_size=12)
+_UTC_HOURS = st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31)).map(
+    lambda dt: dt.replace(minute=0, second=0, microsecond=0, tzinfo=timezone.utc))
+_ZONES = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(
+    lambda minutes: timezone(timedelta(minutes=minutes)))
+_VALUES = st.integers(0, MAX_READING_KG - 1)
+_SIGNATURES = st.binary(max_size=80)
+
+
+def _stored_bytes_hold(reading):
+    assert reading.hour.tzinfo is timezone.utc
+    assert reading.signing_bytes() == reading.message == signing_bytes(
+        reading.firm_id, reading.hour, reading.e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FIRM_IDS, _UTC_HOURS, _ZONES, _VALUES)
+def test_signed_and_loaded_readings_store_their_signing_bytes(firm_id, hour, zone, e):
+    local = hour.astimezone(zone)
+    reading = _B_KP.sign_reading(firm_id, local, e)
+    _stored_bytes_hold(reading)
+    verify_reading(reading, _B_KP.public_bytes)
+    entry = LedgerEntry(reading, chain_head(b"", reading.message, reading.signature))
+    loaded = entry_from_dict({**entry_to_dict(entry), "hour": local.isoformat()})
+    _stored_bytes_hold(loaded.reading)
+    assert loaded == entry
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FIRM_IDS, _UTC_HOURS, _ZONES, _VALUES, _SIGNATURES, st.data())
+def test_built_and_replaced_readings_store_their_signing_bytes(
+        firm_id, hour, zone, e, signature, data):
+    reading = MeterReading(firm_id, hour.astimezone(zone), e, signature)
+    assert reading.hour == hour
+    _stored_bytes_hold(reading)
+    name, values = data.draw(st.sampled_from([
+        ("firm_id", _FIRM_IDS), ("e", _VALUES), ("signature", _SIGNATURES),
+        ("hour", st.tuples(_UTC_HOURS, _ZONES).map(lambda hz: hz[0].astimezone(hz[1]))),
+    ]))
+    replaced = dataclasses.replace(reading, **{name: data.draw(values)})
+    _stored_bytes_hold(replaced)
+    _stored_bytes_hold(reading)
+
+
+def test_stored_bytes_stay_out_of_equality_hash_and_repr(keypair):
+    reading = keypair.sign_reading("F1", _hours(1)[0], 5)
+    twin = dataclasses.replace(reading)
+    object.__setattr__(twin, "message", b"other bytes")
+    assert twin == reading and hash(twin) == hash(reading) and repr(twin) == repr(reading)
+    assert "message" not in repr(reading)
+    with pytest.raises(TypeError):
+        MeterReading("F1", _hours(1)[0], 5, reading.signature, message=b"")
+    for name in ("e", "hour", "message"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(reading, name, getattr(reading, name))
+
+
+def test_ledger_file_bytes_are_unchanged_by_stored_signing_bytes(tmp_path):
+    # Pinned digest of the ledger-file/v1 bytes of one fixed ledger, taken
+    # when readings rebuilt their signing bytes on every call.
+    kp = MeterKeypair.generate(random.Random(905))
+    ledger = FirmLedger.empty("F-\u00e9")
+    start = datetime(2026, 7, 1, 5, 30, tzinfo=timezone(timedelta(hours=5, minutes=30)))
+    for h, e in enumerate([0, 7, MAX_READING_KG - 1, 12, 5000]):
+        append_reading(ledger, kp.sign_reading("F-\u00e9", start + timedelta(hours=h), e),
+                       kp.public_bytes)
+    path = tmp_path / "F.jsonl"
+    write_ledger(ledger, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "54057225d88d11e85f6823fbd6bbd22dc6df5d2357a8235c62eadc32b6d502fb")
 
 
 @settings(max_examples=300, deadline=None)
