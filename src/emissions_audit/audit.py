@@ -11,15 +11,17 @@ Steps are barriers: the engine processes firm messages in roster order
 within a step, advances monotonically, and stops at the first failed check
 with an abort naming the step and the culprit.  The verdict is a pure
 function of (config, behaviors, seed).  The checks of steps 3, 6 and 7
-(``examine``, ``opening_check``, ``sum_check``) are module functions that
+(``examine``, ``picked_check``, ``sum_check``) are module functions that
 return an ``Abort`` or None, shared with the transcript replayer and the CLI.
+Each reads only what its checker holds: the step-6 check never sees the
+country's lane of reports.
 
 Two data modes: *abstract* sessions take each firm's true total straight
 from the config; *integrated* sessions derive it from the firm's signed
 meter ledger, once, when the config is built, and extend the verifier's
-step-6 check with a full ledger spot check.  That walk rechecks every
-entry's firm id, order and chain link; the signatures it checks are only
-those the config's walk did not already verify (see
+step-6 check with a ledger spot check (``measurement.spot_check``).  That
+walk rechecks every entry's firm id, order and chain link; the signatures
+it checks are only those the config's walk did not already verify (see
 ``measurement.walk_ledger``), so a ledger unchanged since the config costs
 no Ed25519 verify, and one changed after it is caught.
 """
@@ -41,7 +43,7 @@ from .commitment import (
     verify_openings,
 )
 from .groups import Scalar
-from .measurement import FirmLedger, FirmReport, aggregate, spot_check
+from .measurement import FirmLedger, aggregate, spot_check
 
 ENV_ID = "E"
 COUNTRY_ID = "C"
@@ -135,6 +137,9 @@ class SessionConfig:
                     raise ConfigInvalid(
                         f"firm {f.firm_id}: integrated mode needs ledger and meter_pk"
                     )
+                if f.ledger.firm_id != f.firm_id:
+                    raise ConfigInvalid(
+                        f"firm {f.firm_id}: ledger belongs to {f.ledger.firm_id!r}")
                 try:
                     self.truths[f.firm_id] = aggregate(f.ledger, f.meter_pk)
                 except ValueError as exc:
@@ -184,10 +189,20 @@ def examine(pp: PublicParams, order, reports: dict, commitments: dict) -> Abort 
     return failure
 
 
-def opening_check(pp: PublicParams, fid: str, commitments: dict, reveals: dict,
-                  truths: dict) -> Abort | None:
-    """Step 6 for one picked firm: its commitment opens, under the blinding
-    it revealed, to the environment's true total."""
+def picked_check(pp: PublicParams, fid: str, commitments: dict, reveals: dict,
+                 truths: dict, ledger: FirmLedger | None = None,
+                 meter_pk: bytes | None = None) -> Abort | None:
+    """Step 6 for one picked firm, from what the verifier holds: its
+    broadcast commitment opens, under the blinding it revealed, to the
+    environment's true total; given the forwarded ``ledger`` and
+    ``meter_pk``, the ledger also walks clean and sums to that total.
+
+    The opening binds the integer total only modulo the group order q, so
+    it pins the firm's claim to the truth only when q exceeds every
+    admissible total (2**40).  That holds for secp256k1; on the toy group
+    (q = 101) a claim off by a multiple of q passes here, as it does in
+    abstract mode.
+    """
     if fid not in commitments:
         return Abort(6, ROLE_FIRM, fid, "no commitment on record")
     if fid not in reveals:
@@ -198,6 +213,11 @@ def opening_check(pp: PublicParams, fid: str, commitments: dict, reveals: dict,
         raise TypeError(f"ground truth of {fid} is not an integer: {truths[fid]!r}")
     if not verify_opening(pp, commitments[fid], pp.group.scalar(truths[fid]), reveals[fid]):
         return Abort(6, ROLE_FIRM, fid, "commitment does not open to the true total")
+    if ledger is not None:
+        failures = spot_check(ledger, meter_pk, fid, truths[fid])
+        if failures:
+            kinds = ",".join(sorted({f.kind for f in failures}))
+            return Abort(6, ROLE_FIRM, fid, f"ledger check failed: {kinds}")
     return None
 
 
@@ -522,26 +542,14 @@ class AuditSession:
         self._require(Step.SPOT_CHECK)
         if self._silent(self.verifier_behavior, Step.SPOT_CHECK, ROLE_VERIFIER, VERIFIER_ID):
             return
-        pp = self.config.pp
         state = self.state
         for fid in state.v_list:
-            if self._abort(opening_check(pp, fid, state.commitments, state.verifier_blindings,
-                                         state.verifier_truth)):
+            # Ledgers are forwarded in integrated mode only.
+            if self._abort(picked_check(self.config.pp, fid, state.commitments,
+                                        state.verifier_blindings, state.verifier_truth,
+                                        state.verifier_ledgers.get(fid),
+                                        self.config.firm_by_id[fid].meter_pk)):
                 return
-            if self.config.data_mode == "integrated":
-                spec = self.config.firm_by_id[fid]
-                r = state.verifier_blindings[fid]
-                claim, _ = state.reports.get(fid, (state.verifier_truth[fid], None))
-                report = FirmReport(
-                    firm_id=fid, cycle_id=self.config.cycle_id, total_kg=claim,
-                    r=r, commitment=state.commitments[fid],
-                )
-                check = spot_check(pp, report, state.verifier_ledgers[fid], spec.meter_pk)
-                if not check.ok:
-                    kinds = ",".join(sorted({f.kind for f in check.failures}))
-                    self._abort(Abort(int(Step.SPOT_CHECK), ROLE_FIRM, fid,
-                                      f"ledger check failed: {kinds}"))
-                    return
         self.state.next_step = 7
 
     def step7_sum_check(self):

@@ -26,7 +26,7 @@ from . import harness as hz
 from . import measurement as ms
 from . import pick as pk
 from .audit import ConfigInvalid, examine, sum_check
-from .commitment import commit, is_int, params_from_dict, params_to_dict, setup
+from .commitment import is_int, params_from_dict, params_to_dict, setup
 from .groups import GroupError, group_by_name
 
 MODE_ALIASES = {
@@ -380,33 +380,23 @@ def cmd_pick_settle(args) -> int:
         raise ConfigInvalid("peer reveal disagrees on round or list length")
 
     l = state["l"]
-    rnd = pk.PickRound(round_index=state["round"], l=l, candidates=())
-    pk.record_commitment(rnd, state["party"],
-                         commit(pp, pp.group.scalar(state["m"]),
-                                pp.group.decode_scalar(bytes.fromhex(state["r"]))))
-    pk.record_commitment(rnd, peer_party,
-                         pp.group.decode_point(bytes.fromhex(state["peer_commitment"])))
-    phase = pk.round_reveal_and_check(
-        rnd, peer_party, reveal["m"],
-        pp.group.decode_scalar(bytes.fromhex(reveal["r"])), pp,
-    )
-    if phase == pk.FAULTED:
-        _emit({"verdict": "FAULT", "party": rnd.fault.party, "reason": rnd.fault.reason})
-        return 1
-    phase = pk.round_reveal_and_check(
-        rnd, state["party"], state["m"],
-        pp.group.decode_scalar(bytes.fromhex(state["r"])), pp,
-    )
-    if phase != pk.SETTLED:
-        _emit({"verdict": "FAULT", "party": state["party"],
-               "reason": rnd.fault.reason if rnd.fault else "own reveal failed"})
-        return 1
-    out = {"verdict": "SETTLED", "index": rnd.index, "l": l, "round": state["round"]}
+    peer_c = pp.group.decode_point(bytes.fromhex(state["peer_commitment"]))
+    peer_r = pp.group.decode_scalar(bytes.fromhex(reveal["r"]))
+    # The peer's reveal is checked against the commitment it sent; this
+    # party's own draw is its own state, so only its range can fail.
+    for party, fault in ((peer_party, pk.reveal_fault(l, peer_c, reveal["m"], peer_r, pp)),
+                         (state["party"], pk.contribution_fault(l, state["m"]))):
+        if fault is not None:
+            _emit({"verdict": "FAULT", "party": party, "reason": fault})
+            return 1
+    contributions = {state["party"]: state["m"], peer_party: reveal["m"]}
+    index = pk.derive_index(contributions[pk.COUNTRY], contributions[pk.VERIFIER], l)
+    out = {"verdict": "SETTLED", "index": index, "l": l, "round": state["round"]}
     if args.roster:
         roster = [x for x in args.roster.split(",") if x]
         if len(roster) != l:
             raise ConfigInvalid(f"roster has {len(roster)} names but l={l}")
-        out["picked"] = roster[rnd.index]
+        out["picked"] = roster[index]
     _emit(out)
     return 0
 

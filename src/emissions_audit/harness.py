@@ -37,7 +37,7 @@ from .audit import (
     Verdict,
     VerifierBehavior,
     examine,
-    opening_check,
+    picked_check,
     sum_check,
     true_total,
 )
@@ -1019,7 +1019,7 @@ def replay_verdict(transcript: Transcript) -> dict:
             return aborted(Abort(5, role, sender, f"pick fault: {reason}"))
         return aborted(Abort(5, ROLE_ENV, ENV_ID, "verification list missing"))
     for fid in v_list:
-        abort = opening_check(pp, fid, commitments, reveals, truths)
+        abort = picked_check(pp, fid, commitments, reveals, truths)
         if abort is not None:
             return aborted(abort)
     m_pub, r_pub = sums

@@ -4,8 +4,9 @@ A certified meter signs one reading per hour with Ed25519.  The firm keeps
 readings in an append-only ledger whose entries are linked by a SHA-256
 hash chain, so any after-the-fact edit breaks every later link.  At the end
 of a reporting cycle the firm aggregates the ledger into a total and wraps
-it in a commitment; an auditor handed the ledger, the blinding factor, and
-the commitment can recheck every step.
+it in a commitment.  An auditor handed the ledger rechecks it against the
+total the commitment opens to (``spot_check``); opening the commitment is
+the auditor's own step (``audit.picked_check``).
 
 Canonical signing bytes for a reading are::
 
@@ -37,7 +38,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .commitment import MAX_EMISSIONS_KG, PublicParams, check_range, commit, is_int, verify_opening
+from .commitment import MAX_EMISSIONS_KG, PublicParams, check_range, commit, is_int
 from .groups import Scalar
 
 SIGNING_CONTEXT = b"meter-reading/v1"
@@ -227,17 +228,8 @@ def append_reading(ledger: FirmLedger, reading: MeterReading, meter_pk: bytes) -
 
 @dataclass(frozen=True)
 class CheckFailure:
-    kind: str  # "identity" | "signature" | "order" | "chain" | "range" | "aggregation" | "opening"
+    kind: str  # "identity" | "signature" | "order" | "chain" | "range" | "aggregation"
     detail: str
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    failures: tuple[CheckFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _reject_signature(signature: bytes, message: bytes) -> None:
@@ -340,9 +332,6 @@ class FirmReport:
     r: Scalar
     commitment: object
 
-    def m_scalar(self, pp: PublicParams) -> Scalar:
-        return pp.group.scalar(self.total_kg)
-
 
 def build_report(
     pp: PublicParams,
@@ -359,34 +348,31 @@ def build_report(
     )
 
 
-def spot_check(
-    pp: PublicParams, report: FirmReport, ledger: FirmLedger, meter_pk: bytes
-) -> CheckReport:
-    """Auditor-side recheck of one firm: enumerate every failure, never raise.
+def spot_check(ledger: FirmLedger, meter_pk: bytes, firm_id: str,
+               total: int) -> tuple[CheckFailure, ...]:
+    """Auditor-side recheck of one firm's ledger against the total it should
+    sum to: every failure, in order; empty if none.  Never raises.
 
-    Walks the ledger (every walk_ledger failure; signatures that an earlier
-    clean walk under ``meter_pk`` already verified are not checked again),
-    re-derives the total, and checks it against the reported commitment
-    through the revealed blinding factor.
+    The ledger must be ``firm_id``'s and walk clean (every walk_ledger
+    failure; signatures that an earlier clean walk under ``meter_pk``
+    already verified are not checked again), and its readings must sum to
+    ``total`` within the range bound.  The commitment to that total is the
+    caller's to open (step 6 opens it first, see ``audit.picked_check``).
     """
     failures: list[CheckFailure] = []
-    if ledger.firm_id != report.firm_id:
+    if ledger.firm_id != firm_id:
         failures.append(
             CheckFailure("identity", f"ledger belongs to {ledger.firm_id!r}")
         )
     failures.extend(walk_ledger(ledger, meter_pk))
-    total = sum(entry.reading.e for entry in ledger.entries)
-    if total >= MAX_EMISSIONS_KG:
-        failures.append(CheckFailure("range", f"ledger total {total}"))
-    if report.total_kg < 0 or report.total_kg >= MAX_EMISSIONS_KG:
-        failures.append(CheckFailure("range", f"reported total {report.total_kg}"))
-    if total != report.total_kg:
+    ledger_total = sum(entry.reading.e for entry in ledger.entries)
+    if ledger_total >= MAX_EMISSIONS_KG:
+        failures.append(CheckFailure("range", f"ledger total {ledger_total}"))
+    if ledger_total != total:
         failures.append(
-            CheckFailure("aggregation", f"ledger sums to {total}, report says {report.total_kg}")
+            CheckFailure("aggregation", f"ledger sums to {ledger_total}, expected {total}")
         )
-    if not verify_opening(pp, report.commitment, report.m_scalar(pp), report.r):
-        failures.append(CheckFailure("opening", "commitment does not open to the report"))
-    return CheckReport(failures=tuple(failures))
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ A party that reveals something inconsistent with its commitment, or a value
 outside [0, l), is faulted by name and loses its say.  The honest party
 then finishes the remaining picks alone with fresh uniform draws (default)
 or the whole selection aborts (``on_fault="abort"``).  Picks settled before
-the fault are kept.
+the fault are kept.  ``reveal_fault`` is that check, written once: the
+selection engine ``run_pick`` and the CLI's ``pick-settle`` both call it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .commitment import PublicParams, commit, setup, verify_opening
 from .groups import Scalar
@@ -37,18 +38,9 @@ COUNTRY = "country"
 VERIFIER = "verifier"
 PARTIES = (COUNTRY, VERIFIER)
 
-COMMITTING = "committing"
-REVEALING = "revealing"
-SETTLED = "settled"
-FAULTED = "faulted"
-
 
 class PickError(ValueError):
-    """Misuse of the pick protocol objects."""
-
-
-class OutOfPhase(PickError):
-    """Round operation invoked in the wrong phase."""
+    """Misuse of the pick protocol functions."""
 
 
 @dataclass(frozen=True)
@@ -79,21 +71,8 @@ def derive_index(m_c: int, m_v: int, l: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Phase-gated round primitives.
+# One round: a party's commitment, and the check of its reveal.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PickRound:
-    round_index: int
-    l: int
-    candidates: tuple[str, ...]
-    commitments: dict = field(default_factory=dict)  # party -> commitment point
-    reveals: dict = field(default_factory=dict)  # party -> (m, r)
-    phase: str = COMMITTING
-    fault: Faulted | None = None
-    index: int | None = None
-    picked: str | None = None
 
 
 def round_commit(l: int, pp: PublicParams, rng: random.Random):
@@ -110,91 +89,24 @@ def round_commit(l: int, pp: PublicParams, rng: random.Random):
     return m, r, c
 
 
-def record_commitment(rnd: PickRound, party: str, c) -> str:
-    """Register one party's commitment; both present moves to revealing."""
-    other(party)  # validates the name
-    if rnd.phase != COMMITTING:
-        raise OutOfPhase(f"cannot commit in phase {rnd.phase}")
-    if party in rnd.commitments:
-        raise PickError(f"{party} already committed in round {rnd.round_index}")
-    rnd.commitments[party] = c
-    if len(rnd.commitments) == 2:
-        rnd.phase = REVEALING
-    return rnd.phase
+def contribution_fault(l: int, m: int) -> str | None:
+    """Why the contribution m is no draw from [0, l), or None."""
+    if not isinstance(m, int) or m < 0 or m >= l:
+        return f"contribution {m} outside [0, {l})"
+    return None
 
 
-def round_reveal_and_check(
-    rnd: PickRound, party: str, m: int, r: Scalar, pp: PublicParams
-) -> str:
-    """Register and verify one party's reveal against its commitment.
+def reveal_fault(l: int, c, m: int, r: Scalar, pp: PublicParams) -> str | None:
+    """Why the reveal (m, r) of commitment ``c`` faults its party in a round
+    over l candidates, or None if it stands.
 
     ``pp`` is whatever parameters that party committed under (they differ
-    between the parties in cross-base mode).  A reveal out of [0, l) or not
-    opening the commitment faults the revealing party; both reveals passing
-    settles the round and fixes the index.
+    between the parties in cross-base mode).
     """
-    if rnd.phase != REVEALING:
-        raise OutOfPhase(f"cannot reveal in phase {rnd.phase}")
-    if party in rnd.reveals:
-        raise PickError(f"{party} already revealed in round {rnd.round_index}")
-    if not isinstance(m, int) or m < 0 or m >= rnd.l:
-        rnd.fault = Faulted(party, rnd.round_index, f"contribution {m} outside [0, {rnd.l})")
-        rnd.phase = FAULTED
-        return rnd.phase
-    if not verify_opening(pp, rnd.commitments[party], pp.group.scalar(m), r):
-        rnd.fault = Faulted(party, rnd.round_index, "reveal does not open the commitment")
-        rnd.phase = FAULTED
-        return rnd.phase
-    rnd.reveals[party] = (m, r)
-    if len(rnd.reveals) == 2:
-        rnd.index = derive_index(rnd.reveals[COUNTRY][0], rnd.reveals[VERIFIER][0], rnd.l)
-        rnd.phase = SETTLED
-    return rnd.phase
-
-
-@dataclass
-class PickSession:
-    """Running state of a k-round selection over a candidate roster."""
-
-    remaining: list[str]
-    picked: list[str]
-    k: int
-    rounds: list[PickRound]
-    fault: Faulted | None = None
-
-    @classmethod
-    def start(cls, roster, k: int) -> "PickSession":
-        roster = list(roster)
-        if len(set(roster)) != len(roster):
-            raise PickError("duplicate candidates")
-        if not isinstance(k, int) or k < 0 or k > len(roster):
-            raise PickError(f"cannot pick {k} of {len(roster)}")
-        return cls(remaining=roster, picked=[], k=k, rounds=[])
-
-    def new_round(self) -> PickRound:
-        if len(self.picked) >= self.k:
-            raise OutOfPhase("all rounds already settled")
-        rnd = PickRound(
-            round_index=len(self.rounds),
-            l=len(self.remaining),
-            candidates=tuple(self.remaining),
-        )
-        self.rounds.append(rnd)
-        return rnd
-
-
-def settle_round(session: PickSession, index: int) -> str:
-    """Move the firm at ``index`` from remaining to picked."""
-    if not (0 <= index < len(session.remaining)):
-        raise PickError(f"index {index} outside the remaining list")
-    firm = session.remaining.pop(index)
-    session.picked.append(firm)
-    if session.rounds:
-        rnd = session.rounds[-1]
-        if rnd.picked is None:
-            rnd.index = index if rnd.index is None else rnd.index
-            rnd.picked = firm
-    return firm
+    fault = contribution_fault(l, m)
+    if fault is None and not verify_opening(pp, c, pp.group.scalar(m), r):
+        fault = "reveal does not open the commitment"
+    return fault
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +197,6 @@ CANNED_STRATEGIES = {
 @dataclass
 class PickOutcome:
     picked: tuple[str, ...] | None
-    rounds: list[PickRound]
     fault: Faulted | None
 
     @property
@@ -324,15 +235,17 @@ def run_pick(
     (kind, round_index, party, payload) callbacks for transcripting; the
     payloads are built only when it is set.
     """
-    session = PickSession.start(candidates, k)
+    remaining = list(candidates)
+    if len(set(remaining)) != len(remaining):
+        raise PickError("duplicate candidates")
+    if not isinstance(k, int) or k < 0 or k > len(remaining):
+        raise PickError(f"cannot pick {k} of {len(remaining)}")
     if on_fault not in ("complete", "abort"):
         raise PickError(f"unknown fault policy {on_fault!r}")
     strategies = dict(strategies or {})
     for party in PARTIES:
         strategies.setdefault(party, PickStrategy())
-    if k > 0 and session.remaining and all(
-        s.sees_peer_commitment for s in strategies.values()
-    ):
+    if k > 0 and all(s.sees_peer_commitment for s in strategies.values()):
         raise PickError("both parties cannot wait for the peer's commitment")
 
     # Independent per-party randomness, both derived from the session rng
@@ -347,66 +260,56 @@ def run_pick(
             recorder("pick_base", -1, other(committer),
                      {"committer": committer, "h": pp.group.encode_point(base.h).hex()})
 
+    # A rushing party chooses after seeing the peer's commitment, which
+    # hides the peer's draw and so changes nothing.
+    order = sorted(PARTIES, key=lambda p: strategies[p].sees_peer_commitment)
+    picked: list[str] = []
     fault: Faulted | None = None
-    for _ in range(k):
-        rnd = session.new_round()
-        if fault is not None:
-            # Earlier fault: the honest party picks alone, fresh uniform.
-            index = party_rng[other(fault.party)].randrange(rnd.l)
-            settle_round(session, index)
-            if recorder is not None:
-                recorder("pick_settle", rnd.round_index, other(fault.party),
-                         {"index": index, "picked": rnd.picked})
-            continue
-
-        # Commit phase; a rushing party chooses after seeing the peer's
-        # commitment, which hides the peer's draw and so changes nothing.
-        order = sorted(PARTIES, key=lambda p: strategies[p].sees_peer_commitment)
-        chosen: dict[str, int] = {}
-        blind: dict[str, Scalar] = {}
-        for party in order:
-            peer_c = rnd.commitments.get(other(party))
-            peer_enc = pp.group.encode_point(peer_c) if peer_c is not None else None
-            base = bases[party]
-            m = strategies[party].choose(
-                rnd.l, rnd.round_index, party_rng[party], peer_commitment=peer_enc
-            )
-            r = base.group.random_scalar(party_rng[party])
-            chosen[party] = m
-            blind[party] = r
-            record_commitment(rnd, party, commit(base, base.group.scalar(m), r))
-            if recorder is not None:
-                recorder("pick_commit", rnd.round_index, party,
-                         {"c": base.group.encode_point(rnd.commitments[party]).hex()})
-
-        # Reveal phase; each reveal is checked as it lands.
-        for party in PARTIES:
-            m_rev = strategies[party].reveal_value(chosen[party], rnd.round_index)
-            phase = round_reveal_and_check(rnd, party, m_rev, blind[party], bases[party])
-            if recorder is not None:
-                recorder("pick_reveal", rnd.round_index, party,
-                         {"m": m_rev, "r": pp.group.encode_scalar(blind[party]).hex()})
-            if phase == FAULTED:
-                fault = rnd.fault
-                session.fault = fault
+    for j in range(k):
+        l = len(remaining)
+        if fault is None:
+            commitments: dict = {}
+            blind: dict[str, Scalar] = {}
+            chosen: dict[str, int] = {}
+            for party in order:
+                peer_c = commitments.get(other(party))
+                peer_enc = pp.group.encode_point(peer_c) if peer_c is not None else None
+                base = bases[party]
+                chosen[party] = strategies[party].choose(l, j, party_rng[party],
+                                                         peer_commitment=peer_enc)
+                blind[party] = base.group.random_scalar(party_rng[party])
+                commitments[party] = commit(base, base.group.scalar(chosen[party]), blind[party])
                 if recorder is not None:
-                    recorder("pick_fault", rnd.round_index, fault.party, {"reason": fault.reason})
-                break
+                    recorder("pick_commit", j, party,
+                             {"c": base.group.encode_point(commitments[party]).hex()})
+
+            # Each reveal is checked as it lands.
+            revealed: dict[str, int] = {}
+            for party in PARTIES:
+                m = revealed[party] = strategies[party].reveal_value(chosen[party], j)
+                reason = reveal_fault(l, commitments[party], m, blind[party], bases[party])
+                if recorder is not None:
+                    recorder("pick_reveal", j, party,
+                             {"m": m, "r": pp.group.encode_scalar(blind[party]).hex()})
+                if reason is not None:
+                    fault = Faulted(party, j, reason)
+                    if recorder is not None:
+                        recorder("pick_fault", j, party, {"reason": reason})
+                    if on_fault == "abort":
+                        return PickOutcome(picked=None, fault=fault)
+                    break
+            else:
+                index = derive_index(revealed[COUNTRY], revealed[VERIFIER], l)
 
         if fault is not None:
-            if on_fault == "abort":
-                return PickOutcome(picked=None, rounds=session.rounds, fault=fault)
-            # Disqualified peer: honest party completes this pick alone
-            # with a fresh draw; its earlier chosen value is discarded so
-            # a fault conditioned on the honest reveal gains nothing.
-            index = party_rng[other(fault.party)].randrange(rnd.l)
-        else:
-            index = rnd.index
-        settle_round(session, index)
+            # Disqualified peer: the honest party picks alone with a fresh
+            # uniform draw, this round and every later one; its earlier
+            # chosen value is discarded so a fault conditioned on the honest
+            # reveal gains nothing.
+            index = party_rng[other(fault.party)].randrange(l)
+        picked.append(remaining.pop(index))
         if recorder is not None:
-            recorder("pick_settle", rnd.round_index,
-                     "both" if fault is None else other(fault.party),
-                     {"index": index, "picked": rnd.picked})
+            recorder("pick_settle", j, "both" if fault is None else other(fault.party),
+                     {"index": index, "picked": picked[-1]})
 
-    return PickOutcome(picked=tuple(session.picked), rounds=session.rounds, fault=fault)
-
+    return PickOutcome(picked=tuple(picked), fault=fault)

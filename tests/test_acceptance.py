@@ -397,7 +397,7 @@ def test_a9_measurement_pipeline(criterion):
                        small_kp.public_bytes)
     report = build_report(pp, small, small_kp.public_bytes, "cy-a9",
                           random.Random(902))
-    assert spot_check(pp, report, small, small_kp.public_bytes).ok
+    assert spot_check(small, small_kp.public_bytes, "F2", report.total_kg) == ()
 
     rng = random.Random(derive_seed(0, "a9"))
     detected = 0
@@ -427,7 +427,7 @@ def test_a9_measurement_pipeline(criterion):
         entries = list(small.entries)
         entries[idx] = tampered_entry
         tampered = FirmLedger("F2", entries)
-        detected += not spot_check(pp, report, tampered, small_kp.public_bytes).ok
+        detected += bool(spot_check(tampered, small_kp.public_bytes, "F2", report.total_kg))
     criterion(
         year_ok and detected == fuzz_rounds,
         f"A9 measurement: 8760-reading year ledger aggregates exactly; "

@@ -565,3 +565,148 @@ def test_spot_checks_reuse_the_configs_verified_ledgers(pp, monkeypatch, verifie
         assert _run(config, seed=seed).completed
     assert verified_messages == []
     assert len(hashed) == 3 * 5  # one link hash per entry of both ledgers, per session
+
+
+def test_integrated_config_rejects_another_firms_ledger(pp):
+    l1, pk1 = _small_ledger("F1", [5, 10], seed=86)
+    l2, pk2 = _small_ledger("F2", [1, 2, 3], seed=87)
+    with pytest.raises(ConfigInvalid, match="firm F1: ledger belongs to 'F2'"):
+        SessionConfig(
+            pp=pp,
+            firms=(FirmSpec("F1", ledger=l2, meter_pk=pk2),
+                   FirmSpec("F2", ledger=l2, meter_pk=pk2)),
+            k=0, data_mode="integrated",
+        )
+    assert SessionConfig(
+        pp=pp, firms=(FirmSpec("F1", ledger=l1, meter_pk=pk1),),
+        k=0, data_mode="integrated").truths == {"F1": 15}
+
+
+# ---------------------------------------------------------------------------
+# Step 6 reads only the verifier's inputs.
+# ---------------------------------------------------------------------------
+
+
+class _NoReads:
+    """Stands in for the country's lane of reports: any read fails."""
+
+    def _fail(self, *args):
+        raise AssertionError("the verifier read the country's reports")
+
+    __getitem__ = __contains__ = __iter__ = __len__ = _fail
+
+    def __getattr__(self, name):
+        self._fail()
+
+
+class _BadBlinding(FirmBehavior):
+    def reveal_blinding(self, r):
+        return r + type(r)(1, r.q)
+
+
+def _integrated_case(pp, case):
+    """A k = n integrated config and firm behaviors for one step-6 case."""
+    import dataclasses
+
+    from emissions_audit.measurement import LedgerEntry
+
+    l1, pk1 = _small_ledger("F1", [5, 10, 20], seed=88)
+    l2, pk2 = _small_ledger("F2", [1, 2], seed=89)
+    config = SessionConfig(
+        pp=pp,
+        firms=(FirmSpec("F1", ledger=l1, meter_pk=pk1), FirmSpec("F2", ledger=l2, meter_pk=pk2)),
+        k=2, data_mode="integrated",
+    )
+    behaviors = {}
+    if case == "appended":
+        kp = MeterKeypair.generate(random.Random(88))
+        append_reading(l1, kp.sign_reading("F1", parse_hour("2026-03-01T05:00:00Z"), 4), pk1)
+    elif case == "edited":
+        entry = l1.entries[1]
+        l1.entries[1] = LedgerEntry(dataclasses.replace(entry.reading, e=11), entry.chain)
+    elif case == "renamed":
+        l2.firm_id = "F9"
+    elif case == "tamper":
+        behaviors = {"F2": _Liar(4)}
+    elif case == "bad-reveal":
+        behaviors = {"F1": _BadBlinding()}
+    return config, behaviors
+
+
+def _stepwise(config, behaviors, seed, poison):
+    session = AuditSession(config, random.Random(seed), firm_behaviors=behaviors)
+    for name in AuditSession._STEP_METHODS:
+        getattr(session, name)()
+        if session.state.finished:
+            break
+        if poison and name == "step5_reveal":
+            session.state.reports = _NoReads()
+    return session.state.abort, session.state.completed, session.state.published_m
+
+
+@pytest.mark.parametrize("case", ["honest", "appended", "edited", "renamed", "tamper",
+                                  "bad-reveal"])
+def test_step6_reads_no_report_of_the_country(pp, case):
+    want = {
+        "honest": None,
+        "appended": "ledger check failed: aggregation",
+        "edited": "ledger check failed: aggregation,chain,signature",
+        "renamed": "ledger check failed: identity",
+        "tamper": "commitment does not open to the true total",
+        "bad-reveal": "commitment does not open to the true total",
+    }[case]
+    for seed in range(3):
+        plain = _stepwise(*_integrated_case(pp, case), seed, poison=False)
+        poisoned = _stepwise(*_integrated_case(pp, case), seed, poison=True)
+        assert poisoned == plain
+        abort, completed, _ = plain
+        assert completed == (want is None)
+        assert (abort and abort.reason) == want
+        if abort is not None:
+            assert abort.step == Step.SPOT_CHECK
+
+
+def test_step6_opens_each_picked_commitment_once(pp, monkeypatch):
+    import emissions_audit.audit as audit_mod
+    import emissions_audit.measurement as measurement_mod
+
+    config, _ = _integrated_case(pp, "honest")
+    session = AuditSession(config, random.Random(5))
+    for name in AuditSession._STEP_METHODS[:5]:
+        getattr(session, name)()
+    calls = []
+    for module in (audit_mod, measurement_mod):
+        original = getattr(module, "verify_opening", None)
+        if original is not None:
+            monkeypatch.setattr(module, "verify_opening",
+                                lambda *a, _f=original: calls.append(a) or _f(*a))
+    session.step6_spot_checks()
+    assert session.state.next_step == 7
+    assert len(calls) == len(session.state.v_list) == 2
+
+
+def test_toy_tamper_by_a_multiple_of_q_passes_step6_in_both_modes(pp):
+    """The opening binds the total modulo q only: on the toy group (q = 101)
+    a claim off by 101 passes every check, in integrated mode as in abstract
+    mode, because step 6 compares the ledger with the truth, not the claim."""
+    from emissions_audit.harness import AdversarySpec, TamperReport, run_session
+
+    assert pp.q == 101
+    config, _ = _integrated_case(pp, "honest")
+    abstract = _config(pp, [35, 3], k=2)
+    adversary = AdversarySpec(frozenset({"F1"}), {"F1": TamperReport(delta=101)})
+    for seed in range(3):
+        integrated = run_session(config, adversary, seed=seed).verdict
+        assert integrated.completed and integrated.accepted_m == 38 + 101
+        assert integrated == run_session(abstract, adversary, seed=seed).verdict
+
+
+def test_secp256k1_tamper_by_101_fails_the_opening():
+    from emissions_audit.harness import AdversarySpec, TamperReport, run_session
+
+    prod_pp = setup(production_group(), "hash_derived")
+    config, _ = _integrated_case(prod_pp, "honest")
+    adversary = AdversarySpec(frozenset({"F1"}), {"F1": TamperReport(delta=101)})
+    verdict = run_session(config, adversary, seed=0).verdict
+    assert (verdict.abort.step, verdict.abort.culprit_id, verdict.abort.reason) == (
+        Step.SPOT_CHECK, "F1", "commitment does not open to the true total")

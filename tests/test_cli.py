@@ -443,6 +443,26 @@ def test_simulate_rejects_scenario_with_tampered_ledger(capsys, ws):
     assert err["message"].startswith("firm F1: ledger does not verify")
 
 
+def test_simulate_rejects_scenario_giving_a_firm_anothers_ledger(capsys, ws):
+    firms = []
+    for firm_id, seed in (("F1", 4), ("F2", 5)):
+        csv = ws / f"{firm_id}.csv"
+        _write_csv(csv, [(f"2026-04-01T{h:02d}:00:00Z", seed + h) for h in range(3)])
+        code, out, _ = run_cli(capsys, "ingest", "--firm-id", firm_id, "--readings", str(csv),
+                               "--ledger", str(ws / f"{firm_id}.jsonl"),
+                               "--meter-key", str(ws / f"{firm_id}.key.json"),
+                               "--seed", str(seed))
+        assert code == 0
+        firms.append({"id": firm_id, "ledger": str(ws / "F2.jsonl"), "meter_pk": out["meter_pk"]})
+    # F2's ledger and key listed under both firms would count its readings twice.
+    firms[0]["meter_pk"] = firms[1]["meter_pk"]
+    scenario = ws / "sc.json"
+    scenario.write_text(json.dumps({"group": "toy", "k": 0, "trials": 2, "firms": firms}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and out is None and err["error"] == "ConfigInvalid"
+    assert err["message"] == "firm F1: ledger belongs to 'F2'"
+
+
 # ---------------------------------------------------------------------------
 # Two-operator pick over files.
 # ---------------------------------------------------------------------------

@@ -215,21 +215,18 @@ def test_build_report_commits_to_ledger_total(keypair):
     ledger = _ledger(keypair, [10, 20, 30])
     report = build_report(pp, ledger, keypair.public_bytes, "cy-1", random.Random(25))
     assert report.total_kg == 60
-    assert verify_opening(pp, report.commitment, report.m_scalar(pp), report.r)
-    assert spot_check(pp, report, ledger, keypair.public_bytes).ok
+    assert verify_opening(pp, report.commitment, pp.group.scalar(report.total_kg), report.r)
+    assert spot_check(ledger, keypair.public_bytes, "F1", report.total_kg) == ()
 
 
 def test_spot_check_names_the_failure_kind(keypair):
-    import dataclasses
-
-    pp = setup(toy_group(), "hash_derived")
     ledger = _ledger(keypair, [10, 20, 30])
-    report = build_report(pp, ledger, keypair.public_bytes, "cy-1", random.Random(26))
 
-    # Claimed total disagrees with the ledger.
-    lied = dataclasses.replace(report, total_kg=61)
-    kinds = {f.kind for f in spot_check(pp, lied, ledger, keypair.public_bytes).failures}
-    assert "aggregation" in kinds or "opening" in kinds
+    # The expected total disagrees with the ledger.
+    assert spot_check(ledger, keypair.public_bytes, "F1", 61) == (
+        CheckFailure("aggregation", "ledger sums to 60, expected 61"),)
+    # The ledger is another firm's.
+    assert [f.kind for f in spot_check(ledger, keypair.public_bytes, "F2", 60)] == ["identity"]
 
     # Tampered reading value breaks the signature.
     bad_reading = dataclasses.replace(ledger.entries[1].reading, e=999)
@@ -238,7 +235,7 @@ def test_spot_check_names_the_failure_kind(keypair):
         LedgerEntry(bad_reading, ledger.entries[1].chain),
         ledger.entries[2],
     ])
-    kinds = {f.kind for f in spot_check(pp, report, tampered, keypair.public_bytes).failures}
+    kinds = {f.kind for f in spot_check(tampered, keypair.public_bytes, "F1", 60)}
     assert "signature" in kinds
 
     # Tampered chain head breaks the chain.
@@ -247,17 +244,16 @@ def test_spot_check_names_the_failure_kind(keypair):
         LedgerEntry(ledger.entries[1].reading, b"\x00" * 32),
         ledger.entries[2],
     ])
-    kinds = {f.kind for f in spot_check(pp, report, bad_chain, keypair.public_bytes).failures}
+    kinds = {f.kind for f in spot_check(bad_chain, keypair.public_bytes, "F1", 60)}
     assert "chain" in kinds
 
 
 def test_spot_check_never_raises_on_garbage(keypair):
-    pp = setup(toy_group(), "hash_derived")
-    ledger = _ledger(keypair, [1, 2])
-    report = build_report(pp, ledger, keypair.public_bytes, "cy-1", random.Random(27))
     hostile = FirmLedger("F9", [])
-    result = spot_check(pp, report, hostile, keypair.public_bytes)
-    assert not result.ok and result.failures
+    assert [f.kind for f in spot_check(hostile, keypair.public_bytes, "F1", 3)] == [
+        "identity", "aggregation"]
+    assert [f.kind for f in spot_check(hostile, b"short", "F9", MAX_EMISSIONS_KG)] == [
+        "aggregation"]
 
 
 @pytest.mark.parametrize("meter_pk", [b"short", b"", None, "00" * 32, bytearray(32)],
@@ -266,9 +262,7 @@ def test_ledger_walk_rejects_a_meter_key_that_is_not_ed25519(keypair, meter_pk):
     # A key that cannot be an Ed25519 key verifies no signature: every entry
     # fails its signature check instead of the walk raising.
     ledger = _ledger(keypair, [1, 2])
-    pp = setup(toy_group(), "hash_derived")
-    report = build_report(pp, ledger, keypair.public_bytes, "cy-1", random.Random(29))
-    failures = spot_check(pp, report, ledger, meter_pk).failures
+    failures = spot_check(ledger, meter_pk, "F1", 3)
     assert [(f.kind, f.detail) for f in failures] == [
         ("signature", "entry 0 (2026-02-01T00:00:00Z)"),
         ("signature", "entry 1 (2026-02-01T01:00:00Z)")]
@@ -284,22 +278,19 @@ def test_spot_check_flags_foreign_entry_signed_by_the_meter(keypair):
     foreign = keypair.sign_reading("F2", _hours(3)[2], 3)
     ledger.entries.append(LedgerEntry(foreign, chain_head(
         ledger.head, foreign.signing_bytes(), foreign.signature)))
-    pp = setup(toy_group(), "hash_derived")
-    report = build_report(pp, _ledger(keypair, [1, 2, 3]), keypair.public_bytes, "cy-1",
-                          random.Random(28))
-    failures = spot_check(pp, report, ledger, keypair.public_bytes).failures
+    failures = spot_check(ledger, keypair.public_bytes, "F1", 6)
     assert [(f.kind, f.detail) for f in failures] == [
         ("identity", "entry 2 (2026-02-01T02:00:00Z)")]
     with pytest.raises(LedgerFormatError):
         verify_ledger(ledger, keypair.public_bytes)
 
 
-def _old_spot_check(pp, report, ledger, meter_pk):
+def _old_spot_check(ledger, meter_pk, firm_id, claimed):
     """The spot check as written before walk_ledger: three separate passes
     per reading (signature with a fresh key, order, chain), kept here as
     the reference for the shared walker."""
     failures = []
-    if ledger.firm_id != report.firm_id:
+    if ledger.firm_id != firm_id:
         failures.append(CheckFailure("identity", f"ledger belongs to {ledger.firm_id!r}"))
     prev, prev_hour, total = b"", None, 0
     for i, entry in enumerate(ledger.entries):
@@ -318,23 +309,17 @@ def _old_spot_check(pp, report, ledger, meter_pk):
         prev, prev_hour = entry.chain, reading.hour
     if total >= MAX_EMISSIONS_KG:
         failures.append(CheckFailure("range", f"ledger total {total}"))
-    if report.total_kg < 0 or report.total_kg >= MAX_EMISSIONS_KG:
-        failures.append(CheckFailure("range", f"reported total {report.total_kg}"))
-    if total != report.total_kg:
-        failures.append(CheckFailure(
-            "aggregation", f"ledger sums to {total}, report says {report.total_kg}"))
-    if not verify_opening(pp, report.commitment, report.m_scalar(pp), report.r):
-        failures.append(CheckFailure("opening", "commitment does not open to the report"))
+    if total != claimed:
+        failures.append(CheckFailure("aggregation", f"ledger sums to {total}, expected {claimed}"))
     return tuple(failures)
 
 
 _A9_KP = MeterKeypair.generate(random.Random(901))
-_A9_PP = setup(toy_group(), "hash_derived")
 _A9_LEDGER = FirmLedger.empty("F2")
 for _h in range(24):
     append_reading(_A9_LEDGER, _A9_KP.sign_reading(
         "F2", parse_hour(f"2026-05-01T{_h:02d}:00:00Z"), 100 + _h), _A9_KP.public_bytes)
-_A9_REPORT = build_report(_A9_PP, _A9_LEDGER, _A9_KP.public_bytes, "cy-a9", random.Random(902))
+_A9_TOTAL = sum(100 + h for h in range(24))
 
 # A single-field mutation of one entry, as in the A9 acceptance fuzz; a
 # drawn list mutates distinct entries.
@@ -377,15 +362,15 @@ def test_walker_matches_old_spot_check_on_a9_mutations(mutations):
     for mutation in mutations:
         _mutate(entries, mutation)
     tampered = FirmLedger("F2", entries)
-    new = spot_check(_A9_PP, _A9_REPORT, tampered, _A9_KP.public_bytes).failures
-    assert new == _old_spot_check(_A9_PP, _A9_REPORT, tampered, _A9_KP.public_bytes)
+    new = spot_check(tampered, _A9_KP.public_bytes, "F2", _A9_TOTAL)
+    assert new == _old_spot_check(tampered, _A9_KP.public_bytes, "F2", _A9_TOTAL)
     walked = list(walk_ledger(tampered, _A9_KP.public_bytes))
     assert bool(walked) == bool(mutations)
     if walked:
         with pytest.raises(ValueError):
             aggregate(tampered, _A9_KP.public_bytes)
     else:
-        assert aggregate(tampered, _A9_KP.public_bytes) == sum(100 + h for h in range(24))
+        assert aggregate(tampered, _A9_KP.public_bytes) == _A9_TOTAL
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +383,7 @@ _B_KP = MeterKeypair.generate(random.Random(903))
 def _walked_a9_ledger():
     """A copy of the A9 ledger whose clean walk under the meter key is on record."""
     ledger = FirmLedger("F2", list(_A9_LEDGER.entries))
-    assert spot_check(_A9_PP, _A9_REPORT, ledger, _A9_KP.public_bytes).ok
+    assert spot_check(ledger, _A9_KP.public_bytes, "F2", _A9_TOTAL) == ()
     assert ledger.verified_heads == {(_A9_KP.public_bytes, ledger.head)}
     return ledger
 
@@ -460,9 +445,9 @@ def test_walk_with_recorded_heads_matches_a_fresh_walk(tampers):
         # After every tamper, and twice: a head recorded by one walk must
         # not hide a failure from the next.
         fresh = FirmLedger(ledger.firm_id, list(ledger.entries))
-        want = spot_check(_A9_PP, _A9_REPORT, fresh, meter_pk).failures
+        want = spot_check(fresh, meter_pk, "F2", _A9_TOTAL)
         for _ in range(2):
-            assert spot_check(_A9_PP, _A9_REPORT, ledger, meter_pk).failures == want
+            assert spot_check(ledger, meter_pk, "F2", _A9_TOTAL) == want
             assert _verify_outcome(ledger, meter_pk) == _verify_outcome(
                 FirmLedger(ledger.firm_id, list(ledger.entries)), meter_pk)
 
@@ -470,10 +455,10 @@ def test_walk_with_recorded_heads_matches_a_fresh_walk(tampers):
 def test_heads_recorded_under_one_key_skip_nothing_under_another():
     ledger = _walked_a9_ledger()
     stranger = _B_KP.public_bytes
-    failures = spot_check(_A9_PP, _A9_REPORT, ledger, stranger).failures
+    failures = spot_check(ledger, stranger, "F2", _A9_TOTAL)
     assert [f.kind for f in failures] == ["signature"] * 24
-    assert failures == spot_check(
-        _A9_PP, _A9_REPORT, FirmLedger("F2", list(ledger.entries)), stranger).failures
+    assert failures == spot_check(FirmLedger("F2", list(ledger.entries)), stranger, "F2",
+                                  _A9_TOTAL)
     # A ledger the stranger signed, walked clean under its key, gains nothing
     # under the meter's key either.
     theirs = FirmLedger("F2", [])
@@ -487,7 +472,7 @@ def test_heads_recorded_under_one_key_skip_nothing_under_another():
     assert list(walk_ledger(ledger, stranger)) == []
     ledger.entries = meter_entries
     assert len(ledger.verified_heads) == 2
-    assert spot_check(_A9_PP, _A9_REPORT, ledger, stranger).failures == failures
+    assert spot_check(ledger, stranger, "F2", _A9_TOTAL) == failures
 
 
 def test_a_signature_byte_cannot_pass_for_a_digit_of_the_reading():

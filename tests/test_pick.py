@@ -1,4 +1,4 @@
-"""Joint random selection: phase discipline, fairness, fault handling."""
+"""Joint random selection: the round check, fairness, fault handling."""
 
 import itertools
 import math
@@ -6,39 +6,36 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emissions_audit.commitment import setup
+from emissions_audit.commitment import commit, setup, verify_opening
 from emissions_audit.groups import toy_group
 from emissions_audit.harness import run_pick_trials, subset_chi_square
 from emissions_audit.pick import (
     COUNTRY,
-    FAULTED,
     InconsistentRevealPick,
     MaxPick,
-    OutOfPhase,
     PeerSeededPick,
     PickError,
-    PickRound,
-    PickSession,
     PickStrategy,
-    REVEALING,
-    SETTLED,
     ScriptedPick,
     VERIFIER,
     ZeroPick,
     derive_index,
     other,
-    record_commitment,
+    reveal_fault,
     round_commit,
-    round_reveal_and_check,
     run_pick,
-    settle_round,
 )
+
+
+_TOY_PP = setup(toy_group(), "hash_derived")
 
 
 @pytest.fixture(scope="module")
 def pp():
-    return setup(toy_group(), "hash_derived")
+    return _TOY_PP
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +69,7 @@ def test_derive_index_rejects_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# Phase-gated primitives.
+# One round: commitment and the reveal check.
 # ---------------------------------------------------------------------------
 
 
@@ -97,73 +94,43 @@ def test_round_commit_blinds_with_fresh_randomness(pp):
     assert len(seen) > 40  # blinding varies even when the draw repeats
 
 
-def test_phase_gates(pp):
-    rng = random.Random(32)
-    rnd = PickRound(round_index=0, l=5, candidates=("a", "b", "c", "d", "e"))
-    m, r, c = round_commit(5, pp, rng)
-
-    with pytest.raises(OutOfPhase):
-        round_reveal_and_check(rnd, COUNTRY, m, r, pp)  # nothing committed yet
-
-    assert record_commitment(rnd, COUNTRY, c) == "committing"
-    with pytest.raises(PickError):
-        record_commitment(rnd, COUNTRY, c)  # double commit
-    with pytest.raises(PickError):
-        record_commitment(rnd, "auditor-general", c)  # unknown party
-
-    m2, r2, c2 = round_commit(5, pp, rng)
-    assert record_commitment(rnd, VERIFIER, c2) == REVEALING
-
-    with pytest.raises(OutOfPhase):
-        record_commitment(rnd, COUNTRY, c)  # commit after reveal phase opened
-
-    assert round_reveal_and_check(rnd, COUNTRY, m, r, pp) == REVEALING
-    with pytest.raises(PickError):
-        round_reveal_and_check(rnd, COUNTRY, m, r, pp)  # double reveal
-    assert round_reveal_and_check(rnd, VERIFIER, m2, r2, pp) == SETTLED
-    assert rnd.index == (m + m2) % 5
-
-
 def test_reveal_faults_are_attributed(pp):
     rng = random.Random(33)
-    rnd = PickRound(round_index=0, l=5, candidates=tuple("abcde"))
     m, r, c = round_commit(5, pp, rng)
-    m2, r2, c2 = round_commit(5, pp, rng)
-    record_commitment(rnd, COUNTRY, c)
-    record_commitment(rnd, VERIFIER, c2)
-    # Country reveals a value that does not open its commitment.
-    assert round_reveal_and_check(rnd, COUNTRY, (m + 1) % 5, r, pp) == FAULTED
-    assert rnd.fault.party == COUNTRY
-    with pytest.raises(OutOfPhase):
-        round_reveal_and_check(rnd, VERIFIER, m2, r2, pp)
+    assert reveal_fault(5, c, m, r, pp) is None
+    # A value that does not open the commitment faults the revealing party.
+    assert reveal_fault(5, c, (m + 1) % 5, r, pp) == "reveal does not open the commitment"
+    out = run_pick(list("abcde"), 1, pp, random.Random(33),
+                   strategies={COUNTRY: InconsistentRevealPick(bad_round=0)}, on_fault="abort")
+    assert out.fault.party == COUNTRY
+    assert out.fault.reason == "reveal does not open the commitment"
 
 
 def test_out_of_range_reveal_faults(pp):
     rng = random.Random(34)
-    rnd = PickRound(round_index=0, l=3, candidates=("a", "b", "c"))
     m, r, c = round_commit(3, pp, rng)
-    record_commitment(rnd, COUNTRY, c)
-    record_commitment(rnd, VERIFIER, c)
-    assert round_reveal_and_check(rnd, VERIFIER, 3, r, pp) == FAULTED
-    assert rnd.fault.party == VERIFIER and "outside" in rnd.fault.reason
+    assert reveal_fault(3, c, 3, r, pp) == "contribution 3 outside [0, 3)"
+    assert reveal_fault(3, c, -1, r, pp) == "contribution -1 outside [0, 3)"
 
 
-def test_session_bookkeeping():
-    session = PickSession.start(["a", "b", "c"], 2)
-    rnd = session.new_round()
-    assert rnd.l == 3
-    assert settle_round(session, 1) == "b"
-    assert session.remaining == ["a", "c"] and session.picked == ["b"]
-    rnd2 = session.new_round()
-    assert rnd2.l == 2
-    settle_round(session, 0)
-    assert session.picked == ["b", "a"]
-    with pytest.raises(OutOfPhase):
-        session.new_round()
-    with pytest.raises(PickError):
-        PickSession.start(["a", "a"], 1)
-    with pytest.raises(PickError):
-        PickSession.start(["a"], 2)
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(1, 12), m=st.integers(-3, 15), drawn=st.integers(0, 11),
+       blind=st.integers(0, 100), other_blind=st.booleans())
+def test_reveal_fault_is_none_exactly_for_an_in_range_opening(l, m, drawn, blind, other_blind):
+    pp = _TOY_PP
+    c = commit(pp, pp.group.scalar(drawn), pp.group.scalar(blind))
+    r = pp.group.scalar(blind + 1 if other_blind else blind)
+    opens = verify_opening(pp, c, pp.group.scalar(m), r)
+    assert (reveal_fault(l, c, m, r, pp) is None) == (0 <= m < l and opens)
+
+
+def test_run_pick_rejects_duplicate_candidates_and_bad_k(pp):
+    with pytest.raises(PickError, match="duplicate candidates"):
+        run_pick(["a", "a"], 1, pp, random.Random(0))
+    with pytest.raises(PickError, match="cannot pick 2 of 1"):
+        run_pick(["a"], 2, pp, random.Random(0))
+    with pytest.raises(PickError, match="cannot pick -1 of 1"):
+        run_pick(["a"], -1, pp, random.Random(0))
 
 
 def test_other_party_mapping():
@@ -300,7 +267,6 @@ def test_recorder_does_not_change_the_draws(pp, base_mode, on_fault, strategies)
         recorded = pick(lambda *event: events.append(event))
         silent = pick()
         assert (recorded.picked, recorded.fault) == (silent.picked, silent.fault)
-        assert [rnd.index for rnd in recorded.rounds] == [rnd.index for rnd in silent.rounds]
         assert {kind for kind, *_ in events} >= {"pick_commit", "pick_reveal"}
 
 
