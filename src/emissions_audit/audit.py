@@ -56,7 +56,7 @@ ROLE_VERIFIER = "verifier"
 
 # Sender id of a pick message by pick party; "both" and the like are the
 # environment's.
-_PICK_SENDERS = {pick_mod.COUNTRY: COUNTRY_ID, pick_mod.VERIFIER: VERIFIER_ID}
+PICK_SENDERS = {pick_mod.COUNTRY: COUNTRY_ID, pick_mod.VERIFIER: VERIFIER_ID}
 
 
 class Step(IntEnum):
@@ -101,7 +101,6 @@ class SessionConfig:
     pick_mode: str = "env"  # "env" | "joint"
     pick_base_mode: str = "shared"
     pick_fault_policy: str = "complete"
-    allow_custom_behaviors: bool = False
     # Derived when the config is built: the firm ids in roster order, each
     # firm's spec by id, and each firm's ground truth (true_m in abstract
     # mode, the verified ledger total in integrated mode).
@@ -126,6 +125,8 @@ class SessionConfig:
             raise ConfigInvalid(f"unknown pick mode {self.pick_mode!r}")
         self.truths = {}
         for f in self.firms:
+            if f.true_m is not None and f.ledger is not None:
+                raise ConfigInvalid(f"firm {f.firm_id}: both true_m and a ledger are set")
             if self.data_mode == "abstract":
                 if not is_int(f.true_m):
                     raise ConfigInvalid(f"firm {f.firm_id}: abstract mode needs true_m")
@@ -283,13 +284,21 @@ def env_setup(config: SessionConfig, rng: random.Random) -> EnvAssignment:
 
 
 # ---------------------------------------------------------------------------
-# Participant behaviors.  The defaults play the protocol honestly; the
-# simulation harness subclasses them to inject deviations.
+# Participant behaviors.  ``Behavior`` plays the protocol honestly; a session
+# takes one behavior per participant, and the harness's adversary catalogue
+# subclasses it, each entry overriding the hook it deviates in.
 # ---------------------------------------------------------------------------
 
 
-class FirmBehavior:
-    silent_from: int | None = None
+class Behavior:
+    """How one participant plays.  The engine calls a firm's ``claim``,
+    ``blinding`` and ``reveal_blinding``, the country's ``publish``, and
+    every participant's ``silent_at``; the country's and the verifier's
+    ``pick_strategy`` replaces its joint-pick draw (None draws honestly).
+    ``roles`` names the roles a behavior may be assigned to."""
+
+    roles = (ROLE_FIRM, ROLE_COUNTRY, ROLE_VERIFIER)
+    pick_strategy: pick_mod.PickStrategy | None = None
 
     def claim(self, true_m: int) -> int:
         """The total the firm actually commits to and reports."""
@@ -302,25 +311,14 @@ class FirmBehavior:
         """What the firm forwards to the verifier when picked."""
         return r
 
-    def silent_at(self, step: int) -> bool:
-        return self.silent_from is not None and step >= self.silent_from
-
-
-class CountryBehavior:
-    silent_from: int | None = None
-
     def publish(self, m_sum: int, r_sum: Scalar) -> tuple[int, Scalar]:
         return m_sum, r_sum
 
     def silent_at(self, step: int) -> bool:
-        return self.silent_from is not None and step >= self.silent_from
+        return False
 
 
-class VerifierBehavior:
-    silent_from: int | None = None
-
-    def silent_at(self, step: int) -> bool:
-        return self.silent_from is not None and step >= self.silent_from
+_HONEST = Behavior()
 
 
 @dataclass
@@ -337,7 +335,6 @@ class SessionState:
     verifier_truth: dict = field(default_factory=dict)  # firm -> true m (env lane)
     verifier_blindings: dict = field(default_factory=dict)  # firm -> r (firm lane)
     verifier_ledgers: dict = field(default_factory=dict)  # firm -> ledger (integrated)
-    broadcast_log: list = field(default_factory=list)  # (kind, sender, payload)
 
     @property
     def finished(self) -> bool:
@@ -345,36 +342,25 @@ class SessionState:
 
 
 class AuditSession:
-    """Drives one session; step methods may also be called one at a time."""
+    """Drives one session; step methods may also be called one at a time.
 
-    def __init__(
-        self,
-        config: SessionConfig,
-        rng: random.Random,
-        firm_behaviors: dict | None = None,
-        country_behavior: CountryBehavior | None = None,
-        verifier_behavior: VerifierBehavior | None = None,
-        pick_strategies: dict | None = None,
-        recorder=None,
-    ):
+    ``behaviors`` maps a participant id to its ``Behavior``; everyone it
+    leaves out plays honestly.
+    """
+
+    def __init__(self, config: SessionConfig, rng: random.Random,
+                 behaviors: dict | None = None, recorder=None):
         self.config = config
         self.rng = rng
         self.state = SessionState()
-        self.firm_behaviors = {
-            f.firm_id: (firm_behaviors or {}).get(f.firm_id, FirmBehavior())
-            for f in config.firms
-        }
-        self.country_behavior = country_behavior or CountryBehavior()
-        self.verifier_behavior = verifier_behavior or VerifierBehavior()
-        self.pick_strategies = pick_strategies or {}
+        self.behaviors = dict.fromkeys((COUNTRY_ID, VERIFIER_ID, *config.roster), _HONEST)
+        self.behaviors.update(behaviors or {})
         self.recorder = recorder
         self._firm_blindings: dict[str, Scalar] = {}  # each firm's own secret
 
     # -- plumbing -----------------------------------------------------------
 
     def _emit(self, step, kind, sender, payload, recipient=None):
-        if recipient is None:
-            self.state.broadcast_log.append((kind, sender, payload))
         if self.recorder is not None:
             self.recorder(
                 step=int(step),
@@ -402,10 +388,11 @@ class AuditSession:
         self._emit(abort.step, "abort", ENV_ID, abort.as_dict())
         return True
 
-    def _silent(self, behavior, step: Step, role: str, culprit: str) -> bool:
+    def _silent(self, step: Step, role: str, culprit: str) -> bool:
         """Abort naming ``culprit`` if its behavior is silent at ``step``."""
         step = int(step)
-        return behavior.silent_at(step) and self._abort(Abort(step, role, culprit, "went silent"))
+        return (self.behaviors[culprit].silent_at(step)
+                and self._abort(Abort(step, role, culprit, "went silent")))
 
     def _hex_point(self, p) -> str:
         return self.config.pp.group.encode_point(p).hex()
@@ -439,10 +426,10 @@ class AuditSession:
         pp = self.config.pp
         # A silent firm sends nothing; its absence is caught at step 3.
         reporting = [fid for fid in self.config.roster
-                     if not self.firm_behaviors[fid].silent_at(2)]
+                     if not self.behaviors[fid].silent_at(2)]
         openings = []
         for fid in reporting:
-            behavior = self.firm_behaviors[fid]
+            behavior = self.behaviors[fid]
             claim = behavior.claim(self.state.env.m_assignments[fid])
             openings.append((claim, behavior.blinding(pp, self.rng)))
         commitments = commit_many(pp, [(pp.group.scalar(m), r) for m, r in openings])
@@ -460,7 +447,7 @@ class AuditSession:
     def step3_examine(self):
         """Country checks every firm's opening and range (see ``examine``)."""
         self._require(Step.EXAMINE)
-        if (self._silent(self.country_behavior, Step.EXAMINE, ROLE_COUNTRY, COUNTRY_ID)
+        if (self._silent(Step.EXAMINE, ROLE_COUNTRY, COUNTRY_ID)
                 or self._abort(examine(self.config.pp, self.config.roster,
                                        self.state.reports, self.state.commitments))):
             return
@@ -469,14 +456,14 @@ class AuditSession:
     def step4_publish(self):
         """Country broadcasts the integer total and the blinding total."""
         self._require(Step.PUBLISH)
-        if self._silent(self.country_behavior, Step.PUBLISH, ROLE_COUNTRY, COUNTRY_ID):
+        if self._silent(Step.PUBLISH, ROLE_COUNTRY, COUNTRY_ID):
             return
         pp = self.config.pp
         m_sum = sum(m for m, _ in self.state.reports.values())
         r_sum = pp.group.scalar(0)
         for _, r in self.state.reports.values():
             r_sum = r_sum + r
-        m_pub, r_pub = self.country_behavior.publish(m_sum, r_sum)
+        m_pub, r_pub = self.behaviors[COUNTRY_ID].publish(m_sum, r_sum)
         self.state.published_m = m_pub
         self.state.published_r = r_pub
         self._emit(Step.PUBLISH, "sum", COUNTRY_ID,
@@ -489,15 +476,17 @@ class AuditSession:
         if self.config.pick_mode == "env":
             v_list = self.state.env.reveal()
         else:
-            if (self._silent(self.verifier_behavior, Step.REVEAL, ROLE_VERIFIER, VERIFIER_ID)
-                    or self._silent(self.country_behavior, Step.REVEAL, ROLE_COUNTRY, COUNTRY_ID)):
+            if (self._silent(Step.REVEAL, ROLE_VERIFIER, VERIFIER_ID)
+                    or self._silent(Step.REVEAL, ROLE_COUNTRY, COUNTRY_ID)):
                 return
+            strategies = {party: s for party, pid in PICK_SENDERS.items()
+                          if (s := self.behaviors[pid].pick_strategy) is not None}
             outcome = pick_mod.run_pick(
                 self.config.roster,
                 self.config.k,
                 self.config.pp,
                 self.rng,
-                strategies=self.pick_strategies,
+                strategies=strategies,
                 base_mode=self.config.pick_base_mode,
                 on_fault=self.config.pick_fault_policy,
                 recorder=self._pick_recorder,
@@ -517,7 +506,7 @@ class AuditSession:
                        {"firm": fid, "m": self.state.env.m_assignments[fid]},
                        recipient=VERIFIER_ID)
             self.state.verifier_truth[fid] = self.state.env.m_assignments[fid]
-            behavior = self.firm_behaviors[fid]
+            behavior = self.behaviors[fid]
             if fid in self._firm_blindings and not behavior.silent_at(5):
                 r_fwd = behavior.reveal_blinding(self._firm_blindings[fid])
                 self.state.verifier_blindings[fid] = r_fwd
@@ -534,13 +523,13 @@ class AuditSession:
         self.state.next_step = 6
 
     def _pick_recorder(self, kind, round_index, party, payload):
-        sender = _PICK_SENDERS.get(party, ENV_ID)
+        sender = PICK_SENDERS.get(party, ENV_ID)
         self._emit(Step.REVEAL, kind, sender, dict(payload, round=round_index))
 
     def step6_spot_checks(self):
         """Verifier rechecks every picked firm against ground truth."""
         self._require(Step.SPOT_CHECK)
-        if self._silent(self.verifier_behavior, Step.SPOT_CHECK, ROLE_VERIFIER, VERIFIER_ID):
+        if self._silent(Step.SPOT_CHECK, ROLE_VERIFIER, VERIFIER_ID):
             return
         state = self.state
         for fid in state.v_list:
@@ -555,7 +544,7 @@ class AuditSession:
     def step7_sum_check(self):
         """Verifier checks the homomorphic aggregate against the sums."""
         self._require(Step.SUM_CHECK)
-        if self._silent(self.verifier_behavior, Step.SUM_CHECK, ROLE_VERIFIER, VERIFIER_ID):
+        if self._silent(Step.SUM_CHECK, ROLE_VERIFIER, VERIFIER_ID):
             return
         commitments = self.state.commitments
         m_pub = self.state.published_m

@@ -1,13 +1,17 @@
 """Deterministic simulation fabric for the audit protocol.
 
 Sessions run under a static active adversary: a fixed set of corrupted
-participants, each assigned one behavior from a closed catalogue, wired
-into the protocol engine before execution.  The environment is never
-corruptible.  Every run is a pure function of (config, adversary, seed)
-and can record a transcript -- an append-only event stream with per-event
-payload digests -- from which any participant's view is reconstructed by
-filtering.  Structural checkers assert the routing and leakage boundaries
-on transcripts; TrialStats aggregates verdicts across seeded trials.
+participants, each assigned one behavior.  The catalogue entries are
+``audit.Behavior`` subclasses that the engine calls directly; each names
+the roles it is valid for, and a session refuses it on any other.  Scenario
+files reach only the catalogue; a test may pass any ``Behavior`` subclass.
+The environment is never corruptible.  Every run is a pure function of
+(config, adversary, seed) and can record a transcript -- an append-only
+event stream with per-event payload digests -- from which any
+participant's view is reconstructed by filtering.  Structural checkers
+assert the routing and leakage boundaries on transcripts, the replayer
+re-derives the verdict and the joint pick; TrialStats aggregates verdicts
+across seeded trials.
 """
 
 from __future__ import annotations
@@ -23,25 +27,25 @@ from . import pick as pick_mod
 from .audit import (
     COUNTRY_ID,
     ENV_ID,
+    PICK_SENDERS,
     ROLE_COUNTRY,
     ROLE_ENV,
+    ROLE_FIRM,
     ROLE_VERIFIER,
     VERIFIER_ID,
     Abort,
     AuditSession,
+    Behavior,
     ConfigInvalid,
-    CountryBehavior,
-    FirmBehavior,
     FirmSpec,
     SessionConfig,
     Verdict,
-    VerifierBehavior,
     examine,
     picked_check,
     sum_check,
     true_total,
 )
-from .commitment import is_int, params_from_dict, params_to_dict, setup
+from .commitment import PublicParams, is_int, params_from_dict, params_to_dict, setup
 from .groups import group_by_name
 
 
@@ -81,57 +85,79 @@ def derive_seed(seed: int, *labels) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Adversary catalogue.
+# Adversary catalogue.  Each entry is the Behavior the engine calls and
+# overrides the hook it deviates in; one valid for fewer than every role
+# names its roles.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class HonestButObserved:
+class HonestButObserved(Behavior):
     """Corrupted in name only: plays honestly, but its view counts as
     adversarial in the leakage accounting."""
 
 
 @dataclass(frozen=True)
-class TamperReport:
+class TamperReport(Behavior):
     """Firm commits and reports a false total, consistently."""
 
     delta: int | None = None
     absolute: int | None = None
+    roles = (ROLE_FIRM,)
 
     def __post_init__(self):
         if (self.delta is None) == (self.absolute is None):
             raise ConfigInvalid("TamperReport needs exactly one of delta/absolute")
 
+    def claim(self, true_m: int) -> int:
+        return true_m + self.delta if self.absolute is None else self.absolute
+
 
 @dataclass(frozen=True)
-class MisreportSum:
+class MisreportSum(Behavior):
     """Country publishes sums offset from the true aggregates."""
 
     dm: int = 0
     dr: int = 0
+    roles = (ROLE_COUNTRY,)
+
+    def publish(self, m_sum, r_sum):
+        return m_sum + self.dm, r_sum + type(r_sum)(self.dr, r_sum.q)
 
 
 @dataclass(frozen=True)
-class InconsistentReveal:
+class InconsistentReveal(Behavior):
     """Reveal phase lie: a firm forwards a wrong blinding factor to the
     verifier; country/verifier misreveal in the given pick round."""
 
     round_index: int = 0
 
+    def reveal_blinding(self, r):
+        return r + type(r)(1, r.q)
+
+    @property
+    def pick_strategy(self):
+        return pick_mod.InconsistentRevealPick(self.round_index)
+
 
 @dataclass(frozen=True)
-class BiasPick:
+class BiasPick(Behavior):
     """Country or verifier replaces its uniform draw with a canned bias."""
 
     strategy: str = "zero"
+    roles = (ROLE_COUNTRY, ROLE_VERIFIER)
 
     def __post_init__(self):
         if self.strategy not in pick_mod.CANNED_STRATEGIES:
             raise ConfigInvalid(f"unknown pick strategy {self.strategy!r}")
 
+    @property
+    def pick_strategy(self):
+        return pick_mod.CANNED_STRATEGIES[self.strategy]()
+
 
 @dataclass(frozen=True)
-class AbortAt:
+class AbortAt(Behavior):
     """Participant goes silent from the given step onward."""
 
     step: int
@@ -140,27 +166,8 @@ class AbortAt:
         if not is_int(self.step) or not (1 <= self.step <= 7):
             raise ConfigInvalid(f"AbortAt step must be in 1..7, got {self.step!r}")
 
-
-@dataclass(frozen=True)
-class CustomBehavior:
-    """Open hook: ``build(participant_id)`` returns a behavior object.
-
-    Only honored when the session config sets allow_custom_behaviors; the
-    closed catalogue above is the supported surface for reproducible runs.
-    """
-
-    build: object
-
-
-BEHAVIOR_TYPES = (
-    HonestButObserved,
-    TamperReport,
-    MisreportSum,
-    InconsistentReveal,
-    BiasPick,
-    AbortAt,
-    CustomBehavior,
-)
+    def silent_at(self, step: int) -> bool:
+        return step >= self.step
 
 
 @dataclass(frozen=True)
@@ -178,7 +185,7 @@ class AdversarySpec:
             if pid not in self.corrupted:
                 raise ConfigInvalid(f"behavior assigned to uncorrupted {pid!r}")
         for pid, b in self.behaviors.items():
-            if not isinstance(b, BEHAVIOR_TYPES):
+            if not isinstance(b, Behavior):
                 raise ConfigInvalid(f"unknown behavior object for {pid!r}: {b!r}")
 
     def behavior_of(self, pid: str):
@@ -187,121 +194,22 @@ class AdversarySpec:
 
 HONEST_ADVERSARY = AdversarySpec()
 
-
-# -- concrete deviating participants, built from the catalogue --------------
-
-
-class _TamperingFirm(FirmBehavior):
-    def __init__(self, spec: TamperReport):
-        self.spec = spec
-
-    def claim(self, true_m: int) -> int:
-        if self.spec.absolute is not None:
-            return self.spec.absolute
-        return true_m + self.spec.delta
-
-
-class _BadRevealFirm(FirmBehavior):
-    def reveal_blinding(self, r):
-        return r + type(r)(1, r.q)
-
-
-class _SilentFirm(FirmBehavior):
-    def __init__(self, step: int):
-        self.silent_from = step
-
-
-class _MisreportingCountry(CountryBehavior):
-    def __init__(self, spec: MisreportSum):
-        self.spec = spec
-
-    def publish(self, m_sum, r_sum):
-        return m_sum + self.spec.dm, r_sum + type(r_sum)(self.spec.dr, r_sum.q)
-
-
-class _SilentCountry(CountryBehavior):
-    def __init__(self, step: int):
-        self.silent_from = step
-
-
-class _SilentVerifier(VerifierBehavior):
-    def __init__(self, step: int):
-        self.silent_from = step
+_SERVICE_ROLES = {COUNTRY_ID: ROLE_COUNTRY, VERIFIER_ID: ROLE_VERIFIER}
+_ROLE_NAMES = {ROLE_FIRM: "a firm", ROLE_COUNTRY: "the country", ROLE_VERIFIER: "the verifier"}
 
 
 def _wire(config: SessionConfig, adversary: AdversarySpec) -> dict:
-    """Translate an AdversarySpec into engine behavior objects."""
-    roster = set(config.roster)
-    firm_behaviors: dict[str, FirmBehavior] = {}
-    country_behavior: CountryBehavior | None = None
-    verifier_behavior: VerifierBehavior | None = None
-    pick_strategies: dict[str, pick_mod.PickStrategy] = {}
-
+    """The engine's behaviors map: each corrupted participant's behavior,
+    checked to be valid for that participant's role."""
+    behaviors = {}
     for pid in sorted(adversary.corrupted):
-        if pid not in roster and pid not in (COUNTRY_ID, VERIFIER_ID):
+        role = ROLE_FIRM if pid in config.firm_by_id else _SERVICE_ROLES.get(pid)
+        if role is None:
             raise ConfigInvalid(f"corrupted id {pid!r} is not a session participant")
-        b = adversary.behavior_of(pid)
-        if isinstance(b, CustomBehavior):
-            if not config.allow_custom_behaviors:
-                raise ConfigInvalid(
-                    "custom behaviors require allow_custom_behaviors (test-only)"
-                )
-            built = b.build(pid)
-            if pid in roster:
-                firm_behaviors[pid] = built
-            elif pid == COUNTRY_ID:
-                if isinstance(built, pick_mod.PickStrategy):
-                    pick_strategies[pick_mod.COUNTRY] = built
-                else:
-                    country_behavior = built
-            else:
-                if isinstance(built, pick_mod.PickStrategy):
-                    pick_strategies[pick_mod.VERIFIER] = built
-                else:
-                    verifier_behavior = built
-            continue
-        if pid in roster:
-            if isinstance(b, HonestButObserved):
-                pass
-            elif isinstance(b, TamperReport):
-                firm_behaviors[pid] = _TamperingFirm(b)
-            elif isinstance(b, InconsistentReveal):
-                firm_behaviors[pid] = _BadRevealFirm()
-            elif isinstance(b, AbortAt):
-                firm_behaviors[pid] = _SilentFirm(b.step)
-            else:
-                raise ConfigInvalid(f"behavior {type(b).__name__} not valid for a firm")
-        elif pid == COUNTRY_ID:
-            if isinstance(b, HonestButObserved):
-                pass
-            elif isinstance(b, MisreportSum):
-                country_behavior = _MisreportingCountry(b)
-            elif isinstance(b, AbortAt):
-                country_behavior = _SilentCountry(b.step)
-            elif isinstance(b, BiasPick):
-                pick_strategies[pick_mod.COUNTRY] = pick_mod.CANNED_STRATEGIES[b.strategy]()
-            elif isinstance(b, InconsistentReveal):
-                pick_strategies[pick_mod.COUNTRY] = pick_mod.InconsistentRevealPick(b.round_index)
-            else:
-                raise ConfigInvalid(f"behavior {type(b).__name__} not valid for the country")
-        else:  # verifier
-            if isinstance(b, HonestButObserved):
-                pass
-            elif isinstance(b, AbortAt):
-                verifier_behavior = _SilentVerifier(b.step)
-            elif isinstance(b, BiasPick):
-                pick_strategies[pick_mod.VERIFIER] = pick_mod.CANNED_STRATEGIES[b.strategy]()
-            elif isinstance(b, InconsistentReveal):
-                pick_strategies[pick_mod.VERIFIER] = pick_mod.InconsistentRevealPick(b.round_index)
-            else:
-                raise ConfigInvalid(f"behavior {type(b).__name__} not valid for the verifier")
-
-    return {
-        "firm_behaviors": firm_behaviors,
-        "country_behavior": country_behavior,
-        "verifier_behavior": verifier_behavior,
-        "pick_strategies": pick_strategies,
-    }
+        b = behaviors[pid] = adversary.behavior_of(pid)
+        if role not in b.roles:
+            raise ConfigInvalid(f"behavior {type(b).__name__} not valid for {_ROLE_NAMES[role]}")
+    return behaviors
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +337,10 @@ def run_session(
     record: bool = True,
 ) -> SessionResult:
     """One deterministic session under the given adversary and seed."""
-    wiring = _wire(config, adversary)
+    behaviors = _wire(config, adversary)
     transcript = Transcript(_transcript_header(config, adversary, seed)) if record else None
-    session = AuditSession(
-        config,
-        random.Random(seed),
-        recorder=transcript.record if transcript is not None else None,
-        **wiring,
-    )
+    session = AuditSession(config, random.Random(seed), behaviors,
+                           recorder=transcript.record if transcript is not None else None)
     verdict = session.run()
     if transcript is not None:
         transcript.verdict = verdict_to_dict(verdict)
@@ -789,18 +693,14 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         if "firms" in data:
             firms = []
             for f in data["firms"]:
+                # A firm with both an "m" and a ledger is refused by the config.
+                ledger = meter_pk = None
                 if "ledger" in f:
                     from .measurement import read_ledger
 
-                    firms.append(
-                        FirmSpec(
-                            firm_id=f["id"],
-                            ledger=read_ledger(f["ledger"]),
-                            meter_pk=bytes.fromhex(f["meter_pk"]),
-                        )
-                    )
-                else:
-                    firms.append(FirmSpec(firm_id=f["id"], true_m=_int_field(f, "m")))
+                    ledger, meter_pk = read_ledger(f["ledger"]), bytes.fromhex(f["meter_pk"])
+                firms.append(FirmSpec(firm_id=f["id"], true_m=_int_field(f, "m"),
+                                      ledger=ledger, meter_pk=meter_pk))
             data_mode = data.get(
                 "data_mode",
                 "integrated" if any(f.ledger is not None for f in firms) else "abstract",
@@ -960,24 +860,27 @@ def parse_transcript(data: bytes) -> Transcript:
 
 
 # Abort reasons that reflect participant behavior rather than recorded data;
-# a fresh verifier replaying the messages cannot re-derive these.
-_BEHAVIORAL_REASONS = ("went silent", "ledger check failed", "pick fault")
+# a fresh verifier replaying the messages cannot re-derive these.  A pick
+# fault is not one: pick_violation replays it from the pick events.
+_BEHAVIORAL_REASONS = ("went silent", "ledger check failed")
 
 
 def _is_behavioral(reason) -> bool:
     return isinstance(reason, str) and reason.startswith(_BEHAVIORAL_REASONS)
 
 
-def replay_verdict(transcript: Transcript) -> dict:
+def replay_verdict(transcript: Transcript, pp: PublicParams | None = None) -> dict:
     """Verdict a fresh verifier reaches from the recorded messages alone.
 
     Re-runs the examination, spot-check, and sum-check logic over the
-    transcript's events.  Ledger contents and participant silence are not
-    reconstructible from digests, so behavioral aborts may legitimately
-    differ; audit_transcript accounts for that.
+    transcript's events, under ``pp`` (by default, the header's).  Ledger
+    contents and participant silence are not reconstructible from digests,
+    so behavioral aborts may legitimately differ; audit_transcript accounts
+    for that.
     """
     header = transcript.header
-    pp = params_from_dict(header["pp"])
+    if pp is None:
+        pp = params_from_dict(header["pp"])
     roster = list(header["roster"])
 
     commitments = {}
@@ -1029,11 +932,99 @@ def replay_verdict(transcript: Transcript) -> dict:
     return {"status": "completed", "accepted_m": m_pub, "abort": None}
 
 
+_PICK_PARTIES = {pid: party for party, pid in PICK_SENDERS.items()}
+_PICK_KINDS = ("pick_base", "pick_commit", "pick_reveal", "pick_fault", "pick_settle")
+
+
+def pick_violation(transcript: Transcript, pp: PublicParams) -> str | None:
+    """The first way a joint pick's events break its round rule, or None.
+
+    Replays the pick with the check of the engine and of ``pick-settle``
+    (``pick.reveal_fault``, ``pick.derive_index``): each reveal opens its
+    commitment under ``pp``, or under the base its peer published in a
+    ``pick_base`` event (cross-base mode); exactly the reveals that fail
+    are followed by a ``pick_fault`` with their reason; each settled index
+    is (m_c + m_v) mod l over the remaining roster and names the firm at
+    that index; the settled firms, in roster order, are the verification
+    list.  After a fault the honest party draws alone, and no message shows
+    its draws, so its settles are checked only to be in range and to name
+    the firm at their index.  A malformed payload raises KeyError,
+    TypeError or ValueError.
+    """
+    header = transcript.header
+    if header.get("pick_mode") != "joint":
+        return None  # the environment's pick has no pick events
+    group, roster = pp.group, header["roster"]
+    remaining, settled = list(roster), []
+    bases = {}  # committer -> the base its peer published (cross-base mode)
+    faulted = None  # the party a pick_fault disqualified
+    failed = None  # (party, reason) of a failed reveal awaiting its pick_fault
+    commits, stood = {}, {}  # this round's commitments and standing reveals
+    for ev in transcript.events:
+        if ev.kind not in _PICK_KINDS:
+            continue
+        p, j, where = ev.payload, len(settled), f"{ev.kind} at seq {ev.seq}"
+        if ev.kind == "pick_base":
+            h = group.decode_point(bytes.fromhex(p["h"]))
+            bases[p["committer"]] = PublicParams(group, pp.g, h, "trusted")
+            continue
+        if p["round"] != j:
+            return f"{where} is for round {p['round']!r}, not {j}"
+        if failed is not None and ev.kind != "pick_fault":
+            return f"no pick_fault names the {failed[0]}, whose reveal in round {j} fails"
+        party = _PICK_PARTIES.get(ev.sender)
+        if ev.kind == "pick_settle":
+            index, l = p["index"], len(remaining)
+            sender = ENV_ID if faulted is None else PICK_SENDERS[pick_mod.other(faulted)]
+            if ev.sender != sender:
+                return f"{where} is sent by {ev.sender!r}, not {sender!r}"
+            if not is_int(index) or not 0 <= index < l:
+                return f"{where} has index {index!r} outside [0, {l})"
+            if faulted is None:
+                if len(stood) != 2:
+                    return f"{where} settles a round without both reveals"
+                want = pick_mod.derive_index(stood[pick_mod.COUNTRY], stood[pick_mod.VERIFIER], l)
+                if index != want:
+                    return f"{where} has index {index}, the reveals give {want}"
+            if p["picked"] != remaining[index]:
+                return f"{where} picks {p['picked']!r}, index {index} names {remaining[index]!r}"
+            settled.append(remaining.pop(index))
+            commits, stood = {}, {}
+        elif party is None:
+            return f"{where} is not sent by the country or the verifier"
+        elif ev.kind == "pick_commit":
+            commits[party] = group.decode_point(bytes.fromhex(p["c"]))
+        elif ev.kind == "pick_reveal":
+            if party not in commits:
+                return f"{where} reveals before the {party} committed"
+            r = group.decode_scalar(bytes.fromhex(p["r"]))
+            reason = pick_mod.reveal_fault(len(remaining), commits[party], p["m"], r,
+                                           bases.get(party, pp))
+            if reason is None:
+                stood[party] = p["m"]
+            else:
+                failed = (party, reason)
+        else:  # pick_fault
+            if failed is None or failed[0] != party:
+                return f"{where} faults the {party}, whose reveal stands"
+            if p["reason"] != failed[1]:
+                return f"{where} gives {p['reason']!r}, the reveal fails with {failed[1]!r}"
+            faulted, failed = party, None
+    if failed is not None:
+        return f"no pick_fault names the {failed[0]}, whose reveal fails"
+    v_list = _revealed_list(transcript)
+    chosen = set(settled)
+    if v_list is not None and (len(settled) != header["k"]
+                               or v_list != tuple(f for f in roster if f in chosen)):
+        return f"verification list {list(v_list)} is not the settled pick {settled}"
+    return None
+
+
 def audit_transcript(transcript: Transcript) -> dict:
     """Full independent audit: structure, routing, leakage, verdict replay.
 
     Returns {ok, violations, replayed, recorded}.  A recorded abort whose
-    reason is behavioral (silence, ledger contents, pick faults) cannot be
+    reason is behavioral (silence, ledger contents) cannot be
     contradicted by message data alone and is accepted as consistent.  A
     payload the replay cannot decode is a violation, and ``replayed`` is
     then None.
@@ -1045,7 +1036,11 @@ def audit_transcript(transcript: Transcript) -> dict:
         return {"ok": False, "violations": violations, "replayed": None, "recorded": recorded}
     violations.extend(leakage_violations(transcript))
     try:
-        replayed = replay_verdict(transcript)
+        pp = params_from_dict(transcript.header["pp"])
+        replayed = replay_verdict(transcript, pp)
+        pick = pick_violation(transcript, pp)
+        if pick is not None:
+            violations.append(f"pick does not replay: {pick}")
     except (KeyError, TypeError, ValueError) as exc:
         replayed = None
         violations.append(f"recorded messages do not replay: {type(exc).__name__}: {exc}")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .commitment import PublicParams, commit, setup, verify_opening
+from .commitment import PublicParams, commit, is_int, setup, verify_opening
 from .groups import Scalar
 
 COUNTRY = "country"
@@ -90,8 +90,9 @@ def round_commit(l: int, pp: PublicParams, rng: random.Random):
 
 
 def contribution_fault(l: int, m: int) -> str | None:
-    """Why the contribution m is no draw from [0, l), or None."""
-    if not isinstance(m, int) or m < 0 or m >= l:
+    """Why the contribution m is no draw from [0, l), or None; a bool is no
+    draw."""
+    if not is_int(m) or m < 0 or m >= l:
         return f"contribution {m} outside [0, {l})"
     return None
 

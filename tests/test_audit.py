@@ -10,9 +10,8 @@ from emissions_audit.audit import (
     AuditSession,
     ConfigInvalid,
     COUNTRY_ID,
-    CountryBehavior,
+    Behavior,
     ENV_ID,
-    FirmBehavior,
     FirmSpec,
     OutOfOrder,
     ROLE_COUNTRY,
@@ -41,9 +40,8 @@ def _config(pp, true_ms, k=0, **kw):
     return SessionConfig(pp=pp, firms=firms, k=k, **kw)
 
 
-def _run(config, seed=0, **behaviors):
-    session = AuditSession(config, random.Random(seed), **behaviors)
-    return session.run()
+def _run(config, seed=0, behaviors=None):
+    return AuditSession(config, random.Random(seed), behaviors).run()
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +178,7 @@ def test_session_does_not_touch_list_before_step5(pp):
 # ---------------------------------------------------------------------------
 
 
-class _Liar(FirmBehavior):
+class _Liar(Behavior):
     def __init__(self, claim_value):
         self.claim_value = claim_value
 
@@ -188,7 +186,7 @@ class _Liar(FirmBehavior):
         return self.claim_value
 
 
-class _Mute(FirmBehavior):
+class _Mute(Behavior):
     def __init__(self, step):
         self.step = step
 
@@ -196,14 +194,14 @@ class _Mute(FirmBehavior):
         return step >= self.step
 
 
-class _WrongSummer(CountryBehavior):
+class _WrongSummer(Behavior):
     def publish(self, m_sum, r_sum):
         return m_sum + 1, r_sum
 
 
 def test_silent_firm_aborts_step3_report_missing(pp):
     config = _config(pp, [5, 6], k=0)
-    verdict = _run(config, firm_behaviors={"F2": _Mute(2)})
+    verdict = _run(config, behaviors={"F2": _Mute(2)})
     assert verdict.abort.step == Step.EXAMINE
     assert verdict.abort.culprit_id == "F2"
     assert "missing" in verdict.abort.reason
@@ -211,7 +209,7 @@ def test_silent_firm_aborts_step3_report_missing(pp):
 
 def test_out_of_range_claim_aborts_step3(pp):
     config = _config(pp, [5, 6], k=0)
-    verdict = _run(config, firm_behaviors={"F1": _Liar(MAX_EMISSIONS_KG)})
+    verdict = _run(config, behaviors={"F1": _Liar(MAX_EMISSIONS_KG)})
     assert verdict.abort.step == Step.EXAMINE
     assert verdict.abort.culprit_id == "F1"
     assert "range" in verdict.abort.reason
@@ -219,21 +217,21 @@ def test_out_of_range_claim_aborts_step3(pp):
 
 def test_negative_claim_aborts_step3(pp):
     config = _config(pp, [5, 6], k=0)
-    verdict = _run(config, firm_behaviors={"F2": _Liar(-1)})
+    verdict = _run(config, behaviors={"F2": _Liar(-1)})
     assert verdict.abort.step == Step.EXAMINE and verdict.abort.culprit_id == "F2"
 
 
 def test_tamper_caught_iff_picked(pp):
     # k = n forces the liar onto the list: abort at the spot check.
     config = _config(pp, [5, 6, 7], k=3)
-    verdict = _run(config, firm_behaviors={"F2": _Liar(60)})
+    verdict = _run(config, behaviors={"F2": _Liar(60)})
     assert verdict.abort.step == Step.SPOT_CHECK
     assert verdict.abort.culprit_id == "F2"
     assert verdict.abort.culprit_role == ROLE_FIRM
 
     # k = 0 never examines the liar: the consistent lie is accepted.
     config0 = _config(pp, [5, 6, 7], k=0)
-    verdict0 = _run(config0, firm_behaviors={"F2": _Liar(60)})
+    verdict0 = _run(config0, behaviors={"F2": _Liar(60)})
     assert verdict0.completed
     assert verdict0.accepted_m == 5 + 60 + 7
     assert verdict0.accepted_m != true_total(config0)
@@ -246,14 +244,14 @@ def test_detection_rate_tracks_selection_probability(pp):
     caught = 0
     trials = 400
     for seed in range(trials):
-        verdict = _run(config, seed=seed, firm_behaviors={"F3": _Liar(70)})
+        verdict = _run(config, seed=seed, behaviors={"F3": _Liar(70)})
         caught += verdict.abort is not None
     assert abs(caught / trials - 0.4) < 5 * math.sqrt(0.4 * 0.6 / trials)
 
 
 def test_withheld_blinding_aborts_step6(pp):
     config = _config(pp, [5, 6], k=2)
-    verdict = _run(config, firm_behaviors={"F1": _Mute(5)})
+    verdict = _run(config, behaviors={"F1": _Mute(5)})
     assert verdict.abort.step == Step.SPOT_CHECK
     assert verdict.abort.culprit_id == "F1"
     assert "not revealed" in verdict.abort.reason
@@ -261,31 +259,31 @@ def test_withheld_blinding_aborts_step6(pp):
 
 def test_misreported_sum_aborts_step7(pp):
     config = _config(pp, [5, 6], k=0)
-    verdict = _run(config, country_behavior=_WrongSummer())
+    verdict = _run(config, behaviors={COUNTRY_ID: _WrongSummer()})
     assert verdict.abort.step == Step.SUM_CHECK
     assert verdict.abort.culprit_role == ROLE_COUNTRY
     assert "open" in verdict.abort.reason
 
 
 def test_published_sum_above_range_bound_aborts_step7(pp):
-    class _Wrapper(CountryBehavior):
+    class _Wrapper(Behavior):
         def publish(self, m_sum, r_sum):
             # Same residue mod q, absurd integer: caught by the range
             # guard even though the commitment check would pass.
             return m_sum + 2 * (MAX_EMISSIONS_KG - 1) * len(config.firms) * pp.q, r_sum
 
     config = _config(pp, [5, 6], k=0)
-    verdict = _run(config, country_behavior=_Wrapper())
+    verdict = _run(config, behaviors={COUNTRY_ID: _Wrapper()})
     assert verdict.abort.step == Step.SUM_CHECK
     assert "range" in verdict.abort.reason
 
 
 def test_silent_country_aborts_with_attribution(pp):
-    class _MuteCountry(CountryBehavior):
+    class _MuteCountry(Behavior):
         def silent_at(self, step):
             return step >= 4
 
-    verdict = _run(_config(pp, [5], k=0), country_behavior=_MuteCountry())
+    verdict = _run(_config(pp, [5], k=0), behaviors={COUNTRY_ID: _MuteCountry()})
     assert verdict.abort is not None
     assert verdict.abort.culprit_role == ROLE_COUNTRY
     assert "silent" in verdict.abort.reason
@@ -321,6 +319,11 @@ def test_env_assignment_matches_config_truth(pp):
 # ---------------------------------------------------------------------------
 
 
+class _Picks(Behavior):
+    def __init__(self, strategy):
+        self.pick_strategy = strategy
+
+
 def test_joint_pick_mode_completes(pp):
     config = _config(pp, [5, 6, 7], k=2, pick_mode="joint")
     verdict = _run(config, seed=4)
@@ -328,29 +331,23 @@ def test_joint_pick_mode_completes(pp):
 
 
 def test_joint_pick_fault_abort_policy(pp):
-    from emissions_audit.pick import COUNTRY as PICK_COUNTRY, InconsistentRevealPick
+    from emissions_audit.pick import InconsistentRevealPick
 
     config = _config(
         pp, [5, 6, 7], k=2, pick_mode="joint", pick_fault_policy="abort"
     )
-    verdict = _run(
-        config, seed=5,
-        pick_strategies={PICK_COUNTRY: InconsistentRevealPick(bad_round=0)},
-    )
+    verdict = _run(config, seed=5, behaviors={COUNTRY_ID: _Picks(InconsistentRevealPick(0))})
     assert verdict.abort.step == Step.REVEAL
     assert verdict.abort.culprit_role == ROLE_COUNTRY
     assert "pick fault" in verdict.abort.reason
 
 
 def test_joint_pick_fault_complete_policy_still_audits(pp):
-    from emissions_audit.pick import COUNTRY as PICK_COUNTRY, InconsistentRevealPick
+    from emissions_audit.pick import InconsistentRevealPick
 
     config = _config(pp, [5, 6, 7], k=3, pick_mode="joint")
-    verdict = _run(
-        config, seed=6,
-        firm_behaviors={"F2": _Liar(60)},
-        pick_strategies={PICK_COUNTRY: InconsistentRevealPick(bad_round=0)},
-    )
+    verdict = _run(config, seed=6, behaviors={
+        "F2": _Liar(60), COUNTRY_ID: _Picks(InconsistentRevealPick(0))})
     # Country disqualified itself in the pick; the verifier finishes the
     # selection alone and the liar is still caught.
     assert verdict.abort.step == Step.SPOT_CHECK
@@ -381,15 +378,24 @@ def test_unpicked_openings_never_reach_the_verifier(pp):
             assert ev["recipient"] == COUNTRY_ID
 
 
+def _broadcasts(config, seed, behaviors=None, steps=AuditSession._STEP_METHODS):
+    """The (kind, payload) of each broadcast a session makes in ``steps``."""
+    events = []
+    session = AuditSession(config, random.Random(seed), behaviors,
+                           recorder=lambda **ev: events.append(ev))
+    for name in steps:
+        getattr(session, name)()
+    return [(ev["kind"], ev["payload"]) for ev in events if ev["channel"] == "broadcast"]
+
+
 def test_broadcast_log_has_no_private_lanes(pp):
-    config = _config(pp, [5, 6], k=1)
-    session = AuditSession(config, random.Random(8))
-    session.run()
-    for kind, sender, payload in session.state.broadcast_log:
+    broadcasts = _broadcasts(_config(pp, [5, 6], k=1), seed=8)
+    assert broadcasts
+    for kind, payload in broadcasts:
         assert kind not in ("report", "assign_m", "env_truth", "reveal_opening")
 
 
-class _FixedBlinding(FirmBehavior):
+class _FixedBlinding(Behavior):
     def __init__(self, value: int):
         self.value = value
 
@@ -402,14 +408,8 @@ def _broadcast_commitments(pp, true_ms, r_values):
     behaviors = {
         f"F{i + 1}": _FixedBlinding(r) for i, r in enumerate(r_values)
     }
-    session = AuditSession(config, random.Random(0), firm_behaviors=behaviors)
-    session.step1_setup()
-    session.step2_reports()
-    return tuple(
-        payload["c"]
-        for kind, _, payload in session.state.broadcast_log
-        if kind == "commitment"
-    )
+    broadcasts = _broadcasts(config, 0, behaviors, ("step1_setup", "step2_reports"))
+    return tuple(payload["c"] for kind, payload in broadcasts if kind == "commitment")
 
 
 def test_unpicked_broadcasts_distribution_independent_of_split(pp):
@@ -459,6 +459,15 @@ def test_integrated_mode_accepts_ledger_totals(pp):
     assert verdict.completed and verdict.accepted_m == 21
 
 
+@pytest.mark.parametrize("data_mode", ["abstract", "integrated"])
+def test_config_refuses_a_firm_with_two_truth_sources(pp, data_mode):
+    """Neither mode may drop one of two sources without a word."""
+    ledger, pk = _small_ledger("F1", [7], seed=63)
+    with pytest.raises(ConfigInvalid, match="^firm F1: both true_m and a ledger are set$"):
+        SessionConfig(pp=pp, firms=(FirmSpec("F1", true_m=99, ledger=ledger, meter_pk=pk),),
+                      k=0, data_mode=data_mode)
+
+
 def test_integrated_mode_catches_lying_firm(pp):
     l1, pk1 = _small_ledger("F1", [5, 10], seed=62)
     config = SessionConfig(
@@ -467,7 +476,7 @@ def test_integrated_mode_catches_lying_firm(pp):
         k=1,
         data_mode="integrated",
     )
-    verdict = _run(config, seed=10, firm_behaviors={"F1": _Liar(16)})
+    verdict = _run(config, seed=10, behaviors={"F1": _Liar(16)})
     assert verdict.abort.step == Step.SPOT_CHECK
     assert verdict.abort.culprit_id == "F1"
 
@@ -599,7 +608,7 @@ class _NoReads:
         self._fail()
 
 
-class _BadBlinding(FirmBehavior):
+class _BadBlinding(Behavior):
     def reveal_blinding(self, r):
         return r + type(r)(1, r.q)
 
@@ -634,7 +643,7 @@ def _integrated_case(pp, case):
 
 
 def _stepwise(config, behaviors, seed, poison):
-    session = AuditSession(config, random.Random(seed), firm_behaviors=behaviors)
+    session = AuditSession(config, random.Random(seed), behaviors)
     for name in AuditSession._STEP_METHODS:
         getattr(session, name)()
         if session.state.finished:

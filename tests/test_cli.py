@@ -463,6 +463,21 @@ def test_simulate_rejects_scenario_giving_a_firm_anothers_ledger(capsys, ws):
     assert err["message"] == "firm F1: ledger belongs to 'F2'"
 
 
+def test_simulate_rejects_a_firm_with_both_m_and_a_ledger(capsys, ws):
+    csv = ws / "F1.csv"
+    _write_csv(csv, [("2026-04-01T00:00:00Z", 7)])
+    code, out, _ = run_cli(capsys, "ingest", "--firm-id", "F1", "--readings", str(csv),
+                           "--ledger", str(ws / "F1.jsonl"), "--meter-key",
+                           str(ws / "F1.key.json"), "--seed", "6")
+    assert code == 0
+    scenario = ws / "sc.json"
+    scenario.write_text(json.dumps({"group": "toy", "k": 0, "firms": [
+        {"id": "F1", "m": 99, "ledger": str(ws / "F1.jsonl"), "meter_pk": out["meter_pk"]}]}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and out is None and err["error"] == "ConfigInvalid"
+    assert err["message"] == "firm F1: both true_m and a ledger are set"
+
+
 # ---------------------------------------------------------------------------
 # Two-operator pick over files.
 # ---------------------------------------------------------------------------
@@ -760,6 +775,33 @@ def test_transcript_audit_reports_verification_list_without_v(capsys, ws):
     code, report, err = run_cli(capsys, "transcript-audit", "--transcript", str(t))
     assert code == 1 and err is None and not report["ok"]
     assert "verification_list at seq 0 is not a list of firm ids" in report["violations"]
+
+
+def _forge_first(blob: bytes, kind: str, edit) -> bytes:
+    """blob with edit(payload) applied to its first ``kind`` event, re-digested."""
+    lines = [json.loads(line) for line in blob.splitlines()]
+    event = next(obj for obj in lines if obj.get("kind") == kind)
+    edit(event["payload"])
+    event["digest"] = harness.digest_of(event["payload"])
+    return b"\n".join(harness.canonical_json(obj) for obj in lines) + b"\n"
+
+
+@pytest.mark.parametrize("kind, edit, violation", [
+    ("pick_settle", lambda p: p.update(index=p["index"] + 1, picked="ZZZ"),
+     "pick_settle at seq 21 has index 1, the reveals give 0"),
+    ("pick_reveal", lambda p: p.update(m=p["m"] + 1),
+     "no pick_fault names the country, whose reveal in round 0 fails"),
+], ids=["settle", "reveal"])
+def test_transcript_audit_replays_the_recorded_pick(capsys, ws, kind, edit, violation):
+    t = ws / "t.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", "bias-pick-zero", "--trials", "1",
+                         "--seed", "3", "--transcript", str(t))
+    assert code == 0
+    forged = ws / "forged.jsonl"
+    forged.write_bytes(_forge_first(t.read_bytes(), kind, edit))
+    code, report, err = run_cli(capsys, "transcript-audit", "--transcript", str(forged))
+    assert code == 1 and err is None
+    assert report["violations"] == [f"pick does not replay: {violation}"]
 
 
 @pytest.fixture(scope="module")

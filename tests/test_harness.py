@@ -13,9 +13,8 @@ from emissions_audit.audit import (
     AuditSession,
     ConfigInvalid,
     COUNTRY_ID,
-    CountryBehavior,
+    Behavior,
     ENV_ID,
-    FirmBehavior,
     FirmSpec,
     SessionConfig,
     VERIFIER_ID,
@@ -26,7 +25,6 @@ from emissions_audit.harness import (
     AbortAt,
     AdversarySpec,
     BiasPick,
-    CustomBehavior,
     HONEST_ADVERSARY,
     HonestButObserved,
     InconsistentReveal,
@@ -156,28 +154,32 @@ def test_adversary_spec_guards():
     assert isinstance(spec.behavior_of("F1"), HonestButObserved)
 
 
-def test_wiring_rejects_role_mismatched_behaviors(pp):
-    config = _config(pp, [1, 2], k=1)
-    bad = [
-        AdversarySpec(frozenset({"F1"}), {"F1": MisreportSum(dm=1)}),
-        AdversarySpec(frozenset({"F1"}), {"F1": BiasPick(strategy="zero")}),
-        AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: TamperReport(delta=1)}),
-        AdversarySpec(frozenset({VERIFIER_ID}), {VERIFIER_ID: MisreportSum(dm=1)}),
-        AdversarySpec(frozenset({"F9"}), {}),  # unknown participant
-    ]
-    for adversary in bad:
-        with pytest.raises(ConfigInvalid):
-            run_session(config, adversary, seed=0)
+# Each catalogue behavior on each role: None if the session runs, else the
+# ConfigInvalid message.
+_ROLE_MATRIX = {
+    HonestButObserved(): (None, None, None),
+    TamperReport(delta=1): (None, "behavior TamperReport not valid for the country",
+                            "behavior TamperReport not valid for the verifier"),
+    MisreportSum(dm=1): ("behavior MisreportSum not valid for a firm", None,
+                         "behavior MisreportSum not valid for the verifier"),
+    InconsistentReveal(): (None, None, None),
+    BiasPick(strategy="zero"): ("behavior BiasPick not valid for a firm", None, None),
+    AbortAt(step=4): (None, None, None),
+}
 
 
-def test_custom_behavior_requires_opt_in(pp):
-    custom = CustomBehavior(build=lambda pid: FirmBehavior())
-    adversary = AdversarySpec(frozenset({"F1"}), {"F1": custom})
-    config = _config(pp, [1], k=0)
-    with pytest.raises(ConfigInvalid):
-        run_session(config, adversary, seed=0)
-    allowed = _config(pp, [1], k=0, allow_custom_behaviors=True)
-    assert run_session(allowed, adversary, seed=0).verdict.completed
+def test_each_catalogue_behavior_runs_or_is_refused_by_role(pp):
+    config = _config(pp, [1, 2], k=1, pick_mode="joint")
+    for behavior, outcomes in _ROLE_MATRIX.items():
+        for pid, refusal in zip(("F1", COUNTRY_ID, VERIFIER_ID), outcomes):
+            adversary = AdversarySpec(frozenset({pid}), {pid: behavior})
+            if refusal is None:
+                assert run_session(config, adversary, seed=0).verdict.status
+            else:
+                with pytest.raises(ConfigInvalid, match=f"^{refusal}$"):
+                    run_session(config, adversary, seed=0)
+    with pytest.raises(ConfigInvalid, match="^corrupted id 'F9' is not a session participant$"):
+        run_session(config, AdversarySpec(frozenset({"F9"}), {}), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +551,141 @@ def test_pick_fault_replays_as_behavioral_abort(pp):
     assert report["ok"], report["violations"]
 
 
+def _joint_events(pp, seed, adversary=HONEST_ADVERSARY, n=5, k=2, **kw):
+    """A joint-pick toy session's header, event dicts and verdict line."""
+    config = _config(pp, list(range(1, n + 1)), k=k, pick_mode="joint", **kw)
+    blob = run_session(config, adversary, seed=seed).transcript.to_jsonl()
+    lines = [json.loads(line) for line in blob.splitlines()]
+    return lines[0], lines[1:-1], lines[-1]
+
+
+def _redigested(header, events, verdict):
+    """The transcript of the given (possibly edited) event dicts, with seq
+    renumbered and every digest recomputed, so only the replay can object."""
+    for seq, ev in enumerate(events):
+        ev.update(seq=seq, digest=digest_of(ev["payload"]))
+    transcript = parse_transcript(b"\n".join(map(canonical_json, [header, *events, verdict])))
+    assert routing_violations(transcript) == []
+    return transcript
+
+
+def _first(events, kind):
+    return next(ev for ev in events if ev["kind"] == kind)
+
+
+def _pick_violations(transcript):
+    report = audit_transcript(transcript)
+    assert not report["ok"]
+    return [v for v in report["violations"] if "pick" in v or "do not replay" in v]
+
+
+def test_audit_refuses_a_fault_against_a_standing_reveal(pp):
+    header, events, verdict = _joint_events(pp, seed=3)
+    at = events.index(_first(events, "pick_reveal")) + 1
+    events.insert(at, dict(events[at - 1], kind="pick_fault",
+                           payload={"reason": "reveal does not open the commitment", "round": 0}))
+    assert _pick_violations(_redigested(header, events, verdict)) == [
+        f"pick does not replay: pick_fault at seq {at} faults the country, whose reveal stands"]
+
+
+def test_audit_requires_the_fault_of_a_failed_reveal(pp):
+    bad_country = AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: InconsistentReveal()})
+    header, events, verdict = _joint_events(pp, seed=3, adversary=bad_country)
+    assert audit_transcript(_redigested(header, events, verdict))["ok"]
+    events.remove(_first(events, "pick_fault"))
+    assert _pick_violations(_redigested(header, events, verdict)) == [
+        "pick does not replay: no pick_fault names the country, whose reveal in round 0 fails"]
+
+
+def test_audit_checks_the_list_is_the_settled_pick(pp):
+    header, events, verdict = _joint_events(pp, seed=3, k=5)
+    listed = _first(events, "verification_list")["payload"]
+    listed["v"] = listed["v"][1:]
+    assert any(v.startswith("pick does not replay: verification list")
+               for v in _pick_violations(_redigested(header, events, verdict)))
+
+
+def test_audit_refuses_a_pick_fault_verdict_the_events_contradict(pp):
+    header, events, verdict = _joint_events(pp, seed=3)
+    verdict["verdict"].update(status="aborted", accepted_m=None, abort={
+        "step": 5, "culprit_role": "country", "culprit": COUNTRY_ID,
+        "reason": "pick fault: reveal does not open the commitment"})
+    report = audit_transcript(_redigested(header, events, verdict))
+    assert not report["ok"] and report["replayed"]["status"] == "completed"
+    assert report["violations"] == ["recorded status aborted but replay says completed"]
+
+
+def test_audit_opens_cross_base_reveals_under_the_published_base(pp):
+    header, events, verdict = _joint_events(pp, seed=3, pick_base_mode="cross")
+    assert audit_transcript(_redigested(header, events, verdict))["ok"]
+    base = _first(events, "pick_base")["payload"]
+    h = pp.group.decode_point(bytes.fromhex(base["h"]))
+    base["h"] = pp.group.encode_point(h + h).hex()
+    assert _pick_violations(_redigested(header, events, verdict)) == [
+        f"pick does not replay: no pick_fault names the {base['committer']}, "
+        "whose reveal in round 0 fails"]
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("pick_reveal", "r", 5), ("pick_reveal", "m", None), ("pick_commit", "c", "zz"),
+    ("pick_settle", "index", "0"), ("pick_base", "committer", ["x"]), ("pick_settle", "round", {}),
+])
+def test_malformed_pick_payload_is_a_violation_not_a_crash(pp, kind, field, value):
+    header, events, verdict = _joint_events(pp, seed=3, pick_base_mode="cross")
+    _first(events, kind)["payload"][field] = value
+    assert _pick_violations(_redigested(header, events, verdict))
+
+
+@pytest.mark.parametrize("base", ["shared", "cross"])
+@pytest.mark.parametrize("policy", ["complete", "abort"])
+def test_engine_pick_transcripts_audit_ok(pp, base, policy):
+    config = _config(pp, [1, 2, 3, 4], k=3, pick_mode="joint", pick_base_mode=base,
+                     pick_fault_policy=policy)
+    behaviors = [{}, {COUNTRY_ID: BiasPick("peer_seeded")}, {VERIFIER_ID: InconsistentReveal(1)},
+                 {COUNTRY_ID: InconsistentReveal(0), VERIFIER_ID: BiasPick("max")}]
+    for seed in range(3):
+        for b in behaviors:
+            report = audit_transcript(run_session(config, AdversarySpec(b, b), seed=seed).transcript)
+            assert report["ok"], report["violations"]
+
+
+def _pick_edit(pp, draw, ev, remaining):
+    """Edit pick event ``ev`` so that its round picks another firm, or so that
+    a reveal no longer opens its commitment."""
+    p, group, l = ev["payload"], pp.group, len(remaining)
+    if ev["kind"] == "pick_settle":
+        if l == 1 or draw(st.booleans()):
+            p["picked"] = draw(st.sampled_from(["ZZZ"] + [f for f in remaining if f != p["picked"]]))
+        else:
+            p["index"] = draw(st.sampled_from([i for i in range(l) if i != p["index"]]))
+            p["picked"] = remaining[p["index"]]
+    elif ev["kind"] == "pick_reveal":
+        if l > 1 and draw(st.booleans()):
+            p["m"] = draw(st.sampled_from([m for m in range(l) if m != p["m"]]))
+        else:
+            r = group.decode_scalar(bytes.fromhex(p["r"]))
+            p["r"] = group.encode_scalar(r + group.scalar(draw(st.integers(1, pp.q - 1)))).hex()
+    else:  # pick_commit
+        c = group.decode_point(bytes.fromhex(p["c"]))
+        p["c"] = group.encode_point(c + pp.g).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32), data=st.data(),
+       base=st.sampled_from(["shared", "cross"]))
+def test_no_edit_that_changes_an_honest_pick_audits_ok(pp, n, seed, base, data):
+    k = data.draw(st.integers(1, n))
+    header, events, verdict = _joint_events(pp, seed, n=n, k=k, pick_base_mode=base)
+    assert audit_transcript(_redigested(header, events, verdict))["ok"]
+    editable = [i for i, ev in enumerate(events)
+                if ev["kind"] in ("pick_commit", "pick_reveal", "pick_settle")]
+    at = data.draw(st.sampled_from(editable))
+    settled = [ev["payload"]["picked"] for ev in events[:at] if ev["kind"] == "pick_settle"]
+    remaining = [fid for fid in header["header"]["roster"] if fid not in settled]
+    _pick_edit(pp, data.draw, events[at], remaining)
+    assert not audit_transcript(_redigested(header, events, verdict))["ok"]
+
+
 def _edited(transcript, edit):
     """Copy of the transcript with edit(event) for each event; None drops it."""
     out = Transcript(transcript.header)
@@ -648,7 +785,7 @@ def test_batched_examine_names_the_sequential_culprit(examined_session, monkeypa
         expected = _reference_examine(pp, roster, reports, base.state.commitments)
 
         session = AuditSession(base.config, random.Random(0))
-        session.state = dataclasses.replace(base.state, reports=reports, broadcast_log=[])
+        session.state = dataclasses.replace(base.state, reports=reports)
         session.step3_examine()
         abort = session.state.abort
         assert (abort.culprit_id, abort.reason) == expected, positions
@@ -698,12 +835,12 @@ def test_replay_does_not_take_json_true_as_ground_truth(pp):
     assert any("ground truth of F1 is not an integer" in v for v in report["violations"])
 
 
-class _ClaimsTrue(FirmBehavior):
+class _ClaimsTrue(Behavior):
     def claim(self, true_m):
         return True
 
 
-class _PublishesTrue(CountryBehavior):
+class _PublishesTrue(Behavior):
     def publish(self, m_sum, r_sum):
         return True, r_sum
 
@@ -716,9 +853,8 @@ def test_engine_and_replay_refuse_true_as_a_total(pp, culprit, behavior, step, r
     """F1's total is 1, so True would open its commitment and the sum's:
     the engine aborts as the replay does, and the audit of its own
     transcript holds."""
-    config = _config(pp, [1, 0], k=2, allow_custom_behaviors=True)
-    adversary = AdversarySpec(frozenset({culprit}),
-                              {culprit: CustomBehavior(build=lambda pid: behavior)})
+    config = _config(pp, [1, 0], k=2)
+    adversary = AdversarySpec(frozenset({culprit}), {culprit: behavior})
     result = run_session(config, adversary, seed=21)
     abort = result.verdict.abort
     assert (abort.step, abort.culprit_id, abort.reason) == (step, culprit, reason)

@@ -111,6 +111,10 @@ def test_out_of_range_reveal_faults(pp):
     m, r, c = round_commit(3, pp, rng)
     assert reveal_fault(3, c, 3, r, pp) == "contribution 3 outside [0, 3)"
     assert reveal_fault(3, c, -1, r, pp) == "contribution -1 outside [0, 3)"
+    # JSON true is no draw, although it opens a commitment to 1.
+    one = commit(pp, pp.group.scalar(1), r)
+    assert reveal_fault(3, one, 1, r, pp) is None
+    assert reveal_fault(3, one, True, r, pp) == "contribution True outside [0, 3)"
 
 
 @settings(max_examples=200, deadline=None)
