@@ -123,6 +123,10 @@ class SessionConfig:
             raise ConfigInvalid(f"unknown data mode {self.data_mode!r}")
         if self.pick_mode not in ("env", "joint"):
             raise ConfigInvalid(f"unknown pick mode {self.pick_mode!r}")
+        if self.pick_base_mode not in pick_mod.BASE_MODES:
+            raise ConfigInvalid(f"unknown pick base mode {self.pick_base_mode!r}")
+        if self.pick_fault_policy not in pick_mod.FAULT_POLICIES:
+            raise ConfigInvalid(f"unknown pick fault policy {self.pick_fault_policy!r}")
         self.truths = {}
         for f in self.firms:
             if f.true_m is not None and f.ledger is not None:

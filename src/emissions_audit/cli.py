@@ -409,6 +409,8 @@ def cmd_pick_settle(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = hz.load_scenario(args.scenario)
     trials = args.trials if args.trials is not None else scenario.trials
+    if not 1 <= trials <= hz.MAX_SCENARIO_TRIALS:
+        raise ConfigInvalid(f"--trials must be in [1, {hz.MAX_SCENARIO_TRIALS}], got {trials}")
     seed = args.seed if args.seed is not None else scenario.seed
     if args.transcript:
         first = hz.run_session(

@@ -8,10 +8,11 @@ files reach only the catalogue; a test may pass any ``Behavior`` subclass.
 The environment is never corruptible.  Every run is a pure function of
 (config, adversary, seed) and can record a transcript -- an append-only
 event stream with per-event payload digests -- from which any
-participant's view is reconstructed by filtering.  Structural checkers
-assert the routing and leakage boundaries on transcripts, the replayer
-re-derives the verdict and the joint pick; TrialStats aggregates verdicts
-across seeded trials.
+participant's view is reconstructed by filtering.  Two structural
+checkers assert the routing and leakage boundaries on transcripts; the
+replayer re-derives the whole verdict line, in the engine's order, and the
+joint pick, and the audit takes no recorded abort on trust; TrialStats
+aggregates verdicts across seeded trials.
 """
 
 from __future__ import annotations
@@ -560,8 +561,9 @@ def leakage_violations(transcript: Transcript) -> list[str]:
 
     The country legitimately receives every opening at the report step and
     the environment generates the data, so the boundary under test is the
-    views of the firms and of the verifier.  A header whose views cannot be
-    built yields its header violations instead.
+    views of the firms and of the verifier, corrupted or not.  An opening in
+    those views whose ``firm`` is not a firm id is a violation too.  A
+    header whose views cannot be built yields its header violations instead.
     """
     bad_header = _header_violations(transcript.header)
     if bad_header:
@@ -578,7 +580,10 @@ def leakage_violations(transcript: Transcript) -> list[str]:
     for viewer, ev in transcript.seen_by((*roster, VERIFIER_ID), OPENING_FIELDS):
         fields = OPENING_FIELDS[ev.kind]
         subject = ev.payload.get("firm")
-        if not isinstance(subject, str) or subject in corrupted:
+        if not isinstance(subject, str):
+            out.append(f"{viewer} sees {ev.kind} at seq {ev.seq} naming no firm: {subject!r}")
+            continue
+        if subject in corrupted:
             continue
         if viewer in firms and subject != viewer:
             out.append(
@@ -588,35 +593,6 @@ def leakage_violations(transcript: Transcript) -> list[str]:
             out.append(
                 f"verifier sees {ev.kind} of unpicked {subject} at seq {ev.seq}"
             )
-    return out
-
-
-def corruption_view_violations(transcript: Transcript) -> list[str]:
-    """Flag honest-firm plaintext inside any corrupted participant's view.
-
-    Skipped (returns []) when the country is corrupted, since the country
-    legitimately holds every opening.  A header whose views cannot be built
-    yields its header violations instead.
-    """
-    bad_header = _header_violations(transcript.header)
-    if bad_header:
-        return bad_header
-    corrupted = set(transcript.header.get("corrupted", ()))
-    if not corrupted or COUNTRY_ID in corrupted:
-        return []
-    picked = set(_revealed_list(transcript) or ())
-    out = []
-    for viewer, ev in transcript.seen_by(sorted(corrupted), OPENING_FIELDS):
-        if "m" not in OPENING_FIELDS[ev.kind]:
-            continue
-        subject = ev.payload.get("firm")
-        if subject is None or subject in corrupted:
-            continue
-        if viewer == VERIFIER_ID and subject in picked:
-            continue
-        out.append(
-            f"corrupted {viewer} sees plaintext of honest {subject} at seq {ev.seq}"
-        )
     return out
 
 
@@ -859,77 +835,85 @@ def parse_transcript(data: bytes) -> Transcript:
     return t
 
 
-# Abort reasons that reflect participant behavior rather than recorded data;
-# a fresh verifier replaying the messages cannot re-derive these.  A pick
-# fault is not one: pick_violation replays it from the pick events.
-_BEHAVIORAL_REASONS = ("went silent", "ledger check failed")
-
-
-def _is_behavioral(reason) -> bool:
-    return isinstance(reason, str) and reason.startswith(_BEHAVIORAL_REASONS)
-
-
 def replay_verdict(transcript: Transcript, pp: PublicParams | None = None) -> dict:
-    """Verdict a fresh verifier reaches from the recorded messages alone.
+    """The verdict line (as ``verdict_to_dict`` writes it) that a fresh
+    verifier reaches from the recorded messages, under ``pp`` (by default,
+    the header's), running the engine's checks in the engine's order.
 
-    Re-runs the examination, spot-check, and sum-check logic over the
-    transcript's events, under ``pp`` (by default, the header's).  Ledger
-    contents and participant silence are not reconstructible from digests,
-    so behavioral aborts may legitimately differ; audit_transcript accounts
-    for that.
+    Silence and ledger contents leave no message of their own, so at those
+    points only the environment's recorded abort is taken, and only where
+    the messages bear it out: C or V went silent at step s only if it sent
+    no event at step s or later, and a firm's ledger failed only if its
+    opening passed and its ``ledger_forward`` is on record.  The culprit's
+    role follows from its id.
     """
     header = transcript.header
     if pp is None:
         pp = params_from_dict(header["pp"])
     roster = list(header["roster"])
 
-    commitments = {}
-    reports = {}
-    sums = None
-    v_list = None
-    truths = {}
-    reveals = {}
-    pick_fault = None
+    commitments, reports, truths, reveals, forwarded = {}, {}, {}, {}, set()
+    sums = v_list = pick_fault = None
+    claim = (None, None, None)  # (step, culprit, reason) of the environment's abort
+    last_step = {}  # sender -> the last step it sent an event at
     for ev in transcript.events:
         p = ev.payload
+        last_step[ev.sender] = max(last_step.get(ev.sender, 0), ev.step)
         if ev.kind == "commitment":
             commitments[p["firm"]] = pp.group.decode_point(bytes.fromhex(p["c"]))
         elif ev.kind == "report":
             reports[p["firm"]] = (p["m"], pp.group.decode_scalar(bytes.fromhex(p["r"])))
-        elif ev.kind == "sum":
+        elif ev.kind == "sum" and ev.sender == COUNTRY_ID:
             sums = (p["m"], pp.group.decode_scalar(bytes.fromhex(p["r"])))
-        elif ev.kind == "verification_list":
-            v_list = tuple(p["v"])
+        elif ev.kind == "verification_list" and v_list is None:
+            v_list = tuple(p["v"])  # the first, as the pick replay and leakage check read
         elif ev.kind == "env_truth":
             truths[p["firm"]] = p["m"]
         elif ev.kind == "reveal_opening":
             reveals[p["firm"]] = pp.group.decode_scalar(bytes.fromhex(p["r"]))
+        elif ev.kind == "ledger_forward":
+            forwarded.add(p["firm"])
         elif ev.kind == "pick_fault":
             pick_fault = (ev.sender, p.get("reason", "pick fault"))
+        elif ev.kind == "abort" and ev.sender == ENV_ID:
+            claim = (p.get("step"), p.get("culprit"), p.get("reason"))
 
-    def aborted(abort: Abort) -> dict:
-        return {"status": "aborted", "abort": abort.as_dict()}
+    def silent(step: int, pid: str) -> Abort | None:
+        holds = claim == (step, pid, "went silent") and last_step.get(pid, 0) < step
+        return Abort(step, _SERVICE_ROLES[pid], pid, "went silent") if holds else None
 
-    abort = examine(pp, roster, reports, commitments)
-    if abort is not None:
-        return aborted(abort)
-    if sums is None:
-        return aborted(Abort(4, ROLE_COUNTRY, COUNTRY_ID, "went silent"))
-    if v_list is None:
-        if pick_fault is not None:
-            sender, reason = pick_fault
-            role = ROLE_COUNTRY if sender == COUNTRY_ID else ROLE_VERIFIER
-            return aborted(Abort(5, role, sender, f"pick fault: {reason}"))
-        return aborted(Abort(5, ROLE_ENV, ENV_ID, "verification list missing"))
-    for fid in v_list:
-        abort = picked_check(pp, fid, commitments, reveals, truths)
-        if abort is not None:
-            return aborted(abort)
-    m_pub, r_pub = sums
-    abort = sum_check(pp, len(roster), (commitments[fid] for fid in roster), m_pub, r_pub)
-    if abort is not None:
-        return aborted(abort)
-    return {"status": "completed", "accepted_m": m_pub, "abort": None}
+    def ledger_failed(fid: str) -> Abort | None:
+        step, culprit, reason = claim
+        holds = ((step, culprit) == (6, fid) and fid in forwarded and isinstance(reason, str)
+                 and reason.startswith("ledger check failed: "))
+        return Abort(6, ROLE_FIRM, fid, reason) if holds else None
+
+    def checks():
+        """Each check's Abort or None, in the engine's order."""
+        yield silent(3, COUNTRY_ID)
+        yield examine(pp, roster, reports, commitments)
+        if sums is None:
+            yield Abort(4, ROLE_COUNTRY, COUNTRY_ID, "went silent")
+        if header.get("pick_mode") == "joint":
+            yield silent(5, VERIFIER_ID)
+            yield silent(5, COUNTRY_ID)
+            if v_list is None and pick_fault is not None:
+                sender, reason = pick_fault
+                yield Abort(5, _SERVICE_ROLES[sender], sender, f"pick fault: {reason}")
+        if v_list is None:
+            yield Abort(5, ROLE_ENV, ENV_ID, "verification list missing")
+        yield silent(6, VERIFIER_ID)
+        for fid in v_list:
+            yield picked_check(pp, fid, commitments, reveals, truths)
+            yield ledger_failed(fid)
+        yield silent(7, VERIFIER_ID)
+        yield sum_check(pp, len(roster), (commitments[fid] for fid in roster), *sums)
+
+    abort = next((a for a in checks() if a is not None), None)
+    if abort is None:
+        return verdict_to_dict(Verdict("completed", sums[0], None, v_list))
+    # The engine holds the list from the end of step 5 on.
+    return verdict_to_dict(Verdict("aborted", None, abort, v_list if abort.step > 5 else None))
 
 
 _PICK_PARTIES = {pid: party for party, pid in PICK_SENDERS.items()}
@@ -968,7 +952,7 @@ def pick_violation(transcript: Transcript, pp: PublicParams) -> str | None:
             h = group.decode_point(bytes.fromhex(p["h"]))
             bases[p["committer"]] = PublicParams(group, pp.g, h, "trusted")
             continue
-        if p["round"] != j:
+        if not is_int(p["round"]) or p["round"] != j:
             return f"{where} is for round {p['round']!r}, not {j}"
         if failed is not None and ev.kind != "pick_fault":
             return f"no pick_fault names the {failed[0]}, whose reveal in round {j} fails"
@@ -1021,13 +1005,13 @@ def pick_violation(transcript: Transcript, pp: PublicParams) -> str | None:
 
 
 def audit_transcript(transcript: Transcript) -> dict:
-    """Full independent audit: structure, routing, leakage, verdict replay.
+    """Full independent audit: structure, routing, leakage, pick and verdict.
 
-    Returns {ok, violations, replayed, recorded}.  A recorded abort whose
-    reason is behavioral (silence, ledger contents) cannot be
-    contradicted by message data alone and is accepted as consistent.  A
-    payload the replay cannot decode is a violation, and ``replayed`` is
-    then None.
+    Returns {ok, violations, replayed, recorded}.  The recorded verdict line
+    must equal the replayed one (``replay_verdict``) field for field, and the
+    closing event must agree with it.  Nothing is taken on trust: a silence
+    or ledger abort holds only where the messages bear it out.  A payload
+    the replay cannot decode is a violation, and ``replayed`` is then None.
     """
     violations = routing_violations(transcript)
     recorded = transcript.verdict
@@ -1046,30 +1030,26 @@ def audit_transcript(transcript: Transcript) -> dict:
         violations.append(f"recorded messages do not replay: {type(exc).__name__}: {exc}")
     if recorded is None:
         violations.append("transcript carries no verdict record")
-    elif replayed is None:
-        pass  # already reported above
-    else:
-        rec_abort = recorded.get("abort") or {}
-        if not isinstance(rec_abort, dict):
+    if replayed is None:
+        return {"ok": False, "violations": violations, "replayed": None, "recorded": recorded}
+    if recorded is not None and canonical_json(recorded) != canonical_json(replayed):
+        if not isinstance(recorded.get("abort", {}), dict):
             violations.append("recorded abort is not an object")
-        elif _is_behavioral(rec_abort.get("reason")):
-            pass  # not reconstructible from the message record
-        elif recorded.get("status") != replayed.get("status"):
-            violations.append(
-                f"recorded status {recorded.get('status')} but replay says "
-                f"{replayed.get('status')}"
-            )
-        elif recorded.get("status") == "completed":
-            if recorded.get("accepted_m") != replayed.get("accepted_m"):
-                violations.append("accepted total differs under replay")
+        elif recorded.get("status") != replayed["status"]:
+            violations.append(f"recorded status {recorded.get('status')} but replay says "
+                              f"{replayed['status']}")
         else:
-            rep_abort = replayed.get("abort") or {}
-            for field_name in ("step", "culprit"):
-                if rec_abort.get(field_name) != rep_abort.get(field_name):
-                    violations.append(
-                        f"recorded abort {field_name}={rec_abort.get(field_name)!r} "
-                        f"but replay derived {rep_abort.get(field_name)!r}"
-                    )
+            violations.append(f"recorded verdict {recorded} but replay says {replayed}")
+    # The closing event: the environment's abort, or the verifier's verdict,
+    # as the last event and the only one of either kind.
+    abort, accepted_m = replayed.get("abort"), replayed["accepted_m"]
+    want = ((abort["step"], "abort", ENV_ID, abort) if abort else
+            (7, "verdict", VERIFIER_ID, {"status": "completed", "accepted_m": accepted_m}))
+    closing = [ev for ev in transcript.events if ev.kind in ("abort", "verdict")]
+    if (canonical_json([(ev.step, ev.kind, ev.sender, ev.payload) for ev in closing])
+            != canonical_json([want]) or closing[0] is not transcript.events[-1]):
+        violations.append(f"the closing event is not the replay's {want[1]} from {want[2]} "
+                          f"at step {want[0]}: {canonical_json(want[3]).decode()}")
     return {
         "ok": not violations,
         "violations": violations,

@@ -37,6 +37,8 @@ from .groups import Scalar
 COUNTRY = "country"
 VERIFIER = "verifier"
 PARTIES = (COUNTRY, VERIFIER)
+BASE_MODES = ("shared", "cross")
+FAULT_POLICIES = ("complete", "abort")
 
 
 class PickError(ValueError):
@@ -209,14 +211,12 @@ def _base_params(pp: PublicParams, base_mode: str, rng: random.Random) -> dict:
     """Which parameters each party commits under, keyed by committer."""
     if base_mode == "shared":
         return {COUNTRY: pp, VERIFIER: pp}
-    if base_mode == "cross":
-        # Each side runs a trusted setup and publishes its base; the peer
-        # commits under it, so the committer never knows the trapdoor of
-        # the base binding its own commitment.
-        base_by_country = setup(pp.group, "trusted", rng)
-        base_by_verifier = setup(pp.group, "trusted", rng)
-        return {COUNTRY: base_by_verifier, VERIFIER: base_by_country}
-    raise PickError(f"unknown base mode {base_mode!r}")
+    # Cross: each side runs a trusted setup and publishes its base; the peer
+    # commits under it, so the committer never knows the trapdoor of the
+    # base binding its own commitment.
+    base_by_country = setup(pp.group, "trusted", rng)
+    base_by_verifier = setup(pp.group, "trusted", rng)
+    return {COUNTRY: base_by_verifier, VERIFIER: base_by_country}
 
 
 def run_pick(
@@ -241,7 +241,9 @@ def run_pick(
         raise PickError("duplicate candidates")
     if not isinstance(k, int) or k < 0 or k > len(remaining):
         raise PickError(f"cannot pick {k} of {len(remaining)}")
-    if on_fault not in ("complete", "abort"):
+    if base_mode not in BASE_MODES:
+        raise PickError(f"unknown base mode {base_mode!r}")
+    if on_fault not in FAULT_POLICIES:
         raise PickError(f"unknown fault policy {on_fault!r}")
     strategies = dict(strategies or {})
     for party in PARTIES:

@@ -33,7 +33,6 @@ from emissions_audit.harness import (
     AdversarySpec,
     MisreportSum,
     TamperReport,
-    corruption_view_violations,
     derive_seed,
     leakage_violations,
     routing_violations,
@@ -319,7 +318,6 @@ def test_a7_no_leakage_of_unpicked_openings(criterion):
                                  seed=derive_seed(1, "a7", i)).transcript
         violations += len(routing_violations(transcript))
         violations += len(leakage_violations(transcript))
-        violations += len(corruption_view_violations(transcript))
     criterion(
         violations == 0,
         f"A7 opening-privacy: {violations} leakage/routing violations across "

@@ -69,6 +69,14 @@ def test_config_rejects_bad_k_and_values(pp):
         _config(pp, [True], k=0)
 
 
+@pytest.mark.parametrize("pick_mode", ["env", "joint"])
+def test_config_rejects_unknown_pick_base_mode_and_fault_policy(pp, pick_mode):
+    with pytest.raises(ConfigInvalid, match="^unknown pick base mode 'bogus'$"):
+        _config(pp, [1, 2], k=1, pick_mode=pick_mode, pick_base_mode="bogus")
+    with pytest.raises(ConfigInvalid, match="^unknown pick fault policy 'bogus'$"):
+        _config(pp, [1, 2], k=1, pick_mode=pick_mode, pick_fault_policy="bogus")
+
+
 def test_config_derives_roster_and_firm_lookup_once(pp):
     config = _config(pp, [5, 6, 7])
     assert config.roster == ("F1", "F2", "F3")

@@ -463,6 +463,28 @@ def test_simulate_rejects_scenario_giving_a_firm_anothers_ledger(capsys, ws):
     assert err["message"] == "firm F1: ledger belongs to 'F2'"
 
 
+@pytest.mark.parametrize("pick_mode", ["env", "joint"])
+@pytest.mark.parametrize("field", ["pick_base_mode", "pick_fault_policy"])
+def test_simulate_rejects_an_unknown_pick_base_mode_or_fault_policy(capsys, ws, pick_mode, field):
+    scenario = ws / "sc.json"
+    scenario.write_text(json.dumps({"n": 3, "k": 1, "pick_mode": pick_mode, field: "bogus"}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and out is None and err["error"] == "ConfigInvalid"
+
+
+@pytest.mark.parametrize("trials", [0, harness.MAX_SCENARIO_TRIALS + 1])
+def test_simulate_bounds_the_trials_flag_before_any_trial(capsys, ws, monkeypatch, trials):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    monkeypatch.setattr(harness, "run_session", no_trials)
+    code, out, err = run_cli(capsys, "simulate", "--scenario", "honest", "--trials", str(trials),
+                             "--transcript", str(ws / "t.jsonl"))
+    assert code == 2 and out is None and err["error"] == "ConfigInvalid"
+    assert err["message"] == f"--trials must be in [1, {harness.MAX_SCENARIO_TRIALS}], got {trials}"
+
+
 def test_simulate_rejects_a_firm_with_both_m_and_a_ledger(capsys, ws):
     csv = ws / "F1.csv"
     _write_csv(csv, [("2026-04-01T00:00:00Z", 7)])
@@ -802,6 +824,40 @@ def test_transcript_audit_replays_the_recorded_pick(capsys, ws, kind, edit, viol
     code, report, err = run_cli(capsys, "transcript-audit", "--transcript", str(forged))
     assert code == 1 and err is None
     assert report["violations"] == [f"pick does not replay: {violation}"]
+
+
+_SILENT_AT_4 = {"step": 4, "culprit_role": "country", "culprit": "C", "reason": "went silent"}
+
+
+@pytest.mark.parametrize("where, abort, violation", [
+    ("verdict", _SILENT_AT_4, "recorded status aborted but replay says completed"),
+    ("verdict", {"step": 6, "culprit_role": "firm", "culprit": "F1",
+                 "reason": "ledger check failed: chain"},
+     "recorded status aborted but replay says completed"),
+    ("closing", _SILENT_AT_4, "the closing event is not the replay's verdict from V at step 7: "
+                              '{"accepted_m":1500,"status":"completed"}'),
+], ids=["silent-country", "abstract-ledger", "closing-event"])
+def test_transcript_audit_takes_no_recorded_abort_on_trust(capsys, ws, where, abort, violation):
+    """An honest joint-pick transcript claiming that C went silent at step 4
+    (its sum is on record) or that F1's ledger failed (an abstract session
+    forwards no ledger): in the verdict line, or as the closing event."""
+    scenario = ws / "joint.json"
+    scenario.write_text(json.dumps({"group": "toy", "n": 5, "k": 2, "pick_mode": "joint"}))
+    t = ws / "t.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "1",
+                         "--seed", "3", "--transcript", str(t))
+    assert code == 0
+    lines = [json.loads(line) for line in t.read_bytes().splitlines()]
+    if where == "verdict":
+        lines[-1]["verdict"].update(status="aborted", accepted_m=None, abort=abort)
+    else:
+        assert lines[-2]["kind"] == "verdict"
+        lines[-2].update(kind="abort", sender="E", payload=abort, digest=harness.digest_of(abort))
+    forged = ws / "forged.jsonl"
+    forged.write_bytes(b"\n".join(harness.canonical_json(obj) for obj in lines) + b"\n")
+    code, report, err = run_cli(capsys, "transcript-audit", "--transcript", str(forged))
+    assert code == 1 and err is None
+    assert report["violations"] == [violation]
 
 
 @pytest.fixture(scope="module")

@@ -38,7 +38,6 @@ from emissions_audit.harness import (
     BUILTIN_SCENARIOS,
     canonical_json,
     chi_square_uniform,
-    corruption_view_violations,
     derive_seed,
     digest_of,
     leakage_violations,
@@ -52,6 +51,7 @@ from emissions_audit.harness import (
     MAX_SCENARIO_FIRMS,
     MAX_SCENARIO_TRIALS,
 )
+from emissions_audit.measurement import FirmLedger, MeterKeypair, append_reading, parse_hour
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +217,6 @@ def test_structural_checkers_clean_on_honest_run(pp):
     transcript = run_session(config, seed=2).transcript
     assert routing_violations(transcript) == []
     assert leakage_violations(transcript) == []
-    assert corruption_view_violations(transcript) == []
 
 
 def test_checkers_clean_under_observed_corruption(pp):
@@ -226,7 +225,6 @@ def test_checkers_clean_under_observed_corruption(pp):
     transcript = run_session(config, adversary, seed=3).transcript
     assert routing_violations(transcript) == []
     assert leakage_violations(transcript) == []
-    assert corruption_view_violations(transcript) == []
 
 
 def _clone_with_events(transcript, mutate):
@@ -278,23 +276,35 @@ def test_leakage_checker_flags_opening_sent_to_peer_firm(pp):
     assert any("unpicked" in v for v in leakage_violations(bad))
 
 
-@pytest.mark.parametrize("checker", [corruption_view_violations, leakage_violations])
+@pytest.mark.parametrize("checker", [leakage_violations])
 def test_view_checkers_report_an_unhashable_corrupted_entry(pp, checker):
     transcript = run_session(_config(pp, [10, 20], k=1), seed=7).transcript
     transcript.header["corrupted"] = ["F1", ["x"]]
     assert checker(transcript) == ["header field 'corrupted' is not a list of strings"]
 
 
-def test_corruption_view_checker_flags_plaintext_to_corrupted_firm(pp):
+def test_leakage_checker_flags_plaintext_to_corrupted_firm(pp):
     config = _config(pp, [10, 20], k=0)
     adversary = AdversarySpec(corrupted=frozenset({"F2"}))
     honest = run_session(config, adversary, seed=7).transcript
     bad = _clone_with_events(honest, lambda kw: kw)
     bad.record(step=5, kind="assign_m", sender=ENV_ID, channel="private",
                recipient="F2", payload={"firm": "F1", "m": 10})
-    assert any("corrupted F2" in v for v in corruption_view_violations(bad))
+    assert "F2 sees assign_m(m) of F1 at seq 10" in leakage_violations(bad)
     # The same injected event also violates routing (wrong recipient).
     assert any("routed to" in v for v in routing_violations(bad))
+
+
+def test_leakage_checker_flags_an_opening_that_names_no_firm(pp):
+    """An env_truth to a corrupted verifier whose firm is the integer 5."""
+    adversary = AdversarySpec(corrupted=frozenset({VERIFIER_ID}))
+    blob = run_session(_config(pp, [10, 20], k=1), adversary, seed=7).transcript.to_jsonl()
+    header, *events, verdict = map(json.loads, blob.splitlines())
+    at = events.index(_first(events, "env_truth"))
+    events.insert(at, dict(events[at], payload={"firm": 5, "m": 10}))
+    bad = _redigested(header, events, verdict)
+    assert leakage_violations(bad) == [f"V sees env_truth at seq {at} naming no firm: 5"]
+    assert audit_transcript(bad)["violations"] == leakage_violations(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +625,47 @@ def test_audit_refuses_a_pick_fault_verdict_the_events_contradict(pp):
     assert report["violations"] == ["recorded status aborted but replay says completed"]
 
 
+@pytest.mark.parametrize("abort", [
+    {"step": 5, "culprit_role": "verifier", "culprit": VERIFIER_ID, "reason": "went silent"},
+    {"step": 5, "culprit_role": "country", "culprit": COUNTRY_ID, "reason": "went silent"},
+    {"step": 6, "culprit_role": "firm", "culprit": None, "reason": "ledger check failed: chain"},
+], ids=["verifier-silent", "country-silent", "ledger"])
+def test_audit_refuses_a_consistent_abort_the_record_does_not_bear_out(pp, abort):
+    """Verdict line and closing event agree on an abort that the messages
+    refute: the silent party sent its step-5 pick messages, or the abstract
+    session forwarded no ledger of the (first picked) failing firm."""
+    header, events, verdict = _joint_events(pp, seed=3)
+    v_list = verdict["verdict"]["v_list"]
+    abort = dict(abort, culprit=abort["culprit"] or v_list[0])
+    assert events[-1]["kind"] == "verdict"
+    events[-1].update(step=abort["step"], kind="abort", sender=ENV_ID, payload=abort)
+    verdict["verdict"] = {"status": "aborted", "accepted_m": None, "abort": abort,
+                          "v_list": v_list if abort["step"] > 5 else None}
+    report = audit_transcript(_redigested(header, events, verdict))
+    assert report["violations"] == [
+        "recorded status aborted but replay says completed",
+        'the closing event is not the replay\'s verdict from V at step 7: '
+        '{"accepted_m":15,"status":"completed"}']
+
+
+def test_audit_replays_the_first_verification_list(pp):
+    """A caught tamperer's joint transcript with a second list that leaves
+    it out, and a verdict of completion: the pick replay checks the first
+    list, so the verdict replay must read the first list too."""
+    tamperer = AdversarySpec(frozenset({"F2"}), {"F2": TamperReport(delta=5)})
+    header, events, verdict = _joint_events(pp, seed=0, adversary=tamperer, n=4)
+    assert verdict["verdict"]["abort"]["culprit"] == "F2"
+    assert verdict["verdict"]["v_list"] == ["F2", "F3"]
+    m_pub = _first(events, "sum")["payload"]["m"]
+    events[-1:] = [dict(_first(events, "verification_list"), payload={"v": ["F3"]}),
+                   dict(events[-1], step=7, kind="verdict", sender=VERIFIER_ID,
+                        payload={"status": "completed", "accepted_m": m_pub})]
+    verdict["verdict"] = {"status": "completed", "accepted_m": m_pub, "v_list": ["F3"]}
+    report = audit_transcript(_redigested(header, events, verdict))
+    assert report["replayed"]["abort"]["culprit"] == "F2"
+    assert report["violations"][0] == "recorded status completed but replay says aborted"
+
+
 def test_audit_opens_cross_base_reveals_under_the_published_base(pp):
     header, events, verdict = _joint_events(pp, seed=3, pick_base_mode="cross")
     assert audit_transcript(_redigested(header, events, verdict))["ok"]
@@ -629,10 +680,13 @@ def test_audit_opens_cross_base_reveals_under_the_published_base(pp):
 @pytest.mark.parametrize("kind, field, value", [
     ("pick_reveal", "r", 5), ("pick_reveal", "m", None), ("pick_commit", "c", "zz"),
     ("pick_settle", "index", "0"), ("pick_base", "committer", ["x"]), ("pick_settle", "round", {}),
+    ("pick_settle", "round", True),
 ])
 def test_malformed_pick_payload_is_a_violation_not_a_crash(pp, kind, field, value):
+    """The edit lands on the last event of its kind, which is in round 1 (a
+    JSON true there equals 1 in Python)."""
     header, events, verdict = _joint_events(pp, seed=3, pick_base_mode="cross")
-    _first(events, kind)["payload"][field] = value
+    [ev for ev in events if ev["kind"] == kind][-1]["payload"][field] = value
     assert _pick_violations(_redigested(header, events, verdict))
 
 
@@ -647,6 +701,84 @@ def test_engine_pick_transcripts_audit_ok(pp, base, policy):
         for b in behaviors:
             report = audit_transcript(run_session(config, AdversarySpec(b, b), seed=seed).transcript)
             assert report["ok"], report["violations"]
+
+
+_SWEEP_PICKS = {
+    "env": {},
+    "joint-shared-complete": {"pick_mode": "joint"},
+    "joint-cross-abort": {"pick_mode": "joint", "pick_base_mode": "cross",
+                          "pick_fault_policy": "abort"},
+}
+_SWEEP_BEHAVIORS = [
+    {},
+    *({pid: AbortAt(step)} for pid in (COUNTRY_ID, VERIFIER_ID, "F2") for step in range(1, 8)),
+    {COUNTRY_ID: BiasPick("zero")}, {VERIFIER_ID: BiasPick("max")},
+    {COUNTRY_ID: BiasPick("peer_seeded")},
+    {COUNTRY_ID: InconsistentReveal()}, {VERIFIER_ID: InconsistentReveal(1)},
+    {"F2": TamperReport(delta=5)}, {"F2": TamperReport(absolute=-1)}, {"F2": InconsistentReveal()},
+    {COUNTRY_ID: MisreportSum(dm=1)}, {COUNTRY_ID: MisreportSum(dm=-10_000)},
+]
+
+
+def _small_ledger(firm_id, values, seed):
+    kp = MeterKeypair.generate(random.Random(seed))
+    ledger = FirmLedger.empty(firm_id)
+    for h, e in enumerate(values):
+        hour = parse_hour(f"2026-03-01T{h:02d}:00:00Z")
+        append_reading(ledger, kp.sign_reading(firm_id, hour, e), kp.public_bytes)
+    return ledger, kp
+
+
+def _sweep_sessions(pp, which):
+    """(config, adversary) pairs of one part of the replay sweep."""
+    if which == "builtin":
+        for name in BUILTIN_SCENARIOS:
+            scenario = load_scenario(name)
+            yield scenario.config, scenario.adversary
+    elif which == "integrated":
+        # Before and after F1's ledger gains a reading the config never saw.
+        (l1, kp1), (l2, kp2) = _small_ledger("F1", [5, 10], 1), _small_ledger("F2", [1, 2], 2)
+        config = SessionConfig(pp=pp, k=2, data_mode="integrated", firms=(
+            FirmSpec("F1", ledger=l1, meter_pk=kp1.public_bytes),
+            FirmSpec("F2", ledger=l2, meter_pk=kp2.public_bytes)))
+        yield config, HONEST_ADVERSARY
+        yield config, AdversarySpec(frozenset({VERIFIER_ID}), {VERIFIER_ID: AbortAt(7)})
+        append_reading(l1, kp1.sign_reading("F1", parse_hour("2026-03-01T05:00:00Z"), 4),
+                       kp1.public_bytes)
+        yield config, HONEST_ADVERSARY
+    else:
+        config = _config(pp, [1, 2, 3, 4], k=3, **_SWEEP_PICKS[which])
+        for behaviors in _SWEEP_BEHAVIORS:
+            yield config, AdversarySpec(frozenset(behaviors), behaviors)
+
+
+# The aborts of each part of the sweep that must occur in it: every step a
+# silence can stop, the pick fault and the ledger abort.
+_SILENCES = {(step, "went silent") for step in (3, 4, 6, 7)}
+_SWEEP_MUST_HIT = {
+    "builtin": {(4, "went silent")},
+    "env": _SILENCES,
+    "joint-shared-complete": _SILENCES | {(5, "went silent")},
+    "joint-cross-abort": _SILENCES | {(5, "went silent"), (5, "pick fault")},
+    "integrated": {(6, "ledger check failed"), (7, "went silent")},
+}
+
+
+@pytest.mark.parametrize("which", _SWEEP_MUST_HIT)
+def test_engine_transcripts_replay_to_their_verdict_line(pp, which):
+    """The replay of every engine transcript is its verdict line, silence and
+    ledger aborts included, and the audit holds."""
+    hit = set()
+    for config, adversary in _sweep_sessions(pp, which):
+        for seed in (1, 2, 3):
+            transcript = run_session(config, adversary, seed=seed).transcript
+            report = audit_transcript(parse_transcript(transcript.to_jsonl()))
+            assert report["ok"], (adversary, seed, report["violations"])
+            assert report["replayed"] == report["recorded"] == transcript.verdict
+            if "abort" in transcript.verdict:
+                abort = transcript.verdict["abort"]
+                hit.add((abort["step"], abort["reason"].split(":")[0]))
+    assert hit >= _SWEEP_MUST_HIT[which]
 
 
 def _pick_edit(pp, draw, ev, remaining):
