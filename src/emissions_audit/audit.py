@@ -20,10 +20,10 @@ Two data modes: *abstract* sessions take each firm's true total straight
 from the config; *integrated* sessions derive it from the firm's signed
 meter ledger, once, when the config is built, and extend the verifier's
 step-6 check with a ledger spot check (``measurement.spot_check``).  That
-walk rechecks every entry's firm id, order and chain link; the signatures
-it checks are only those the config's walk did not already verify (see
-``measurement.walk_ledger``), so a ledger unchanged since the config costs
-no Ed25519 verify, and one changed after it is caught.
+walk checks in full every entry after the longest prefix of the very entry
+objects the config's walk passed (see ``measurement.walk_ledger``), so a
+ledger unchanged since the config costs no Ed25519 verify and no hash, and
+one changed after it is caught.
 """
 
 from __future__ import annotations

@@ -187,10 +187,13 @@ def cmd_ingest(args) -> int:
 
 def cmd_report(args) -> int:
     pp = _load_pp(args.pp)
-    kp = _load_meter_key(args.meter_key)
+    # The ledger is checked under the meter's public key; the secret is never read.
+    meter_pk = bytes.fromhex(_read_format(args.meter_key, "meter-key/v1", pk=str)["pk"])
+    if len(meter_pk) != 32:
+        raise ConfigInvalid(f"{args.meter_key}: pk is not a 32-byte Ed25519 key")
     ledger = ms.read_ledger(args.ledger)
     rng = _secret_rng(args.seed, "report", ledger.firm_id, args.cycle)
-    report = ms.build_report(pp, ledger, kp.public_bytes, args.cycle, rng)
+    report = ms.build_report(pp, ledger, meter_pk, args.cycle, rng)
     prov = _provenance("report", pp=args.pp, ledger=args.ledger)
     _write_json(args.out, {
         "format": "report/v1",
@@ -493,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report", help="aggregate a ledger into a committed report")
     sp.add_argument("--pp", required=True)
     sp.add_argument("--ledger", required=True)
-    sp.add_argument("--meter-key", required=True)
+    sp.add_argument("--meter-key", required=True,
+                    help="meter key file; only its public key 'pk' is read")
     sp.add_argument("--cycle", default="cycle-0")
     sp.add_argument("--seed", type=int, default=None, help="replay: derive r from it")
     sp.add_argument("--out", required=True, help="public report file")

@@ -43,10 +43,6 @@ class NotACollision(ValueError):
     """The two openings do not actually collide."""
 
 
-class DegenerateCollision(ValueError):
-    """Colliding openings share the blinding factor; no trapdoor falls out."""
-
-
 @dataclass
 class PublicParams:
     """Commitment bases.  ``trapdoor`` is only set by trusted local setup.
@@ -241,10 +237,6 @@ def extract_trapdoor_from_collision(
         raise NotACollision("openings are identical")
     if commit(pp, m1, r1) != commit(pp, m2, r2):
         raise NotACollision("openings commit to different points")
-    if r1 == r2:
-        # Equal blindings with equal commitments force equal messages, so
-        # this cannot happen for a genuine collision; guard anyway.
-        raise DegenerateCollision("blinding factors are equal")
     return (m1 - m2) * (r2 - r1).inverse()
 
 

@@ -311,22 +311,25 @@ class SessionResult:
     transcript: Transcript | None
 
 
+# The header fields that ``config_digest`` covers.
+CONFIG_FIELDS = ("roster", "k", "data_mode", "pick_mode", "cycle_id", "group")
+
+
+def config_digest(header: dict) -> str:
+    return digest_of({name: header.get(name) for name in CONFIG_FIELDS})
+
+
 def _transcript_header(config: SessionConfig, adversary: AdversarySpec, seed: int) -> dict:
-    structure = {
-        "roster": list(config.roster),
-        "k": config.k,
-        "data_mode": config.data_mode,
-        "pick_mode": config.pick_mode,
-        "cycle_id": config.cycle_id,
-        "group": config.pp.group.descriptor.name,
-    }
+    structure = dict(zip(CONFIG_FIELDS, (
+        list(config.roster), config.k, config.data_mode, config.pick_mode, config.cycle_id,
+        config.pp.group.descriptor.name)))
     return {
         "format": "transcript/v1",
         "participants": [ENV_ID, COUNTRY_ID, VERIFIER_ID, *config.roster],
         "corrupted": sorted(adversary.corrupted),
         "seed": seed,
         "pp": params_to_dict(config.pp),
-        "config_digest": digest_of(structure),
+        "config_digest": config_digest(structure),
         **structure,
     }
 
@@ -922,6 +925,7 @@ _PICK_KINDS = ("pick_base", "pick_commit", "pick_reveal", "pick_fault", "pick_se
 
 def pick_violation(transcript: Transcript, pp: PublicParams) -> str | None:
     """The first way a joint pick's events break its round rule, or None.
+    Under any other pick mode, the first pick event is the violation.
 
     Replays the pick with the check of the engine and of ``pick-settle``
     (``pick.reveal_fault``, ``pick.derive_index``): each reveal opens its
@@ -937,7 +941,10 @@ def pick_violation(transcript: Transcript, pp: PublicParams) -> str | None:
     """
     header = transcript.header
     if header.get("pick_mode") != "joint":
-        return None  # the environment's pick has no pick events
+        # The environment's pick sends no pick events.
+        ev = next((ev for ev in transcript.events if ev.kind in _PICK_KINDS), None)
+        return None if ev is None else (
+            f"{ev.kind} at seq {ev.seq} under pick mode {header.get('pick_mode')!r}")
     group, roster = pp.group, header["roster"]
     remaining, settled = list(roster), []
     bases = {}  # committer -> the base its peer published (cross-base mode)
@@ -1007,9 +1014,12 @@ def pick_violation(transcript: Transcript, pp: PublicParams) -> str | None:
 def audit_transcript(transcript: Transcript) -> dict:
     """Full independent audit: structure, routing, leakage, pick and verdict.
 
-    Returns {ok, violations, replayed, recorded}.  The recorded verdict line
-    must equal the replayed one (``replay_verdict``) field for field, and the
-    closing event must agree with it.  Nothing is taken on trust: a silence
+    Returns {ok, violations, replayed, recorded}.  The header's
+    ``config_digest`` must be the digest of its ``CONFIG_FIELDS``; nothing
+    here authenticates those fields, so compare the digest with the agreed
+    configuration out of band.  The recorded verdict line must equal the
+    replayed one (``replay_verdict``) field for field, and the closing event
+    must agree with it.  Nothing is taken on trust: a silence
     or ledger abort holds only where the messages bear it out.  A payload
     the replay cannot decode is a violation, and ``replayed`` is then None.
     """
@@ -1019,6 +1029,8 @@ def audit_transcript(transcript: Transcript) -> dict:
         # Views and the replay are defined over the header's rosters.
         return {"ok": False, "violations": violations, "replayed": None, "recorded": recorded}
     violations.extend(leakage_violations(transcript))
+    if transcript.header.get("config_digest") != config_digest(transcript.header):
+        violations.append(f"config_digest does not match the header's {', '.join(CONFIG_FIELDS)}")
     try:
         pp = params_from_dict(transcript.header["pp"])
         replayed = replay_verdict(transcript, pp)

@@ -17,11 +17,12 @@ entries 0..i is ``sha256(head_{i-1} || signing_bytes_i || signature_i)``
 with an empty prefix for the first entry.
 
 Each reading keeps its signing bytes, built once when the reading is made.
-Each ledger remembers the chain heads that a clean walk under a meter key
-ended on, so a later walk of the same entries (the step-6 spot check after
-the session config's walk, every trial of a simulation) hashes each chain
-link once and verifies only the signatures it has not seen end a clean
-walk: a repeat walk of an unchanged ledger costs one SHA-256 per entry.
+Each ledger remembers its last clean walk: the meter key, the firm id and
+the very entry objects walked.  A later walk under the same key and firm id
+(the step-6 spot check after the session config's walk, every trial of a
+simulation) checks only the entries after the longest prefix of those same
+objects, so a repeat walk of an unchanged ledger verifies no signature and
+hashes no link.
 """
 
 from __future__ import annotations
@@ -56,11 +57,7 @@ class ChainBroken(ValueError):
 
 
 class NonMonotonicHour(ValueError):
-    """Reading hour precedes the ledger's latest hour."""
-
-
-class DuplicateHour(ValueError):
-    """Ledger already holds a reading for this hour."""
+    """Reading hour does not come after the previous entry's hour."""
 
 
 class LedgerFormatError(ValueError):
@@ -117,6 +114,8 @@ class MeterReading:
             raise ValueError(f"bad firm id {self.firm_id!r}")
         if not is_int(self.e) or self.e < 0 or self.e >= MAX_READING_KG:
             raise ValueError(f"reading {self.e!r} outside [0, 2**32)")
+        if not isinstance(self.signature, bytes):
+            raise ValueError(f"signature must be bytes, not {type(self.signature).__name__}")
         # Signed bytes print the UTC hour, so the hour is kept in UTC.
         hour = normalize_hour(self.hour)
         object.__setattr__(self, "hour", hour)
@@ -164,20 +163,18 @@ def raw_public_bytes(public: Ed25519PublicKey) -> bytes:
     )
 
 
-def verify_reading(reading: MeterReading, meter_pk: bytes) -> None:
-    key = Ed25519PublicKey.from_public_bytes(meter_pk)
-    try:
-        key.verify(reading.signature, reading.signing_bytes())
-    except InvalidSignature:
-        raise BadSignature(
-            f"signature check failed for {reading.firm_id} at {hour_iso(reading.hour)}"
-        ) from None
-
-
 @dataclass(frozen=True, slots=True)
 class LedgerEntry:
     reading: MeterReading
     chain: bytes  # SHA-256 head over all entries up to and including this one
+
+    def __post_init__(self):
+        # A recorded clean walk relies on entries that cannot change: frozen
+        # readings of immutable fields, and an immutable chain head.
+        if not isinstance(self.reading, MeterReading):
+            raise ValueError(f"ledger entry holds {type(self.reading).__name__}, not a reading")
+        if not isinstance(self.chain, bytes):
+            raise ValueError(f"chain head must be bytes, not {type(self.chain).__name__}")
 
 
 def chain_head(prev: bytes, message: bytes, signature: bytes) -> bytes:
@@ -190,12 +187,13 @@ class FirmLedger:
     """Append-only reading log.  Entries built via append_reading always
     chain correctly; ledgers loaded from disk are claims to be verified.
 
-    ``verified_heads`` holds the ``(meter_pk, head)`` pairs on which a walk
-    under a valid key found no failure; only walk_ledger writes it."""
+    ``clean_walk`` is ``(meter_pk, firm_id, entries)`` of the last walk under
+    a valid key that found no failure, with the entries as a tuple of the
+    very objects walked; only walk_ledger writes it."""
 
     firm_id: str
     entries: list[LedgerEntry]
-    verified_heads: set = field(default_factory=set, init=False, repr=False, compare=False)
+    clean_walk: tuple = field(default=(None, None, ()), init=False, repr=False, compare=False)
 
     @classmethod
     def empty(cls, firm_id: str) -> "FirmLedger":
@@ -206,112 +204,102 @@ class FirmLedger:
         return self.entries[-1].chain if self.entries else b""
 
 
-def append_reading(ledger: FirmLedger, reading: MeterReading, meter_pk: bytes) -> LedgerEntry:
-    if reading.firm_id != ledger.firm_id:
-        raise ValueError(
-            f"reading for {reading.firm_id!r} appended to ledger of {ledger.firm_id!r}"
-        )
-    verify_reading(reading, meter_pk)
-    if ledger.entries:
-        last = ledger.entries[-1].reading.hour
-        if reading.hour == last:
-            raise DuplicateHour(f"already have a reading for {hour_iso(last)}")
-        if reading.hour < last:
-            raise NonMonotonicHour(
-                f"{hour_iso(reading.hour)} precedes latest {hour_iso(last)}"
-            )
-    chain = chain_head(ledger.head, reading.signing_bytes(), reading.signature)
-    entry = LedgerEntry(reading=reading, chain=chain)
-    ledger.entries.append(entry)
-    return entry
-
-
 @dataclass(frozen=True)
 class CheckFailure:
     kind: str  # "identity" | "signature" | "order" | "chain" | "range" | "aggregation"
     detail: str
 
 
+_WALK_ERRORS = {"signature": BadSignature, "identity": LedgerFormatError,
+                "order": NonMonotonicHour, "chain": ChainBroken}
+
+
+def _raise(failure: CheckFailure):
+    raise _WALK_ERRORS[failure.kind](f"{failure.kind} check failed at {failure.detail}")
+
+
 def _reject_signature(signature: bytes, message: bytes) -> None:
     raise InvalidSignature
 
 
-def _verified_prefix(ledger: FirmLedger, key: bytes | None, links: list[bool]) -> int:
-    """Length of the longest prefix whose links all recompute and whose last
-    stored head a clean walk under ``key`` ended on (0 if none)."""
-    heads = ledger.verified_heads
-    if not any(pk == key for pk, _ in heads):
-        return 0
-    prefix = 0
-    for i, (entry, linked) in enumerate(zip(ledger.entries, links)):
-        if not linked or len(entry.reading.signature) != 64:
-            break
-        if (key, entry.chain) in heads:
-            prefix = i + 1
-    return prefix
+def _meter_key(meter_pk: bytes):
+    """The verify function and key bytes of ``meter_pk``; if it is not a
+    32-byte Ed25519 key, no signature verifies and the key is None."""
+    try:
+        return Ed25519PublicKey.from_public_bytes(meter_pk).verify, bytes(meter_pk)
+    except (TypeError, ValueError):
+        return _reject_signature, None
+
+
+def _entry_failures(verify, firm_id: str, i: int, prev: LedgerEntry | None,
+                    entry: LedgerEntry) -> list[CheckFailure]:
+    """Entry ``i``'s failures after ``prev`` (None for the first entry): its
+    signature (else, if validly signed, its firm id), its hour order and its
+    chain link, hashed from the reading's stored signing bytes."""
+    reading = entry.reading
+    try:
+        verify(reading.signature, reading.message)
+        kinds = ["identity"] if reading.firm_id != firm_id else []
+    except InvalidSignature:
+        kinds = ["signature"]
+    if prev is not None and reading.hour <= prev.reading.hour:
+        kinds.append("order")
+    link = chain_head(b"" if prev is None else prev.chain, reading.message, reading.signature)
+    if link != entry.chain:
+        kinds.append("chain")
+    return [CheckFailure(kind, f"entry {i} ({hour_iso(reading.hour)})") for kind in kinds]
+
+
+def append_reading(ledger: FirmLedger, reading: MeterReading, meter_pk: bytes) -> LedgerEntry:
+    """Chain ``reading`` onto the ledger after the checks a walk makes of
+    that entry; raise on the first failure, as verify_ledger would."""
+    entries = ledger.entries
+    entry = LedgerEntry(reading, chain_head(ledger.head, reading.message, reading.signature))
+    for failure in _entry_failures(_meter_key(meter_pk)[0], ledger.firm_id, len(entries),
+                                   entries[-1] if entries else None, entry):
+        _raise(failure)
+    entries.append(entry)
+    return entry
 
 
 def walk_ledger(ledger: FirmLedger, meter_pk: bytes):
     """Replay the whole ledger, yielding a CheckFailure per broken invariant:
     per entry its signature (else, if validly signed, its firm id), its hour
     order and its chain link.  The meter key is built once per ledger; if
-    ``meter_pk`` is not a 32-byte Ed25519 key, no signature verifies.  Each
-    link is hashed once, from the reading's stored signing bytes, and that
-    result serves both the prefix search below and the chain check.
+    ``meter_pk`` is not a 32-byte Ed25519 key, no signature verifies.
 
     A walk that yields no failure under a valid key records
-    ``(meter_pk, head)`` in ``ledger.verified_heads``.  A later walk skips
-    the signature checks of the longest prefix whose links all recompute
-    and that ends on such a head, so a repeat walk of an unchanged ledger
-    costs one SHA-256 per entry.  The trust argument: every link of that
-    prefix recomputes to the stored head, and a clean walk under the same
-    key ended on that head, so under SHA-256 collision resistance (the
-    assumption the chain check already makes) the prefix's signing bytes and
-    signatures are byte-identical to ones that verified under this key.  The
-    prefix must hold only 64-byte signatures, the only length Ed25519
-    accepts; then each link's input splits one way only into previous head,
-    signing bytes and signature, and no signature byte can pass for a digit
-    of the reading.  Firm id, order and chain checks still run on every
-    entry, so the failures are those of a walk with no recorded heads."""
-    try:
-        verify, key = Ed25519PublicKey.from_public_bytes(meter_pk).verify, meter_pk
-    except (TypeError, ValueError):
-        verify, key = _reject_signature, None
-    entries = ledger.entries
-    prevs = [b"", *(entry.chain for entry in entries)]
-    links = [chain_head(prev, entry.reading.message, entry.reading.signature) == entry.chain
-             for prev, entry in zip(prevs, entries)]
-    verified = _verified_prefix(ledger, key, links)
+    ``(meter_pk, firm_id, entries)`` in ``ledger.clean_walk``.  A later walk
+    under the same key and firm id skips every check of the longest prefix
+    of the very same entry objects.  Entries are frozen and their fields
+    immutable, and each check of an entry reads only that entry, its
+    predecessor, the firm id and the key, so a skipped entry would pass
+    again; every other entry is checked in full, so the failures are those
+    of a walk with nothing on record.  Code that changes an entry through
+    ``object.__setattr__`` is outside this model."""
+    verify, key = _meter_key(meter_pk)
+    firm_id, entries = ledger.firm_id, tuple(ledger.entries)
+    walked_key, walked_firm, walked = ledger.clean_walk
+    skip = 0
+    if (walked_key, walked_firm) == (key, firm_id):
+        for entry, seen in zip(entries, walked):
+            if entry is not seen:
+                break
+            skip += 1
     clean = True
-    prev_hour = None
-    for i, entry in enumerate(entries):
-        reading = entry.reading
-        try:
-            if i >= verified:
-                verify(reading.signature, reading.message)
-            kinds = ["identity"] if reading.firm_id != ledger.firm_id else []
-        except InvalidSignature:
-            kinds = ["signature"]
-        if prev_hour is not None and reading.hour <= prev_hour:
-            kinds.append("order")
-        if not links[i]:
-            kinds.append("chain")
-        for kind in kinds:
+    for i in range(skip, len(entries)):
+        for failure in _entry_failures(verify, firm_id, i, entries[i - 1] if i else None,
+                                       entries[i]):
             clean = False
-            yield CheckFailure(kind, f"entry {i} ({hour_iso(reading.hour)})")
-        prev_hour = reading.hour
-    if clean and entries and key is not None:
-        ledger.verified_heads.add((key, entries[-1].chain))
-
-
-_WALK_ERRORS = {"signature": BadSignature, "identity": LedgerFormatError,
-                "order": NonMonotonicHour, "chain": ChainBroken}
+            yield failure
+    if clean and key is not None:
+        ledger.clean_walk = (key, firm_id, entries)
 
 
 def verify_ledger(ledger: FirmLedger, meter_pk: bytes) -> None:
     """Replay the whole ledger; raise on the first broken invariant."""
     for failure in walk_ledger(ledger, meter_pk):
-        raise _WALK_ERRORS[failure.kind](f"{failure.kind} check failed at {failure.detail}")
+        _raise(failure)
 
 
 def aggregate(ledger: FirmLedger, meter_pk: bytes) -> int:
@@ -354,8 +342,8 @@ def spot_check(ledger: FirmLedger, meter_pk: bytes, firm_id: str,
     sum to: every failure, in order; empty if none.  Never raises.
 
     The ledger must be ``firm_id``'s and walk clean (every walk_ledger
-    failure; signatures that an earlier clean walk under ``meter_pk``
-    already verified are not checked again), and its readings must sum to
+    failure; entries that an earlier clean walk under ``meter_pk`` passed
+    are not checked again), and its readings must sum to
     ``total`` within the range bound.  The commitment to that total is the
     caller's to open (step 6 opens it first, see ``audit.picked_check``).
     """

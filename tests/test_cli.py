@@ -138,6 +138,34 @@ def test_report_files_deterministic_under_seed(capsys, ws):
     assert op2.read_bytes() == openings[0].read_bytes()
 
 
+@pytest.mark.parametrize("pk, code, error", [
+    (None, 0, None), ("zz" * 32, 2, "ValueError"), ("00" * 31, 2, "ConfigInvalid"),
+], ids=["public-only", "non-hex", "short"])
+def test_report_reads_only_the_meter_public_key(capsys, ws, pk, code, error):
+    """A key file stripped of its secret gives the same report and opening
+    files under a seed; a public key that is not hex, or not 32 bytes, is
+    an input error about the key file."""
+    pp, reports, openings, _ = _pipeline(capsys, ws)
+    key = json.loads((ws / "F1.key.json").read_text())
+    del key["sk"]
+    if pk is not None:
+        key["pk"] = pk
+    public = ws / "F1.pub.json"
+    public.write_text(json.dumps(key))
+    rep2, op2 = ws / "again.json", ws / "again_open.json"
+    got, _, err = run_cli(
+        capsys, "report", "--pp", str(pp), "--ledger", str(ws / "F1.jsonl"),
+        "--meter-key", str(public), "--cycle", "cy-1",
+        "--seed", "101", "--out", str(rep2), "--opening-out", str(op2),
+    )
+    assert got == code
+    if code == 0:
+        assert rep2.read_bytes() == reports[0].read_bytes()
+        assert op2.read_bytes() == openings[0].read_bytes()
+    else:
+        assert err["error"] == error and not rep2.exists()
+
+
 def test_tampered_report_byte_is_rejected_with_culprit(capsys, ws):
     pp, reports, openings, sums = _pipeline(capsys, ws)
     data = json.loads(reports[0].read_text())
@@ -332,6 +360,18 @@ def test_ingest_detects_ledger_tampering(capsys, ws):
                            str(csv2), "--ledger", str(ledger), "--meter-key", str(key))
     assert code == 2
     assert err["error"] in ("BadSignature", "ChainBroken")
+
+
+def test_ingest_refuses_a_repeated_hour_with_the_walks_error(capsys, ws):
+    csv = ws / "a.csv"
+    _write_csv(csv, [("2026-04-01T00:00:00Z", 5), ("2026-04-01T00:00:00Z", 6)])
+    ledger = ws / "l.jsonl"
+    code, out, err = run_cli(capsys, "ingest", "--firm-id", "F1", "--readings", str(csv),
+                             "--ledger", str(ledger), "--meter-key", str(ws / "k.json"),
+                             "--seed", "3")
+    assert code == 2 and out is None and not ledger.exists()
+    assert err["error"] == "NonMonotonicHour"
+    assert err["message"] == "order check failed at entry 1 (2026-04-01T00:00:00Z)"
 
 
 @pytest.mark.parametrize("firm_id", [["F1"], {"F1": 1}, 7, None])
@@ -824,6 +864,34 @@ def test_transcript_audit_replays_the_recorded_pick(capsys, ws, kind, edit, viol
     code, report, err = run_cli(capsys, "transcript-audit", "--transcript", str(forged))
     assert code == 1 and err is None
     assert report["violations"] == [f"pick does not replay: {violation}"]
+
+
+@pytest.mark.parametrize("redigest, violations", [
+    (False, ["config_digest does not match the header's roster, k, data_mode, pick_mode, "
+             "cycle_id, group", "pick does not replay: pick_commit at seq 17 under pick mode "
+                                "'env'"]),
+    (True, ["pick does not replay: pick_commit at seq 17 under pick mode 'env'"]),
+], ids=["stale-digest", "re-digested"])
+def test_transcript_audit_checks_the_headers_pick_mode(capsys, ws, redigest, violations):
+    """The forged settle above, with the header rewritten to say the
+    environment picked: its config_digest no longer matches, and once
+    re-digested, its pick events have no place in an env-pick transcript."""
+    t = ws / "t.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", "bias-pick-zero", "--trials", "1",
+                         "--seed", "3", "--transcript", str(t))
+    assert code == 0
+    lines = [json.loads(line) for line in _forge_first(
+        t.read_bytes(), "pick_settle",
+        lambda p: p.update(index=p["index"] + 1, picked="ZZZ")).splitlines()]
+    header = lines[0]["header"]
+    header["pick_mode"] = "env"
+    if redigest:
+        header["config_digest"] = harness.config_digest(header)
+    forged = ws / "forged.jsonl"
+    forged.write_bytes(b"\n".join(harness.canonical_json(obj) for obj in lines) + b"\n")
+    code, report, err = run_cli(capsys, "transcript-audit", "--transcript", str(forged))
+    assert code == 1 and err is None
+    assert report["violations"] == violations
 
 
 _SILENT_AT_4 = {"step": 4, "culprit_role": "country", "culprit": "C", "reason": "went silent"}

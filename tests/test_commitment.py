@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from emissions_audit import commitment
 from emissions_audit.commitment import (
-    DegenerateCollision,
     MAX_EMISSIONS_KG,
     NotACollision,
     RangeExceeded,
@@ -200,9 +199,6 @@ def test_collision_guards():
     with pytest.raises(NotACollision):
         # Identical openings: trivially the same point, nothing to extract.
         extract_trapdoor_from_collision(pp, m, r, m, r)
-    # DegenerateCollision guards the r1 == r2 corner, which equal
-    # commitments make unreachable through this API; keep it importable.
-    assert issubclass(DegenerateCollision, ValueError)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,6 @@ from emissions_audit.measurement import (
     parse_hour,
     hour_iso,
     ChainBroken,
-    DuplicateHour,
     FirmLedger,
     LedgerEntry,
     MAX_READING_KG,
@@ -36,7 +37,6 @@ from emissions_audit.measurement import (
     signing_bytes,
     spot_check,
     verify_ledger,
-    verify_reading,
     walk_ledger,
     write_ledger,
 )
@@ -68,7 +68,9 @@ def _ledger(keypair, values, firm_id="F1"):
 
 def test_sign_and_verify_roundtrip(keypair):
     reading = keypair.sign_reading("F1", parse_hour("2026-02-01T00:00:00Z"), 123)
-    verify_reading(reading, keypair.public_bytes)
+    ledger = FirmLedger.empty("F1")
+    append_reading(ledger, reading, keypair.public_bytes)
+    verify_ledger(FirmLedger("F1", list(ledger.entries)), keypair.public_bytes)
 
 
 def test_signature_binds_every_field(keypair):
@@ -81,15 +83,20 @@ def test_signature_binds_every_field(keypair):
         {"e": 124},
     ):
         forged = dataclasses.replace(reading, **change)
-        with pytest.raises(BadSignature):
-            verify_reading(forged, keypair.public_bytes)
+        with pytest.raises(BadSignature, match=r"signature check failed at entry 0 \("):
+            append_reading(FirmLedger.empty(forged.firm_id), forged, keypair.public_bytes)
 
 
 def test_signature_rejects_wrong_key(keypair):
     reading = keypair.sign_reading("F1", parse_hour("2026-02-01T00:00:00Z"), 1)
     stranger = MeterKeypair.generate(random.Random(21))
+    ledger = FirmLedger.empty("F1")
     with pytest.raises(BadSignature):
-        verify_reading(reading, stranger.public_bytes)
+        append_reading(ledger, reading, stranger.public_bytes)
+    assert ledger.entries == []
+    append_reading(ledger, reading, keypair.public_bytes)
+    with pytest.raises(BadSignature):
+        verify_ledger(ledger, stranger.public_bytes)
 
 
 def test_keypair_deterministic_from_seed():
@@ -162,7 +169,7 @@ def test_chain_heads_match_manual_recomputation(keypair):
 def test_append_rejects_duplicate_and_backward_hours(keypair):
     ledger = _ledger(keypair, [5, 6])
     dup = keypair.sign_reading("F1", _hours(2)[1], 9)
-    with pytest.raises(DuplicateHour):
+    with pytest.raises(NonMonotonicHour):
         append_reading(ledger, dup, keypair.public_bytes)
     past = keypair.sign_reading("F1", _hours(1)[0], 9)
     with pytest.raises(NonMonotonicHour):
@@ -178,6 +185,31 @@ def test_append_rejects_foreign_or_forged_reading(keypair):
     wrong_firm = keypair.sign_reading("F2", _hours(2)[1], 9)
     with pytest.raises(ValueError):
         append_reading(ledger, wrong_firm, keypair.public_bytes)
+
+
+@pytest.mark.parametrize("case", ["forged", "foreign-firm", "duplicate", "backward",
+                                  "forged-backward"])
+def test_append_raises_what_a_walk_of_the_appended_entry_raises(keypair, case):
+    """append_reading runs the walk's entry check: the same exception and text
+    as verify_ledger on the ledger with that entry chained on, and no entry
+    is added."""
+    stranger = MeterKeypair.generate(random.Random(23))
+    signer, firm_id, hour = {
+        "forged": (stranger, "F1", 2), "foreign-firm": (keypair, "F2", 2),
+        "duplicate": (keypair, "F1", 1), "backward": (keypair, "F1", 0),
+        "forged-backward": (stranger, "F1", 0),
+    }[case]
+    ledger = _ledger(keypair, [5, 6])
+    reading = signer.sign_reading(firm_id, _hours(3)[hour], 9)
+    with pytest.raises(ValueError) as appended:
+        append_reading(ledger, reading, keypair.public_bytes)
+    assert len(ledger.entries) == 2
+    ledger.entries.append(LedgerEntry(reading, chain_head(
+        ledger.head, reading.signing_bytes(), reading.signature)))
+    with pytest.raises(ValueError) as walked:
+        verify_ledger(ledger, keypair.public_bytes)
+    assert (type(appended.value), str(appended.value)) == (type(walked.value), str(walked.value))
+    assert str(walked.value).endswith(f"check failed at entry 2 ({hour_iso(_hours(3)[hour])})")
 
 
 def test_verify_ledger_catches_spliced_entry(keypair):
@@ -297,8 +329,9 @@ def _old_spot_check(ledger, meter_pk, firm_id, claimed):
         reading = entry.reading
         label = f"entry {i} ({hour_iso(reading.hour)})"
         try:
-            verify_reading(reading, meter_pk)
-        except BadSignature:
+            Ed25519PublicKey.from_public_bytes(meter_pk).verify(
+                reading.signature, reading.signing_bytes())
+        except InvalidSignature:
             failures.append(CheckFailure("signature", label))
         if prev_hour is not None and reading.hour <= prev_hour:
             failures.append(CheckFailure("order", label))
@@ -374,7 +407,7 @@ def test_walker_matches_old_spot_check_on_a9_mutations(mutations):
 
 
 # ---------------------------------------------------------------------------
-# Verified chain heads: repeat walks skip signatures already checked.
+# The last clean walk: repeat walks skip the very entries it passed.
 # ---------------------------------------------------------------------------
 
 _B_KP = MeterKeypair.generate(random.Random(903))
@@ -384,7 +417,7 @@ def _walked_a9_ledger():
     """A copy of the A9 ledger whose clean walk under the meter key is on record."""
     ledger = FirmLedger("F2", list(_A9_LEDGER.entries))
     assert spot_check(ledger, _A9_KP.public_bytes, "F2", _A9_TOTAL) == ()
-    assert ledger.verified_heads == {(_A9_KP.public_bytes, ledger.head)}
+    assert ledger.clean_walk == (_A9_KP.public_bytes, "F2", tuple(ledger.entries))
     return ledger
 
 
@@ -417,6 +450,8 @@ _MEMO_TAMPER = st.one_of(
     st.tuples(st.just("rechain"), _A9_MUTATION.filter(lambda m: m[1] != "chain")),
     st.tuples(st.just("append"), st.sampled_from(["meter", "stranger", "foreign-firm"])),
     st.tuples(st.just("truncate"), st.integers(0, 23)),
+    st.tuples(st.just("copy"), st.integers(0, 23)),
+    st.tuples(st.just("swap"), st.tuples(st.integers(0, 23), st.integers(0, 23))),
     st.tuples(st.just("meter_pk"), st.just(None)),
     st.tuples(st.just("firm_id"), st.just(None)),
 )
@@ -438,12 +473,19 @@ def test_walk_with_recorded_heads_matches_a_fresh_walk(tampers):
             _append_forged(entries, 7, signer, "F9" if arg == "foreign-firm" else "F2")
         elif kind == "truncate":
             del entries[arg:]
+        elif kind == "copy" and arg < len(entries):
+            # An equal entry, but not the object the clean walk passed.
+            entries[arg] = LedgerEntry(dataclasses.replace(entries[arg].reading),
+                                       entries[arg].chain)
+        elif kind == "swap" and max(arg) < len(entries):
+            i, j = arg
+            entries[i], entries[j] = entries[j], entries[i]
         elif kind == "meter_pk":
             meter_pk = _B_KP.public_bytes
         elif kind == "firm_id":
             ledger.firm_id = "F2-renamed"
-        # After every tamper, and twice: a head recorded by one walk must
-        # not hide a failure from the next.
+        # After every tamper, and twice: a clean walk on record must not
+        # hide a failure from the next walk.
         fresh = FirmLedger(ledger.firm_id, list(ledger.entries))
         want = spot_check(fresh, meter_pk, "F2", _A9_TOTAL)
         for _ in range(2):
@@ -464,15 +506,21 @@ def test_heads_recorded_under_one_key_skip_nothing_under_another():
     theirs = FirmLedger("F2", [])
     _append_forged(theirs.entries, 5, _B_KP)
     assert list(walk_ledger(theirs, stranger)) == []
-    assert theirs.verified_heads == {(stranger, theirs.head)}
+    assert theirs.clean_walk == (stranger, "F2", tuple(theirs.entries))
     assert [f.kind for f in walk_ledger(theirs, _A9_KP.public_bytes)] == ["signature"]
-    # One ledger with heads on record under both keys: the meter's heads
-    # still skip nothing under the stranger's key.
+    # The meter's entries under a record the stranger's key made: the record
+    # names the stranger's key and other entries, so nothing is skipped.
     meter_entries, ledger.entries = ledger.entries, theirs.entries
     assert list(walk_ledger(ledger, stranger)) == []
     ledger.entries = meter_entries
-    assert len(ledger.verified_heads) == 2
+    assert ledger.clean_walk == (stranger, "F2", tuple(theirs.entries))
     assert spot_check(ledger, stranger, "F2", _A9_TOTAL) == failures
+
+
+def test_a_clean_walk_on_record_skips_nothing_after_a_rename():
+    ledger = _walked_a9_ledger()
+    ledger.firm_id = "F2-renamed"
+    assert [f.kind for f in walk_ledger(ledger, _A9_KP.public_bytes)] == ["identity"] * 24
 
 
 def test_a_signature_byte_cannot_pass_for_a_digit_of_the_reading():
@@ -514,26 +562,30 @@ def test_repeat_walks_verify_only_signatures_not_yet_on_record(keypair, verified
         verified_messages.clear()
         assert list(walk_ledger(ledger, keypair.public_bytes))
         assert len(verified_messages) == 1
-    assert len(ledger.verified_heads) == 2
+    assert ledger.clean_walk == (keypair.public_bytes, "F1", tuple(ledger.entries[:6]))
 
 
 def test_recorded_heads_stay_out_of_equality_repr_and_loading(tmp_path, keypair):
+    nothing = (None, None, ())
     ledger = _ledger(keypair, [1, 2])
-    assert ledger.verified_heads == set()  # append_reading records nothing
+    assert ledger.clean_walk == nothing  # append_reading records nothing
     verify_ledger(ledger, keypair.public_bytes)
-    assert ledger.verified_heads
+    assert ledger.clean_walk == (keypair.public_bytes, "F1", tuple(ledger.entries))
     fresh = FirmLedger("F1", list(ledger.entries))
     assert fresh == ledger and repr(fresh) == repr(ledger)
-    assert "verified_heads" not in repr(ledger)
+    assert "clean_walk" not in repr(ledger)
     path = tmp_path / "F1.jsonl"
     write_ledger(ledger, path)
-    assert read_ledger(path).verified_heads == set()
+    assert read_ledger(path).clean_walk == nothing
     with pytest.raises(TypeError):
-        FirmLedger("F1", [], verified_heads={(keypair.public_bytes, b"")})
+        FirmLedger("F1", [], clean_walk=(keypair.public_bytes, "F1", ()))
 
 
 def test_a_repeat_walk_hashes_each_link_once_and_builds_no_signing_bytes(
         keypair, monkeypatch, verified_messages):
+    """A repeat walk of an unchanged ledger hashes no link, verifies no
+    signature and builds no signing bytes; after one append it checks only
+    the new entry."""
     import emissions_audit.measurement as measurement
 
     ledger = _ledger(keypair, [3, 1, 4, 1, 5, 9, 2])
@@ -544,12 +596,21 @@ def test_a_repeat_walk_hashes_each_link_once_and_builds_no_signing_bytes(
                         lambda *a: built.append(a) or real_signing_bytes(*a))
     monkeypatch.setattr(measurement, "chain_head",
                         lambda *a: hashed.append(a) or real_chain_head(*a))
-    verified_messages.clear()
     for _ in range(2):
         hashed.clear()
+        verified_messages.clear()
         assert aggregate(ledger, keypair.public_bytes) == 25
-        assert len(hashed) == len(ledger.entries)
-    assert built == [] and verified_messages == []
+        assert hashed == [] and verified_messages == []
+    assert built == []
+    append_reading(ledger, keypair.sign_reading("F1", _hours(8)[7], 6), keypair.public_bytes)
+    hashed.clear()
+    verified_messages.clear()
+    assert aggregate(ledger, keypair.public_bytes) == 31
+    assert len(hashed) == 1 and verified_messages == [ledger.entries[7].reading.message]
+    hashed.clear()
+    verified_messages.clear()
+    assert aggregate(ledger, keypair.public_bytes) == 31
+    assert hashed == [] and verified_messages == []
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +639,8 @@ def test_signed_and_loaded_readings_store_their_signing_bytes(firm_id, hour, zon
     local = hour.astimezone(zone)
     reading = _B_KP.sign_reading(firm_id, local, e)
     _stored_bytes_hold(reading)
-    verify_reading(reading, _B_KP.public_bytes)
+    Ed25519PublicKey.from_public_bytes(_B_KP.public_bytes).verify(reading.signature,
+                                                                  reading.message)
     entry = LedgerEntry(reading, chain_head(b"", reading.message, reading.signature))
     loaded = entry_from_dict({**entry_to_dict(entry), "hour": local.isoformat()})
     _stored_bytes_hold(loaded.reading)
@@ -599,6 +661,24 @@ def test_built_and_replaced_readings_store_their_signing_bytes(
     replaced = dataclasses.replace(reading, **{name: data.draw(values)})
     _stored_bytes_hold(replaced)
     _stored_bytes_hold(reading)
+
+
+@pytest.mark.parametrize("field", ["signature", "chain", "reading"])
+def test_entries_refuse_mutable_or_foreign_parts(keypair, field):
+    """A recorded clean walk trusts its entries not to change, so a reading
+    refuses a bytearray signature and an entry a bytearray chain head or a
+    reading that is not a MeterReading."""
+    entry = _ledger(keypair, [1]).entries[0]
+    reading = entry.reading
+    with pytest.raises(ValueError, match="not"):
+        if field == "signature":
+            MeterReading("F1", reading.hour, 1, bytearray(reading.signature))
+        elif field == "chain":
+            LedgerEntry(reading, bytearray(entry.chain))
+        else:
+            LedgerEntry(entry, entry.chain)
+    with pytest.raises(ValueError):
+        dataclasses.replace(reading, signature=bytearray(reading.signature))
 
 
 def test_stored_bytes_stay_out_of_equality_hash_and_repr(keypair):
