@@ -53,26 +53,23 @@ from .groups import group_by_name
 # canonical_json gives the bytes of json.dumps(obj, sort_keys=True,
 # separators=(",", ":")) from one encoder built here: json.dumps builds a new
 # one per call, which costs more than encoding a small payload, and every
-# recorded event is hashed twice (when recorded and when its routing is
-# rechecked).  The encoder keeps no circular-reference markers, so it holds
-# no state between calls; a cyclic object raises RecursionError instead of
-# ValueError.
+# recorded or parsed event encodes its payload once.  The encoder keeps no
+# circular-reference markers, so it holds no state between calls; a cyclic
+# object raises RecursionError instead of ValueError.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 if c_make_encoder is None:
-    _encode = _ENCODER.encode
+    def canonical_json(obj) -> bytes:
+        """Sorted-key, separator-free JSON: byte for byte what json.dumps gives."""
+        return _ENCODER.encode(obj).encode()
 else:
     # (markers, default, encoder, indent, key_separator, item_separator,
     #  sort_keys, skipkeys, allow_nan), as JSONEncoder.iterencode passes them.
     _c_encode = c_make_encoder(None, _ENCODER.default, encode_basestring_ascii, None,
                                ":", ",", True, False, True)
 
-    def _encode(obj) -> str:
-        return "".join(_c_encode(obj, 0))
-
-
-def canonical_json(obj) -> bytes:
-    """Sorted-key, separator-free JSON: byte for byte what json.dumps gives."""
-    return _encode(obj).encode()
+    def canonical_json(obj) -> bytes:
+        """Sorted-key, separator-free JSON: byte for byte what json.dumps gives."""
+        return "".join(_c_encode(obj, 0)).encode()
 
 
 def digest_of(obj) -> str:
@@ -219,22 +216,49 @@ def _wire(config: SessionConfig, adversary: AdversarySpec) -> dict:
 
 
 class UnknownParticipant(ValueError):
-    """view_of asked about an id that never took part in the session."""
+    """A view was asked for an id that never took part in the session."""
 
 
 @dataclass(slots=True)
 class Event:
+    """One recorded message.  Its payload is kept as canonical JSON bytes,
+    encoded once, when the event is recorded or parsed: ``digest`` is taken
+    over them, ``payload`` decodes a fresh dict from them on each read, and
+    ``to_json`` inserts them into the event's line as they are."""
+
     seq: int
     step: int
     kind: str
     sender: str
     channel: str  # "broadcast" | "private"
     recipient: str | None
-    payload: dict
+    payload_json: bytes
     digest: str
 
+    @property
+    def payload(self) -> dict:
+        # Canonical JSON is ASCII; json.loads would first detect an encoding.
+        return json.loads(self.payload_json.decode())
+
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        """The event's ``transcript/v1`` object."""
+        return {name: getattr(self, name) for name in _EVENT_LINE_KEYS}
+
+    def to_json(self) -> bytes:
+        """``canonical_json(self.to_dict())``, built from its parts: each
+        field's canonical JSON under its key, in sorted key order."""
+        return b"{" + b",".join(
+            key + (self.payload_json if name == "payload" else canonical_json(getattr(self, name)))
+            for name, key in _EVENT_LINE_KEYS.items()) + b"}"
+
+
+# The fields of a ``transcript/v1`` event line and their JSON types; then
+# each field's key as canonical JSON with its colon, in sorted key order.
+_EVENT_FIELD_TYPES = {
+    "seq": int, "step": int, "kind": str, "sender": str, "channel": str,
+    "recipient": (str, type(None)), "payload": dict, "digest": str,
+}
+_EVENT_LINE_KEYS = {name: canonical_json(name) + b":" for name in sorted(_EVENT_FIELD_TYPES)}
 
 
 class Transcript:
@@ -246,22 +270,10 @@ class Transcript:
         self.verdict: dict | None = None
 
     def record(self, *, step, kind, sender, channel, recipient, payload):
-        self.events.append(
-            Event(
-                seq=len(self.events),
-                step=step,
-                kind=kind,
-                sender=sender,
-                channel=channel,
-                recipient=recipient,
-                payload=payload,
-                digest=digest_of(payload),
-            )
-        )
-
-    def view_of(self, participant: str) -> list[Event]:
-        """Everything the participant received: broadcasts plus its lane."""
-        return [ev for _, ev in self.seen_by([participant])]
+        """Append an event; a later change to ``payload`` does not reach it."""
+        payload_json = canonical_json(payload)
+        self.events.append(Event(len(self.events), step, kind, sender, channel, recipient,
+                                 payload_json, hashlib.sha256(payload_json).hexdigest()))
 
     def seen_by(self, viewers, kinds=None) -> list[tuple[str, Event]]:
         """(viewer, event) for each event (of ``kinds``, if given) in each view,
@@ -283,7 +295,7 @@ class Transcript:
 
     def to_jsonl(self) -> bytes:
         lines = [canonical_json({"header": self.header})]
-        lines.extend(canonical_json(ev.to_dict()) for ev in self.events)
+        lines.extend(ev.to_json() for ev in self.events)
         if self.verdict is not None:
             lines.append(canonical_json({"verdict": self.verdict}))
         return b"\n".join(lines) + b"\n"
@@ -529,7 +541,7 @@ def routing_violations(transcript: Transcript) -> list[str]:
         if ev.step < last_step:
             out.append(f"step went backwards at seq {ev.seq}")
         last_step = max(last_step, ev.step)
-        if ev.digest != digest_of(ev.payload):
+        if ev.digest != hashlib.sha256(ev.payload_json).hexdigest():
             out.append(f"payload digest mismatch at seq {ev.seq}")
         if ev.kind in PRIVATE_KINDS:
             if ev.channel != "private" or ev.recipient is None:
@@ -796,12 +808,6 @@ class TranscriptFormatError(ValueError):
     """Transcript file is not a well-formed event stream."""
 
 
-_EVENT_FIELD_TYPES = {
-    "seq": int, "step": int, "kind": str, "sender": str, "channel": str,
-    "recipient": (str, type(None)), "payload": dict, "digest": str,
-}
-
-
 def parse_transcript(data: bytes) -> Transcript:
     """Rebuild a Transcript object from its JSONL serialization."""
     header = None
@@ -827,7 +833,8 @@ def parse_transcript(data: bytes) -> Transcript:
                 if isinstance(obj[name], bool) or not isinstance(obj[name], kind)]
             if bad:
                 raise TranscriptFormatError(f"line {line_no}: bad event fields {bad}")
-            events.append(Event(**obj))
+            payload_json = canonical_json(obj.pop("payload"))
+            events.append(Event(**obj, payload_json=payload_json))
     if not isinstance(header, dict):
         raise TranscriptFormatError("transcript has no header object")
     if verdict is not None and not isinstance(verdict, dict):

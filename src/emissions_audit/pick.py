@@ -202,10 +202,6 @@ class PickOutcome:
     picked: tuple[str, ...] | None
     fault: Faulted | None
 
-    @property
-    def completed_despite_fault(self) -> bool:
-        return self.fault is not None and self.picked is not None
-
 
 def _base_params(pp: PublicParams, base_mode: str, rng: random.Random) -> dict:
     """Which parameters each party commits under, keyed by committer."""

@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from emissions_audit import commitment, harness
@@ -996,6 +996,28 @@ def test_transcript_audit_exit_contract_on_mutated_transcripts(
     if code != 2:
         assert verdict["ok"] is (code == 0)
         assert code == 0 or verdict["violations"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(min_value=0, max_value=2), index=st.integers(min_value=0),
+       digest=st.text("0123456789abcdef", max_size=64))
+def test_transcript_audit_flags_a_wrong_payload_digest(
+        engine_transcripts, tmp_path_factory, which, index, digest):
+    """One event's digest is replaced, its payload left as recorded: the
+    file parses, replays as before, and fails only the digest recheck."""
+    lines = engine_transcripts[which].splitlines(keepends=True)
+    seq = index % (len(lines) - 2)  # between the header and the verdict line
+    event = json.loads(lines[1 + seq])
+    assert event["seq"] == seq
+    assume(digest != event["digest"])
+    event["digest"] = digest
+    lines[1 + seq] = harness.canonical_json(event) + b"\n"
+    path = tmp_path_factory.getbasetemp() / "wrong-digest.jsonl"
+    path.write_bytes(b"".join(lines))
+    code, verdict = _exit_contract(["transcript-audit", "--transcript", path])
+    assert code == 1
+    assert verdict["violations"] == [f"payload digest mismatch at seq {seq}"]
+    assert verdict["replayed"] == verdict["recorded"]
 
 
 @pytest.fixture()

@@ -196,20 +196,25 @@ def test_transcripts_byte_identical_for_same_seed(pp):
     assert a != c
 
 
+def _view_of(transcript, participant):
+    """Everything the participant received: broadcasts plus its lane."""
+    return [ev for _, ev in transcript.seen_by([participant])]
+
+
 def test_view_filtering(pp):
     config = _config(pp, [10, 20], k=1)
     transcript = run_session(config, seed=1).transcript
-    kinds_c = {e.kind for e in transcript.view_of(COUNTRY_ID)}
-    kinds_v = {e.kind for e in transcript.view_of(VERIFIER_ID)}
-    kinds_f1 = {e.kind for e in transcript.view_of("F1")}
+    kinds_c = {e.kind for e in _view_of(transcript, COUNTRY_ID)}
+    kinds_v = {e.kind for e in _view_of(transcript, VERIFIER_ID)}
+    kinds_f1 = {e.kind for e in _view_of(transcript, "F1")}
     assert "report" in kinds_c and "report" not in kinds_v
     assert "commitment" in kinds_v  # broadcasts reach everyone
-    for ev in transcript.view_of("F1"):
+    for ev in _view_of(transcript, "F1"):
         if ev.kind == "assign_m":
             assert ev.payload["firm"] == "F1"
     assert "assign_m" in kinds_f1
     with pytest.raises(UnknownParticipant):
-        transcript.view_of("F99")
+        _view_of(transcript, "F99")
 
 
 def test_structural_checkers_clean_on_honest_run(pp):
@@ -427,6 +432,57 @@ def test_transcript_parse_roundtrip(pp):
     parsed = parse_transcript(original.to_jsonl())
     assert parsed.to_jsonl() == original.to_jsonl()
     assert parsed.digest() == original.digest()
+
+
+def test_routing_flags_a_digest_that_is_not_the_payloads(pp):
+    """In process and after a parse, an event whose digest was overwritten."""
+    transcript = run_session(_config(pp, [10, 20, 30], k=2), seed=12).transcript
+    assert routing_violations(transcript) == []
+    transcript.events[3].digest = digest_of({"not": "the payload"})
+    assert routing_violations(transcript) == ["payload digest mismatch at seq 3"]
+    parsed = parse_transcript(transcript.to_jsonl())
+    assert routing_violations(parsed) == ["payload digest mismatch at seq 3"]
+
+
+def test_a_payload_changed_after_record_leaves_the_event_as_recorded():
+    transcript = Transcript({"participants": [ENV_ID, "F1"], "roster": ["F1"]})
+    payload = {"firm": "F1", "m": 10, "hours": [1, 2]}
+    transcript.record(step=1, kind="assign_m", sender=ENV_ID, channel="private",
+                      recipient="F1", payload=payload)
+    ev = transcript.events[0]
+    recorded = (ev.digest, transcript.to_jsonl())
+    payload["m"] = 11
+    payload["hours"].append(3)
+    payload["extra"] = None
+    # Each read decodes a fresh dict, so changing one does not reach the event.
+    ev.payload["m"] = 12
+    assert ev.payload == {"firm": "F1", "m": 10, "hours": [1, 2]}
+    assert (ev.digest, transcript.to_jsonl()) == recorded
+    assert routing_violations(transcript) == []
+
+
+_PAYLOADS = st.dictionaries(st.text(), _JSON_VALUES, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text(), st.none() | st.text(), _PAYLOADS), min_size=1, max_size=4))
+def test_recorded_payload_bytes_decode_insert_and_reparse_unchanged(events):
+    """Payloads with ints past 2**64, non-ASCII and escaped text, nested
+    lists and dicts, null and booleans; senders and recipients too."""
+    transcript = Transcript({"participants": ["E"], "roster": [], "note": "é\n"})
+    for sender, recipient, payload in events:
+        transcript.record(step=1, kind="pp", sender=sender, recipient=recipient,
+                          channel="broadcast" if recipient is None else "private",
+                          payload=payload)
+    transcript.verdict = {"status": "completed"}
+    blob = transcript.to_jsonl()
+    lines = blob.splitlines()
+    assert len(lines) == len(events) + 2
+    for ev, (_, _, payload), line in zip(transcript.events, events, lines[1:]):
+        assert ev.payload == payload
+        assert canonical_json(ev.payload) == canonical_json(payload)  # true stays true
+        assert line == canonical_json(ev.to_dict())
+    assert parse_transcript(blob).to_jsonl() == blob
 
 
 def test_parse_rejects_malformed_stream(pp):
@@ -840,7 +896,8 @@ def test_undecodable_payload_is_a_violation_not_a_crash(kind, field, value):
 
     def edit(ev):
         if ev.kind == kind and ev.payload.get("firm") == firm:
-            return dataclasses.replace(ev, payload=dict(ev.payload, **{field: value}))
+            return dataclasses.replace(
+                ev, payload_json=canonical_json(dict(ev.payload, **{field: value})))
         return ev
 
     tampered = _edited(transcript, edit)
@@ -928,7 +985,8 @@ def test_batched_examine_names_the_sequential_culprit(examined_session, monkeypa
                 return ev
             if fid not in reports:
                 return None
-            return dataclasses.replace(ev, payload=dict(ev.payload, m=reports[fid][0]))
+            return dataclasses.replace(
+                ev, payload_json=canonical_json(dict(ev.payload, m=reports[fid][0])))
 
         replayed = replay_verdict(_edited(transcript, edit))["abort"]
         assert (replayed["culprit"], replayed["reason"]) == expected, positions

