@@ -26,7 +26,7 @@ from . import harness as hz
 from . import measurement as ms
 from . import pick as pk
 from .audit import ConfigInvalid, examine, sum_check
-from .commitment import is_int, params_from_dict, params_to_dict, setup
+from .commitment import commit, is_int, params_from_dict, params_to_dict, setup
 from .groups import GroupError, group_by_name
 
 MODE_ALIASES = {
@@ -382,24 +382,24 @@ def cmd_pick_settle(args) -> int:
     if reveal["l"] != state["l"] or reveal["round"] != state["round"]:
         raise ConfigInvalid("peer reveal disagrees on round or list length")
 
-    l = state["l"]
-    peer_c = pp.group.decode_point(bytes.fromhex(state["peer_commitment"]))
-    peer_r = pp.group.decode_scalar(bytes.fromhex(reveal["r"]))
+    l, own, group = state["l"], state["party"], pp.group
+    roster = [x for x in args.roster.split(",") if x] if args.roster else range(l)
+    if len(roster) != l:
+        raise ConfigInvalid(f"roster has {len(roster)} names but l={l}")
+    fold = pk.PickFold(roster, dict.fromkeys(pk.PARTIES, pp))
+    own_r = group.decode_scalar(bytes.fromhex(state["r"]))
+    fold.commits[peer_party] = group.decode_point(bytes.fromhex(state["peer_commitment"]))
+    fold.commits[own] = commit(pp, group.scalar(state["m"]), own_r)
     # The peer's reveal is checked against the commitment it sent; this
-    # party's own draw is its own state, so only its range can fail.
-    for party, fault in ((peer_party, pk.reveal_fault(l, peer_c, reveal["m"], peer_r, pp)),
-                         (state["party"], pk.contribution_fault(l, state["m"]))):
-        if fault is not None:
+    # party's own opening is recommitted, so only its range can fail.
+    for party, m, r in ((peer_party, reveal["m"], group.decode_scalar(bytes.fromhex(reveal["r"]))),
+                        (own, state["m"], own_r)):
+        if (fault := fold.reveal(party, m, r)) is not None:
             _emit({"verdict": "FAULT", "party": party, "reason": fault})
             return 1
-    contributions = {state["party"]: state["m"], peer_party: reveal["m"]}
-    index = pk.derive_index(contributions[pk.COUNTRY], contributions[pk.VERIFIER], l)
-    out = {"verdict": "SETTLED", "index": index, "l": l, "round": state["round"]}
+    out = {"verdict": "SETTLED", "index": fold.settle(), "l": l, "round": state["round"]}
     if args.roster:
-        roster = [x for x in args.roster.split(",") if x]
-        if len(roster) != l:
-            raise ConfigInvalid(f"roster has {len(roster)} names but l={l}")
-        out["picked"] = roster[index]
+        out["picked"] = fold.settled[-1]
     _emit(out)
     return 0
 

@@ -502,10 +502,8 @@ PRIVATE_KINDS = {
     "reveal_opening": VERIFIER_ID,
     "ledger_forward": VERIFIER_ID,
 }
-BROADCAST_KINDS = {
-    "pp", "commitment", "sum", "verification_list", "abort", "verdict",
-    "pick_commit", "pick_reveal", "pick_fault", "pick_settle", "pick_base",
-}
+PICK_KINDS = ("pick_base", "pick_commit", "pick_reveal", "pick_fault", "pick_settle")
+BROADCAST_KINDS = {"pp", "commitment", "sum", "verification_list", "abort", "verdict", *PICK_KINDS}
 # kind -> which secret fields of which firm it carries
 OPENING_FIELDS = {
     "assign_m": ("m",),
@@ -927,94 +925,75 @@ def replay_verdict(transcript: Transcript, pp: PublicParams | None = None) -> di
 
 
 _PICK_PARTIES = {pid: party for party, pid in PICK_SENDERS.items()}
-_PICK_KINDS = ("pick_base", "pick_commit", "pick_reveal", "pick_fault", "pick_settle")
 
 
 def pick_violation(transcript: Transcript, pp: PublicParams) -> str | None:
     """The first way a joint pick's events break its round rule, or None.
     Under any other pick mode, the first pick event is the violation.
 
-    Replays the pick with the check of the engine and of ``pick-settle``
-    (``pick.reveal_fault``, ``pick.derive_index``): each reveal opens its
-    commitment under ``pp``, or under the base its peer published in a
-    ``pick_base`` event (cross-base mode); exactly the reveals that fail
-    are followed by a ``pick_fault`` with their reason; each settled index
-    is (m_c + m_v) mod l over the remaining roster and names the firm at
-    that index; the settled firms, in roster order, are the verification
-    list.  After a fault the honest party draws alone, and no message shows
-    its draws, so its settles are checked only to be in range and to name
-    the firm at their index.  A malformed payload raises KeyError,
-    TypeError or ValueError.
+    Plays the events through ``pick.PickFold``, the round rule of the engine
+    and of ``pick-settle``, after checking what the fold cannot see: each
+    event's round and sender, and that each ``pick_base`` (cross-base mode:
+    the base a committer's peer published) is for round -1, is the only one
+    for its committer and comes before round 0's first commitment.  The
+    settled firms, in roster order, must be the verification list.  A
+    malformed payload raises KeyError, TypeError or ValueError.
     """
     header = transcript.header
+    events = [ev for ev in transcript.events if ev.kind in PICK_KINDS]
     if header.get("pick_mode") != "joint":
         # The environment's pick sends no pick events.
-        ev = next((ev for ev in transcript.events if ev.kind in _PICK_KINDS), None)
-        return None if ev is None else (
-            f"{ev.kind} at seq {ev.seq} under pick mode {header.get('pick_mode')!r}")
+        return None if not events else (
+            f"{events[0].kind} at seq {events[0].seq} under pick mode {header.get('pick_mode')!r}")
     group, roster = pp.group, header["roster"]
-    remaining, settled = list(roster), []
-    bases = {}  # committer -> the base its peer published (cross-base mode)
-    faulted = None  # the party a pick_fault disqualified
-    failed = None  # (party, reason) of a failed reveal awaiting its pick_fault
-    commits, stood = {}, {}  # this round's commitments and standing reveals
-    for ev in transcript.events:
-        if ev.kind not in _PICK_KINDS:
-            continue
-        p, j, where = ev.payload, len(settled), f"{ev.kind} at seq {ev.seq}"
-        if ev.kind == "pick_base":
-            h = group.decode_point(bytes.fromhex(p["h"]))
-            bases[p["committer"]] = PublicParams(group, pp.g, h, "trusted")
-            continue
+    fold = pick_mod.PickFold(roster, dict.fromkeys(pick_mod.PARTIES, pp))
+    published = set()  # committers whose peer published a base
+    for ev in events:
+        p, party, where = ev.payload, _PICK_PARTIES.get(ev.sender), f"{ev.kind} at seq {ev.seq}"
+        j = -1 if ev.kind == "pick_base" else len(fold.settled)
         if not is_int(p["round"]) or p["round"] != j:
             return f"{where} is for round {p['round']!r}, not {j}"
-        if failed is not None and ev.kind != "pick_fault":
-            return f"no pick_fault names the {failed[0]}, whose reveal in round {j} fails"
-        party = _PICK_PARTIES.get(ev.sender)
-        if ev.kind == "pick_settle":
-            index, l = p["index"], len(remaining)
-            sender = ENV_ID if faulted is None else PICK_SENDERS[pick_mod.other(faulted)]
-            if ev.sender != sender:
-                return f"{where} is sent by {ev.sender!r}, not {sender!r}"
-            if not is_int(index) or not 0 <= index < l:
-                return f"{where} has index {index!r} outside [0, {l})"
-            if faulted is None:
-                if len(stood) != 2:
-                    return f"{where} settles a round without both reveals"
-                want = pick_mod.derive_index(stood[pick_mod.COUNTRY], stood[pick_mod.VERIFIER], l)
-                if index != want:
-                    return f"{where} has index {index}, the reveals give {want}"
-            if p["picked"] != remaining[index]:
-                return f"{where} picks {p['picked']!r}, index {index} names {remaining[index]!r}"
-            settled.append(remaining.pop(index))
-            commits, stood = {}, {}
-        elif party is None:
-            return f"{where} is not sent by the country or the verifier"
-        elif ev.kind == "pick_commit":
-            commits[party] = group.decode_point(bytes.fromhex(p["c"]))
-        elif ev.kind == "pick_reveal":
-            if party not in commits:
-                return f"{where} reveals before the {party} committed"
-            r = group.decode_scalar(bytes.fromhex(p["r"]))
-            reason = pick_mod.reveal_fault(len(remaining), commits[party], p["m"], r,
-                                           bases.get(party, pp))
-            if reason is None:
-                stood[party] = p["m"]
-            else:
-                failed = (party, reason)
-        else:  # pick_fault
-            if failed is None or failed[0] != party:
-                return f"{where} faults the {party}, whose reveal stands"
-            if p["reason"] != failed[1]:
-                return f"{where} gives {p['reason']!r}, the reveal fails with {failed[1]!r}"
-            faulted, failed = party, None
-    if failed is not None:
-        return f"no pick_fault names the {failed[0]}, whose reveal fails"
+        if ev.kind == "pick_base":
+            committer = p["committer"]
+            if party is None or committer != pick_mod.other(party):
+                return f"{where} is sent by {ev.sender!r}, not by the peer of {committer!r}"
+            if committer in published:
+                return f"{where} publishes a second base for the {committer}"
+            if fold.commits or fold.settled:
+                return f"{where} comes after round 0's first commitment"
+            h = group.decode_point(bytes.fromhex(p["h"]))
+            fold.bases[committer] = PublicParams(group, pp.g, h, "trusted")
+            published.add(committer)
+            continue
+        if fold.failed is not None and ev.kind != "pick_fault":
+            return f"no pick_fault names the {fold.failed[0]}, whose reveal in round {j} fails"
+        try:
+            if ev.kind == "pick_settle":
+                sender = PICK_SENDERS.get(fold.settler, ENV_ID)
+                if ev.sender != sender:
+                    return f"{where} is sent by {ev.sender!r}, not {sender!r}"
+                if p["index"] is None:  # the fold would settle on the reveals' index
+                    return f"{where} has index None outside [0, {len(fold.remaining)})"
+                index = fold.settle(p["index"])
+                if p["picked"] != (picked := fold.settled[-1]):
+                    return f"{where} picks {p['picked']!r}, index {index} names {picked!r}"
+            elif party is None:
+                return f"{where} is not sent by the country or the verifier"
+            elif ev.kind == "pick_commit":
+                fold.commits[party] = group.decode_point(bytes.fromhex(p["c"]))
+            elif ev.kind == "pick_reveal":
+                fold.reveal(party, p["m"], group.decode_scalar(bytes.fromhex(p["r"])))
+            else:  # pick_fault
+                fold.fault(party, p["reason"])
+        except pick_mod.PickError as exc:
+            return f"{where} {exc}"
+    if fold.failed is not None:
+        return f"no pick_fault names the {fold.failed[0]}, whose reveal fails"
     v_list = _revealed_list(transcript)
-    chosen = set(settled)
-    if v_list is not None and (len(settled) != header["k"]
+    chosen = set(fold.settled)
+    if v_list is not None and (len(fold.settled) != header["k"]
                                or v_list != tuple(f for f in roster if f in chosen)):
-        return f"verification list {list(v_list)} is not the settled pick {settled}"
+        return f"verification list {list(v_list)} is not the settled pick {fold.settled}"
     return None
 
 

@@ -22,8 +22,8 @@ A party that reveals something inconsistent with its commitment, or a value
 outside [0, l), is faulted by name and loses its say.  The honest party
 then finishes the remaining picks alone with fresh uniform draws (default)
 or the whole selection aborts (``on_fault="abort"``).  Picks settled before
-the fault are kept.  ``reveal_fault`` is that check, written once: the
-selection engine ``run_pick`` and the CLI's ``pick-settle`` both call it.
+the fault are kept.  ``PickFold`` is that round rule, written once for the
+engine ``run_pick``, the replay ``harness.pick_violation`` and ``pick-settle``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def derive_index(m_c: int, m_v: int, l: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# One round: a party's commitment, and the check of its reveal.
+# One round: a party's commitment, and the round rule.
 # ---------------------------------------------------------------------------
 
 
@@ -91,25 +91,66 @@ def round_commit(l: int, pp: PublicParams, rng: random.Random):
     return m, r, c
 
 
-def contribution_fault(l: int, m: int) -> str | None:
-    """Why the contribution m is no draw from [0, l), or None; a bool is no
-    draw."""
-    if not is_int(m) or m < 0 or m >= l:
-        return f"contribution {m} outside [0, {l})"
-    return None
-
-
-def reveal_fault(l: int, c, m: int, r: Scalar, pp: PublicParams) -> str | None:
-    """Why the reveal (m, r) of commitment ``c`` faults its party in a round
-    over l candidates, or None if it stands.
-
-    ``pp`` is whatever parameters that party committed under (they differ
-    between the parties in cross-base mode).
+class PickFold:
+    """A joint pick's round rule and its state: the remaining and settled
+    candidates, this round's commitments (``commits``, filled by the caller)
+    and standing reveals, a failed reveal awaiting its fault, and the
+    disqualifying ``Faulted``.  ``bases`` maps each party to the parameters
+    it commits under.  A message that breaks the rule raises PickError.
     """
-    fault = contribution_fault(l, m)
-    if fault is None and not verify_opening(pp, c, pp.group.scalar(m), r):
-        fault = "reveal does not open the commitment"
-    return fault
+
+    def __init__(self, candidates, bases: dict):
+        self.remaining = list(candidates)
+        if len(set(self.remaining)) != len(self.remaining):
+            raise PickError("duplicate candidates")
+        self.bases, self.settled, self.commits, self.stood = bases, [], {}, {}
+        self.failed: tuple[str, str] | None = None  # (party, reason) awaiting its fault
+        self.faulted: Faulted | None = None
+
+    def reveal(self, party: str, m: int, r: Scalar) -> str | None:
+        """Why the party's reveal (m, r) faults it, or None if it stands: a
+        draw from [0, l), never a bool, that opens its commitment."""
+        if party not in self.commits:
+            raise PickError(f"reveals before the {party} committed")
+        l, base = len(self.remaining), self.bases[party]
+        if not is_int(m) or m < 0 or m >= l:
+            self.failed = (party, f"contribution {m} outside [0, {l})")
+        elif not verify_opening(base, self.commits[party], base.group.scalar(m), r):
+            self.failed = (party, "reveal does not open the commitment")
+        else:
+            self.stood[party] = m
+            return None
+        return self.failed[1]
+
+    def fault(self, party: str, reason: str) -> None:
+        """Disqualify the party whose reveal just failed with ``reason``."""
+        if self.failed is None or self.failed[0] != party:
+            raise PickError(f"faults the {party}, whose reveal stands")
+        if reason != self.failed[1]:
+            raise PickError(f"gives {reason!r}, the reveal fails with {self.failed[1]!r}")
+        self.faulted, self.failed = Faulted(party, len(self.settled), reason), None
+
+    @property
+    def settler(self) -> str:
+        """Who settles the round: "both", or the honest party after a fault."""
+        return "both" if self.faulted is None else other(self.faulted.party)
+
+    def settle(self, index: int | None = None) -> int:
+        """Settle the round on ``index`` and return it; None takes the
+        reveals' (m_c + m_v) mod l.  After a fault, any index in range."""
+        l = len(self.remaining)
+        if index is not None and (not is_int(index) or not 0 <= index < l):
+            raise PickError(f"has index {index!r} outside [0, {l})")
+        if self.faulted is None:
+            if len(self.stood) != 2:
+                raise PickError("settles a round without both reveals")
+            want = derive_index(self.stood[COUNTRY], self.stood[VERIFIER], l)
+            if index is not None and index != want:
+                raise PickError(f"has index {index}, the reveals give {want}")
+            index = want
+        self.settled.append(self.remaining.pop(index))
+        self.commits, self.stood = {}, {}
+        return index
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +273,9 @@ def run_pick(
     (kind, round_index, party, payload) callbacks for transcripting; the
     payloads are built only when it is set.
     """
-    remaining = list(candidates)
-    if len(set(remaining)) != len(remaining):
-        raise PickError("duplicate candidates")
-    if not isinstance(k, int) or k < 0 or k > len(remaining):
-        raise PickError(f"cannot pick {k} of {len(remaining)}")
+    candidates = list(candidates)
+    if not isinstance(k, int) or k < 0 or k > len(candidates):
+        raise PickError(f"cannot pick {k} of {len(candidates)}")
     if base_mode not in BASE_MODES:
         raise PickError(f"unknown base mode {base_mode!r}")
     if on_fault not in FAULT_POLICIES:
@@ -250,11 +289,10 @@ def run_pick(
     # Independent per-party randomness, both derived from the session rng
     # so the whole selection replays from one seed.
     party_rng = {p: random.Random(rng.getrandbits(64)) for p in PARTIES}
-    bases = _base_params(pp, base_mode, rng)
+    fold = PickFold(candidates, _base_params(pp, base_mode, rng))
 
     if base_mode == "cross" and recorder is not None:
-        for committer in PARTIES:
-            base = bases[committer]
+        for committer, base in fold.bases.items():
             # The peer published this base; the committer uses it blind.
             recorder("pick_base", -1, other(committer),
                      {"committer": committer, "h": pp.group.encode_point(base.h).hex()})
@@ -262,53 +300,43 @@ def run_pick(
     # A rushing party chooses after seeing the peer's commitment, which
     # hides the peer's draw and so changes nothing.
     order = sorted(PARTIES, key=lambda p: strategies[p].sees_peer_commitment)
-    picked: list[str] = []
-    fault: Faulted | None = None
     for j in range(k):
-        l = len(remaining)
-        if fault is None:
-            commitments: dict = {}
-            blind: dict[str, Scalar] = {}
-            chosen: dict[str, int] = {}
+        l = len(fold.remaining)
+        if fold.faulted is None:
+            blind, chosen = {}, {}  # party -> its blinding and its chosen draw
             for party in order:
-                peer_c = commitments.get(other(party))
+                peer_c = fold.commits.get(other(party))
                 peer_enc = pp.group.encode_point(peer_c) if peer_c is not None else None
-                base = bases[party]
+                base = fold.bases[party]
                 chosen[party] = strategies[party].choose(l, j, party_rng[party],
                                                          peer_commitment=peer_enc)
                 blind[party] = base.group.random_scalar(party_rng[party])
-                commitments[party] = commit(base, base.group.scalar(chosen[party]), blind[party])
+                c = fold.commits[party] = commit(base, base.group.scalar(chosen[party]),
+                                                 blind[party])
                 if recorder is not None:
-                    recorder("pick_commit", j, party,
-                             {"c": base.group.encode_point(commitments[party]).hex()})
+                    recorder("pick_commit", j, party, {"c": base.group.encode_point(c).hex()})
 
             # Each reveal is checked as it lands.
-            revealed: dict[str, int] = {}
             for party in PARTIES:
-                m = revealed[party] = strategies[party].reveal_value(chosen[party], j)
-                reason = reveal_fault(l, commitments[party], m, blind[party], bases[party])
+                m = strategies[party].reveal_value(chosen[party], j)
+                reason = fold.reveal(party, m, blind[party])
                 if recorder is not None:
                     recorder("pick_reveal", j, party,
                              {"m": m, "r": pp.group.encode_scalar(blind[party]).hex()})
                 if reason is not None:
-                    fault = Faulted(party, j, reason)
+                    fold.fault(party, reason)
                     if recorder is not None:
                         recorder("pick_fault", j, party, {"reason": reason})
                     if on_fault == "abort":
-                        return PickOutcome(picked=None, fault=fault)
+                        return PickOutcome(picked=None, fault=fold.faulted)
                     break
-            else:
-                index = derive_index(revealed[COUNTRY], revealed[VERIFIER], l)
 
-        if fault is not None:
-            # Disqualified peer: the honest party picks alone with a fresh
-            # uniform draw, this round and every later one; its earlier
-            # chosen value is discarded so a fault conditioned on the honest
-            # reveal gains nothing.
-            index = party_rng[other(fault.party)].randrange(l)
-        picked.append(remaining.pop(index))
+        # Disqualified peer: the honest party picks alone with a fresh draw,
+        # this round and every later one, so a fault conditioned on the
+        # honest reveal gains nothing.
+        index = fold.settle(None if fold.faulted is None
+                            else party_rng[fold.settler].randrange(l))
         if recorder is not None:
-            recorder("pick_settle", j, "both" if fault is None else other(fault.party),
-                     {"index": index, "picked": picked[-1]})
+            recorder("pick_settle", j, fold.settler, {"index": index, "picked": fold.settled[-1]})
 
-    return PickOutcome(picked=tuple(picked), fault=fault)
+    return PickOutcome(picked=tuple(fold.settled), fault=fold.faulted)

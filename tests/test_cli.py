@@ -894,6 +894,39 @@ def test_transcript_audit_checks_the_headers_pick_mode(capsys, ws, redigest, vio
     assert report["violations"] == violations
 
 
+@pytest.mark.parametrize("base, violation", [
+    ("cross", "is for round 7, not -1"),
+    ("shared", "comes after round 0's first commitment"),
+], ids=["resent-for-round-7", "after-the-last-settle"])
+def test_transcript_audit_refuses_a_pick_base_the_engine_never_sends(capsys, ws, base, violation):
+    """A cross-base transcript whose first pick_base is re-sent by the
+    environment for round 7, and a shared-base one with a pick_base of the
+    shared h after its last settle: neither changes a reveal's base."""
+    scenario, t = ws / "scenario.json", ws / "t.jsonl"
+    scenario.write_text(json.dumps({"group": "toy", "n": 5, "k": 2, "pick_mode": "joint",
+                                    "pick_base_mode": base}))
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "1",
+                         "--seed", "3", "--transcript", str(t))
+    assert code == 0
+    lines = [json.loads(line) for line in t.read_bytes().splitlines()]
+    kinds = [obj.get("kind") for obj in lines]
+    if base == "cross":
+        at = kinds.index("pick_base") + 1
+        forged = dict(lines[at - 1], sender="E", payload=dict(lines[at - 1]["payload"], round=7))
+    else:
+        at = len(kinds) - kinds[::-1].index("pick_settle")
+        forged = dict(lines[at - 1], kind="pick_base", sender="V", payload={
+            "committer": "country", "round": -1, "h": lines[0]["header"]["pp"]["h"]})
+    lines.insert(at, dict(forged, digest=harness.digest_of(forged["payload"])))
+    for seq, obj in enumerate(lines[1:-1]):
+        obj["seq"] = seq
+    (ws / "forged.jsonl").write_bytes(b"\n".join(map(harness.canonical_json, lines)) + b"\n")
+    code, report, err = run_cli(capsys, "transcript-audit", "--transcript",
+                                str(ws / "forged.jsonl"))
+    assert code == 1 and err is None
+    assert report["violations"] == [f"pick does not replay: pick_base at seq {at - 1} {violation}"]
+
+
 _SILENT_AT_4 = {"step": 4, "culprit_role": "country", "culprit": "C", "reason": "went silent"}
 
 
@@ -1225,6 +1258,16 @@ def test_pick_exit_contract_on_mutated_files(capsys, ws, which, edits):
         assert verdict["verdict"] == ("SETTLED" if code == 0 else "FAULT")
     else:
         assert code in (0, 2)
+
+
+def test_pick_settle_refuses_a_roster_that_names_a_firm_twice(capsys, ws):
+    """Exit 2, as run_pick refuses duplicate candidates."""
+    pp = _revealed_pair(capsys, ws)
+    code, out, err = run_cli(
+        capsys, "pick-settle", "--pp", str(pp), "--state", str(ws / "c.state.json"),
+        "--peer-reveal", str(ws / "v.reveal.json"), "--roster", "F1,F2,F3,F4,F1")
+    assert code == 2 and out is None
+    assert err == {"error": "PickError", "message": "duplicate candidates"}
 
 
 # ---------------------------------------------------------------------------

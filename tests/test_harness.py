@@ -733,10 +733,51 @@ def test_audit_opens_cross_base_reveals_under_the_published_base(pp):
         "whose reveal in round 0 fails"]
 
 
+def _base_forgery(which, events, pp):
+    """Insert one pick_base event the engine never sends, or move or re-send
+    the first one; returns the position of the event to refuse."""
+    if which == "late":  # after the last settle, with the shared base itself
+        at = 1 + max(i for i, ev in enumerate(events) if ev["kind"] == "pick_settle")
+        ev = dict(events[at - 1], kind="pick_base", sender=VERIFIER_ID, payload={
+            "committer": "country", "round": -1, "h": pp.group.encode_point(pp.h).hex()})
+    else:
+        ev = _first(events, "pick_base")
+        at = events.index(ev) + 1
+        if which == "resent":  # by the environment, for round 7
+            ev = dict(ev, sender=ENV_ID, payload=dict(ev["payload"], round=7))
+        elif which == "second":
+            ev = dict(ev)
+        else:
+            events.remove(ev)
+            if which == "own":  # sent by its committer, not by the peer
+                at, ev = at - 1, dict(ev, sender=COUNTRY_ID)
+            else:  # after round 0's first commitment
+                at = events.index(_first(events, "pick_commit")) + 1
+    events.insert(at, ev)
+    return at
+
+
+@pytest.mark.parametrize("which, base, violation", [
+    ("resent", "cross", "is for round 7, not -1"),
+    ("second", "cross", "publishes a second base for the country"),
+    ("own", "cross", "is sent by 'C', not by the peer of 'country'"),
+    ("early-round", "cross", "comes after round 0's first commitment"),
+    ("late", "shared", "comes after round 0's first commitment"),
+], ids=["resent", "second", "own", "early-round", "late"])
+def test_audit_requires_each_base_once_from_the_peer_before_round_0(pp, which, base, violation):
+    """Every pick_base the engine sends: round -1, one per committer, sent by
+    the committer's peer, before round 0's first commitment.  A base equal
+    to one already in force changes no reveal, so only this check sees it."""
+    header, events, verdict = _joint_events(pp, seed=3, pick_base_mode=base)
+    at = _base_forgery(which, events, pp)
+    assert _pick_violations(_redigested(header, events, verdict)) == [
+        f"pick does not replay: pick_base at seq {at} {violation}"]
+
+
 @pytest.mark.parametrize("kind, field, value", [
     ("pick_reveal", "r", 5), ("pick_reveal", "m", None), ("pick_commit", "c", "zz"),
     ("pick_settle", "index", "0"), ("pick_base", "committer", ["x"]), ("pick_settle", "round", {}),
-    ("pick_settle", "round", True),
+    ("pick_settle", "round", True), ("pick_settle", "index", None),
 ])
 def test_malformed_pick_payload_is_a_violation_not_a_crash(pp, kind, field, value):
     """The edit lands on the last event of its kind, which is in round 1 (a

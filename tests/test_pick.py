@@ -14,17 +14,18 @@ from emissions_audit.groups import toy_group
 from emissions_audit.harness import run_pick_trials, subset_chi_square
 from emissions_audit.pick import (
     COUNTRY,
+    Faulted,
     InconsistentRevealPick,
     MaxPick,
     PeerSeededPick,
     PickError,
+    PickFold,
     PickStrategy,
     ScriptedPick,
     VERIFIER,
     ZeroPick,
     derive_index,
     other,
-    reveal_fault,
     round_commit,
     run_pick,
 )
@@ -94,12 +95,20 @@ def test_round_commit_blinds_with_fresh_randomness(pp):
     assert len(seen) > 40  # blinding varies even when the draw repeats
 
 
+def _reveal(l, c, m, r, pp):
+    """``PickFold.reveal`` of the country's (m, r) against commitment c, in a
+    round over l candidates."""
+    fold = PickFold(range(l), {COUNTRY: pp, VERIFIER: pp})
+    fold.commits[COUNTRY] = c
+    return fold.reveal(COUNTRY, m, r)
+
+
 def test_reveal_faults_are_attributed(pp):
     rng = random.Random(33)
     m, r, c = round_commit(5, pp, rng)
-    assert reveal_fault(5, c, m, r, pp) is None
+    assert _reveal(5, c, m, r, pp) is None
     # A value that does not open the commitment faults the revealing party.
-    assert reveal_fault(5, c, (m + 1) % 5, r, pp) == "reveal does not open the commitment"
+    assert _reveal(5, c, (m + 1) % 5, r, pp) == "reveal does not open the commitment"
     out = run_pick(list("abcde"), 1, pp, random.Random(33),
                    strategies={COUNTRY: InconsistentRevealPick(bad_round=0)}, on_fault="abort")
     assert out.fault.party == COUNTRY
@@ -109,12 +118,12 @@ def test_reveal_faults_are_attributed(pp):
 def test_out_of_range_reveal_faults(pp):
     rng = random.Random(34)
     m, r, c = round_commit(3, pp, rng)
-    assert reveal_fault(3, c, 3, r, pp) == "contribution 3 outside [0, 3)"
-    assert reveal_fault(3, c, -1, r, pp) == "contribution -1 outside [0, 3)"
+    assert _reveal(3, c, 3, r, pp) == "contribution 3 outside [0, 3)"
+    assert _reveal(3, c, -1, r, pp) == "contribution -1 outside [0, 3)"
     # JSON true is no draw, although it opens a commitment to 1.
     one = commit(pp, pp.group.scalar(1), r)
-    assert reveal_fault(3, one, 1, r, pp) is None
-    assert reveal_fault(3, one, True, r, pp) == "contribution True outside [0, 3)"
+    assert _reveal(3, one, 1, r, pp) is None
+    assert _reveal(3, one, True, r, pp) == "contribution True outside [0, 3)"
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,7 +134,64 @@ def test_reveal_fault_is_none_exactly_for_an_in_range_opening(l, m, drawn, blind
     c = commit(pp, pp.group.scalar(drawn), pp.group.scalar(blind))
     r = pp.group.scalar(blind + 1 if other_blind else blind)
     opens = verify_opening(pp, c, pp.group.scalar(m), r)
-    assert (reveal_fault(l, c, m, r, pp) is None) == (0 <= m < l and opens)
+    assert (_reveal(l, c, m, r, pp) is None) == (0 <= m < l and opens)
+
+
+def _round(pp, revealed=(COUNTRY, VERIFIER), country_m=1):
+    """A fold over five candidates where the country committed to 1 and the
+    verifier to 3, with the named parties' reveals of ``country_m`` and 3
+    in."""
+    fold = PickFold("abcde", {COUNTRY: pp, VERIFIER: pp})
+    r = pp.group.scalar(7)
+    for party, m in ((COUNTRY, 1), (VERIFIER, 3)):
+        fold.commits[party] = commit(pp, pp.group.scalar(m), r)
+    for party in revealed:
+        fold.reveal(party, country_m if party == COUNTRY else 3, r)
+    return fold
+
+
+@pytest.mark.parametrize("play, text", [
+    (lambda pp: PickFold(["a", "b", "a"], {}), "duplicate candidates"),
+    (lambda pp: PickFold("abc", {}).reveal(VERIFIER, 0, pp.group.scalar(0)),
+     "reveals before the verifier committed"),
+    (lambda pp: _round(pp).fault(COUNTRY, "reveal does not open the commitment"),
+     "faults the country, whose reveal stands"),
+    (lambda pp: _round(pp, country_m=2).fault(VERIFIER, "reveal does not open the commitment"),
+     "faults the verifier, whose reveal stands"),
+    (lambda pp: _round(pp, country_m=2).fault(COUNTRY, "contribution 2 outside [0, 5)"),
+     "gives 'contribution 2 outside [0, 5)', the reveal fails with "
+     "'reveal does not open the commitment'"),
+    (lambda pp: _round(pp).settle(5), "has index 5 outside [0, 5)"),
+    (lambda pp: _round(pp).settle(-1), "has index -1 outside [0, 5)"),
+    (lambda pp: _round(pp).settle(True), "has index True outside [0, 5)"),
+    (lambda pp: _round(pp).settle("4"), "has index '4' outside [0, 5)"),
+    (lambda pp: _round(pp, revealed=(VERIFIER,)).settle(4), "settles a round without both reveals"),
+    (lambda pp: _round(pp, country_m=2).settle(), "settles a round without both reveals"),
+    (lambda pp: _round(pp).settle(0), "has index 0, the reveals give 4"),
+], ids=["duplicates", "uncommitted", "fault-standing", "fault-other",
+        "fault-reason", "index-high", "index-negative", "index-bool", "index-string",
+        "one-reveal", "failed-reveal", "wrong-index"])
+def test_each_fold_error_names_the_broken_rule(pp, play, text):
+    with pytest.raises(PickError) as info:
+        play(pp)
+    assert str(info.value) == text
+
+
+def test_fold_settles_the_reveals_index_or_after_a_fault_the_honest_draw(pp):
+    fold = _round(pp)
+    assert fold.settler == "both"
+    assert fold.settle() == 4 and fold.settled == ["e"] and fold.remaining == list("abcd")
+    assert fold.commits == {} and fold.stood == {}
+    r = pp.group.scalar(9)
+    fold.commits = {party: commit(pp, pp.group.scalar(0), r) for party in (COUNTRY, VERIFIER)}
+    assert fold.reveal(COUNTRY, 0, r) is None
+    assert fold.reveal(VERIFIER, 4, r) == "contribution 4 outside [0, 4)"
+    fold.fault(VERIFIER, "contribution 4 outside [0, 4)")
+    assert fold.faulted == Faulted(VERIFIER, 1, "contribution 4 outside [0, 4)")
+    assert fold.failed is None and fold.settler == COUNTRY
+    # The country's standing reveal does not bind its lone draw.
+    assert fold.settle(2) == 2 and fold.settled == ["e", "c"]
+    assert fold.settle(0) == 0 and fold.remaining == ["b", "d"]
 
 
 def test_run_pick_rejects_duplicate_candidates_and_bad_k(pp):
