@@ -36,15 +36,20 @@ MODE_ALIASES = {
 }
 
 
+def _sha256(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
 def _file_digest(path: str) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return _sha256(fh.read())
 
 
-def _provenance(command: str, **input_paths) -> dict:
+def _provenance(command: str, **digests) -> dict:
+    """The provenance block: each input's SHA-256, by input name."""
     return {
         "command": command,
-        "inputs": {name: _file_digest(path) for name, path in sorted(input_paths.items())},
+        "inputs": dict(sorted(digests.items())),
         "tool": f"emissions-audit {__version__}",
     }
 
@@ -61,18 +66,24 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ConfigInvalid(f"{path}: JSON nested too deeply") from None
+def _read_json(path: str, digests: dict | None = None):
+    """The JSON value in the file, read once as bytes and decoded as UTF-8
+    (json.loads of the bytes would also take a BOM or UTF-16); ``digests``,
+    if given, gets the SHA-256 of those bytes under ``path``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if digests is not None:
+        digests[path] = _sha256(raw)
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise ConfigInvalid(f"{path}: JSON nested too deeply") from None
 
 
-def _read_format(path: str, fmt: str, **fields) -> dict:
+def _read_format(path: str, fmt: str, digests: dict | None = None, **fields) -> dict:
     """A JSON object whose ``format`` field is ``fmt`` and whose named
     fields have the given types (never bool); ConfigInvalid otherwise."""
-    data = _read_json(path)
+    data = _read_json(path, digests)
     if not isinstance(data, dict) or data.get("format") != fmt:
         raise ConfigInvalid(f"{path} is not a {fmt} file")
     for name, kind in fields.items():
@@ -97,8 +108,8 @@ def _reject(step: int, culprit: str, reason: str) -> int:
     return 1
 
 
-def _load_pp(path: str):
-    return params_from_dict(_read_json(path))
+def _load_pp(path: str, digests: dict | None = None):
+    return params_from_dict(_read_json(path, digests))
 
 
 def _resolve_group(name: str):
@@ -186,7 +197,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_report(args) -> int:
-    pp = _load_pp(args.pp)
+    digests = {}
+    pp = _load_pp(args.pp, digests)
     # The ledger is checked under the meter's public key; the secret is never read.
     meter_pk = bytes.fromhex(_read_format(args.meter_key, "meter-key/v1", pk=str)["pk"])
     if len(meter_pk) != 32:
@@ -194,7 +206,8 @@ def cmd_report(args) -> int:
     ledger = ms.read_ledger(args.ledger)
     rng = _secret_rng(args.seed, "report", ledger.firm_id, args.cycle)
     report = ms.build_report(pp, ledger, meter_pk, args.cycle, rng)
-    prov = _provenance("report", pp=args.pp, ledger=args.ledger)
+    # The ledger is not JSON: read_ledger reads it, and its digest reads it again.
+    prov = _provenance("report", pp=digests[args.pp], ledger=_file_digest(args.ledger))
     _write_json(args.out, {
         "format": "report/v1",
         "firm_id": report.firm_id,
@@ -222,8 +235,8 @@ class SubmissionInvalid(ValueError):
         self.reason = reason
 
 
-def _load_report(pp, path: str) -> dict:
-    data = _read_format(path, "report/v1", firm_id=str, cycle_id=str)
+def _load_report(pp, path: str, digests: dict | None = None) -> dict:
+    data = _read_format(path, "report/v1", digests, firm_id=str, cycle_id=str)
     try:
         data["c_point"] = pp.group.decode_point(bytes.fromhex(data["c"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -256,9 +269,10 @@ def _single_cycle(files: list[dict]) -> str:
 
 
 def cmd_aggregate(args) -> int:
-    pp = _load_pp(args.pp)
+    digests = {}  # path -> SHA-256 of the bytes examined
+    pp = _load_pp(args.pp, digests)
     try:
-        reports = [_load_report(pp, p) for p in args.report]
+        reports = [_load_report(pp, p, digests) for p in args.report]
         opening_files = [_load_opening(pp, p) for p in args.opening]
     except SubmissionInvalid as exc:
         return _reject(3, exc.firm_id, exc.reason)
@@ -275,14 +289,14 @@ def cmd_aggregate(args) -> int:
         return _reject(3, abort.culprit_id, abort.reason)
     m_total = sum(openings[fid]["m"] for fid in ids)
     r_total = sum((openings[fid]["r_scalar"] for fid in ids), pp.group.scalar(0))
-    prov_inputs = {f"report_{r['firm_id']}": p for r, p in zip(reports, args.report)}
+    prov_inputs = {f"report_{r['firm_id']}": digests[p] for r, p in zip(reports, args.report)}
     _write_json(args.out, {
         "format": "sums/v1",
         "cycle_id": cycle,
         "n": len(reports),
         "m": m_total,
         "r": pp.group.encode_scalar(r_total).hex(),
-        "provenance": _provenance("aggregate", pp=args.pp, **prov_inputs),
+        "provenance": _provenance("aggregate", pp=digests[args.pp], **prov_inputs),
     })
     _emit({"verdict": "ACCEPT", "m": m_total, "n": len(reports), "out": args.out})
     return 0
@@ -322,7 +336,8 @@ def cmd_verify_sum(args) -> int:
 def cmd_pick_commit(args) -> int:
     if args.party not in pk.PARTIES:
         raise ConfigInvalid(f"party must be one of {pk.PARTIES}")
-    pp = _load_pp(args.pp)
+    digests = {}
+    pp = _load_pp(args.pp, digests)
     m, r, c = pk.round_commit(args.l, pp, _secret_rng(args.seed, "pick", args.party, args.round))
     _write_json(args.state, {
         "format": "pick-state/v1",
@@ -331,7 +346,7 @@ def cmd_pick_commit(args) -> int:
         "l": args.l,
         "m": m,
         "r": pp.group.encode_scalar(r).hex(),
-        "pp_digest": _file_digest(args.pp),
+        "pp_digest": digests[args.pp],
         "peer_commitment": None,
     })
     _write_json(args.out, {
@@ -369,11 +384,12 @@ def cmd_pick_reveal(args) -> int:
 
 
 def cmd_pick_settle(args) -> int:
-    pp = _load_pp(args.pp)
+    digests = {}
+    pp = _load_pp(args.pp, digests)
     state = _read_format(args.state, "pick-state/v1", **_PICK_OPENING)
     if not isinstance(state.get("peer_commitment"), str):
         raise ConfigInvalid("no peer commitment on record; run pick-reveal first")
-    if state.get("pp_digest") != _file_digest(args.pp):
+    if state.get("pp_digest") != digests[args.pp]:
         raise ConfigInvalid("public parameters differ from the commit step")
     reveal = _read_format(args.peer_reveal, "pick-reveal/v1", **_PICK_OPENING)
     peer_party = pk.other(state["party"])
@@ -388,8 +404,8 @@ def cmd_pick_settle(args) -> int:
         raise ConfigInvalid(f"roster has {len(roster)} names but l={l}")
     fold = pk.PickFold(roster, dict.fromkeys(pk.PARTIES, pp))
     own_r = group.decode_scalar(bytes.fromhex(state["r"]))
-    fold.commits[peer_party] = group.decode_point(bytes.fromhex(state["peer_commitment"]))
-    fold.commits[own] = commit(pp, group.scalar(state["m"]), own_r)
+    fold.commit(peer_party, group.decode_point(bytes.fromhex(state["peer_commitment"])))
+    fold.commit(own, commit(pp, group.scalar(state["m"]), own_r))
     # The peer's reveal is checked against the commitment it sent; this
     # party's own opening is recommitted, so only its range can fail.
     for party, m, r in ((peer_party, reveal["m"], group.decode_scalar(bytes.fromhex(reveal["r"]))),
@@ -438,8 +454,8 @@ def cmd_simulate(args) -> int:
     table["seed"] = seed
     if args.out:
         body = dict(table)
-        if args.scenario not in hz.BUILTIN_SCENARIOS:
-            body["provenance"] = _provenance("simulate", scenario=args.scenario)
+        if scenario.source is not None:
+            body["provenance"] = _provenance("simulate", scenario=_sha256(scenario.source))
         else:
             body["provenance"] = _provenance("simulate")
         _write_json(args.out, body)

@@ -410,6 +410,14 @@ def _to_point(pt) -> CurvePoint:
 
 _WINDOW_BITS = 8
 _WINDOW_ROWS = 32  # covers multipliers below 2**256
+# A field inversion costs about as much as this many batched affine additions.
+_INVERSION_ADDS = 6
+# Below about this many pairs, mul2_many's lockstep walk pays more for its
+# inversion per table row than it saves: one mul2 per pair measured faster.
+LOCKSTEP_MIN_PAIRS = 10
+# Below about this many points, sum's mixed Jacobian additions beat the
+# pairwise affine reduction, which pays one inversion per level.
+BATCH_SUM_MIN_POINTS = 64
 
 
 class _FixedBaseTable:
@@ -456,6 +464,31 @@ def _add_mul(acc, k, point: CurvePoint, table):
     if table is not None and not k >> (_WINDOW_BITS * _WINDOW_ROWS):
         return table.add_mul(acc, k)
     return _jac_add(acc, _jac_mul(k, (point.x, point.y)))  # no table, or k too wide
+
+
+def _signed_windows(top: int, n: int) -> tuple[int, int, int]:
+    """(c, windows, offset) for the signed-digit msm of n multipliers up to top.
+
+    With offset = sum_w 2^(c-1) * 2^(cw) over the windows, a multiplier k is
+    recoded once as K = k + offset, and window w's digit ((K >> cw) & mask)
+    - 2^(c-1) lies in [-2^(c-1), 2^(c-1)), provided top + offset fits in the
+    windows: one more window is taken where it would not, which suffices for
+    c >= 2.  There is no carry chain and no per-term list of digits.  The
+    width c minimises windows * (n + 3 * 2^(c-1)) + _INVERSION_ADDS * 2^c:
+    each window adds up n points into 2^(c-1) buckets, whose sums it keeps
+    for the lockstep (each counted like an addition, as memory), and
+    weighing them takes 2^c lockstep additions of one point per window,
+    each step with one inversion.
+    """
+    def costed(c):
+        windows = -(-top.bit_length() // c)
+        offset = (1 << c - 1) * ((1 << c * windows) - 1) // ((1 << c) - 1)
+        if (top + offset) >> c * windows:
+            offset += 1 << c * windows + c - 1
+            windows += 1
+        return windows * (n + 3 * (1 << c - 1)) + _INVERSION_ADDS * (1 << c), c, windows, offset
+
+    return min(map(costed, range(2, 17)))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +650,14 @@ class Secp256k1Group(Group):
         The rows of p1's table, then of p2's, are walked once: each row is
         one _batch_add over every pair with a nonzero digit there, so a row
         costs one inversion for all pairs.  Without a table for both bases,
-        or with a multiplier too wide for the tables, the pairs go through
-        mul2 one by one.
+        with a multiplier too wide for the tables, or with fewer than
+        LOCKSTEP_MIN_PAIRS pairs, the pairs go through mul2 one by one.
         """
         ks = [(_multiplier(a, _Q), _multiplier(b, _Q)) for a, b in pairs]
         tables = tables or (None, None)
         widest = max((max(pair) for pair in ks), default=0)
-        if None in tables or widest >> (_WINDOW_BITS * _WINDOW_ROWS):
+        if (None in tables or widest >> (_WINDOW_BITS * _WINDOW_ROWS)
+                or len(ks) < LOCKSTEP_MIN_PAIRS):
             return [self.mul2(a, p1, b, p2, tables) for a, b in ks]
         accs = [None] * len(ks)
         for col, table in enumerate(tables):
@@ -649,48 +683,63 @@ class Secp256k1Group(Group):
         return X == c.x * zz % _P and Y == c.y * zz * Z % _P
 
     def sum(self, points) -> CurvePoint:
-        """Mixed Jacobian additions, one inversion for the whole sum."""
-        acc = _INF_JAC
+        """Pairwise affine reduction by _batch_sums, one inversion a level;
+        below BATCH_SUM_MIN_POINTS points, mixed Jacobian additions and one
+        inversion for the whole sum."""
+        xys = []
         for point in points:
             if not isinstance(point, CurvePoint):
                 raise TypeError(f"expected CurvePoint, got {type(point).__name__}")
             if point.x is not None:
-                acc = _jac_add_affine(acc, (point.x, point.y))
+                xys.append((point.x, point.y))
+        if len(xys) >= BATCH_SUM_MIN_POINTS:
+            return _affine_point(_batch_sums([xys])[0])
+        acc = _INF_JAC
+        for xy in xys:
+            acc = _jac_add_affine(acc, xy)
         return _to_point(acc)
 
     def msm(self, scalars, points) -> CurvePoint:
-        """Bucket (Pippenger) multi-scalar multiplication.
-
-        Each c-bit window of the multipliers drops every point into the
-        bucket of its digit; _batch_sums adds up all buckets in affine
-        coordinates with one inversion per level of its pairwise reduction.
-        A Jacobian running sum over the buckets then weighs bucket d by d.
-        The window width minimises windows * (points + 2 * buckets)
-        additions.
+        """Bucket (Pippenger) multi-scalar multiplication with signed digits
+        (_signed_windows): a point goes to the bucket of its digit's
+        magnitude, negated for a negative digit.  One window at a time,
+        _batch_sums adds up its buckets with one inversion per level.  The
+        buckets of all windows are then weighed in lockstep, from the top
+        bucket down, by running sums whose _batch_add costs one inversion
+        per step for every window, and a last Horner pass of doublings
+        combines the windows.
         """
         terms = []
         for k, point in zip(scalars, points):
             k = _multiplier(k, _Q)
             if k and point.x is not None:
-                terms.append((k, (point.x, point.y)))
+                terms.append([k, point.x, point.y])
         if not terms:
             return _CURVE_IDENTITY
-        bits = max(k.bit_length() for k, _ in terms)
-        width = min(range(1, 17), key=lambda c: -(-bits // c) * (len(terms) + (2 << c)))
-        mask = (1 << width) - 1
+        width, count, offset = _signed_windows(max(t[0] for t in terms), len(terms))
+        half, mask = 1 << width - 1, (1 << width) - 1
+        for t in terms:
+            t[0] += offset
+        sums = []  # sums[w][m - 1]: window w's bucket of digit magnitude m
+        for shift in range(0, width * count, width):
+            buckets = [[] for _ in range(half)]
+            for k, x, y in terms:
+                d = ((k >> shift) & mask) - half
+                if d > 0:
+                    buckets[d - 1].append((x, y))
+                elif d:
+                    buckets[-d - 1].append((x, _P - y))
+            sums.append(_batch_sums(buckets))
+        running = weighed = [None] * count
+        for m in range(half - 1, -1, -1):
+            running = _batch_add(running, [window[m] for window in sums])
+            weighed = _batch_add(weighed, running)
         total = _INF_JAC
-        for shift in range(-(-bits // width) * width - width, -1, -width):
+        for xy in reversed(weighed):
             for _ in range(width):
                 total = _jac_double(total)
-            buckets = [[] for _ in range(mask + 1)]
-            for k, xy in terms:
-                buckets[(k >> shift) & mask].append(xy)
-            running = window = _INF_JAC
-            for xy in reversed(_batch_sums(buckets[1:])):
-                if xy is not None:
-                    running = _jac_add_affine(running, xy)
-                window = _jac_add(window, running)
-            total = _jac_add(total, window)
+            if xy is not None:
+                total = _jac_add_affine(total, xy)
         return _to_point(total)
 
     def encode_point(self, point: CurvePoint) -> bytes:

@@ -527,6 +527,16 @@ def _header_violations(header: dict) -> list[str]:
     ]
 
 
+def _addressed_firm(ev: Event):
+    """The payload's ``firm``.  Canonical JSON sorts keys, so a payload that
+    starts with ``{"firm":``, the recipient's canonical JSON and then ``,``
+    or ``}`` names the recipient, and needs no decode."""
+    head, payload = b'{"firm":' + canonical_json(ev.recipient), ev.payload_json
+    if payload.startswith(head) and payload[len(head):len(head) + 1] in (b",", b"}"):
+        return ev.recipient
+    return ev.payload.get("firm")
+
+
 def routing_violations(transcript: Transcript) -> list[str]:
     """No private-lane message may be addressed outside its lane."""
     out = _header_violations(transcript.header)
@@ -547,7 +557,7 @@ def routing_violations(transcript: Transcript) -> list[str]:
                 continue
             expected = PRIVATE_KINDS[ev.kind]
             if expected is None:
-                expected = ev.payload.get("firm")
+                expected = _addressed_firm(ev)
             if ev.recipient != expected:
                 out.append(
                     f"{ev.kind} at seq {ev.seq} routed to {ev.recipient}, expected {expected}"
@@ -621,6 +631,8 @@ class Scenario:
     adversary: AdversarySpec
     trials: int
     seed: int
+    # The bytes of the file the scenario was read from; None for a builtin.
+    source: bytes | None = field(default=None, repr=False, compare=False)
 
 
 def _int_field(d: dict, key: str, default=None):
@@ -785,8 +797,9 @@ def load_scenario(name_or_path: str) -> Scenario:
         data = dict(BUILTIN_SCENARIOS[name_or_path])
         return scenario_from_dict(data, name=name_or_path)
     try:
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(name_or_path, "rb") as fh:
+            source = fh.read()
+        data = json.loads(source.decode("utf-8"))  # not json.loads(bytes): no BOM, no UTF-16
     except FileNotFoundError:
         raise ConfigInvalid(
             f"unknown scenario {name_or_path!r}; builtins: "
@@ -794,7 +807,9 @@ def load_scenario(name_or_path: str) -> Scenario:
         ) from None
     except RecursionError:
         raise ConfigInvalid(f"{name_or_path}: JSON nested too deeply") from None
-    return scenario_from_dict(data, name=name_or_path)
+    scenario = scenario_from_dict(data, name=name_or_path)
+    scenario.source = source
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +995,7 @@ def pick_violation(transcript: Transcript, pp: PublicParams) -> str | None:
             elif party is None:
                 return f"{where} is not sent by the country or the verifier"
             elif ev.kind == "pick_commit":
-                fold.commits[party] = group.decode_point(bytes.fromhex(p["c"]))
+                fold.commit(party, group.decode_point(bytes.fromhex(p["c"])))
             elif ev.kind == "pick_reveal":
                 fold.reveal(party, p["m"], group.decode_scalar(bytes.fromhex(p["r"])))
             else:  # pick_fault

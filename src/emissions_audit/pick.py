@@ -93,8 +93,8 @@ def round_commit(l: int, pp: PublicParams, rng: random.Random):
 
 class PickFold:
     """A joint pick's round rule and its state: the remaining and settled
-    candidates, this round's commitments (``commits``, filled by the caller)
-    and standing reveals, a failed reveal awaiting its fault, and the
+    candidates, this round's commitments, the parties that revealed and the
+    reveals that stand, a failed reveal awaiting its fault, and the
     disqualifying ``Faulted``.  ``bases`` maps each party to the parameters
     it commits under.  A message that breaks the rule raises PickError.
     """
@@ -104,14 +104,25 @@ class PickFold:
         if len(set(self.remaining)) != len(self.remaining):
             raise PickError("duplicate candidates")
         self.bases, self.settled, self.commits, self.stood = bases, [], {}, {}
+        self.revealed: set[str] = set()
         self.failed: tuple[str, str] | None = None  # (party, reason) awaiting its fault
         self.faulted: Faulted | None = None
 
+    def commit(self, party: str, c) -> None:
+        """Take the party's commitment for this round: one per party."""
+        if party in self.commits:
+            raise PickError(f"is a second commitment from the {party} this round")
+        self.commits[party] = c
+
     def reveal(self, party: str, m: int, r: Scalar) -> str | None:
         """Why the party's reveal (m, r) faults it, or None if it stands: a
-        draw from [0, l), never a bool, that opens its commitment."""
+        draw from [0, l), never a bool, that opens its commitment.  One
+        reveal per party a round."""
         if party not in self.commits:
             raise PickError(f"reveals before the {party} committed")
+        if party in self.revealed:
+            raise PickError(f"is a second reveal from the {party} this round")
+        self.revealed.add(party)
         l, base = len(self.remaining), self.bases[party]
         if not is_int(m) or m < 0 or m >= l:
             self.failed = (party, f"contribution {m} outside [0, {l})")
@@ -149,7 +160,7 @@ class PickFold:
                 raise PickError(f"has index {index}, the reveals give {want}")
             index = want
         self.settled.append(self.remaining.pop(index))
-        self.commits, self.stood = {}, {}
+        self.commits, self.stood, self.revealed = {}, {}, set()
         return index
 
 
@@ -311,8 +322,8 @@ def run_pick(
                 chosen[party] = strategies[party].choose(l, j, party_rng[party],
                                                          peer_commitment=peer_enc)
                 blind[party] = base.group.random_scalar(party_rng[party])
-                c = fold.commits[party] = commit(base, base.group.scalar(chosen[party]),
-                                                 blind[party])
+                c = commit(base, base.group.scalar(chosen[party]), blind[party])
+                fold.commit(party, c)
                 if recorder is not None:
                     recorder("pick_commit", j, party, {"c": base.group.encode_point(c).hex()})
 

@@ -1,6 +1,8 @@
 """Command-line workflow: operator pipeline, pick exchange, simulation."""
 
+import builtins
 import contextlib
+import hashlib
 import io
 import json
 
@@ -295,6 +297,36 @@ def test_verify_sum_rejects_files_from_two_cycles(capsys, ws):
     other_sums = _rewritten(sums, ws / "s2.json", cycle_id="cy-2")
     _assert_config_error(capsys, _verify_sum_args(pp, reports, other_sums))
     _assert_config_error(capsys, _verify_sum_args(pp, [reports[0], reports[0]], sums))
+
+
+def test_aggregate_reads_each_input_once_and_digests_those_bytes(capsys, ws, monkeypatch):
+    pp, reports, openings, _ = _pipeline(capsys, ws)
+    sums = ws / "s.json"
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *a, **kw: opened.append(str(file))
+                        or real_open(file, *a, **kw))
+    code, verdict, _ = run_cli(capsys, *_aggregate_args(pp, sums, reports, openings))
+    monkeypatch.undo()
+    assert code == 0 and verdict["verdict"] == "ACCEPT"
+    assert sorted(opened) == sorted(map(str, [pp, *reports, *openings, sums]))
+    digest = {path: hashlib.sha256(path.read_bytes()).hexdigest() for path in (pp, *reports)}
+    assert json.loads(sums.read_text())["provenance"]["inputs"] == {
+        "pp": digest[pp], "report_F1": digest[reports[0]], "report_F2": digest[reports[1]]}
+
+
+@pytest.mark.parametrize("encode", [lambda text: b"\xef\xbb\xbf" + text.encode(),
+                                    lambda text: text.encode("utf-16")], ids=["bom", "utf-16"])
+def test_report_in_another_encoding_is_an_input_error(capsys, ws, encode):
+    """JSON files are UTF-8 without a byte order mark, as json.loads of a
+    str reads them; a report with a BOM or in UTF-16 is refused."""
+    pp, reports, openings, sums = _pipeline(capsys, ws)
+    reports[0].write_bytes(encode(reports[0].read_text()))
+    for argv in (_aggregate_args(pp, ws / "s.json", reports, openings),
+                 _verify_sum_args(pp, reports, sums)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out is None
+        assert err["error"] in ("JSONDecodeError", "UnicodeDecodeError")
 
 
 @pytest.mark.parametrize("first, second, culprit, reason", [

@@ -328,9 +328,14 @@ def test_verify_openings_batches_at_the_default_size(prod_pp, msm_calls):
     assert verify_openings(prod_pp, items) is None
     assert verify_openings(prod_pp, items[:-1]) is None
     assert msm_calls == [n]
-    c, m, r = items[-1]
-    bad = items[:-1] + [(c, m, r + prod_pp.group.scalar(1))]
-    assert verify_openings(prod_pp, bad) == n - 1
+    one = prod_pp.group.scalar(1)
+    for culprits in ([n - 1], [0, n - 1], [n // 2, n // 2 + 1]):
+        bad = list(items)
+        for i in culprits:
+            c, m, r = bad[i]
+            bad[i] = (c, m, r + one)
+        assert verify_openings(prod_pp, bad) == culprits[0]
+    assert msm_calls == [n] * 4
 
 
 def test_verify_openings_edge_batches(prod_pp, batch_always):

@@ -3,11 +3,13 @@
 import functools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from emissions_audit import groups
 from emissions_audit.commitment import H_DOMAIN, hash_to_point
 from emissions_audit.groups import (
     MalformedPoint,
@@ -484,18 +486,36 @@ def test_sum_matches_folded_addition(case):
         expected = expected + point
     assert group.sum(points) == expected
     assert group.sum(iter(points)) == expected
+    with mock.patch.object(groups, "BATCH_SUM_MIN_POINTS", 0):  # the affine reduction at any size
+        assert group.sum(points) == expected
 
 
 @pytest.mark.parametrize("name", ["toy", "secp256k1"])
-def test_sum_edge_cases(name):
+def test_sum_edge_cases(name, monkeypatch):
     group = group_by_name(name)
     g = group.generator
-    assert group.sum([]) == group.identity
-    assert group.sum([group.identity, group.identity]) == group.identity
-    assert group.sum([g, g]) == g + g  # doubling branch of the mixed add
-    assert group.sum([g, g, g]) == group.mul(3, g)
-    assert group.sum([g, -g]) == group.identity  # P + (-P)
-    assert group.sum([g, -g, g]) == g
+    for batch_min in (groups.BATCH_SUM_MIN_POINTS, 0):  # 0: the affine reduction at any size
+        monkeypatch.setattr(groups, "BATCH_SUM_MIN_POINTS", batch_min)
+        assert group.sum([]) == group.identity
+        assert group.sum([group.identity, group.identity]) == group.identity
+        assert group.sum([g, g]) == g + g  # doubling branch of the add
+        assert group.sum([g, g, g]) == group.mul(3, g)
+        assert group.sum([g, -g]) == group.identity  # P + (-P)
+        assert group.sum([g, -g, g]) == g
+
+
+def test_sum_on_both_sides_of_the_batch_size(prod):
+    """Just below BATCH_SUM_MIN_POINTS points (mixed Jacobian additions) and
+    from it on (the affine reduction), with repeats, negations and the
+    identity among the points, the sum is the folded addition."""
+    pool = _pool(prod)
+    n = groups.BATCH_SUM_MIN_POINTS
+    for size in (n - 1, n, 2 * n + 1):
+        points = [pool[i * 5 % len(pool)] for i in range(size)]
+        expected = prod.identity
+        for point in points:
+            expected = expected + point
+        assert prod.sum(points) == expected
 
 
 @FAST_PATH_SETTINGS
@@ -519,6 +539,51 @@ def test_msm_repeated_and_cancelling_points(prod):
     assert prod.msm([k, k], [g, -g]) == prod.identity
     assert prod.msm([k, prod.q - k], [g, g]) == prod.identity
     assert prod.msm([], []) == prod.identity
+
+
+def _signed(digits, c):
+    """sum_w digits[w] * 2^(cw)."""
+    return sum(d << c * w for w, d in enumerate(digits))
+
+
+def test_msm_single_terms_at_the_recoding_edges(prod):
+    """One term, so the multiplier alone sets the width: all-ones runs that
+    carry through the top window, q - 1, and unreduced multiples of q."""
+    q, g = prod.q, prod.generator
+    for k in (1, 2, 3, 2**64 - 1, 2**128 - 1, q - 1, q, q + 1, 2 * q, 3 * q + 7,
+              2**255, 2**256 - 1, 2**256, 2**300 - 1):
+        assert prod.msm([k], [g]) == prod.mul(k % q, g)
+
+
+@pytest.mark.parametrize("n", [2, 40, 300])
+def test_msm_digits_at_the_ends_of_their_range(prod, n):
+    """For the layout the msm takes at n terms, multipliers whose signed
+    digits are all -2^(c-1), all 2^(c-1) - 1, alternate between the two, or
+    are the digit-wise negation of one another below the top window, on
+    points of known discrete log with both signs repeated, so that points
+    and their negations share buckets."""
+    from emissions_audit.groups import _signed_windows
+
+    q, g = prod.q, prod.generator
+    top = 5 * q + 3  # unreduced, and the largest multiplier
+    c, windows, _ = _signed_windows(top, n)
+    low, high, below = -(1 << c - 1), (1 << c - 1) - 1, windows - 1
+    pattern = [(-1) ** w * (1 + w % high) for w in range(below)]
+    edges = [
+        top, q - 1, 2**256 - 1, 2 * q, 2**(c * below) - 1,
+        _signed([low] * below + [1], c),
+        _signed([high] * below, c),
+        _signed([low, high] * (below // 2) + [low] * (below % 2) + [1], c),
+        _signed(pattern + [1], c), _signed([-d for d in pattern] + [1], c),
+    ]
+    assert all(0 < k <= top for k in edges)
+    logs = [1, -1, 2, -2, 12345, -1]
+    pool = [prod.mul(e % q, g) for e in logs]
+    scalars = [edges[i % len(edges)] for i in range(n)]
+    points = [pool[i % len(logs)] for i in range(n)]
+    assert _signed_windows(max(scalars), n)[:2] == (c, windows)
+    expected = prod.mul(sum(k * logs[i % len(logs)] for i, k in enumerate(scalars)) % q, g)
+    assert prod.msm(scalars, points) == expected
 
 
 @pytest.mark.parametrize("name, other", [("toy", "secp256k1"), ("secp256k1", "toy")])
@@ -562,11 +627,15 @@ def _mul2_many_case(draw, name):
 @given(GROUP_NAMES.flatmap(_mul2_many_case))
 def test_mul2_many_matches_mul2_item_by_item(case):
     group, pairs, p1, p2, tables = case
-    assert group.mul2_many(pairs, p1, p2, tables) == [group.mul2(a, p1, b, p2) for a, b in pairs]
+    expected = [group.mul2(a, p1, b, p2) for a, b in pairs]
+    assert group.mul2_many(pairs, p1, p2, tables) == expected
+    with mock.patch.object(groups, "LOCKSTEP_MIN_PAIRS", 0):  # the lockstep walk at any size
+        assert group.mul2_many(pairs, p1, p2, tables) == expected
 
 
 @pytest.mark.parametrize("name", ["toy", "secp256k1"])
-def test_mul2_many_edge_cases(name):
+def test_mul2_many_edge_cases(name, monkeypatch):
+    monkeypatch.setattr(groups, "LOCKSTEP_MIN_PAIRS", 0)  # the lockstep walk for a few pairs too
     group = group_by_name(name)
     g = group.generator
     h = hash_to_point(group, H_DOMAIN)
@@ -582,6 +651,24 @@ def test_mul2_many_edge_cases(name):
     wide = [(5, 7), (2**300 + 3, 1)]
     tables = (_table(group, g), _table(group, h))
     assert group.mul2_many(wide, g, h, tables) == [group.mul2(a, g, b, h) for a, b in wide]
+
+
+def test_mul2_many_takes_mul2_below_the_lockstep_size(prod, monkeypatch):
+    """Fewer than LOCKSTEP_MIN_PAIRS pairs go through mul2 one by one; from
+    there on, the lockstep walk calls mul2 for none."""
+    calls, mul2 = [], type(prod).mul2
+    monkeypatch.setattr(type(prod), "mul2",
+                        lambda self, *args: calls.append(1) or mul2(self, *args))
+    g = prod.generator
+    h = hash_to_point(prod, H_DOMAIN)
+    tables = (_table(prod, g), _table(prod, h))
+    n = groups.LOCKSTEP_MIN_PAIRS
+    for size, want in ((n - 1, n - 1), (n, 0)):
+        pairs = [(m, 2**200 + m) for m in range(size)]
+        calls.clear()
+        got = prod.mul2_many(pairs, g, h, tables)
+        assert len(calls) == want
+        assert got == [prod.mul(a, g) + prod.mul(b, h) for a, b in pairs]
 
 
 @pytest.mark.parametrize("name, other", [("toy", "secp256k1"), ("secp256k1", "toy")])

@@ -3,9 +3,10 @@
 import dataclasses
 import json
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emissions_audit import commitment, harness
@@ -267,6 +268,32 @@ def test_routing_checker_flags_misrouted_private_lane(pp):
 
     bad = _clone_with_events(honest, misroute)
     assert any("routed to" in v for v in routing_violations(bad))
+
+
+_ROUTING_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                           st.sampled_from(["F1", "F2", "F1x", "", 1, 12, 1.5]))
+_ROUTING_VALUES = st.recursive(_ROUTING_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["F1", "F2", "F1x", "", "\u00e9", 'F"1', 1]),
+    st.dictionaries(st.sampled_from(["firm", "a", "f", "fir", "firl", "firm0", "m", "\u00e9"]),
+                    _ROUTING_VALUES, max_size=4)), max_size=6))
+@example([("F1", {"firm": "F1", "m": 3}), ("F1", {"a": 0, "firm": "F2"}), (1, {"firm": 12})])
+def test_routing_reads_the_firm_as_a_full_decode_does(events):
+    """assign_m payloads of any shape, keys sorting before "firm" too, and a
+    recipient whose JSON prefixes another value (1 and 12): the violations
+    equal those of a check that decodes every payload."""
+    t = Transcript({"roster": ["F1"], "participants": ["F1"], "corrupted": []})
+    for recipient, payload in events:
+        t.record(step=2, kind="assign_m", sender=ENV_ID, channel="private",
+                 recipient=recipient, payload=payload)
+    with mock.patch.object(harness, "_addressed_firm", lambda ev: ev.payload.get("firm")):
+        decoded = routing_violations(t)
+    assert routing_violations(t) == decoded
 
 
 def test_leakage_checker_flags_opening_sent_to_peer_firm(pp):
@@ -652,6 +679,20 @@ def test_audit_refuses_a_fault_against_a_standing_reveal(pp):
                            payload={"reason": "reveal does not open the commitment", "round": 0}))
     assert _pick_violations(_redigested(header, events, verdict)) == [
         f"pick does not replay: pick_fault at seq {at} faults the country, whose reveal stands"]
+
+
+@pytest.mark.parametrize("kind, what", [("pick_commit", "commitment"), ("pick_reveal", "reveal")])
+def test_audit_refuses_a_second_pick_message_from_a_party_in_a_round(pp, kind, what):
+    """A copy of round 0's first commitment or reveal (the country's), sent
+    again after the verifier's round-0 reveal."""
+    header, events, verdict = _joint_events(pp, seed=3)
+    reveals = [ev for ev in events if ev["kind"] == "pick_reveal"]
+    assert reveals[1]["sender"] == VERIFIER_ID and reveals[1]["payload"]["round"] == 0
+    at = events.index(reveals[1]) + 1
+    events.insert(at, dict(_first(events, kind)))
+    assert _pick_violations(_redigested(header, events, verdict)) == [
+        f"pick does not replay: {kind} at seq {at} is a second {what} from the country "
+        "this round"]
 
 
 def test_audit_requires_the_fault_of_a_failed_reveal(pp):

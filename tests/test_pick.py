@@ -168,9 +168,16 @@ def _round(pp, revealed=(COUNTRY, VERIFIER), country_m=1):
     (lambda pp: _round(pp, revealed=(VERIFIER,)).settle(4), "settles a round without both reveals"),
     (lambda pp: _round(pp, country_m=2).settle(), "settles a round without both reveals"),
     (lambda pp: _round(pp).settle(0), "has index 0, the reveals give 4"),
+    (lambda pp: _round(pp).commit(COUNTRY, pp.g),
+     "is a second commitment from the country this round"),
+    (lambda pp: _round(pp).reveal(VERIFIER, 3, pp.group.scalar(7)),
+     "is a second reveal from the verifier this round"),
+    (lambda pp: _round(pp, country_m=2).reveal(COUNTRY, 1, pp.group.scalar(7)),
+     "is a second reveal from the country this round"),
 ], ids=["duplicates", "uncommitted", "fault-standing", "fault-other",
         "fault-reason", "index-high", "index-negative", "index-bool", "index-string",
-        "one-reveal", "failed-reveal", "wrong-index"])
+        "one-reveal", "failed-reveal", "wrong-index", "second-commit", "second-reveal",
+        "reveal-after-failed-reveal"])
 def test_each_fold_error_names_the_broken_rule(pp, play, text):
     with pytest.raises(PickError) as info:
         play(pp)
