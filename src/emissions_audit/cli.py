@@ -212,7 +212,8 @@ def cmd_report(args) -> int:
         "format": "report/v1",
         "firm_id": report.firm_id,
         "cycle_id": report.cycle_id,
-        "c": pp.group.encode_point(report.commitment).hex(),
+        # Uncompressed: every reader checks it without a square root.
+        "c": pp.group.encode_point(report.commitment, compressed=False).hex(),
         "provenance": prov,
     })
     _write_json(args.opening_out, {

@@ -185,34 +185,6 @@ def _jac_double(pt):
     return (X3, Y3, Z3)
 
 
-def _jac_add(p1, p2):
-    X1, Y1, Z1 = p1
-    X2, Y2, Z2 = p2
-    if Z1 == 0:
-        return p2
-    if Z2 == 0:
-        return p1
-    Z1Z1 = Z1 * Z1 % _P
-    Z2Z2 = Z2 * Z2 % _P
-    U1 = X1 * Z2Z2 % _P
-    U2 = X2 * Z1Z1 % _P
-    S1 = Y1 * Z2 * Z2Z2 % _P
-    S2 = Y2 * Z1 * Z1Z1 % _P
-    H = (U2 - U1) % _P
-    R = (S2 - S1) % _P
-    if H == 0:
-        if R == 0:
-            return _jac_double(p1)
-        return _INF_JAC
-    HH = H * H % _P
-    HHH = H * HH % _P
-    V = U1 * HH % _P
-    X3 = (R * R - HHH - 2 * V) % _P
-    Y3 = (R * (V - X3) - S1 * HHH) % _P
-    Z3 = Z1 * Z2 * H % _P
-    return (X3, Y3, Z3)
-
-
 def _jac_add_affine(p1, xy):
     """Mixed addition: Jacobian p1 plus affine (x, y), Z2 implicitly 1."""
     X1, Y1, Z1 = p1
@@ -339,6 +311,25 @@ def _jac_mul(k, xy):
     return acc
 
 
+def _jac_mul2(a, xy1, b, xy2):
+    """a * xy1 + b * xy2 in Jacobian form, by one doubling chain over both
+    unreduced multipliers (Straus-Shamir).
+
+    Each step adds xy1, xy2 or their affine sum, which one _batch_add
+    prepares with a single inversion; a None point (the identity) or a None
+    sum (xy2 == -xy1) adds nothing.
+    """
+    width = max(a.bit_length(), b.bit_length())
+    addends = {("1", "0"): xy1, ("0", "1"): xy2, ("1", "1"): _batch_add([xy1], [xy2])[0]}
+    acc = _INF_JAC
+    for bits in zip(f"{a:0{width}b}", f"{b:0{width}b}"):
+        acc = _jac_double(acc)
+        xy = addends.get(bits)
+        if xy is not None:
+            acc = _jac_add_affine(acc, xy)
+    return acc
+
+
 class CurvePoint:
     """Affine secp256k1 point; x is None for the point at infinity."""
 
@@ -456,14 +447,15 @@ class _FixedBaseTable:
         return acc
 
 
-def _add_mul(acc, k, point: CurvePoint, table):
-    """Jacobian acc + k * point, through ``table`` (point's) if one is given."""
-    k = _multiplier(k, _Q)
-    if k == 0 or point.x is None:
-        return acc
-    if table is not None and not k >> (_WINDOW_BITS * _WINDOW_ROWS):
-        return table.add_mul(acc, k)
-    return _jac_add(acc, _jac_mul(k, (point.x, point.y)))  # no table, or k too wide
+def _linear_combination(a, p1: CurvePoint, b, p2: CurvePoint, tables):
+    """Jacobian a * p1 + b * p2: through the tables when both bases have one
+    and both multipliers fit them, else by the joint ladder _jac_mul2."""
+    a, b = _multiplier(a, _Q), _multiplier(b, _Q)
+    t1, t2 = tables or (None, None)
+    if t1 is not None and t2 is not None and not (a | b) >> (_WINDOW_BITS * _WINDOW_ROWS):
+        return t2.add_mul(t1.add_mul(_INF_JAC, a), b)
+    return _jac_mul2(a, None if p1.x is None else (p1.x, p1.y),
+                     b, None if p2.x is None else (p2.x, p2.y))
 
 
 def _signed_windows(top: int, n: int) -> tuple[int, int, int]:
@@ -582,7 +574,8 @@ class ToyGroup(Group):
     def identity(self) -> ToyPoint:
         return ToyPoint(1)
 
-    def encode_point(self, point: ToyPoint) -> bytes:
+    def encode_point(self, point: ToyPoint, *, compressed: bool = True) -> bytes:
+        """Two bytes, whatever ``compressed`` says: the form is already complete."""
         return point.value.to_bytes(2, "big")
 
     def decode_point(self, data: bytes) -> ToyPoint:
@@ -640,9 +633,8 @@ class Secp256k1Group(Group):
         return _FixedBaseTable(point)
 
     def mul2(self, a, p1: CurvePoint, b, p2: CurvePoint, tables=None) -> CurvePoint:
-        """a*p1 + b*p2 in one Jacobian accumulator: a single inversion."""
-        t1, t2 = tables or (None, None)
-        return _to_point(_add_mul(_add_mul(_INF_JAC, a, p1, t1), b, p2, t2))
+        """a*p1 + b*p2: one Jacobian _linear_combination, then one inversion."""
+        return _to_point(_linear_combination(a, p1, b, p2, tables))
 
     def mul2_many(self, pairs, p1: CurvePoint, p2: CurvePoint, tables=None) -> list:
         """mul2 for each (a, b) in pairs, computed in lockstep over all pairs.
@@ -673,8 +665,7 @@ class Secp256k1Group(Group):
 
     def is_mul2(self, a, p1: CurvePoint, b, p2: CurvePoint, c, tables=None) -> bool:
         """a*p1 + b*p2 == c without an inversion: X == x*Z^2 and Y == y*Z^3."""
-        t1, t2 = tables or (None, None)
-        X, Y, Z = _add_mul(_add_mul(_INF_JAC, a, p1, t1), b, p2, t2)
+        X, Y, Z = _linear_combination(a, p1, b, p2, tables)
         if not isinstance(c, CurvePoint):
             return False
         if Z == 0 or c.x is None:
@@ -742,15 +733,31 @@ class Secp256k1Group(Group):
                 total = _jac_add_affine(total, xy)
         return _to_point(total)
 
-    def encode_point(self, point: CurvePoint) -> bytes:
+    def encode_point(self, point: CurvePoint, *, compressed: bool = True) -> bytes:
+        """SEC1: 02/03 || x, or 04 || x || y uncompressed, which a reader
+        checks without a square root; the identity is 33 zero bytes."""
         if point.is_identity():
             return b"\x00" * 33
+        if not compressed:
+            return b"\x04" + point.x.to_bytes(32, "big") + point.y.to_bytes(32, "big")
         prefix = b"\x03" if point.y & 1 else b"\x02"
         return prefix + point.x.to_bytes(32, "big")
 
     def decode_point(self, data: bytes) -> CurvePoint:
+        """SEC1: 65 bytes 04 || x || y, checked against the curve equation
+        here, or 33 bytes, decompressed by OpenSSL.  The cofactor is 1, so
+        every curve point is in the prime-order subgroup."""
+        if len(data) == 65:
+            if data[0] != 4:
+                raise MalformedPoint(f"bad prefix byte {data[0]:#04x}")
+            x, y = int.from_bytes(data[1:33], "big"), int.from_bytes(data[33:], "big")
+            if x >= _P or y >= _P:
+                raise MalformedPoint("coordinate not a canonical field element")
+            if (y * y - x * x * x - 7) % _P:
+                raise MalformedPoint("(x, y) is not on the curve")
+            return CurvePoint(x, y)
         if len(data) != 33:
-            raise MalformedPoint(f"expected 33 bytes, got {len(data)}")
+            raise MalformedPoint(f"expected 33 or 65 bytes, got {len(data)}")
         if data == b"\x00" * 33:
             return _CURVE_IDENTITY
         prefix = data[0]
@@ -766,7 +773,6 @@ class Secp256k1Group(Group):
                 ec.SECP256K1(), data).public_numbers()
         except ValueError:
             raise MalformedPoint("x is not on the curve") from None
-        # Cofactor 1: every curve point is in the prime-order subgroup.
         return CurvePoint(numbers.x, numbers.y)
 
 

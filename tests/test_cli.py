@@ -1133,6 +1133,11 @@ def test_aggregate_and_verify_sum_exit_contract_on_mutated_files(
 
 
 _G_HEX = production_group().encode_point(production_group().generator).hex()
+_G = production_group().generator
+_G_X, _G_Y = f"{_G.x:064x}", f"{_G.y:064x}"
+_NEG_G = -_G  # its y is odd, G's is even
+_SECP_P = 2**256 - 2**32 - 977
+_X_AT_Y1 = pow(-6 % _SECP_P, (_SECP_P + 2) // 9, _SECP_P)  # x^3 + 7 = 1^2, as p = 7 mod 9
 
 
 @pytest.mark.parametrize("c", [
@@ -1141,6 +1146,12 @@ _G_HEX = production_group().encode_point(production_group().generator).hex()
     "04" + _G_HEX[2:],  # uncompressed prefix
     _G_HEX[:-2],  # 32 bytes
     "not hex",
+    f"04{_G_X}{_G.y + 1:064x}",  # (x, y + 1) is not on the curve
+    f"06{_G_X}{_G_Y}",  # hybrid prefix, y even
+    f"07{_NEG_G.x:064x}{_NEG_G.y:064x}",  # hybrid prefix, y odd
+    f"02{_G_X}{_G_Y}",  # compressed prefix at 65 bytes
+    f"04{_SECP_P:064x}{_G_Y}",  # x = p is not a field element
+    f"04{_X_AT_Y1:064x}{_SECP_P + 1:064x}",  # (x, 1) is on the curve; y = p + 1 is not canonical
 ])
 def test_undecodable_commitment_is_rejected_naming_the_firm(capsys, ws, c):
     pp, reports, openings, sums = _pipeline(capsys, ws, group="secp256k1")
@@ -1155,6 +1166,33 @@ def test_undecodable_commitment_is_rejected_naming_the_firm(capsys, ws, c):
     assert code == 1 and err is None
     assert verdict["verdict"] == "REJECT" and verdict["step"] == 7
     assert verdict["culprit"] == "F2"
+
+
+@pytest.mark.parametrize("compressed", [(True, True), (True, False), (False, True)],
+                         ids=["both", "first", "second"])
+def test_compressed_commitments_still_accept(capsys, ws, compressed):
+    """`report` writes c uncompressed (65 bytes); a report/v1 file whose c
+    is the 33-byte compressed form of the same point, alone or next to an
+    uncompressed one, gives the same ACCEPT and the same m."""
+    pp, reports, openings, sums = _pipeline(capsys, ws, group="secp256k1")
+    group = production_group()
+    written = [json.loads(rep.read_text())["c"] for rep in reports]
+    assert [len(c) for c in written] == [130, 130]
+    mixed = [
+        _rewritten(rep, ws / f"compressed-{i}.json",
+                   c=group.encode_point(group.decode_point(bytes.fromhex(c))).hex())
+        if squeeze else rep
+        for i, (rep, c, squeeze) in enumerate(zip(reports, written, compressed))
+    ]
+    assert [len(json.loads(rep.read_text())["c"]) for rep in mixed] == [
+        66 if squeeze else 130 for squeeze in compressed]
+    m = json.loads(sums.read_text())["m"]
+    code, verdict, _ = run_cli(capsys, *_aggregate_args(pp, ws / "s2.json", mixed, openings))
+    assert code == 0 and verdict["verdict"] == "ACCEPT" and verdict["m"] == m
+    assert json.loads((ws / "s2.json").read_text())["r"] == json.loads(sums.read_text())["r"]
+    for sums_file in (sums, ws / "s2.json"):
+        code, verdict, _ = run_cli(capsys, *_verify_sum_args(pp, mixed, sums_file))
+        assert code == 0 and verdict == {"verdict": "ACCEPT", "m": m, "n": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -162,17 +162,19 @@ def test_no_table_for_the_identity(prod, toy):
 
 
 def _jacobian_table_rows(point):
-    """Reference rows[i][d - 1] = (d << 8*i) * point: each row by 254 full
+    """Reference rows[i][d - 1] = (d << 8*i) * point: each row by 254 mixed
     Jacobian additions of its base, all converted to affine at the end."""
-    from emissions_audit.groups import _batch_to_affine, _jac_add, _jac_double
+    from emissions_audit.groups import (
+        _batch_to_affine, _jac_add_affine, _jac_double, _jac_to_affine)
 
     jac_rows = []
     row_base = (point.x, point.y, 1)
     for _ in range(32):
         acc = row_base
         row = [acc]
+        base_xy = _jac_to_affine(row_base)
         for _ in range(2, 256):
-            acc = _jac_add(acc, row_base)
+            acc = _jac_add_affine(acc, base_xy)
             row.append(acc)
         jac_rows.append(row)
         for _ in range(8):
@@ -267,6 +269,8 @@ def test_point_encoding_roundtrip(name):
         enc = group.encode_point(p)
         assert len(enc) == group.descriptor.point_bytes
         assert group.decode_point(enc) == p
+        if name == "toy":  # the two-byte form is already complete
+            assert group.encode_point(p, compressed=False) == enc
     ident = group.encode_point(group.identity)
     assert group.decode_point(ident).is_identity()
 
@@ -304,11 +308,22 @@ def test_curve_decode_rejects_garbage(prod):
 
 
 _SECP_P = 2**256 - 2**32 - 977
+_SECP_Q = production_group().q
 
 
 def _reference_decode(data):
-    """SEC 1 v2 section 2.3.4 decompression in plain integers: the affine
-    (x, y), None for the all-zero identity, or MalformedPoint."""
+    """SEC 1 v2 section 2.3.4 in plain integers: the affine (x, y), None for
+    the all-zero 33-byte identity, or MalformedPoint.  33 bytes are
+    decompressed; 65 bytes must be 04 || x || y with (x, y) on the curve."""
+    if len(data) == 65:
+        if data[0] != 4:
+            raise MalformedPoint("prefix")
+        x, y = int.from_bytes(data[1:33], "big"), int.from_bytes(data[33:], "big")
+        if x >= _SECP_P or y >= _SECP_P:
+            raise MalformedPoint("coordinate not canonical")
+        if pow(y, 2, _SECP_P) != (pow(x, 3, _SECP_P) + 7) % _SECP_P:
+            raise MalformedPoint("not on the curve")
+        return (x, y)
     if len(data) != 33:
         raise MalformedPoint("length")
     if data == bytes(33):
@@ -326,13 +341,36 @@ def _reference_decode(data):
 
 
 _X_EDGES = [0, 5, _SECP_P - 1, _SECP_P, _SECP_P + 1, 2**256 - 1]
+# The curve point (x, 1): x^3 = 1 - 7 has a cube root, a^((p + 2) / 9) as
+# p = 7 mod 9.  Its y + p still fits in 32 bytes, so only y < p stops a
+# second 65-byte encoding of this point.
+_X_AT_Y1 = pow(-6 % _SECP_P, (_SECP_P + 2) // 9, _SECP_P)
+assert (pow(_X_AT_Y1, 3, _SECP_P) + 7 - 1) % _SECP_P == 0
+_COORDS = st.sampled_from(_X_EDGES) | st.integers(0, 2**256 - 1)
+
+
+def _multiple_of_g(k):
+    point = production_group().mul(k, production_group().generator)
+    return point.x, point.y
 
 
 @settings(max_examples=400, deadline=None)
-@given(prefix=st.sampled_from([0, 2, 3, 4]) | st.integers(0, 255),
-       x=st.sampled_from(_X_EDGES) | st.integers(0, 2**256 - 1))
-def test_curve_decode_agrees_with_reference(prod, prefix, x):
+@given(prefix=st.sampled_from([0, 2, 3, 4, 6, 7]) | st.integers(0, 255),
+       xy=st.tuples(_COORDS, st.none() | _COORDS)
+       | st.integers(1, production_group().q - 1).map(_multiple_of_g))
+@example(prefix=4, xy=_multiple_of_g(1))
+@example(prefix=4, xy=_multiple_of_g(2**255 + 1))
+@example(prefix=6, xy=_multiple_of_g(2))
+@example(prefix=7, xy=_multiple_of_g(1))
+@example(prefix=4, xy=(_X_AT_Y1, 1))
+@example(prefix=4, xy=(_X_AT_Y1, 1 + _SECP_P))
+def test_curve_decode_agrees_with_reference(prod, prefix, xy):
+    """prefix || x (33 bytes) when y is None, else prefix || x || y (65
+    bytes); the pairs taken from multiples of G lie on the curve."""
+    x, y = xy
     data = bytes([prefix]) + x.to_bytes(32, "big")
+    if y is not None:
+        data += y.to_bytes(32, "big")
     try:
         expected = _reference_decode(data)
     except MalformedPoint:
@@ -346,7 +384,10 @@ def test_curve_decode_agrees_with_reference(prod, prefix, x):
 @given(k=st.integers(0, 2**256))
 def test_curve_encoding_roundtrip_on_random_multiples(prod, k):
     point = prod.mul(k, prod.generator)
-    assert prod.decode_point(prod.encode_point(point)) == point
+    compressed = prod.encode_point(point)
+    uncompressed = prod.encode_point(point, compressed=False)
+    assert len(uncompressed) == (33 if point.is_identity() else 65)
+    assert prod.decode_point(compressed) == point == prod.decode_point(uncompressed)
 
 
 @pytest.mark.parametrize("name", ["toy", "secp256k1"])
@@ -472,6 +513,72 @@ def test_mul2_edge_cases(name):
         assert group.mul2(1, g, group.q - 1, g, (tg, tg)) == group.identity
         assert group.is_mul2(3, group.identity, 0, h, group.identity, (None, th))
         assert group.is_mul2(1, g, 1, g, g + g, (tg, tg))
+
+
+_LADDER_MULTIPLIERS = (
+    st.sampled_from([0, 1, 2, _SECP_Q - 1, _SECP_Q, _SECP_Q + 1, 2 * _SECP_Q, 2**256 - 1])
+    | st.integers(0, 2**256 - 1)
+    | st.integers(0, 2**300)
+)
+
+
+@st.composite
+def _ladder_case(draw):
+    """secp256k1 mul2 operands that reach the joint ladder: zero, unreduced
+    and wider-than-table multipliers, P2 equal to P1, to -P1 or another
+    pool point, and tables missing, or passed with a multiplier >= 2^256."""
+    prod = production_group()
+    pool = _pool(prod)
+    p1 = draw(st.sampled_from(pool))
+    p2 = draw(st.sampled_from([p1, -p1, *pool]))
+    a, b = draw(_LADDER_MULTIPLIERS), draw(_LADDER_MULTIPLIERS)
+    if p1.is_identity() or p2.is_identity() or draw(st.booleans()):
+        return a, p1, b, p2, draw(_tables(prod, p1, p2).filter(lambda t: t is None or None in t))
+    wide = draw(st.integers(2**256, 2**300))
+    a, b = (wide, b) if draw(st.booleans()) else (a, wide)
+    return a, p1, b, p2, (_table(prod, p1), _table(prod, p2))
+
+
+_G = production_group().generator
+
+
+@FAST_PATH_SETTINGS
+@given(_ladder_case(), st.sampled_from(["same", "shifted", "identity"]))
+@example((0, _G, 0, -_G, None), "identity")
+@example((_SECP_Q, _G, _SECP_Q + 1, -_G, None), "same")
+@example((5, _G, 5, _G, None), "same")
+@example((2**256 + 5, _G, 7, -_G, (_table(production_group(), _G), _table(production_group(), -_G))),
+         "shifted")
+def test_joint_ladder_matches_mul_mul_add(case, target):
+    prod = production_group()
+    a, p1, b, p2, tables = case
+    reference = prod.mul(a, p1) + prod.mul(b, p2)
+    c = {"same": reference, "shifted": reference + prod.generator,
+         "identity": prod.identity}[target]
+    with mock.patch.object(groups, "_jac_mul2", wraps=groups._jac_mul2) as ladder:
+        assert prod.mul2(a, p1, b, p2, tables) == reference
+        assert prod.is_mul2(a, p1, b, p2, c, tables) == (reference == c)
+    assert ladder.call_count == 2
+
+
+@FAST_PATH_SETTINGS
+@given(bad=st.sampled_from([toy_group().scalar(3), 2.5, None])
+       | st.integers(max_value=-1), ok=_LADDER_MULTIPLIERS, bad_at=st.sampled_from([0, 1]),
+       tabled=st.booleans())
+def test_joint_ladder_keeps_the_multiplier_errors(prod, bad, ok, bad_at, tabled):
+    """A foreign, negative or non-integer multiplier on either side raises
+    the exception, with the message, of the multiplier check that mul and
+    the table paths run."""
+    g = prod.generator
+    with pytest.raises((TypeError, ValueError)) as expected:
+        groups._multiplier(bad, prod.q)
+    a, b = (ok, bad) if bad_at else (bad, ok)
+    tables = (_table(prod, g), None) if tabled else None
+    for call in (lambda: prod.mul2(a, g, b, -g, tables),
+                 lambda: prod.is_mul2(a, g, b, -g, g, tables)):
+        with pytest.raises(expected.type) as got:
+            call()
+        assert str(got.value) == str(expected.value)
 
 
 @FAST_PATH_SETTINGS
