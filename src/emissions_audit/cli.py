@@ -583,46 +583,34 @@ _OTHER_FLAGS = {"aggregate": ("-h", "--help", "--pp", "--out"),
 
 
 def _coalesce_list_flags(argv: list[str]) -> list[str]:
-    """argv with each list flag's values merged into one flag, at its last.
+    """argv with each list flag's values merged into one flag, after the rest.
 
     Python 3.11's argparse takes time quadratic in the number of flags, so
-    ``--report A --pp P --report=B`` is passed on as ``--pp P --report A B``,
-    which parses to the same namespace.  Exact flags and ``--flag=value``
-    before any ``--`` are merged; where argparse could read a token another
-    way (an abbreviation, an unknown or dash-led token, a flag without a
-    value, a value after ``--flag=value``), argv is passed on unchanged.
+    ``--report A --pp P --report B`` becomes ``--pp P --report A B``, which
+    parses the same.  Only argv of exact flags and plain values (``-`` too),
+    with a value after each list flag, is rewritten; other argv is returned.
     """
     lists = _LIST_FLAGS.get(argv[0]) if argv else None
     if lists is None:
         return argv
-    end = argv.index("--") if "--" in argv else len(argv)
     known = {*lists, *_OTHER_FLAGS[argv[0]]}
-    groups = [[]]  # the tokens before "--", split before each flag
-    for tok in argv[1:end]:
+    groups = [[]]  # the tokens after the subcommand, split before each flag
+    for tok in argv[1:]:
         if tok == "-" or not tok.startswith("-"):
             groups[-1].append(tok)
-        elif tok.partition("=")[0] in known:
+        elif tok in known:
             groups.append([tok])
         else:
             return argv
-    merged, last = {}, {}
-    for group in groups[1:]:
-        flag, eq, value = group[0].partition("=")
-        if flag in lists:
-            values = [value] if eq else group[1:]
-            if not values or eq and (len(group) > 1 or value.startswith("-") and value != "-"
-                                     or group is groups[-1] and end < len(argv)):
-                return argv
-            merged.setdefault(flag, []).extend(values)
-            last[flag] = group
-    out = argv[:1] + groups[0]
-    for group in groups[1:]:
-        flag = group[0].partition("=")[0]
+    out, merged = argv[:1] + groups[0], {}
+    for flag, *values in groups[1:]:
         if flag not in lists:
-            out += group
-        elif last[flag] is group:
-            out += [flag, *merged[flag]]
-    return out + argv[end:]
+            out += [flag, *values]
+        elif values:
+            merged.setdefault(flag, []).extend(values)
+        else:
+            return argv
+    return out + [tok for flag, values in merged.items() for tok in (flag, *values)]
 
 
 def main(argv=None) -> int:

@@ -517,10 +517,6 @@ class Group:
         mul2_many and is_mul2 (which give the same points without); None."""
         return None
 
-    def mul2(self, a, p1, b, p2, tables=None):
-        """a*p1 + b*p2, the shape of every commitment."""
-        return self.mul(a, p1) + self.mul(b, p2)
-
     def mul2_many(self, pairs, p1, p2, tables=None) -> list:
         """[a*p1 + b*p2 for each (a, b) in pairs]."""
         return [self.mul2(a, p1, b, p2, tables) for a, b in pairs]

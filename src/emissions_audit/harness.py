@@ -468,7 +468,7 @@ def run_pick_trials(
             roster, k, pp, random.Random(derive_seed(seed, "pick", i)),
             strategies=strategies, base_mode=base_mode,
         )
-        counts[frozenset(outcome.picked)] += 1
+        counts[tuple(sorted(outcome.picked))] += 1
     return counts
 
 
@@ -485,9 +485,7 @@ def subset_chi_square(counts: Counter, roster, k: int) -> tuple[float, float]:
     """Chi-square over all (n choose k) subsets, zero cells included."""
     from itertools import combinations
 
-    cells = [counts.get(frozenset(c), counts.get(tuple(sorted(c)), 0))
-             for c in combinations(sorted(roster), k)]
-    return chi_square_uniform(cells)
+    return chi_square_uniform(counts.get(c, 0) for c in combinations(sorted(roster), k))
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +584,19 @@ def leakage_violations(transcript: Transcript) -> list[str]:
     the environment generates the data, so the boundary under test is the
     views of the firms and of the verifier, corrupted or not.  An opening in
     those views whose ``firm`` is not a firm id is a violation too.  A
-    header whose views cannot be built yields its header violations instead.
+    header whose views cannot be built, for want of well-typed fields or of
+    a viewer among its participants, yields its header violations instead.
     """
     bad_header = _header_violations(transcript.header)
     if bad_header:
         return bad_header
     corrupted = set(transcript.header.get("corrupted", ()))
     roster = transcript.header["roster"]
+    participants = set(transcript.header["participants"])
+    unknown = [f"header field 'participants' lacks {viewer!r}"
+               for viewer in (*roster, VERIFIER_ID) if viewer not in participants]
+    if unknown:
+        return unknown
     firms = set(roster)
     picked = set(_revealed_list(transcript) or ())
     out = [
@@ -720,15 +724,18 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
             pick_fault_policy=data.get("pick_fault_policy", "complete"),
         )
         adv_data = data.get("adversary", {})
+        corrupted, behavior_data = adv_data.get("corrupted", []), adv_data.get("behaviors", {})
+        if not _is_str_list(corrupted):
+            raise ConfigInvalid("adversary field 'corrupted' is not a list of strings")
+        if not isinstance(behavior_data, dict):
+            raise ConfigInvalid("adversary field 'behaviors' is not an object")
         behaviors = {}
-        for pid, b in adv_data.get("behaviors", {}).items():
+        for pid, b in behavior_data.items():
             btype = b.get("type")
             if btype not in _BEHAVIOR_PARSERS:
                 raise ConfigInvalid(f"unknown behavior type {btype!r}")
             behaviors[pid] = _BEHAVIOR_PARSERS[btype](b)
-        adversary = AdversarySpec(
-            corrupted=frozenset(adv_data.get("corrupted", ())), behaviors=behaviors
-        )
+        adversary = AdversarySpec(corrupted=frozenset(corrupted), behaviors=behaviors)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigInvalid):
             raise

@@ -1,5 +1,6 @@
 """Command-line workflow: operator pipeline, pick exchange, simulation."""
 
+import argparse
 import builtins
 import contextlib
 import hashlib
@@ -11,7 +12,9 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from emissions_audit import commitment, harness
-from emissions_audit.cli import _coalesce_list_flags, build_parser, main
+from emissions_audit.cli import (
+    _LIST_FLAGS, _OTHER_FLAGS, _coalesce_list_flags, build_parser, main,
+)
 from emissions_audit.groups import production_group
 
 
@@ -535,6 +538,14 @@ def test_simulate_rejects_scenario_giving_a_firm_anothers_ledger(capsys, ws):
     assert err["message"] == "firm F1: ledger belongs to 'F2'"
 
 
+def test_simulate_refuses_a_corrupted_string(capsys, ws):
+    scenario = ws / "sc.json"
+    scenario.write_text(json.dumps({"n": 3, "k": 1, "adversary": {"corrupted": "C"}}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and out is None and err["error"] == "ConfigInvalid"
+    assert err["message"] == "adversary field 'corrupted' is not a list of strings"
+
+
 @pytest.mark.parametrize("pick_mode", ["env", "joint"])
 @pytest.mark.parametrize("field", ["pick_base_mode", "pick_fault_policy"])
 def test_simulate_rejects_an_unknown_pick_base_mode_or_fault_policy(capsys, ws, pick_mode, field):
@@ -839,6 +850,28 @@ def test_transcript_audit_reports_header_without_participants(capsys, ws):
     assert code == 1 and err is None
     assert not report["ok"] and report["replayed"] is None
     assert report["violations"] == ["header field 'participants' is not a list of strings"]
+
+
+@pytest.mark.parametrize("missing", ["F9", "V"])
+def test_transcript_audit_reports_a_viewer_missing_from_participants(capsys, ws, missing):
+    """The honest scenario's header with F9 added to the roster, or V taken
+    from the participants, and its config_digest recomputed: a verdict
+    (exit 1), not an error."""
+    t = ws / "t.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", "honest", "--trials", "1",
+                         "--seed", "1", "--transcript", str(t))
+    assert code == 0
+    lines = [json.loads(line) for line in t.read_bytes().splitlines()]
+    header = lines[0]["header"]
+    if missing == "F9":
+        header["roster"].append("F9")
+    else:
+        header["participants"].remove("V")
+    header["config_digest"] = harness.config_digest(header)
+    t.write_bytes(b"\n".join(map(harness.canonical_json, lines)) + b"\n")
+    code, report, err = run_cli(capsys, "transcript-audit", "--transcript", str(t))
+    assert code == 1 and err is None and not report["ok"]
+    assert f"header field 'participants' lacks {missing!r}" in report["violations"]
 
 
 def test_transcript_audit_rejects_malformed_file(capsys, ws):
@@ -1408,14 +1441,42 @@ def test_repeated_list_flags_become_one_flag_each():
     assert _coalesce_list_flags(argv) == [
         "aggregate", "--pp", "pp.json", "--out", "s.json",
         "--report", "r1", "r2", "r3", "--opening", "o1", "o2", "o3"]
-    argv = ["verify-sum", "--report=r1", "--pp", "p", "--report", "r2", "-", "--sums", "s",
+    argv = ["verify-sum", "--report", "r1", "--pp", "p", "--report", "r2", "-", "--sums", "s",
             "--report", "r3"]
     assert _coalesce_list_flags(argv) == ["verify-sum", "--pp", "p", "--sums", "s",
                                           "--report", "r1", "r2", "-", "r3"]
+    # The perfbench cli-n500 shape: 500 of each list flag, one flag each after.
+    reports = [t for i in range(500) for t in ("--report", f"f{i}.report")]
+    openings = [t for i in range(500) for t in ("--opening", f"f{i}.opening")]
+    merged = _coalesce_list_flags(["aggregate", "--pp", "pp", *reports, *openings,
+                                   "--out", "s"])
+    assert merged == ["aggregate", "--pp", "pp", "--out", "s",
+                      "--report", *reports[1::2], "--opening", *openings[1::2]]
+    # "--flag=value" and "--" are not merged: argparse reads argv as given.
+    argv = ["verify-sum", "--report=r1", "--pp", "p", "--report", "r2", "-", "--sums", "s",
+            "--report", "r3"]
+    assert _coalesce_list_flags(argv) is argv
     assert _parsed(argv).report == ["r1", "r2", "-", "r3"]
-    # Nothing after "--" is touched.
-    tail = ["--", "--report", "r5"]
-    assert _coalesce_list_flags(argv + tail)[-3:] == tail
+    argv = ["verify-sum", "--pp", "p", "--sums", "s", "--report", "r1", "--", "--report"]
+    assert _coalesce_list_flags(argv) is argv
+
+
+def test_list_flag_tables_match_the_parser():
+    """A flag missing from _LIST_FLAGS / _OTHER_FLAGS turns the merge off, and
+    the subcommand's repeated flags back to a quadratic parse."""
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    with_lists = set()
+    for command, sp in subparsers.choices.items():
+        lists = {s for a in sp._actions if isinstance(a, argparse._ExtendAction)
+                 for s in a.option_strings}
+        others = {s for a in sp._actions if not isinstance(a, argparse._ExtendAction)
+                  for s in a.option_strings}
+        if lists:
+            with_lists.add(command)
+            assert set(_LIST_FLAGS[command]) == lists, command
+            assert set(_OTHER_FLAGS[command]) == others, command
+    assert with_lists == _LIST_FLAGS.keys() == _OTHER_FLAGS.keys()
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,19 @@ def test_scenario_rejects_unknown_behavior_kind():
         }, name="bad")
 
 
+@pytest.mark.parametrize("adversary, message", [
+    ({"corrupted": "C"}, "adversary field 'corrupted' is not a list of strings"),
+    ({"corrupted": "F1"}, "adversary field 'corrupted' is not a list of strings"),
+    ({"corrupted": ["F1", 3]}, "adversary field 'corrupted' is not a list of strings"),
+    ({"corrupted": ["F1"], "behaviors": [["F1", {"type": "inconsistent_reveal"}]]},
+     "adversary field 'behaviors' is not an object"),
+], ids=["C", "F1", "non-string", "behaviors-list"])
+def test_scenario_rejects_a_mistyped_adversary(adversary, message):
+    """A string is not split into one-letter ids, nor a list read as a map."""
+    with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+        scenario_from_dict({"group": "toy", "n": 2, "k": 1, "adversary": adversary})
+
+
 def test_scenario_loads_from_json_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({
@@ -536,6 +549,25 @@ def test_audit_reports_header_without_participants_list(pp, participants):
     report = audit_transcript(parse_transcript(canonical_json({"header": header})))
     assert not report["ok"] and report["replayed"] is None
     assert report["violations"] == ["header field 'participants' is not a list of strings"]
+
+
+@pytest.mark.parametrize("missing", ["F9", VERIFIER_ID])
+def test_audit_reports_a_viewer_missing_from_participants(pp, missing):
+    """A roster firm or the verifier that is not a participant has no view:
+    a header violation, not an UnknownParticipant from building views."""
+    def edit(lines):
+        header = lines[0]["header"]
+        if missing == "F9":
+            header["roster"].append("F9")
+        else:
+            header["participants"].remove(VERIFIER_ID)
+        header["config_digest"] = harness.config_digest(header)
+
+    transcript = parse_transcript(_edited_lines(pp, edit))
+    violation = f"header field 'participants' lacks {missing!r}"
+    assert leakage_violations(transcript) == [violation]
+    report = audit_transcript(transcript)
+    assert not report["ok"] and violation in report["violations"]
 
 
 def _edited_lines(pp, edit):
