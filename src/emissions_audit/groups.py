@@ -4,7 +4,14 @@ Two interchangeable backends sit behind one small interface:
 
 * ``secp256k1`` -- the production curve (prime order, cofactor 1, ~128-bit
   security).  Scalar multiplication uses Jacobian coordinates, and through
-  a precomputed window table where the caller passes one for the base.
+  a precomputed signed-digit window table where the caller passes one for
+  the base.  A table of width w has ceil(257 / w) rows of 2^(w-1) points,
+  and a multiplier adds one point per nonzero digit, so a multiplier of b
+  bits costs about b / w additions.  The commitment base H multiplies
+  uniform 256-bit blindings and takes w = 10: 26 additions from 13312
+  points.  G multiplies totals below 2^40, which touch at most 6 rows
+  whatever the width, so it takes w = 8 at 4224 points; w = 10 would save
+  one addition for 9088 more.
 * the toy group -- the order-101 subgroup of Z_607*, small enough that tests
   can brute-force discrete logs and enumerate every commitment exhaustively.
 
@@ -16,6 +23,8 @@ for sampling, encoding, and (toy only) discrete-log search.
 from __future__ import annotations
 
 import random
+from array import array
+from itertools import zip_longest
 from dataclasses import dataclass
 
 
@@ -399,51 +408,80 @@ def _to_point(pt) -> CurvePoint:
     return _affine_point(_jac_to_affine(pt))
 
 
-_WINDOW_BITS = 8
-_WINDOW_ROWS = 32  # covers multipliers below 2**256
+# Multipliers below 2**256 fit every table: their signed digits take one bit
+# more, for the borrow out of the top window.
+_TABLE_MULTIPLIER_BITS = 256
 # A field inversion costs about as much as this many batched affine additions.
 _INVERSION_ADDS = 6
 # Below about this many pairs, mul2_many's lockstep walk pays more for its
-# inversion per table row than it saves: one mul2 per pair measured faster.
+# inversion per table row than it saves: against one mul2 per pair it took
+# 1.06x the time at 8 pairs, about 1.0x at 10 and 0.91x at 12.
 LOCKSTEP_MIN_PAIRS = 10
 # Below about this many points, sum's mixed Jacobian additions beat the
 # pairwise affine reduction, which pays one inversion per level.
 BATCH_SUM_MIN_POINTS = 64
 
 
+def _signed_digits(k: int, bits: int) -> array:
+    """k's digits in (-2^(bits-1), 2^(bits-1)], least significant first, so
+    that k == sum(d << bits*i): a window above 2^(bits-1) becomes d - 2^bits
+    and carries one into the rest of k.  No trailing zero digits; a k below
+    2^256 has at most ceil(257 / bits) of them."""
+    half, mask, full = 1 << bits - 1, (1 << bits) - 1, 1 << bits
+    digits = array("h")
+    while k:
+        d = k & mask
+        k >>= bits
+        if d > half:
+            d -= full
+            k += 1
+        digits.append(d)
+    return digits
+
+
+def _digit_point(row, d: int):
+    """The affine point of a table row for a nonzero signed digit d."""
+    if d > 0:
+        return row[d - 1]
+    x, y = row[-d - 1]
+    return (x, _P - y)
+
+
 class _FixedBaseTable:
-    """Per-base window table: rows[i][d - 1] = (d << 8*i) * base, affine.
+    """Signed-digit table of a base B: rows[i][d - 1] = (d << bits*i) * B,
+    affine, for d in 1..2^(bits-1) and i < ceil(257 / bits), which covers the
+    _signed_digits of every multiplier below 2^256 (bits >= 2).  A negative
+    digit takes the negation of row[-d - 1].
 
     Column d > 2 is one _batch_add of column d - 1 and the row bases, one
     inversion for all rows; no pair has equal x, as (d +- 1) * base != 0.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("bits", "rows")
 
-    def __init__(self, point: CurvePoint):
+    def __init__(self, point: CurvePoint, bits: int):
         if point.is_identity():
             raise GroupError("cannot build a table for the identity")
+        rows = -(-(_TABLE_MULTIPLIER_BITS + 1) // bits)
         chain, pt = [], (point.x, point.y, 1)
-        for i in range(_WINDOW_ROWS * _WINDOW_BITS):
-            if i % _WINDOW_BITS < 2:  # each row's base and its double
+        for i in range((rows - 1) * bits + 2):
+            if i % bits < 2:  # each row's base and its double
                 chain.append(pt)
             pt = _jac_double(pt)
         affine = _batch_to_affine(chain)
         bases = affine[0::2]
         cols = [bases, affine[1::2]]
-        for _ in range(3, 1 << _WINDOW_BITS):
+        for _ in range(3, (1 << bits - 1) + 1):
             cols.append(_batch_add(cols[-1], bases))
+        self.bits = bits
         self.rows = [list(row) for row in zip(*cols)]
 
     def add_mul(self, acc, k: int):
-        """Jacobian acc + k * base, one mixed addition per nonzero byte of k."""
-        for row in self.rows:
-            if k == 0:
-                break
-            d = k & 0xFF
-            k >>= 8
+        """Jacobian acc + k * base, one mixed addition per nonzero signed
+        digit of k."""
+        for row, d in zip(self.rows, _signed_digits(k, self.bits)):
             if d:
-                acc = _jac_add_affine(acc, row[d - 1])
+                acc = _jac_add_affine(acc, _digit_point(row, d))
         return acc
 
 
@@ -452,7 +490,7 @@ def _linear_combination(a, p1: CurvePoint, b, p2: CurvePoint, tables):
     and both multipliers fit them, else by the joint ladder _jac_mul2."""
     a, b = _multiplier(a, _Q), _multiplier(b, _Q)
     t1, t2 = tables or (None, None)
-    if t1 is not None and t2 is not None and not (a | b) >> (_WINDOW_BITS * _WINDOW_ROWS):
+    if t1 is not None and t2 is not None and not (a | b) >> _TABLE_MULTIPLIER_BITS:
         return t2.add_mul(t1.add_mul(_INF_JAC, a), b)
     return _jac_mul2(a, None if p1.x is None else (p1.x, p1.y),
                      b, None if p2.x is None else (p2.x, p2.y))
@@ -512,9 +550,10 @@ class Group:
         """Scalar multiplication k * point."""
         return k * point
 
-    def fixed_base_table(self, point):
-        """A table of multiples of ``point`` for the ``tables`` pair of mul2,
-        mul2_many and is_mul2 (which give the same points without); None."""
+    def fixed_base_table(self, point, bits: int):
+        """A table of multiples of ``point``, in windows of ``bits`` bits, for
+        the ``tables`` pair of mul2, mul2_many and is_mul2 (which give the
+        same points without); None."""
         return None
 
     def mul2_many(self, pairs, p1, p2, tables=None) -> list:
@@ -625,8 +664,8 @@ class Secp256k1Group(Group):
     def identity(self) -> CurvePoint:
         return _CURVE_IDENTITY
 
-    def fixed_base_table(self, point: CurvePoint) -> _FixedBaseTable:
-        return _FixedBaseTable(point)
+    def fixed_base_table(self, point: CurvePoint, bits: int) -> _FixedBaseTable:
+        return _FixedBaseTable(point, bits)
 
     def mul2(self, a, p1: CurvePoint, b, p2: CurvePoint, tables=None) -> CurvePoint:
         """a*p1 + b*p2: one Jacobian _linear_combination, then one inversion."""
@@ -644,17 +683,16 @@ class Secp256k1Group(Group):
         ks = [(_multiplier(a, _Q), _multiplier(b, _Q)) for a, b in pairs]
         tables = tables or (None, None)
         widest = max((max(pair) for pair in ks), default=0)
-        if (None in tables or widest >> (_WINDOW_BITS * _WINDOW_ROWS)
+        if (None in tables or widest >> _TABLE_MULTIPLIER_BITS
                 or len(ks) < LOCKSTEP_MIN_PAIRS):
             return [self.mul2(a, p1, b, p2, tables) for a, b in ks]
         accs = [None] * len(ks)
         for col, table in enumerate(tables):
-            column = [pair[col] for pair in ks]
-            digits = [k.to_bytes(_WINDOW_ROWS, "little") for k in column]
-            used = -(-max(column, default=0).bit_length() // _WINDOW_BITS)
-            for j, row in enumerate(table.rows[:used]):
-                todo = [i for i, d in enumerate(digits) if d[j]]
-                sums = _batch_add([accs[i] for i in todo], [row[digits[i][j] - 1] for i in todo])
+            digits = [_signed_digits(pair[col], table.bits) for pair in ks]
+            for row, row_digits in zip(table.rows, zip_longest(*digits, fillvalue=0)):
+                todo = [i for i, d in enumerate(row_digits) if d]
+                sums = _batch_add([accs[i] for i in todo],
+                                  [_digit_point(row, row_digits[i]) for i in todo])
                 for i, xy in zip(todo, sums):
                     accs[i] = xy
         return [_affine_point(xy) for xy in accs]

@@ -724,6 +724,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
             pick_fault_policy=data.get("pick_fault_policy", "complete"),
         )
         adv_data = data.get("adversary", {})
+        if not isinstance(adv_data, dict):
+            raise ConfigInvalid("scenario field 'adversary' is not an object")
         corrupted, behavior_data = adv_data.get("corrupted", []), adv_data.get("behaviors", {})
         if not _is_str_list(corrupted):
             raise ConfigInvalid("adversary field 'corrupted' is not a list of strings")
@@ -731,6 +733,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
             raise ConfigInvalid("adversary field 'behaviors' is not an object")
         behaviors = {}
         for pid, b in behavior_data.items():
+            if not isinstance(b, dict):
+                raise ConfigInvalid(f"adversary behavior {pid!r} is not an object")
             btype = b.get("type")
             if btype not in _BEHAVIOR_PARSERS:
                 raise ConfigInvalid(f"unknown behavior type {btype!r}")

@@ -40,9 +40,9 @@ def table_builds(monkeypatch):
     class CountedTable(groups._FixedBaseTable):
         __slots__ = ()
 
-        def __init__(self, point):
+        def __init__(self, point, bits):
             built.append(point)
-            super().__init__(point)
+            super().__init__(point, bits)
 
     monkeypatch.setattr(groups, "_FixedBaseTable", CountedTable)
     return built

@@ -1409,13 +1409,10 @@ def _list_flag_argv(draw):
     command = draw(st.sampled_from(["aggregate", "verify-sum"]))
     exact = {"aggregate": ["--report", "--opening", "--pp", "--out"],
              "verify-sum": ["--report", "--pp", "--sums"]}[command]
-    clean = st.one_of(
-        st.tuples(st.sampled_from(exact), st.lists(_PLAIN, min_size=1, max_size=3)).map(
-            lambda t: [t[0], *t[1]]),
-        st.sampled_from(exact[:-2]).flatmap(
-            lambda flag: _PLAIN.map(lambda v: [f"{flag}={v}"])),
-    )
-    if draw(st.booleans()):  # half of the examples mix in odd blocks
+    # An exact flag with plain values: argv made of these alone is merged.
+    clean = st.tuples(st.sampled_from(exact), st.lists(_PLAIN, min_size=1, max_size=3)).map(
+        lambda t: [t[0], *t[1]])
+    if draw(st.booleans()):  # half of the examples mix in odd blocks, "--flag=value" among them
         clean = st.one_of(clean, clean, _ODD_BLOCK)
     blocks = draw(st.lists(clean, max_size=10))
     # Mostly with every required flag given, so that a parse that differs

@@ -142,48 +142,55 @@ def test_point_negation_and_subtraction(prod, toy):
 # ---------------------------------------------------------------------------
 
 
+# The two widths the commitment tables take: G's and H's.
+TABLE_WIDTHS = (8, 10)
+
+
 def test_fixed_base_table_matches_generic_mul(prod):
     rng = random.Random(4)
     g = prod.generator
-    tables = (prod.fixed_base_table(g), None)
-    for _ in range(50):
-        k = rng.randrange(prod.q)
-        assert prod.mul2(k, g, 0, g, tables) == k * g
-    for k in (0, 1, 2, prod.q - 1, prod.q, prod.q + 1):
-        assert prod.mul2(k, g, 0, g, tables) == k * g
+    for bits in TABLE_WIDTHS:
+        tables = (prod.fixed_base_table(g, bits), None)
+        for _ in range(50):
+            k = rng.randrange(prod.q)
+            assert prod.mul2(k, g, 0, g, tables) == k * g
+        for k in (0, 1, 2, prod.q - 1, prod.q, prod.q + 1):
+            assert prod.mul2(k, g, 0, g, tables) == k * g
 
 
 def test_no_table_for_the_identity(prod, toy):
     from emissions_audit.groups import GroupError
 
     with pytest.raises(GroupError):
-        prod.fixed_base_table(prod.identity)
-    assert toy.fixed_base_table(toy.generator) is None
+        prod.fixed_base_table(prod.identity, 8)
+    assert toy.fixed_base_table(toy.generator, 8) is None
 
 
-def _jacobian_table_rows(point):
-    """Reference rows[i][d - 1] = (d << 8*i) * point: each row by 254 mixed
-    Jacobian additions of its base, all converted to affine at the end."""
+def _jacobian_table_rows(point, bits):
+    """Reference rows[i][d - 1] = (d << bits*i) * point for d up to
+    2^(bits-1) and i < ceil(257 / bits): each row by mixed Jacobian
+    additions of its base, all converted to affine at the end."""
     from emissions_audit.groups import (
         _batch_to_affine, _jac_add_affine, _jac_double, _jac_to_affine)
 
+    rows, half = -(-257 // bits), 1 << bits - 1
     jac_rows = []
     row_base = (point.x, point.y, 1)
-    for _ in range(32):
+    for _ in range(rows):
         acc = row_base
         row = [acc]
         base_xy = _jac_to_affine(row_base)
-        for _ in range(2, 256):
+        for _ in range(2, half + 1):
             acc = _jac_add_affine(acc, base_xy)
             row.append(acc)
         jac_rows.append(row)
-        for _ in range(8):
+        for _ in range(bits):
             row_base = _jac_double(row_base)
     affine = _batch_to_affine([pt for row in jac_rows for pt in row])
-    return [affine[i * 255:(i + 1) * 255] for i in range(32)]
+    return [affine[i * half:(i + 1) * half] for i in range(rows)]
 
 
-def _lockstep_rows(point):
+def _lockstep_rows(point, bits):
     """The table's rows, built with the per-pair (equal-x) path of
     _batch_add disabled: every column must cost one shared inversion."""
     from unittest import mock
@@ -194,23 +201,75 @@ def _lockstep_rows(point):
         raise AssertionError("a table column reached the equal-x path")
 
     with mock.patch.object(groups, "_jac_add_affine", per_pair):
-        return groups._FixedBaseTable(point).rows
+        return groups._FixedBaseTable(point, bits).rows
 
 
 @pytest.mark.parametrize("base", ["G", "H"])
 def test_fixed_base_rows_match_jacobian_reference(prod, base):
     point = prod.generator if base == "G" else hash_to_point(prod, H_DOMAIN)
-    assert _lockstep_rows(point) == _jacobian_table_rows(point)
+    for bits in TABLE_WIDTHS:
+        assert _lockstep_rows(point, bits) == _jacobian_table_rows(point, bits)
 
 
 @settings(max_examples=5, deadline=None)
-@given(k=st.integers(1, production_group().q - 1))
-@example(k=1)
-@example(k=2)
-@example(k=3)
-def test_fixed_base_rows_match_reference_for_drawn_bases(prod, k):
+@given(k=st.integers(1, production_group().q - 1), bits=st.sampled_from(TABLE_WIDTHS))
+@example(k=1, bits=8)
+@example(k=2, bits=10)
+@example(k=3, bits=8)
+def test_fixed_base_rows_match_reference_for_drawn_bases(prod, k, bits):
     point = prod.mul(k, prod.generator)
-    assert _lockstep_rows(point) == _jacobian_table_rows(point)
+    assert _lockstep_rows(point, bits) == _jacobian_table_rows(point, bits)
+
+
+def _all_borrow(bits):
+    """The multiplier below 2^256 whose every digit below the top one is
+    negative: each window holds 2^(bits-1) + 1 before the borrow."""
+    k, shift = 0, 0
+    while shift + bits <= 256:
+        k |= ((1 << bits - 1) + 1) << shift
+        shift += bits
+    return k
+
+
+_SECP = production_group()
+_DIGIT_EDGES = [0, 1, 2**7, 2**7 + 1, 2**9, 2**9 + 1, _SECP.q - 1, 2**256 - 1,
+                _all_borrow(8), _all_borrow(10)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from(_DIGIT_EDGES) | st.integers(0, 2**256 - 1) | st.integers(0, 2**40),
+       r=st.integers(0, 2**256 - 1), bits=st.sampled_from(TABLE_WIDTHS))
+@example(k=0, r=1, bits=8)
+@example(k=1, r=0, bits=10)
+@example(k=2**7, r=2**7 + 1, bits=8)
+@example(k=2**9 + 1, r=2**9, bits=10)
+@example(k=_SECP.q - 1, r=_SECP.q - 1, bits=8)
+@example(k=2**256 - 1, r=2**256 - 1, bits=10)
+@example(k=_all_borrow(8), r=_all_borrow(8), bits=8)
+@example(k=_all_borrow(10), r=_all_borrow(10), bits=10)
+def test_signed_digits_rebuild_the_multiplier_and_match_the_ladder(k, r, bits):
+    """_signed_digits(k, bits) sums back to k, with every digit in
+    (-2^(bits-1), 2^(bits-1)] and at most ceil(257 / bits) of them; through
+    tables of that width, mul2, mul2_many and is_mul2 give the joint
+    ladder's point for (k, r) on the two commitment bases."""
+    from emissions_audit.groups import _jac_mul2, _jac_to_affine, _signed_digits
+
+    half = 1 << bits - 1
+    for m in (k, r):
+        digits = _signed_digits(m, bits)
+        assert sum(d << bits * i for i, d in enumerate(digits)) == m
+        assert all(-half < d <= half for d in digits)
+        assert len(digits) <= -(-257 // bits)
+    g, h = _SECP.generator, hash_to_point(_SECP, H_DOMAIN)
+    tables = (_table(_SECP, g, bits), _table(_SECP, h, bits))
+    xy = _jac_to_affine(_jac_mul2(k, (g.x, g.y), r, (h.x, h.y)))
+    expected = _SECP.identity if xy is None else groups.CurvePoint(*xy)
+    assert _SECP.mul2(k, g, r, h, tables) == expected
+    assert _SECP.is_mul2(k, g, r, h, expected, tables)
+    assert not _SECP.is_mul2(k, g, r, h, expected + g, tables)
+    with mock.patch.object(groups, "LOCKSTEP_MIN_PAIRS", 0):  # the lockstep walk for two pairs
+        assert _SECP.mul2_many([(k, r), (r, k)], g, h, tables) == [
+            expected, _SECP.mul2(r, g, k, h)]
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +495,20 @@ def _pool(group):
 
 
 @functools.cache
-def _table(group, point):
-    """The point's fixed-base table, built once for the whole test run."""
-    return group.fixed_base_table(point)
+def _table(group, point, bits=8):
+    """The point's fixed-base table of that width, built once for the whole
+    test run."""
+    return group.fixed_base_table(point, bits)
 
 
 @st.composite
 def _tables(draw, group, p1, p2):
     """A tables argument for (p1, p2): None, or a pair in which each base
-    has its table or not.  The identity never has one."""
+    has its table, of either width, or not.  The identity never has one."""
     if draw(st.booleans()):
         return None
-    return tuple(None if p.is_identity() or not draw(st.booleans()) else _table(group, p)
-                 for p in (p1, p2))
+    return tuple(None if p.is_identity() or not draw(st.booleans())
+                 else _table(group, p, draw(st.sampled_from(TABLE_WIDTHS))) for p in (p1, p2))
 
 
 @st.composite
@@ -723,7 +783,8 @@ def _mul2_many_case(draw, name):
     group = group_by_name(name)
     identity, g, h, p = _pool(group)[:4]
     p1, p2 = draw(st.sampled_from([(g, h), (g, h), (h, g), (g, g), (g, p), (p, h), (identity, h)]))
-    both = tuple(None if q.is_identity() else _table(group, q) for q in (p1, p2))
+    both = tuple(None if q.is_identity() else _table(group, q, draw(st.sampled_from(TABLE_WIDTHS)))
+                 for q in (p1, p2))
     tables = draw(st.one_of(st.just(both), _tables(group, p1, p2)))
     pairs = draw(st.lists(st.tuples(_scalar_or_int(group), _scalar_or_int(group)), max_size=8))
     pairs += pairs[: draw(st.integers(0, len(pairs)))]

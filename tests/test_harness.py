@@ -426,9 +426,14 @@ def test_scenario_rejects_unknown_behavior_kind():
     ({"corrupted": ["F1", 3]}, "adversary field 'corrupted' is not a list of strings"),
     ({"corrupted": ["F1"], "behaviors": [["F1", {"type": "inconsistent_reveal"}]]},
      "adversary field 'behaviors' is not an object"),
-], ids=["C", "F1", "non-string", "behaviors-list"])
+    (5, "scenario field 'adversary' is not an object"),
+    (["F1"], "scenario field 'adversary' is not an object"),
+    ({"behaviors": {"F1": "tamper_report"}}, "adversary behavior 'F1' is not an object"),
+], ids=["C", "F1", "non-string", "behaviors-list", "adversary-int", "adversary-list",
+        "behavior-string"])
 def test_scenario_rejects_a_mistyped_adversary(adversary, message):
-    """A string is not split into one-letter ids, nor a list read as a map."""
+    """A string is not split into one-letter ids, nor a list read as a map;
+    a field that must be an object and is not is named."""
     with pytest.raises(ConfigInvalid, match=f"^{message}$"):
         scenario_from_dict({"group": "toy", "n": 2, "k": 1, "adversary": adversary})
 
