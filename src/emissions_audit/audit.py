@@ -111,14 +111,16 @@ class SessionConfig:
     def __post_init__(self):
         self.firms = tuple(self.firms)
         self.roster = ids = tuple(f.firm_id for f in self.firms)
-        self.firm_by_id = dict(zip(ids, self.firms))
-        if len(self.firm_by_id) != len(ids):
-            raise ConfigInvalid("duplicate firm ids in roster")
         for fid in ids:
             if not isinstance(fid, str) or not fid or fid in (ENV_ID, COUNTRY_ID, VERIFIER_ID):
                 raise ConfigInvalid(f"bad firm id {fid!r}")
+        self.firm_by_id = dict(zip(ids, self.firms))
+        if len(self.firm_by_id) != len(ids):
+            raise ConfigInvalid("duplicate firm ids in roster")
         if not isinstance(self.k, int) or self.k < 0 or self.k > len(ids):
             raise ConfigInvalid(f"k={self.k!r} not in [0, {len(ids)}]")
+        if not isinstance(self.cycle_id, str) or not self.cycle_id:
+            raise ConfigInvalid(f"cycle id must be a non-empty string, got {self.cycle_id!r}")
         if self.data_mode not in ("abstract", "integrated"):
             raise ConfigInvalid(f"unknown data mode {self.data_mode!r}")
         if self.pick_mode not in ("env", "joint"):
@@ -289,8 +291,8 @@ def env_setup(config: SessionConfig, rng: random.Random) -> EnvAssignment:
 
 # ---------------------------------------------------------------------------
 # Participant behaviors.  ``Behavior`` plays the protocol honestly; a session
-# takes one behavior per participant, and the harness's adversary catalogue
-# subclasses it, each entry overriding the hook it deviates in.
+# takes one behavior per participant, and the harness's adversary catalogue,
+# ``Deviation``, subclasses it with one field per hook it can deviate in.
 # ---------------------------------------------------------------------------
 
 

@@ -1,10 +1,11 @@
 """Deterministic simulation fabric for the audit protocol.
 
 Sessions run under a static active adversary: a fixed set of corrupted
-participants, each assigned one behavior.  The catalogue entries are
-``audit.Behavior`` subclasses that the engine calls directly; each names
-the roles it is valid for, and a session refuses it on any other.  Scenario
-files reach only the catalogue; a test may pass any ``Behavior`` subclass.
+participants, each assigned one behavior.  The catalogue is one
+``audit.Behavior`` the engine calls directly, ``Deviation``: each field set
+turns on one hook, so a party may deviate in several, and a session refuses
+it on a role that one of its fields does not suit.  A scenario behavior's
+``type`` maps to fields; a test may pass any ``Behavior`` subclass.
 The environment is never corruptible.  Every run is a pure function of
 (config, adversary, seed) and can record a transcript -- an append-only
 event stream with per-event payload digests -- from which any
@@ -83,89 +84,72 @@ def derive_seed(seed: int, *labels) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Adversary catalogue.  Each entry is the Behavior the engine calls and
-# overrides the hook it deviates in; one valid for fewer than every role
-# names its roles.
+# Adversary catalogue: one Deviation, each of whose fields turns on a hook.
 # ---------------------------------------------------------------------------
 
+# The roles each role-bound Deviation field suits; the others suit every role.
+_ROLES = frozenset({ROLE_FIRM, ROLE_COUNTRY, ROLE_VERIFIER})
+_FIELD_ROLES = {
+    "delta": {ROLE_FIRM}, "absolute": {ROLE_FIRM}, "dm": {ROLE_COUNTRY}, "dr": {ROLE_COUNTRY},
+    "pick": {ROLE_COUNTRY, ROLE_VERIFIER},
+}
+
 
 @dataclass(frozen=True)
-class HonestButObserved(Behavior):
-    """Corrupted in name only: plays honestly, but its view counts as
-    adversarial in the leakage accounting."""
+class Deviation(Behavior):
+    """A corrupted participant's play; each field set turns on one hook, and
+    ``Deviation()`` plays honestly, its view counted as adversarial.
 
-
-@dataclass(frozen=True)
-class TamperReport(Behavior):
-    """Firm commits and reports a false total, consistently."""
+    A firm claims its true total plus ``delta``, or ``absolute``; the
+    country publishes sums offset by ``dm`` and ``dr``; ``misreveal`` makes
+    a firm forward a wrong blinding, and the country or verifier lie in that
+    pick round's reveal; ``pick`` is their ``PickStrategy.draw``; the party
+    goes silent from step ``silent_from`` on.  ``roles`` are those every set
+    field suits, and a deviation that suits none is refused.
+    """
 
     delta: int | None = None
     absolute: int | None = None
-    roles = (ROLE_FIRM,)
+    dm: int | None = None
+    dr: int | None = None
+    misreveal: int | None = None
+    pick: str | tuple | None = None
+    silent_from: int | None = None
 
     def __post_init__(self):
-        if (self.delta is None) == (self.absolute is None):
-            raise ConfigInvalid("TamperReport needs exactly one of delta/absolute")
+        if self.delta is not None and self.absolute is not None:
+            raise ConfigInvalid("a deviation takes at most one of delta/absolute")
+        if self.misreveal is not None and not (is_int(self.misreveal) and self.misreveal >= 0):
+            raise ConfigInvalid(f"misreveal round must be >= 0, got {self.misreveal!r}")
+        if self.silent_from is not None and not (is_int(self.silent_from)
+                                                 and 1 <= self.silent_from <= 7):
+            raise ConfigInvalid(f"silent_from step must be in 1..7, got {self.silent_from!r}")
+        bound = [name for name in _FIELD_ROLES if getattr(self, name) is not None]
+        roles = frozenset.intersection(_ROLES, *(_FIELD_ROLES[name] for name in bound))
+        if not roles:
+            raise ConfigInvalid(f"no role takes the deviation fields {', '.join(bound)}")
+        object.__setattr__(self, "roles", roles)
+        if self.pick is not None or self.misreveal is not None:
+            try:
+                strategy = pick_mod.PickStrategy(self.pick or "honest", self.misreveal)
+            except pick_mod.PickError as exc:
+                raise ConfigInvalid(str(exc)) from None
+            object.__setattr__(self, "pick_strategy", strategy)
 
     def claim(self, true_m: int) -> int:
-        return true_m + self.delta if self.absolute is None else self.absolute
-
-
-@dataclass(frozen=True)
-class MisreportSum(Behavior):
-    """Country publishes sums offset from the true aggregates."""
-
-    dm: int = 0
-    dr: int = 0
-    roles = (ROLE_COUNTRY,)
-
-    def publish(self, m_sum, r_sum):
-        return m_sum + self.dm, r_sum + type(r_sum)(self.dr, r_sum.q)
-
-
-@dataclass(frozen=True)
-class InconsistentReveal(Behavior):
-    """Reveal phase lie: a firm forwards a wrong blinding factor to the
-    verifier; country/verifier misreveal in the given pick round."""
-
-    round_index: int = 0
+        return true_m + (self.delta or 0) if self.absolute is None else self.absolute
 
     def reveal_blinding(self, r):
-        return r + type(r)(1, r.q)
+        return r if self.misreveal is None else r + type(r)(1, r.q)
 
-    @property
-    def pick_strategy(self):
-        return pick_mod.InconsistentRevealPick(self.round_index)
-
-
-@dataclass(frozen=True)
-class BiasPick(Behavior):
-    """Country or verifier replaces its uniform draw with a canned bias."""
-
-    strategy: str = "zero"
-    roles = (ROLE_COUNTRY, ROLE_VERIFIER)
-
-    def __post_init__(self):
-        if self.strategy not in pick_mod.CANNED_STRATEGIES:
-            raise ConfigInvalid(f"unknown pick strategy {self.strategy!r}")
-
-    @property
-    def pick_strategy(self):
-        return pick_mod.CANNED_STRATEGIES[self.strategy]()
-
-
-@dataclass(frozen=True)
-class AbortAt(Behavior):
-    """Participant goes silent from the given step onward."""
-
-    step: int
-
-    def __post_init__(self):
-        if not is_int(self.step) or not (1 <= self.step <= 7):
-            raise ConfigInvalid(f"AbortAt step must be in 1..7, got {self.step!r}")
+    def publish(self, m_sum, r_sum):
+        return m_sum + (self.dm or 0), r_sum + type(r_sum)(self.dr or 0, r_sum.q)
 
     def silent_at(self, step: int) -> bool:
-        return step >= self.step
+        return self.silent_from is not None and step >= self.silent_from
+
+
+_OBSERVED = Deviation()
 
 
 @dataclass(frozen=True)
@@ -187,7 +171,7 @@ class AdversarySpec:
                 raise ConfigInvalid(f"unknown behavior object for {pid!r}: {b!r}")
 
     def behavior_of(self, pid: str):
-        return self.behaviors.get(pid, HonestButObserved())
+        return self.behaviors.get(pid, _OBSERVED)
 
 
 HONEST_ADVERSARY = AdversarySpec()
@@ -206,7 +190,10 @@ def _wire(config: SessionConfig, adversary: AdversarySpec) -> dict:
             raise ConfigInvalid(f"corrupted id {pid!r} is not a session participant")
         b = behaviors[pid] = adversary.behavior_of(pid)
         if role not in b.roles:
-            raise ConfigInvalid(f"behavior {type(b).__name__} not valid for {_ROLE_NAMES[role]}")
+            what = next((f"field {f!r}" for f, suits in _FIELD_ROLES.items()
+                         if role not in suits and getattr(b, f, None) is not None),
+                        type(b).__name__)
+            raise ConfigInvalid(f"behavior {what} not valid for {_ROLE_NAMES[role]}")
     return behaviors
 
 
@@ -639,11 +626,13 @@ class Scenario:
     source: bytes | None = field(default=None, repr=False, compare=False)
 
 
-def _int_field(d: dict, key: str, default=None):
-    """d[key] if it is an integer (never a bool), default if it is absent."""
+def _field(d: dict, key: str, default=None, kind=int):
+    """d[key] if it is of ``kind`` (an int is never a bool), default if it is
+    absent."""
     value = d.get(key, default)
-    if value is not default and not is_int(value):
-        raise ConfigInvalid(f"field {key!r} must be an integer, got {value!r}")
+    if value is not default and not (is_int(value) if kind is int else isinstance(value, kind)):
+        raise ConfigInvalid(f"field {key!r} must be {'an integer' if kind is int else 'a string'}, "
+                            f"got {value!r}")
     return value
 
 
@@ -666,16 +655,30 @@ def _size_field(d: dict, key: str, low: int, high: int, default=None) -> int:
     return value
 
 
-_BEHAVIOR_PARSERS = {
-    "honest_observed": lambda d: HonestButObserved(),
-    "tamper_report": lambda d: TamperReport(
-        delta=_int_field(d, "delta"), absolute=_int_field(d, "absolute")
-    ),
-    "misreport_sum": lambda d: MisreportSum(dm=_int_field(d, "dm", 0), dr=_int_field(d, "dr", 0)),
-    "inconsistent_reveal": lambda d: InconsistentReveal(round_index=_int_field(d, "round", 0)),
-    "bias_pick": lambda d: BiasPick(strategy=d.get("strategy", "zero")),
-    "abort_at": lambda d: AbortAt(step=_int_field(d, "step")),
+# Each scenario behavior type: the (key, Deviation field, default) triples it
+# reads.  A key takes a string if its default is one, else an integer; a type
+# whose keys all default to None needs one of them.
+_BEHAVIOR_FIELDS = {
+    "honest_observed": (),
+    "tamper_report": (("delta", "delta", None), ("absolute", "absolute", None)),
+    "misreport_sum": (("dm", "dm", 0), ("dr", "dr", 0)),
+    "inconsistent_reveal": (("round", "misreveal", 0),),
+    "bias_pick": (("strategy", "pick", "zero"),),
+    "abort_at": (("step", "silent_from", None),),
 }
+
+
+def _deviation(b: dict) -> Deviation:
+    """The Deviation a scenario behavior object describes."""
+    btype = _field(b, "type", kind=str)
+    if btype not in _BEHAVIOR_FIELDS:
+        raise ConfigInvalid(f"unknown behavior type {btype!r}")
+    triples = _BEHAVIOR_FIELDS[btype]
+    fields = {name: _field(b, key, default, str if isinstance(default, str) else int)
+              for key, name, default in triples}
+    if triples and all(value is None for value in fields.values()):
+        raise ConfigInvalid(f"behavior {btype} needs one of {'/'.join(t[0] for t in triples)}")
+    return Deviation(**fields)
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
@@ -685,26 +688,31 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     k, data_mode?, pick_mode?, adversary: {corrupted, behaviors}, trials?, seed?}.
     """
     try:
-        seed = _int_field(data, "seed", 0)
+        seed = _field(data, "seed", 0)
         k = _size_field(data, "k", 0, MAX_SCENARIO_FIRMS)
         trials = _size_field(data, "trials", 1, MAX_SCENARIO_TRIALS, default=1)
         if "firms" not in data:
             n = _size_field(data, "n", 0, MAX_SCENARIO_FIRMS)
+        elif not isinstance(data["firms"], list):
+            raise ConfigInvalid("scenario field 'firms' is not a list")
         elif len(data["firms"]) > MAX_SCENARIO_FIRMS:
             raise ConfigInvalid(f"scenario lists more than {MAX_SCENARIO_FIRMS} firms")
-        group = group_by_name(data.get("group", "toy"))
+        group = group_by_name(_field(data, "group", "toy", str))
         mode = data.get("setup_mode", "hash_derived")
         pp = setup(group, mode, random.Random(derive_seed(seed, "setup")))
         if "firms" in data:
             firms = []
-            for f in data["firms"]:
+            for i, f in enumerate(data["firms"]):
+                if not isinstance(f, dict):
+                    raise ConfigInvalid(f"scenario field 'firms' entry {i} is not an object")
                 # A firm with both an "m" and a ledger is refused by the config.
                 ledger = meter_pk = None
                 if "ledger" in f:
                     from .measurement import read_ledger
 
-                    ledger, meter_pk = read_ledger(f["ledger"]), bytes.fromhex(f["meter_pk"])
-                firms.append(FirmSpec(firm_id=f["id"], true_m=_int_field(f, "m"),
+                    ledger = read_ledger(_field(f, "ledger", kind=str))
+                    meter_pk = bytes.fromhex(f["meter_pk"])
+                firms.append(FirmSpec(firm_id=f.get("id"), true_m=_field(f, "m"),
                                       ledger=ledger, meter_pk=meter_pk))
             data_mode = data.get(
                 "data_mode",
@@ -735,10 +743,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         for pid, b in behavior_data.items():
             if not isinstance(b, dict):
                 raise ConfigInvalid(f"adversary behavior {pid!r} is not an object")
-            btype = b.get("type")
-            if btype not in _BEHAVIOR_PARSERS:
-                raise ConfigInvalid(f"unknown behavior type {btype!r}")
-            behaviors[pid] = _BEHAVIOR_PARSERS[btype](b)
+            behaviors[pid] = _deviation(b)
         adversary = AdversarySpec(corrupted=frozenset(corrupted), behaviors=behaviors)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigInvalid):

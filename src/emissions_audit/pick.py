@@ -39,6 +39,7 @@ VERIFIER = "verifier"
 PARTIES = (COUNTRY, VERIFIER)
 BASE_MODES = ("shared", "cross")
 FAULT_POLICIES = ("complete", "abort")
+DRAWS = ("honest", "zero", "max", "peer_seeded")
 
 
 class PickError(ValueError):
@@ -169,79 +170,45 @@ class PickFold:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class PickStrategy:
-    """Uniform honest draw; subclasses override to misbehave.
+    """How a party draws its contribution, and whether it reveals it truly.
 
-    ``sees_peer_commitment`` marks a rushing party that waits for the
-    peer's commitment before choosing; at most one party per round may
-    rush.  ``reveal_value`` lets a strategy lie at reveal time: the engine
-    commits to the chosen value but transmits whatever this returns.
+    ``draw`` is "honest" (uniform), "zero", "max", "peer_seeded" or a
+    sequence of per-round contributions.  A "peer_seeded" party rushes: it
+    waits for the peer's commitment and derives its draw from the bytes,
+    which hide the peer's value, so even this adaptive choice cannot bias
+    the sum; at most one party per round may rush.  In round ``bad_round``
+    the engine commits to the drawn value but reveals it plus one.
     """
 
-    sees_peer_commitment = False
+    draw: str | tuple = "honest"
+    bad_round: int | None = None
+
+    def __post_init__(self):
+        if isinstance(self.draw, str) and self.draw not in DRAWS:
+            raise PickError(f"unknown pick strategy {self.draw!r}")
+
+    @property
+    def sees_peer_commitment(self) -> bool:
+        return self.draw == "peer_seeded"
 
     def choose(self, l: int, round_index: int, rng: random.Random, peer_commitment=None) -> int:
-        return rng.randrange(l)
+        if self.draw == "honest":
+            return rng.randrange(l)
+        if self.draw == "zero":
+            return 0
+        if self.draw == "max":
+            return l - 1
+        if self.draw == "peer_seeded":
+            return (peer_commitment[0] + 31 * sum(peer_commitment) + round_index) % l
+        return self.draw[round_index]
 
     def reveal_value(self, chosen: int, round_index: int) -> int:
-        return chosen
-
-
-class ZeroPick(PickStrategy):
-    """Always contributes 0."""
-
-    def choose(self, l, round_index, rng, peer_commitment=None):
-        return 0
-
-
-class MaxPick(PickStrategy):
-    """Always contributes l - 1."""
-
-    def choose(self, l, round_index, rng, peer_commitment=None):
-        return l - 1
-
-
-class PeerSeededPick(PickStrategy):
-    """Rushing party: derives its draw from the peer's commitment bytes.
-
-    The commitment hides the peer's value, so even this adaptive choice
-    cannot bias the sum; it exists to demonstrate exactly that.
-    """
-
-    sees_peer_commitment = True
-
-    def choose(self, l, round_index, rng, peer_commitment=None):
-        if peer_commitment is None:
-            raise PickError("peer commitment not available")
-        return (peer_commitment[0] + 31 * sum(peer_commitment) + round_index) % l
-
-
-class ScriptedPick(PickStrategy):
-    """Plays back a fixed list of contributions (tests and enumeration)."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def choose(self, l, round_index, rng, peer_commitment=None):
-        return self.values[round_index]
-
-
-class InconsistentRevealPick(PickStrategy):
-    """Honest draws, but the reveal in one round contradicts the commitment."""
-
-    def __init__(self, bad_round: int):
-        self.bad_round = bad_round
-
-    def reveal_value(self, chosen, round_index):
         return chosen + 1 if round_index == self.bad_round else chosen
 
 
-CANNED_STRATEGIES = {
-    "honest": PickStrategy,
-    "zero": ZeroPick,
-    "max": MaxPick,
-    "peer_seeded": PeerSeededPick,
-}
+_HONEST = PickStrategy()
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +260,7 @@ def run_pick(
         raise PickError(f"unknown fault policy {on_fault!r}")
     strategies = dict(strategies or {})
     for party in PARTIES:
-        strategies.setdefault(party, PickStrategy())
+        strategies.setdefault(party, _HONEST)
     if k > 0 and all(s.sees_peer_commitment for s in strategies.values()):
         raise PickError("both parties cannot wait for the peer's commitment")
 

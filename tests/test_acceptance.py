@@ -31,8 +31,7 @@ from emissions_audit.commitment import (
 from emissions_audit.groups import production_group, toy_group
 from emissions_audit.harness import (
     AdversarySpec,
-    MisreportSum,
-    TamperReport,
+    Deviation,
     derive_seed,
     leakage_violations,
     routing_violations,
@@ -53,11 +52,8 @@ from emissions_audit.measurement import (
 )
 from emissions_audit.pick import (
     COUNTRY,
-    MaxPick,
-    PeerSeededPick,
-    ScriptedPick,
+    PickStrategy,
     VERIFIER,
-    ZeroPick,
     run_pick,
 )
 
@@ -172,7 +168,7 @@ def test_a4_detection_rate_matches_selection_probability(criterion):
     pp = setup(toy_group(), "hash_derived")
     config = _abstract_config(pp, [100 * (i + 1) for i in range(10)], k=3)
     adversary = AdversarySpec(
-        frozenset({"F3"}), {"F3": TamperReport(delta=100)}
+        frozenset({"F3"}), {"F3": Deviation(delta=100)}
     )
     stats = run_trials(config, adversary, trials=20000, seed=0,
                        structural_checks=False)
@@ -205,8 +201,8 @@ def test_a5a_exhaustive_coin_enumeration_is_unbiased(criterion):
             out = run_pick(
                 roster, 2, pp, random.Random(0),
                 strategies={
-                    COUNTRY: ScriptedPick([c1, c2]),
-                    VERIFIER: ScriptedPick([v1, v2]),
+                    COUNTRY: PickStrategy([c1, c2]),
+                    VERIFIER: PickStrategy([v1, v2]),
                 },
             )
             subsets[frozenset(out.picked)] += 1
@@ -221,9 +217,9 @@ def test_a5a_exhaustive_coin_enumeration_is_unbiased(criterion):
 @pytest.mark.parametrize(
     "label,strategies",
     [
-        ("zero-country", {COUNTRY: ZeroPick()}),
-        ("max-verifier", {VERIFIER: MaxPick()}),
-        ("rushing-country", {COUNTRY: PeerSeededPick()}),
+        ("zero-country", {COUNTRY: PickStrategy("zero")}),
+        ("max-verifier", {VERIFIER: PickStrategy("max")}),
+        ("rushing-country", {COUNTRY: PickStrategy("peer_seeded")}),
     ],
 )
 def test_a5b_biased_strategies_cannot_skew_selection(criterion, label, strategies):
@@ -278,7 +274,7 @@ def test_a6_sum_check_sound_and_complete(criterion):
         config = _abstract_config(pp, true_ms, k=0)
         dm = 1 if i % 2 == 0 else -1
         adversary = AdversarySpec(
-            frozenset({COUNTRY_ID}), {COUNTRY_ID: MisreportSum(dm=dm)}
+            frozenset({COUNTRY_ID}), {COUNTRY_ID: Deviation(dm=dm)}
         )
         result = run_session(config, adversary, seed=derive_seed(2, "a6", i),
                              record=False)
@@ -333,7 +329,7 @@ def test_a7_no_leakage_of_unpicked_openings(criterion):
 def test_a8_consistent_misreport_caught_only_by_spot_check(criterion):
     pp = setup(toy_group(), "hash_derived")
     adversary = AdversarySpec(
-        frozenset({"F2"}), {"F2": TamperReport(delta=50)}
+        frozenset({"F2"}), {"F2": Deviation(delta=50)}
     )
     trials = 300
 

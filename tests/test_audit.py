@@ -339,23 +339,23 @@ def test_joint_pick_mode_completes(pp):
 
 
 def test_joint_pick_fault_abort_policy(pp):
-    from emissions_audit.pick import InconsistentRevealPick
+    from emissions_audit.pick import PickStrategy
 
     config = _config(
         pp, [5, 6, 7], k=2, pick_mode="joint", pick_fault_policy="abort"
     )
-    verdict = _run(config, seed=5, behaviors={COUNTRY_ID: _Picks(InconsistentRevealPick(0))})
+    verdict = _run(config, seed=5, behaviors={COUNTRY_ID: _Picks(PickStrategy(bad_round=0))})
     assert verdict.abort.step == Step.REVEAL
     assert verdict.abort.culprit_role == ROLE_COUNTRY
     assert "pick fault" in verdict.abort.reason
 
 
 def test_joint_pick_fault_complete_policy_still_audits(pp):
-    from emissions_audit.pick import InconsistentRevealPick
+    from emissions_audit.pick import PickStrategy
 
     config = _config(pp, [5, 6, 7], k=3, pick_mode="joint")
     verdict = _run(config, seed=6, behaviors={
-        "F2": _Liar(60), COUNTRY_ID: _Picks(InconsistentRevealPick(0))})
+        "F2": _Liar(60), COUNTRY_ID: _Picks(PickStrategy(bad_round=0))})
     # Country disqualified itself in the pick; the verifier finishes the
     # selection alone and the liar is still caught.
     assert verdict.abort.step == Step.SPOT_CHECK
@@ -706,12 +706,12 @@ def test_toy_tamper_by_a_multiple_of_q_passes_step6_in_both_modes(pp):
     """The opening binds the total modulo q only: on the toy group (q = 101)
     a claim off by 101 passes every check, in integrated mode as in abstract
     mode, because step 6 compares the ledger with the truth, not the claim."""
-    from emissions_audit.harness import AdversarySpec, TamperReport, run_session
+    from emissions_audit.harness import AdversarySpec, Deviation, run_session
 
     assert pp.q == 101
     config, _ = _integrated_case(pp, "honest")
     abstract = _config(pp, [35, 3], k=2)
-    adversary = AdversarySpec(frozenset({"F1"}), {"F1": TamperReport(delta=101)})
+    adversary = AdversarySpec(frozenset({"F1"}), {"F1": Deviation(delta=101)})
     for seed in range(3):
         integrated = run_session(config, adversary, seed=seed).verdict
         assert integrated.completed and integrated.accepted_m == 38 + 101
@@ -719,11 +719,11 @@ def test_toy_tamper_by_a_multiple_of_q_passes_step6_in_both_modes(pp):
 
 
 def test_secp256k1_tamper_by_101_fails_the_opening():
-    from emissions_audit.harness import AdversarySpec, TamperReport, run_session
+    from emissions_audit.harness import AdversarySpec, Deviation, run_session
 
     prod_pp = setup(production_group(), "hash_derived")
     config, _ = _integrated_case(prod_pp, "honest")
-    adversary = AdversarySpec(frozenset({"F1"}), {"F1": TamperReport(delta=101)})
+    adversary = AdversarySpec(frozenset({"F1"}), {"F1": Deviation(delta=101)})
     verdict = run_session(config, adversary, seed=0).verdict
     assert (verdict.abort.step, verdict.abort.culprit_id, verdict.abort.reason) == (
         Step.SPOT_CHECK, "F1", "commitment does not open to the true total")

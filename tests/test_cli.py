@@ -1123,6 +1123,37 @@ def secp_pipeline(capsys, ws):
     return _pipeline(capsys, ws, group="secp256k1")
 
 
+_NOT_A_STRING = st.one_of(st.integers(), st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.sampled_from(["type", "strategy", "group", "firm", "cycle_id"]),
+       value=_NOT_A_STRING)
+def test_simulate_exit_contract_on_mistyped_scenario_fields(ws, where, value):
+    """A behavior's type or strategy, the group, a firm entry or the cycle id
+    of the wrong JSON type is an input error that names its field."""
+    scenario = {"group": "toy", "k": 1, "trials": 1, "firms": [{"id": "F1", "m": 1}],
+                "adversary": {"corrupted": ["C"], "behaviors": {"C": {"type": "bias_pick"}}}}
+    if where in ("type", "strategy"):
+        scenario["adversary"]["behaviors"]["C"][where] = value
+    elif where == "firm":
+        assume(not isinstance(value, dict))
+        scenario["firms"].append(value)
+    else:
+        scenario[where] = value
+    path = ws / "mistyped.json"
+    path.write_text(json.dumps(scenario))
+    assert _exit_contract(["simulate", "--scenario", path]) == (2, None)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        main(["simulate", "--scenario", str(path)])
+    message = json.loads(err.getvalue())["message"]
+    assert not message.startswith("bad scenario")
+    assert {"firm": "'firms' entry 1", "cycle_id": "cycle id"}.get(where, f"'{where}'") in message
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(which=st.sampled_from(["report", "commitment", "opening", "sums"]),

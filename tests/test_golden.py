@@ -21,8 +21,7 @@ from emissions_audit.harness import (
     AdversarySpec,
     BUILTIN_SCENARIOS,
     HONEST_ADVERSARY,
-    InconsistentReveal,
-    TamperReport,
+    Deviation,
     audit_transcript,
     parse_transcript,
     run_session,
@@ -59,8 +58,8 @@ def _integrated_config(pp):
     return SessionConfig(pp=pp, firms=tuple(firms), k=1, data_mode="integrated")
 
 
-_TAMPER = AdversarySpec(corrupted={"F17"}, behaviors={"F17": TamperReport(delta=3)})
-_BAD_REVEAL = AdversarySpec(corrupted={"F17"}, behaviors={"F17": InconsistentReveal()})
+_TAMPER = AdversarySpec(corrupted={"F17"}, behaviors={"F17": Deviation(delta=3)})
+_BAD_REVEAL = AdversarySpec(corrupted={"F17"}, behaviors={"F17": Deviation(misreveal=0)})
 
 GOLDEN = [
     ("abstract", "honest", 1,

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -23,14 +24,9 @@ from emissions_audit.audit import (
 from emissions_audit.commitment import MAX_EMISSIONS_KG, setup
 from emissions_audit.groups import production_group, toy_group
 from emissions_audit.harness import (
-    AbortAt,
     AdversarySpec,
-    BiasPick,
+    Deviation,
     HONEST_ADVERSARY,
-    HonestButObserved,
-    InconsistentReveal,
-    MisreportSum,
-    TamperReport,
     Transcript,
     TranscriptFormatError,
     TrialStats,
@@ -123,49 +119,89 @@ def test_canonical_json_errors_are_not_remembered():
 # ---------------------------------------------------------------------------
 
 
+def _behavior_scenario(behavior: dict, corrupted="F1") -> dict:
+    return {"group": "toy", "n": 2, "k": 1,
+            "adversary": {"corrupted": [corrupted], "behaviors": {corrupted: behavior}}}
+
+
 def test_tamper_report_requires_exactly_one_mode():
-    TamperReport(delta=5)
-    TamperReport(absolute=5)
-    with pytest.raises(ConfigInvalid):
-        TamperReport()
-    with pytest.raises(ConfigInvalid):
-        TamperReport(delta=1, absolute=2)
+    for mode in ({"delta": 5}, {"absolute": 5}):
+        scenario = scenario_from_dict(_behavior_scenario({"type": "tamper_report", **mode}))
+        assert scenario.adversary.behavior_of("F1") == Deviation(**mode)
+    for modes in ({}, {"delta": 1, "absolute": 2}):
+        with pytest.raises(ConfigInvalid, match="delta/absolute"):
+            scenario_from_dict(_behavior_scenario({"type": "tamper_report", **modes}))
+    with pytest.raises(ConfigInvalid, match="^a deviation takes at most one of delta/absolute$"):
+        Deviation(delta=1, absolute=2)
 
 
 def test_bias_pick_requires_canned_strategy():
-    BiasPick(strategy="zero")
+    Deviation(pick="zero")
     with pytest.raises(ConfigInvalid):
-        BiasPick(strategy="clever")
+        Deviation(pick="clever")
 
 
 def test_abort_at_validates_step():
-    AbortAt(step=4)
+    Deviation(silent_from=4)
     with pytest.raises(ConfigInvalid):
-        AbortAt(step=0)
+        Deviation(silent_from=0)
     with pytest.raises(ConfigInvalid):
-        AbortAt(step=8)
+        Deviation(silent_from=8)
+
+
+def test_misreveal_round_must_not_be_negative():
+    """A negative round once made a corrupted country or verifier play its
+    pick honestly."""
+    assert Deviation(misreveal=0).pick_strategy.bad_round == 0
+    with pytest.raises(ConfigInvalid, match="^misreveal round must be >= 0, got -1$"):
+        Deviation(misreveal=-1)
+    with pytest.raises(ConfigInvalid, match="misreveal round must be >= 0"):
+        scenario_from_dict(_behavior_scenario({"type": "inconsistent_reveal", "round": -1}, "C"))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"delta": 1, "dm": 1}, "delta, dm"),
+    ({"absolute": 3, "pick": "zero"}, "absolute, pick"),
+    ({"pick": "max", "misreveal": 0, "delta": 2}, "delta, pick"),
+], ids=["firm-and-country", "firm-and-picker", "firm-and-picker-with-misreveal"])
+def test_a_deviation_no_role_can_play_is_refused(fields, message):
+    with pytest.raises(ConfigInvalid, match=f"^no role takes the deviation fields {message}$"):
+        Deviation(**fields)
+
+
+def test_misreport_sum_stays_country_only_at_zero_offsets(pp):
+    scenario = scenario_from_dict(_behavior_scenario({"type": "misreport_sum"}, "C"))
+    assert scenario.adversary.behavior_of("C") == Deviation(dm=0, dr=0)
+    for pid, role in (("F1", "a firm"), ("V", "the verifier")):
+        spec = AdversarySpec(frozenset({pid}), {pid: Deviation(dm=0, dr=0)})
+        with pytest.raises(ConfigInvalid, match=f"^behavior field 'dm' not valid for {role}$"):
+            run_session(scenario.config, spec, seed=0)
 
 
 def test_adversary_spec_guards():
     with pytest.raises(ConfigInvalid):
         AdversarySpec(corrupted=frozenset({ENV_ID}))  # environment is off-limits
     with pytest.raises(ConfigInvalid):
-        AdversarySpec(behaviors={"F1": TamperReport(delta=1)})  # not corrupted
+        AdversarySpec(behaviors={"F1": Deviation(delta=1)})  # not corrupted
     spec = AdversarySpec(corrupted=frozenset({"F1"}))
-    assert isinstance(spec.behavior_of("F1"), HonestButObserved)
+    assert spec.behavior_of("F1") == Deviation()
 
 
 # Each catalogue behavior on each role: None if the session runs, else the
 # ConfigInvalid message.
 _ROLE_MATRIX = {
-    HonestButObserved(): (None, None, None),
-    TamperReport(delta=1): (None, "behavior TamperReport not valid for the country",
-                            "behavior TamperReport not valid for the verifier"),
-    MisreportSum(dm=1): ("behavior MisreportSum not valid for a firm", None,
-                         "behavior MisreportSum not valid for the verifier"),
-    InconsistentReveal(): (None, None, None),
-    BiasPick(strategy="zero"): ("behavior BiasPick not valid for a firm", None, None),
-    AbortAt(step=4): (None, None, None),
+    Deviation(): (None, None, None),
+    Deviation(delta=1): (None, "behavior field 'delta' not valid for the country",
+                         "behavior field 'delta' not valid for the verifier"),
+    Deviation(dm=1): ("behavior field 'dm' not valid for a firm", None,
+                      "behavior field 'dm' not valid for the verifier"),
+    Deviation(misreveal=0): (None, None, None),
+    Deviation(pick="zero"): ("behavior field 'pick' not valid for a firm", None, None),
+    Deviation(silent_from=4): (None, None, None),
+    Deviation(pick="zero", misreveal=1): ("behavior field 'pick' not valid for a firm", None, None),
+    Deviation(absolute=5, misreveal=0, silent_from=6): (
+        None, "behavior field 'absolute' not valid for the country",
+        "behavior field 'absolute' not valid for the verifier"),
 }
 
 
@@ -355,7 +391,7 @@ def test_run_trials_honest_all_complete(pp):
 def test_run_trials_tamperer_histogram(pp):
     config = _config(pp, [10, 20, 30, 40], k=4)
     adversary = AdversarySpec(
-        frozenset({"F2"}), {"F2": TamperReport(delta=7)}
+        frozenset({"F2"}), {"F2": Deviation(delta=7)}
     )
     stats = run_trials(config, adversary, trials=30, seed=9)
     assert stats.total_aborts == 30
@@ -408,7 +444,7 @@ def test_scenario_from_dict_generates_roster():
     }, name="inline")
     assert scenario.config.n == 4 and scenario.config.k == 2
     assert scenario.trials == 7
-    assert isinstance(scenario.adversary.behavior_of("F1"), TamperReport)
+    assert scenario.adversary.behavior_of("F1") == Deviation(delta=3)
 
 
 def test_scenario_rejects_unknown_behavior_kind():
@@ -436,6 +472,42 @@ def test_scenario_rejects_a_mistyped_adversary(adversary, message):
     a field that must be an object and is not is named."""
     with pytest.raises(ConfigInvalid, match=f"^{message}$"):
         scenario_from_dict({"group": "toy", "n": 2, "k": 1, "adversary": adversary})
+
+
+_MISTYPED_FIELDS = {
+    "behavior-type": ({"adversary": {"corrupted": ["C"], "behaviors": {"C": {"type": ["x"]}}}},
+                      "field 'type' must be a string, got ['x']"),
+    "strategy": ({"adversary": {"corrupted": ["C"], "behaviors": {
+        "C": {"type": "bias_pick", "strategy": ["zero"]}}}},
+                 "field 'strategy' must be a string, got ['zero']"),
+    "group": ({"group": ["toy"]}, "field 'group' must be a string, got ['toy']"),
+    "firm-entry": ({"firms": [{"id": "F1", "m": 1}, 5]},
+                   "scenario field 'firms' entry 1 is not an object"),
+    "firms": ({"firms": 5}, "scenario field 'firms' is not a list"),
+    "firm-id": ({"firms": [{"id": ["F1"], "m": 1}]}, "bad firm id ['F1']"),
+    "ledger": ({"firms": [{"id": "F1", "ledger": 0, "meter_pk": "00"}]},
+               "field 'ledger' must be a string, got 0"),
+    "step": ({"adversary": {"corrupted": ["C"], "behaviors": {"C": {"type": "abort_at"}}}},
+             "behavior abort_at needs one of step"),
+    "cycle-list": ({"cycle_id": ["a"]}, "cycle id must be a non-empty string, got ['a']"),
+    "cycle-empty": ({"cycle_id": ""}, "cycle id must be a non-empty string, got ''"),
+}
+
+
+@pytest.mark.parametrize("fields, message", _MISTYPED_FIELDS.values(), ids=_MISTYPED_FIELDS)
+def test_scenario_names_a_mistyped_field(fields, message):
+    """Each once failed as "bad scenario: unhashable type" or "argument of
+    type 'int' is not iterable", or (cycle id) ran."""
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        scenario_from_dict({"group": "toy", "n": 2, "k": 1, **fields})
+
+
+def test_session_config_requires_a_cycle_id_string(pp):
+    firms = (FirmSpec("F1", true_m=1),)
+    for cycle_id in (["a"], "", None, 7):
+        with pytest.raises(ConfigInvalid, match="^cycle id must be a non-empty string"):
+            SessionConfig(pp=pp, firms=firms, k=1, cycle_id=cycle_id)
+    assert SessionConfig(pp=pp, firms=firms, k=1, cycle_id="2026-Q1").cycle_id == "2026-Q1"
 
 
 def test_scenario_loads_from_json_file(tmp_path):
@@ -618,10 +690,10 @@ def test_audit_reports_malformed_records_without_crashing(pp, edit, violation):
     "adversary,expect_step",
     [
         (HONEST_ADVERSARY, None),
-        (AdversarySpec(frozenset({"F1"}), {"F1": TamperReport(delta=5)}), 6),
-        (AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: MisreportSum(dm=1)}), 7),
-        (AdversarySpec(frozenset({"F2"}), {"F2": InconsistentReveal()}), 6),
-        (AdversarySpec(frozenset({"F2"}), {"F2": AbortAt(step=2)}), 3),
+        (AdversarySpec(frozenset({"F1"}), {"F1": Deviation(delta=5)}), 6),
+        (AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: Deviation(dm=1)}), 7),
+        (AdversarySpec(frozenset({"F2"}), {"F2": Deviation(misreveal=0)}), 6),
+        (AdversarySpec(frozenset({"F2"}), {"F2": Deviation(silent_from=2)}), 3),
     ],
     ids=["honest", "tamper", "misreport-sum", "bad-reveal", "silent-firm"],
 )
@@ -653,7 +725,7 @@ def test_replay_detects_tampered_event_payload(pp):
 
 def test_replay_detects_forged_verdict(pp):
     config = _config(pp, [10, 20], k=0)
-    adversary = AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: MisreportSum(dm=1)})
+    adversary = AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: Deviation(dm=1)})
     transcript = run_session(config, adversary, seed=16).transcript
     # Forge the verdict line to claim completion; events still show the lie.
     lines = transcript.to_jsonl().splitlines()
@@ -673,7 +745,7 @@ def test_pick_fault_replays_as_behavioral_abort(pp):
     config = _config(pp, [10, 20, 30], k=2, pick_mode="joint",
                      pick_fault_policy="abort")
     adversary = AdversarySpec(
-        frozenset({COUNTRY_ID}), {COUNTRY_ID: InconsistentReveal()}
+        frozenset({COUNTRY_ID}), {COUNTRY_ID: Deviation(misreveal=0)}
     )
     result = run_session(config, adversary, seed=17)
     assert result.verdict.abort is not None and result.verdict.abort.step == 5
@@ -733,7 +805,7 @@ def test_audit_refuses_a_second_pick_message_from_a_party_in_a_round(pp, kind, w
 
 
 def test_audit_requires_the_fault_of_a_failed_reveal(pp):
-    bad_country = AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: InconsistentReveal()})
+    bad_country = AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: Deviation(misreveal=0)})
     header, events, verdict = _joint_events(pp, seed=3, adversary=bad_country)
     assert audit_transcript(_redigested(header, events, verdict))["ok"]
     events.remove(_first(events, "pick_fault"))
@@ -786,7 +858,7 @@ def test_audit_replays_the_first_verification_list(pp):
     """A caught tamperer's joint transcript with a second list that leaves
     it out, and a verdict of completion: the pick replay checks the first
     list, so the verdict replay must read the first list too."""
-    tamperer = AdversarySpec(frozenset({"F2"}), {"F2": TamperReport(delta=5)})
+    tamperer = AdversarySpec(frozenset({"F2"}), {"F2": Deviation(delta=5)})
     header, events, verdict = _joint_events(pp, seed=0, adversary=tamperer, n=4)
     assert verdict["verdict"]["abort"]["culprit"] == "F2"
     assert verdict["verdict"]["v_list"] == ["F2", "F3"]
@@ -870,8 +942,8 @@ def test_malformed_pick_payload_is_a_violation_not_a_crash(pp, kind, field, valu
 def test_engine_pick_transcripts_audit_ok(pp, base, policy):
     config = _config(pp, [1, 2, 3, 4], k=3, pick_mode="joint", pick_base_mode=base,
                      pick_fault_policy=policy)
-    behaviors = [{}, {COUNTRY_ID: BiasPick("peer_seeded")}, {VERIFIER_ID: InconsistentReveal(1)},
-                 {COUNTRY_ID: InconsistentReveal(0), VERIFIER_ID: BiasPick("max")}]
+    behaviors = [{}, {COUNTRY_ID: Deviation(pick="peer_seeded")}, {VERIFIER_ID: Deviation(misreveal=1)},
+                 {COUNTRY_ID: Deviation(misreveal=0), VERIFIER_ID: Deviation(pick="max")}]
     for seed in range(3):
         for b in behaviors:
             report = audit_transcript(run_session(config, AdversarySpec(b, b), seed=seed).transcript)
@@ -886,12 +958,12 @@ _SWEEP_PICKS = {
 }
 _SWEEP_BEHAVIORS = [
     {},
-    *({pid: AbortAt(step)} for pid in (COUNTRY_ID, VERIFIER_ID, "F2") for step in range(1, 8)),
-    {COUNTRY_ID: BiasPick("zero")}, {VERIFIER_ID: BiasPick("max")},
-    {COUNTRY_ID: BiasPick("peer_seeded")},
-    {COUNTRY_ID: InconsistentReveal()}, {VERIFIER_ID: InconsistentReveal(1)},
-    {"F2": TamperReport(delta=5)}, {"F2": TamperReport(absolute=-1)}, {"F2": InconsistentReveal()},
-    {COUNTRY_ID: MisreportSum(dm=1)}, {COUNTRY_ID: MisreportSum(dm=-10_000)},
+    *({pid: Deviation(silent_from=step)} for pid in (COUNTRY_ID, VERIFIER_ID, "F2") for step in range(1, 8)),
+    {COUNTRY_ID: Deviation(pick="zero")}, {VERIFIER_ID: Deviation(pick="max")},
+    {COUNTRY_ID: Deviation(pick="peer_seeded")},
+    {COUNTRY_ID: Deviation(misreveal=0)}, {VERIFIER_ID: Deviation(misreveal=1)},
+    {"F2": Deviation(delta=5)}, {"F2": Deviation(absolute=-1)}, {"F2": Deviation(misreveal=0)},
+    {COUNTRY_ID: Deviation(dm=1)}, {COUNTRY_ID: Deviation(dm=-10_000)},
 ]
 
 
@@ -917,7 +989,7 @@ def _sweep_sessions(pp, which):
             FirmSpec("F1", ledger=l1, meter_pk=kp1.public_bytes),
             FirmSpec("F2", ledger=l2, meter_pk=kp2.public_bytes)))
         yield config, HONEST_ADVERSARY
-        yield config, AdversarySpec(frozenset({VERIFIER_ID}), {VERIFIER_ID: AbortAt(7)})
+        yield config, AdversarySpec(frozenset({VERIFIER_ID}), {VERIFIER_ID: Deviation(silent_from=7)})
         append_reading(l1, kp1.sign_reading("F1", parse_hour("2026-03-01T05:00:00Z"), 4),
                        kp1.public_bytes)
         yield config, HONEST_ADVERSARY
@@ -1194,8 +1266,8 @@ def test_audit_of_secp256k1_transcripts_builds_no_table(table_builds, n):
     config = _config(prod_pp, list(range(1, n + 1)), k=2)
     blobs = [run_session(config, adversary, seed=5).transcript.to_jsonl() for adversary in (
         HONEST_ADVERSARY,
-        AdversarySpec(frozenset({"F1"}), {"F1": TamperReport(delta=5)}),
-        AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: MisreportSum(dm=1)}),
+        AdversarySpec(frozenset({"F1"}), {"F1": Deviation(delta=5)}),
+        AdversarySpec(frozenset({COUNTRY_ID}), {COUNTRY_ID: Deviation(dm=1)}),
     )]
     table_builds.clear()
     for blob in blobs:

@@ -15,15 +15,10 @@ from emissions_audit.harness import run_pick_trials, subset_chi_square
 from emissions_audit.pick import (
     COUNTRY,
     Faulted,
-    InconsistentRevealPick,
-    MaxPick,
-    PeerSeededPick,
     PickError,
     PickFold,
     PickStrategy,
-    ScriptedPick,
     VERIFIER,
-    ZeroPick,
     derive_index,
     other,
     round_commit,
@@ -110,7 +105,7 @@ def test_reveal_faults_are_attributed(pp):
     # A value that does not open the commitment faults the revealing party.
     assert _reveal(5, c, (m + 1) % 5, r, pp) == "reveal does not open the commitment"
     out = run_pick(list("abcde"), 1, pp, random.Random(33),
-                   strategies={COUNTRY: InconsistentRevealPick(bad_round=0)}, on_fault="abort")
+                   strategies={COUNTRY: PickStrategy(bad_round=0)}, on_fault="abort")
     assert out.fault.party == COUNTRY
     assert out.fault.reason == "reveal does not open the commitment"
 
@@ -231,8 +226,8 @@ def test_run_pick_deterministic_under_seed(pp):
 
 def test_run_pick_scripted_outcome(pp):
     strategies = {
-        COUNTRY: ScriptedPick([2, 1]),
-        VERIFIER: ScriptedPick([0, 2]),
+        COUNTRY: PickStrategy([2, 1]),
+        VERIFIER: PickStrategy([0, 2]),
     }
     out = run_pick(list("abcde"), 2, pp, random.Random(36), strategies=strategies)
     # Round 1: index (2+0)%5=2 picks "c"; remaining a,b,d,e.
@@ -251,8 +246,8 @@ def test_exhaustive_enumeration_counts_every_outcome_equally(pp):
             out = run_pick(
                 roster, 2, pp, random.Random(0),
                 strategies={
-                    COUNTRY: ScriptedPick([c1, c2]),
-                    VERIFIER: ScriptedPick([v1, v2]),
+                    COUNTRY: PickStrategy([c1, c2]),
+                    VERIFIER: PickStrategy([v1, v2]),
                 },
             )
             ordered[out.picked] += 1
@@ -264,7 +259,7 @@ def test_exhaustive_enumeration_counts_every_outcome_equally(pp):
 def test_fault_names_cheater_and_honest_party_completes(pp):
     out = run_pick(
         list("abcde"), 3, pp, random.Random(37),
-        strategies={VERIFIER: InconsistentRevealPick(bad_round=1)},
+        strategies={VERIFIER: PickStrategy(bad_round=1)},
     )
     assert out.fault is not None and out.fault.party == VERIFIER
     assert out.fault.round_index == 1
@@ -273,12 +268,12 @@ def test_fault_names_cheater_and_honest_party_completes(pp):
 
 def test_fault_keeps_picks_settled_before_it(pp):
     strategies = {
-        COUNTRY: ScriptedPick([2, 0, 0]),
-        VERIFIER: InconsistentRevealPick(bad_round=1),
+        COUNTRY: PickStrategy([2, 0, 0]),
+        VERIFIER: PickStrategy(bad_round=1),
     }
     honest = run_pick(
         list("abcde"), 1, pp, random.Random(38),
-        strategies={COUNTRY: ScriptedPick([2])},
+        strategies={COUNTRY: PickStrategy([2])},
     )
     out = run_pick(list("abcde"), 3, pp, random.Random(38), strategies=strategies)
     # Round 0 settled jointly before the round-1 fault; it must be kept.
@@ -289,7 +284,7 @@ def test_fault_keeps_picks_settled_before_it(pp):
 def test_abort_policy_discards_selection(pp):
     out = run_pick(
         list("abcde"), 2, pp, random.Random(39),
-        strategies={COUNTRY: InconsistentRevealPick(bad_round=0)},
+        strategies={COUNTRY: PickStrategy(bad_round=0)},
         on_fault="abort",
     )
     assert out.picked is None and out.fault.party == COUNTRY
@@ -298,7 +293,7 @@ def test_abort_policy_discards_selection(pp):
 def test_out_of_range_script_is_faulted_not_crashed(pp):
     out = run_pick(
         list("abc"), 1, pp, random.Random(40),
-        strategies={COUNTRY: ScriptedPick([7])},
+        strategies={COUNTRY: PickStrategy([7])},
     )
     assert out.fault.party == COUNTRY and out.picked is not None
 
@@ -307,7 +302,7 @@ def test_both_parties_rushing_is_rejected(pp):
     with pytest.raises(PickError):
         run_pick(
             list("abc"), 1, pp, random.Random(41),
-            strategies={COUNTRY: PeerSeededPick(), VERIFIER: PeerSeededPick()},
+            strategies={COUNTRY: PickStrategy("peer_seeded"), VERIFIER: PickStrategy("peer_seeded")},
         )
 
 
@@ -328,9 +323,9 @@ def test_cross_base_mode_completes_and_transcripts_bases(pp):
 @pytest.mark.parametrize("base_mode", ["shared", "cross"])
 @pytest.mark.parametrize("on_fault", ["complete", "abort"])
 @pytest.mark.parametrize("strategies", [
-    {}, {COUNTRY: InconsistentRevealPick(bad_round=0)},
-    {VERIFIER: InconsistentRevealPick(bad_round=1)}, {COUNTRY: PeerSeededPick()},
-    {VERIFIER: MaxPick()},
+    {}, {COUNTRY: PickStrategy(bad_round=0)},
+    {VERIFIER: PickStrategy(bad_round=1)}, {COUNTRY: PickStrategy("peer_seeded")},
+    {VERIFIER: PickStrategy("max")},
 ], ids=["honest", "country-lies-round0", "verifier-lies-round1", "rushing", "max"])
 def test_recorder_does_not_change_the_draws(pp, base_mode, on_fault, strategies):
     # Payloads are built only for a recorder; the rng stream must not notice.
@@ -349,7 +344,7 @@ def test_recorder_does_not_change_the_draws(pp, base_mode, on_fault, strategies)
 def test_cross_base_mode_catches_cheats_too(pp):
     out = run_pick(
         list("abcde"), 2, pp, random.Random(43),
-        strategies={VERIFIER: InconsistentRevealPick(bad_round=0)},
+        strategies={VERIFIER: PickStrategy(bad_round=0)},
         base_mode="cross",
     )
     assert out.fault.party == VERIFIER and out.picked is not None
@@ -371,9 +366,9 @@ def test_unknown_base_mode_and_policy(pp):
 @pytest.mark.parametrize(
     "n,k,dishonest",
     [
-        (5, 2, {COUNTRY: ZeroPick()}),
-        (6, 3, {VERIFIER: MaxPick()}),
-        (8, 1, {COUNTRY: PeerSeededPick()}),
+        (5, 2, {COUNTRY: PickStrategy("zero")}),
+        (6, 3, {VERIFIER: PickStrategy("max")}),
+        (8, 1, {COUNTRY: PickStrategy("peer_seeded")}),
     ],
     ids=["n5k2-zero-country", "n6k3-max-verifier", "n8k1-rushing-country"],
 )
@@ -399,3 +394,8 @@ def test_strategy_interface_defaults():
     assert not s.sees_peer_commitment
     rng = random.Random(47)
     assert all(0 <= s.choose(5, 0, rng) < 5 for _ in range(20))
+    assert PickStrategy("peer_seeded").sees_peer_commitment
+    assert [PickStrategy(d).choose(5, 1, rng) for d in ("zero", "max", (4, 2))] == [0, 4, 2]
+    assert PickStrategy(bad_round=1).reveal_value(3, 1) == 4
+    with pytest.raises(PickError, match="^unknown pick strategy 'clever'$"):
+        PickStrategy("clever")
