@@ -7,9 +7,10 @@ and publishes aggregate sums; the subset is then revealed and the verifier
 rechecks the picked firms from ground truth before checking that the sum of
 all broadcast commitments opens to the published totals.
 
-Steps are barriers: the engine processes firm messages in roster order
-within a step, advances monotonically, and stops at the first failed check
-with an abort naming the step and the culprit.  The verdict is a pure
+``AuditSession.run`` drives the seven steps in order.  Each step processes
+firm messages in roster order and returns the abort of its first failed
+check, naming the step and the culprit, or None; ``run`` stops at the
+first abort, which the environment announces.  The verdict is a pure
 function of (config, behaviors, seed).  The checks of steps 3, 6 and 7
 (``examine``, ``picked_check``, ``sum_check``) are module functions that
 return an ``Abort`` or None, shared with the transcript replayer and the CLI.
@@ -51,12 +52,14 @@ VERIFIER_ID = "V"
 
 ROLE_ENV = "environment"
 ROLE_FIRM = "firm"
-ROLE_COUNTRY = "country"
-ROLE_VERIFIER = "verifier"
+ROLE_COUNTRY = pick_mod.COUNTRY  # a pick party is named by its role
+ROLE_VERIFIER = pick_mod.VERIFIER
 
-# Sender id of a pick message by pick party; "both" and the like are the
-# environment's.
-PICK_SENDERS = {pick_mod.COUNTRY: COUNTRY_ID, pick_mod.VERIFIER: VERIFIER_ID}
+# The country's and the verifier's role, which is also its pick party, by id;
+# and the sender id of a pick message by pick party (the environment sends
+# the rest).
+SERVICE_ROLES = {COUNTRY_ID: ROLE_COUNTRY, VERIFIER_ID: ROLE_VERIFIER}
+PICK_SENDERS = {role: pid for pid, role in SERVICE_ROLES.items()}
 
 
 class Step(IntEnum):
@@ -71,10 +74,6 @@ class Step(IntEnum):
 
 class ConfigInvalid(ValueError):
     """Session configuration violates its invariants."""
-
-
-class OutOfOrder(RuntimeError):
-    """Step method invoked outside the protocol's step sequence."""
 
 
 class SealedError(RuntimeError):
@@ -329,9 +328,6 @@ _HONEST = Behavior()
 
 @dataclass
 class SessionState:
-    next_step: int = 1
-    completed: bool = False
-    abort: Abort | None = None
     env: EnvAssignment | None = None
     commitments: dict = field(default_factory=dict)  # firm -> point (broadcast)
     reports: dict = field(default_factory=dict)  # firm -> (claim m, r); country's lane
@@ -342,13 +338,10 @@ class SessionState:
     verifier_blindings: dict = field(default_factory=dict)  # firm -> r (firm lane)
     verifier_ledgers: dict = field(default_factory=dict)  # firm -> ledger (integrated)
 
-    @property
-    def finished(self) -> bool:
-        return self.completed or self.abort is not None
-
 
 class AuditSession:
-    """Drives one session; step methods may also be called one at a time.
+    """One session.  ``run`` drives it: it calls the step methods in order,
+    and each returns the ``Abort`` that ends the session, or None.
 
     ``behaviors`` maps a participant id to its ``Behavior``; everyone it
     leaves out plays honestly.
@@ -377,28 +370,13 @@ class AuditSession:
                 payload=payload,
             )
 
-    def _require(self, step: Step):
-        if self.state.finished:
-            raise OutOfOrder("session already finished")
-        if self.state.next_step != int(step):
-            raise OutOfOrder(
-                f"step {int(step)} requested, protocol is at step {self.state.next_step}"
-            )
-
-    def _abort(self, abort: Abort | None) -> bool:
-        """Record ``abort``, if there is one; True if the session aborted."""
-        if abort is None:
-            return False
-        # The environment plays referee: it announces the failed execution.
-        self.state.abort = abort
-        self._emit(abort.step, "abort", ENV_ID, abort.as_dict())
-        return True
-
-    def _silent(self, step: Step, role: str, culprit: str) -> bool:
-        """Abort naming ``culprit`` if its behavior is silent at ``step``."""
+    def _silent(self, step: Step, pid: str) -> Abort | None:
+        """The abort naming the country or verifier ``pid`` if its behavior
+        is silent at ``step``."""
         step = int(step)
-        return (self.behaviors[culprit].silent_at(step)
-                and self._abort(Abort(step, role, culprit, "went silent")))
+        if self.behaviors[pid].silent_at(step):
+            return Abort(step, SERVICE_ROLES[pid], pid, "went silent")
+        return None
 
     def _hex_point(self, p) -> str:
         return self.config.pp.group.encode_point(p).hex()
@@ -408,9 +386,8 @@ class AuditSession:
 
     # -- protocol steps ------------------------------------------------------
 
-    def step1_setup(self):
+    def step1_setup(self) -> None:
         """Environment broadcasts pp and hands each firm its true total."""
-        self._require(Step.SETUP)
         self.state.env = env_setup(self.config, self.rng)
         self._emit(Step.SETUP, "pp", ENV_ID, params_to_dict(self.config.pp))
         for fid in self.config.roster:
@@ -419,16 +396,14 @@ class AuditSession:
                 {"firm": fid, "m": self.state.env.m_assignments[fid]},
                 recipient=fid,
             )
-        self.state.next_step = 2
 
-    def step2_reports(self):
+    def step2_reports(self) -> None:
         """Each firm broadcasts its commitment and reports the opening.
 
         Openings are drawn firm by firm in roster order, so the rng stream
         is the same as committing one at a time; the commitments are then
         computed in one batch.
         """
-        self._require(Step.REPORT)
         pp = self.config.pp
         # A silent firm sends nothing; its absence is caught at step 3.
         reporting = [fid for fid in self.config.roster
@@ -448,22 +423,17 @@ class AuditSession:
             self._emit(Step.REPORT, "report", fid,
                        {"firm": fid, "m": claim, "r": self._hex_scalar(r)},
                        recipient=COUNTRY_ID)
-        self.state.next_step = 3
 
-    def step3_examine(self):
+    def step3_examine(self) -> Abort | None:
         """Country checks every firm's opening and range (see ``examine``)."""
-        self._require(Step.EXAMINE)
-        if (self._silent(Step.EXAMINE, ROLE_COUNTRY, COUNTRY_ID)
-                or self._abort(examine(self.config.pp, self.config.roster,
-                                       self.state.reports, self.state.commitments))):
-            return
-        self.state.next_step = 4
+        return (self._silent(Step.EXAMINE, COUNTRY_ID)
+                or examine(self.config.pp, self.config.roster,
+                           self.state.reports, self.state.commitments))
 
-    def step4_publish(self):
+    def step4_publish(self) -> Abort | None:
         """Country broadcasts the integer total and the blinding total."""
-        self._require(Step.PUBLISH)
-        if self._silent(Step.PUBLISH, ROLE_COUNTRY, COUNTRY_ID):
-            return
+        if abort := self._silent(Step.PUBLISH, COUNTRY_ID):
+            return abort
         pp = self.config.pp
         m_sum = sum(m for m, _ in self.state.reports.values())
         r_sum = pp.group.scalar(0)
@@ -474,17 +444,16 @@ class AuditSession:
         self.state.published_r = r_pub
         self._emit(Step.PUBLISH, "sum", COUNTRY_ID,
                    {"m": m_pub, "r": self._hex_scalar(r_pub)})
-        self.state.next_step = 5
+        return None
 
-    def step5_reveal(self):
+    def step5_reveal(self) -> Abort | None:
         """Reveal the verification list; forward truths and blindings to V."""
-        self._require(Step.REVEAL)
         if self.config.pick_mode == "env":
             v_list = self.state.env.reveal()
         else:
-            if (self._silent(Step.REVEAL, ROLE_VERIFIER, VERIFIER_ID)
-                    or self._silent(Step.REVEAL, ROLE_COUNTRY, COUNTRY_ID)):
-                return
+            if abort := (self._silent(Step.REVEAL, VERIFIER_ID)
+                         or self._silent(Step.REVEAL, COUNTRY_ID)):
+                return abort
             strategies = {party: s for party, pid in PICK_SENDERS.items()
                           if (s := self.behaviors[pid].pick_strategy) is not None}
             outcome = pick_mod.run_pick(
@@ -499,10 +468,8 @@ class AuditSession:
             )
             if outcome.picked is None:
                 fault = outcome.fault
-                role = ROLE_COUNTRY if fault.party == pick_mod.COUNTRY else ROLE_VERIFIER
-                cid = COUNTRY_ID if fault.party == pick_mod.COUNTRY else VERIFIER_ID
-                self._abort(Abort(int(Step.REVEAL), role, cid, f"pick fault: {fault.reason}"))
-                return
+                return Abort(int(Step.REVEAL), fault.party, PICK_SENDERS[fault.party],
+                             f"pick fault: {fault.reason}")
             chosen = set(outcome.picked)
             v_list = tuple(fid for fid in self.config.roster if fid in chosen)
         self.state.v_list = v_list
@@ -526,42 +493,38 @@ class AuditSession:
                            {"firm": fid, "entries": len(spec.ledger.entries),
                             "head": spec.ledger.head.hex()},
                            recipient=VERIFIER_ID)
-        self.state.next_step = 6
+        return None
 
     def _pick_recorder(self, kind, round_index, party, payload):
         sender = PICK_SENDERS.get(party, ENV_ID)
         self._emit(Step.REVEAL, kind, sender, dict(payload, round=round_index))
 
-    def step6_spot_checks(self):
+    def step6_spot_checks(self) -> Abort | None:
         """Verifier rechecks every picked firm against ground truth."""
-        self._require(Step.SPOT_CHECK)
-        if self._silent(Step.SPOT_CHECK, ROLE_VERIFIER, VERIFIER_ID):
-            return
+        if abort := self._silent(Step.SPOT_CHECK, VERIFIER_ID):
+            return abort
         state = self.state
         for fid in state.v_list:
             # Ledgers are forwarded in integrated mode only.
-            if self._abort(picked_check(self.config.pp, fid, state.commitments,
-                                        state.verifier_blindings, state.verifier_truth,
-                                        state.verifier_ledgers.get(fid),
-                                        self.config.firm_by_id[fid].meter_pk)):
-                return
-        self.state.next_step = 7
+            if abort := picked_check(self.config.pp, fid, state.commitments,
+                                     state.verifier_blindings, state.verifier_truth,
+                                     state.verifier_ledgers.get(fid),
+                                     self.config.firm_by_id[fid].meter_pk):
+                return abort
+        return None
 
-    def step7_sum_check(self):
+    def step7_sum_check(self) -> Abort | None:
         """Verifier checks the homomorphic aggregate against the sums."""
-        self._require(Step.SUM_CHECK)
-        if self._silent(Step.SUM_CHECK, ROLE_VERIFIER, VERIFIER_ID):
-            return
         commitments = self.state.commitments
         m_pub = self.state.published_m
-        if self._abort(sum_check(
-                self.config.pp, self.config.n,
-                (commitments[fid] for fid in self.config.roster if fid in commitments),
-                m_pub, self.state.published_r)):
-            return
-        self.state.completed = True
-        self._emit(Step.SUM_CHECK, "verdict", VERIFIER_ID,
-                   {"status": "completed", "accepted_m": m_pub})
+        abort = self._silent(Step.SUM_CHECK, VERIFIER_ID) or sum_check(
+            self.config.pp, self.config.n,
+            (commitments[fid] for fid in self.config.roster if fid in commitments),
+            m_pub, self.state.published_r)
+        if abort is None:
+            self._emit(Step.SUM_CHECK, "verdict", VERIFIER_ID,
+                       {"status": "completed", "accepted_m": m_pub})
+        return abort
 
     _STEP_METHODS = (
         "step1_setup",
@@ -574,20 +537,14 @@ class AuditSession:
     )
 
     def run(self) -> Verdict:
+        """Run the steps in order up to the first abort; the verdict."""
         for name in self._STEP_METHODS:
-            getattr(self, name)()
-            if self.state.abort is not None:
-                a = self.state.abort
-                return Verdict(
-                    status="aborted", accepted_m=None, abort=a,
-                    v_list=self.state.v_list,
-                )
-        return Verdict(
-            status="completed",
-            accepted_m=self.state.published_m,
-            abort=None,
-            v_list=self.state.v_list,
-        )
+            abort = getattr(self, name)()
+            if abort is not None:
+                # The environment plays referee: it announces the failed execution.
+                self._emit(abort.step, "abort", ENV_ID, abort.as_dict())
+                return Verdict("aborted", None, abort, self.state.v_list)
+        return Verdict("completed", self.state.published_m, None, self.state.v_list)
 
 
 def true_total(config: SessionConfig) -> int:

@@ -34,6 +34,7 @@ from .audit import (
     ROLE_ENV,
     ROLE_FIRM,
     ROLE_VERIFIER,
+    SERVICE_ROLES,
     VERIFIER_ID,
     Abort,
     AuditSession,
@@ -176,7 +177,6 @@ class AdversarySpec:
 
 HONEST_ADVERSARY = AdversarySpec()
 
-_SERVICE_ROLES = {COUNTRY_ID: ROLE_COUNTRY, VERIFIER_ID: ROLE_VERIFIER}
 _ROLE_NAMES = {ROLE_FIRM: "a firm", ROLE_COUNTRY: "the country", ROLE_VERIFIER: "the verifier"}
 
 
@@ -185,7 +185,7 @@ def _wire(config: SessionConfig, adversary: AdversarySpec) -> dict:
     checked to be valid for that participant's role."""
     behaviors = {}
     for pid in sorted(adversary.corrupted):
-        role = ROLE_FIRM if pid in config.firm_by_id else _SERVICE_ROLES.get(pid)
+        role = ROLE_FIRM if pid in config.firm_by_id else SERVICE_ROLES.get(pid)
         if role is None:
             raise ConfigInvalid(f"corrupted id {pid!r} is not a session participant")
         b = behaviors[pid] = adversary.behavior_of(pid)
@@ -194,6 +194,12 @@ def _wire(config: SessionConfig, adversary: AdversarySpec) -> dict:
                          if role not in suits and getattr(b, f, None) is not None),
                         type(b).__name__)
             raise ConfigInvalid(f"behavior {what} not valid for {_ROLE_NAMES[role]}")
+    # run_pick refuses two rushing parties too, but only once step 5 runs.
+    strategies = [getattr(behaviors.get(pid), "pick_strategy", None) for pid in SERVICE_ROLES]
+    if (config.pick_mode == "joint" and config.k > 0
+            and all(s is not None and s.sees_peer_commitment for s in strategies)):
+        raise ConfigInvalid("behavior field 'pick' is 'peer_seeded' for both the country and "
+                            "the verifier: one of them has to commit first")
     return behaviors
 
 
@@ -919,7 +925,7 @@ def replay_verdict(transcript: Transcript, pp: PublicParams | None = None) -> di
 
     def silent(step: int, pid: str) -> Abort | None:
         holds = claim == (step, pid, "went silent") and last_step.get(pid, 0) < step
-        return Abort(step, _SERVICE_ROLES[pid], pid, "went silent") if holds else None
+        return Abort(step, SERVICE_ROLES[pid], pid, "went silent") if holds else None
 
     def ledger_failed(fid: str) -> Abort | None:
         step, culprit, reason = claim
@@ -938,7 +944,7 @@ def replay_verdict(transcript: Transcript, pp: PublicParams | None = None) -> di
             yield silent(5, COUNTRY_ID)
             if v_list is None and pick_fault is not None:
                 sender, reason = pick_fault
-                yield Abort(5, _SERVICE_ROLES[sender], sender, f"pick fault: {reason}")
+                yield Abort(5, SERVICE_ROLES[sender], sender, f"pick fault: {reason}")
         if v_list is None:
             yield Abort(5, ROLE_ENV, ENV_ID, "verification list missing")
         yield silent(6, VERIFIER_ID)
@@ -953,9 +959,6 @@ def replay_verdict(transcript: Transcript, pp: PublicParams | None = None) -> di
         return verdict_to_dict(Verdict("completed", sums[0], None, v_list))
     # The engine holds the list from the end of step 5 on.
     return verdict_to_dict(Verdict("aborted", None, abort, v_list if abort.step > 5 else None))
-
-
-_PICK_PARTIES = {pid: party for party, pid in PICK_SENDERS.items()}
 
 
 def pick_violation(transcript: Transcript, pp: PublicParams) -> str | None:
@@ -980,7 +983,7 @@ def pick_violation(transcript: Transcript, pp: PublicParams) -> str | None:
     fold = pick_mod.PickFold(roster, dict.fromkeys(pick_mod.PARTIES, pp))
     published = set()  # committers whose peer published a base
     for ev in events:
-        p, party, where = ev.payload, _PICK_PARTIES.get(ev.sender), f"{ev.kind} at seq {ev.seq}"
+        p, party, where = ev.payload, SERVICE_ROLES.get(ev.sender), f"{ev.kind} at seq {ev.seq}"
         j = -1 if ev.kind == "pick_base" else len(fold.settled)
         if not is_int(p["round"]) or p["round"] != j:
             return f"{where} is for round {p['round']!r}, not {j}"

@@ -2,6 +2,8 @@
 deviating in any subset of the hooks its role has, and every abort still
 names a corrupted party with its role (identifiable abort)."""
 
+import random
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -11,12 +13,14 @@ from emissions_audit.audit import (
     ROLE_FIRM,
     ROLE_VERIFIER,
     VERIFIER_ID,
+    ConfigInvalid,
     FirmSpec,
     SessionConfig,
     true_total,
 )
 from emissions_audit.commitment import MAX_EMISSIONS_KG, setup
 from emissions_audit.groups import production_group, toy_group
+from emissions_audit.measurement import FirmLedger, MeterKeypair, append_reading, parse_hour
 from emissions_audit.harness import (
     AdversarySpec,
     Deviation,
@@ -24,12 +28,28 @@ from emissions_audit.harness import (
     replay_verdict,
     run_session,
 )
-from emissions_audit.pick import DRAWS, PickError
+from emissions_audit.pick import DRAWS
 
 _TOY_PP = setup(toy_group(), "hash_derived")
 _SECP_PP = setup(production_group(), "hash_derived")
 
 _OFFSET = st.integers(-3, 3)
+
+
+def _ledger_spec(fid: str, seed: int) -> FirmSpec:
+    """An integrated-mode firm whose meter signed three hourly readings."""
+    rng = random.Random(seed)
+    meter, ledger = MeterKeypair.generate(rng), FirmLedger.empty(fid)
+    for hour in range(3):
+        reading = meter.sign_reading(fid, parse_hour(f"2026-05-01T{hour:02d}:00:00Z"),
+                                     rng.randrange(100))
+        append_reading(ledger, reading, meter.public_bytes)
+    return FirmSpec(fid, ledger=ledger, meter_pk=meter.public_bytes)
+
+
+# Built once: sessions only read a ledger, and a repeat walk of its
+# unchanged entries skips their signature checks.
+_LEDGER_FIRMS = tuple(_ledger_spec(f"F{i + 1}", seed=700 + i) for i in range(3))
 
 
 def _field_values(n: int, k: int) -> dict:
@@ -69,14 +89,20 @@ def _role(pid: str) -> str:
 
 
 @st.composite
-def _session(draw, pp, max_n: int):
+def _session(draw, pp, max_n: int, data_modes=("abstract",)):
     """A config and an adversary: a corrupted set drawn from the firms, C and
-    V, and a composed deviation for each corrupted party."""
-    n = draw(st.integers(1, max_n))
+    V, and a composed deviation for each corrupted party.  An integrated
+    session takes its firms from ``_LEDGER_FIRMS``."""
+    data_mode = draw(st.sampled_from(data_modes))
+    if data_mode == "integrated":
+        firms = _LEDGER_FIRMS[:draw(st.integers(1, len(_LEDGER_FIRMS)))]
+    else:
+        firms = tuple(FirmSpec(f"F{i + 1}", true_m=draw(st.integers(0, 300)))
+                      for i in range(draw(st.integers(1, max_n))))
+    n = len(firms)
     k = draw(st.integers(0, n))
-    firms = tuple(FirmSpec(f"F{i + 1}", true_m=draw(st.integers(0, 300))) for i in range(n))
     config = SessionConfig(
-        pp=pp, firms=firms, k=k,
+        pp=pp, firms=firms, k=k, data_mode=data_mode,
         pick_mode=draw(st.sampled_from(["env", "joint"])),
         pick_base_mode=draw(st.sampled_from(["shared", "cross"])),
         pick_fault_policy=draw(st.sampled_from(["complete", "abort"])))
@@ -94,9 +120,11 @@ def _check_blame(config, adversary, seed: int):
     """Run the session and check every blame property; return its verdict."""
     try:
         result = run_session(config, adversary, seed=seed)
-    except PickError as exc:
-        # Someone has to commit first: two rushing parties are no adversary.
-        assert "both parties cannot wait" in str(exc)
+    except ConfigInvalid as exc:
+        # Someone has to commit first: two rushing parties are no adversary,
+        # and the session refuses them before step 1.
+        assert "one of them has to commit first" in str(exc)
+        assert config.pick_mode == "joint" and config.k > 0
         assert all(adversary.behavior_of(pid).pick == "peer_seeded"
                    for pid in (COUNTRY_ID, VERIFIER_ID))
         return None
@@ -113,7 +141,8 @@ def _check_blame(config, adversary, seed: int):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=_session(_TOY_PP, max_n=5), seed=st.integers(0, 2**32 - 1))
+@given(case=_session(_TOY_PP, max_n=5, data_modes=("abstract", "integrated")),
+       seed=st.integers(0, 2**32 - 1))
 def test_blame_is_sound_under_composed_deviations_on_the_toy_group(case, seed):
     _check_blame(*case, seed)
 

@@ -555,6 +555,17 @@ def test_simulate_rejects_an_unknown_pick_base_mode_or_fault_policy(capsys, ws, 
     assert code == 2 and out is None and err["error"] == "ConfigInvalid"
 
 
+def test_simulate_refuses_two_rushing_pickers_naming_the_pick_fields(capsys, ws):
+    rushing = {"type": "bias_pick", "strategy": "peer_seeded"}
+    scenario = ws / "sc.json"
+    scenario.write_text(json.dumps({"n": 3, "k": 1, "pick_mode": "joint", "adversary": {
+        "corrupted": ["C", "V"], "behaviors": {"C": rushing, "V": rushing}}}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and out is None and err["error"] == "ConfigInvalid"
+    assert err["message"] == ("behavior field 'pick' is 'peer_seeded' for both the country and "
+                              "the verifier: one of them has to commit first")
+
+
 @pytest.mark.parametrize("trials", [0, harness.MAX_SCENARIO_TRIALS + 1])
 def test_simulate_bounds_the_trials_flag_before_any_trial(capsys, ws, monkeypatch, trials):
     def no_trials(*args, **kwargs):

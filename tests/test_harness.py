@@ -219,6 +219,28 @@ def test_each_catalogue_behavior_runs_or_is_refused_by_role(pp):
         run_session(config, AdversarySpec(frozenset({"F9"}), {}), seed=0)
 
 
+def test_two_rushing_pickers_are_refused_before_any_step(pp, monkeypatch):
+    """Someone has to commit first, so a joint pick of k > 0 cannot have both
+    C and V wait for the peer's commitment; the session says so before step 1."""
+    import emissions_audit.audit as audit_mod
+
+    commits = []
+    monkeypatch.setattr(audit_mod, "commit_many",
+                        lambda *a, _f=audit_mod.commit_many: commits.append(a) or _f(*a))
+    both = {pid: Deviation(pick="peer_seeded") for pid in (COUNTRY_ID, VERIFIER_ID)}
+    joint = _config(pp, [1, 2], k=1, pick_mode="joint")
+    with pytest.raises(ConfigInvalid, match="^behavior field 'pick' is 'peer_seeded' for both "
+                                            "the country and the verifier: one of them has "
+                                            "to commit first$"):
+        run_session(joint, AdversarySpec(frozenset(both), both))
+    assert commits == []
+    # One rushing party, an env pick, or nothing to pick runs to a verdict.
+    one = {COUNTRY_ID: both[COUNTRY_ID]}
+    for config, behaviors in ((joint, one), (_config(pp, [1, 2], k=1), both),
+                              (_config(pp, [1, 2], k=0, pick_mode="joint"), both)):
+        assert run_session(config, AdversarySpec(frozenset(behaviors), behaviors)).verdict.completed
+
+
 # ---------------------------------------------------------------------------
 # Transcript determinism and views.
 # ---------------------------------------------------------------------------
@@ -1166,8 +1188,7 @@ def test_batched_examine_names_the_sequential_culprit(examined_session, monkeypa
 
         session = AuditSession(base.config, random.Random(0))
         session.state = dataclasses.replace(base.state, reports=reports)
-        session.step3_examine()
-        abort = session.state.abort
+        abort = session.step3_examine()
         assert (abort.culprit_id, abort.reason) == expected, positions
 
         def edit(ev):

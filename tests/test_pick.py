@@ -1,5 +1,6 @@
 """Joint random selection: the round check, fairness, fault handling."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emissions_audit.commitment import commit, setup, verify_opening
+from emissions_audit.commitment import commit, equivocate, setup, verify_opening
 from emissions_audit.groups import toy_group
 from emissions_audit.harness import run_pick_trials, subset_chi_square
 from emissions_audit.pick import (
@@ -386,6 +387,76 @@ def test_honest_strategy_baseline_is_uniform_smoke():
     assert len(counts) == 10  # every subset reachable
     _, p = subset_chi_square(counts, roster, 2)
     assert p > 0.001
+
+
+# ---------------------------------------------------------------------------
+# A verifier that rushes with every trapdoor it could know: the base mode,
+# not the commitment alone, is what keeps it from steering the pick.
+# ---------------------------------------------------------------------------
+
+
+def _trapdoor_rushed_pick(roster, k, pp, rng, base_mode, target):
+    """A joint pick through PickFold in run_pick's order: both commit, C
+    reveals, then V.  Once C has revealed, unless V's own draw already picks
+    ``target``, V forges with ``equivocate`` an opening of its commitment
+    that does, and reveals it if it opens: only under its base's trapdoor.
+    V holds pp's trapdoor under ``shared`` (it ran the trusted setup) and
+    under ``cross`` that of the base it published, which C commits under.
+    Returns the picked firms and how many of V's forgeries opened."""
+    group = pp.group
+    if base_mode == "shared":
+        bases, trapdoor = {COUNTRY: pp, VERIFIER: pp}, pp.trapdoor
+    else:
+        by_country, by_verifier = setup(group, "trusted", rng), setup(group, "trusted", rng)
+        bases, trapdoor = {COUNTRY: by_verifier, VERIFIER: by_country}, by_verifier.trapdoor
+    fold, forged = PickFold(roster, bases), 0
+    for _ in range(k):
+        l = len(fold.remaining)
+        openings = {}
+        for party in (COUNTRY, VERIFIER):
+            openings[party] = m, r = rng.randrange(l), group.random_scalar(rng)
+            fold.commit(party, commit(bases[party], group.scalar(m), r))
+        m_c, r_c = openings[COUNTRY]
+        assert fold.reveal(COUNTRY, m_c, r_c) is None
+        m_v, r_v = openings[VERIFIER]
+        want = (fold.remaining.index(target) - m_c) % l if target in fold.remaining else m_v
+        if want != m_v:
+            base = bases[VERIFIER]
+            r_want = equivocate(dataclasses.replace(base, trapdoor=trapdoor),
+                                group.scalar(m_v), r_v, group.scalar(want))
+            if verify_opening(base, fold.commits[VERIFIER], group.scalar(want), r_want):
+                assert base.trapdoor == trapdoor
+                m_v, r_v, forged = want, r_want, forged + 1
+        assert fold.reveal(VERIFIER, m_v, r_v) is None
+        fold.settle()
+    return tuple(sorted(fold.settled)), forged
+
+
+def test_trapdoor_rushing_verifier_steers_a_shared_base_pick():
+    roster = [f"F{i}" for i in range(1, 6)]
+    rng = random.Random(48)
+    pp = setup(toy_group(), "trusted", rng)
+    counts = Counter()
+    for _ in range(500):
+        picked, forged = _trapdoor_rushed_pick(roster, 2, pp, rng, "shared", target="F3")
+        assert "F3" in picked and forged <= 1
+        counts[picked] += 1
+    assert subset_chi_square(counts, roster, 2)[1] < 1e-9
+
+
+def test_trapdoor_rushing_verifier_cannot_steer_a_cross_base_pick():
+    """V's forgery opens only where the two trusted setups drew the same
+    trapdoor, which on the toy group (q = 101) happens in 1 of 100 picks."""
+    roster = [f"F{i}" for i in range(1, 6)]
+    rng = random.Random(49)
+    counts, forged = Counter(), 0
+    for _ in range(5000):
+        picked, opened = _trapdoor_rushed_pick(roster, 2, _TOY_PP, rng, "cross", target="F3")
+        counts[picked] += 1
+        forged += opened
+    assert forged < 5000 / 50
+    _, p = subset_chi_square(counts, roster, 2)
+    assert p > 0.001, f"uniformity rejected: p={p}"
 
 
 def test_strategy_interface_defaults():
