@@ -134,12 +134,13 @@ G_TABLE_BITS = 8
 H_TABLE_BITS = 10
 
 
-def _tables(pp: PublicParams, batch: bool = False):
-    """pp's fixed-base tables, built on the first batch or on the single
-    operation after TABLES_AFTER_SINGLE_OPS of them; None before that."""
+def _tables(pp: PublicParams, single_ops: int | None = 1):
+    """pp's fixed-base tables, built on the first batch (``single_ops`` None)
+    or once more than TABLES_AFTER_SINGLE_OPS single operations have asked
+    for them, counting ``single_ops`` for this call; None before that."""
     if pp.tables is None:
-        pp.single_ops += not batch
-        if batch or pp.single_ops > TABLES_AFTER_SINGLE_OPS:
+        pp.single_ops += single_ops or 0
+        if single_ops is None or pp.single_ops > TABLES_AFTER_SINGLE_OPS:
             pp.tables = (pp.group.fixed_base_table(pp.g, G_TABLE_BITS),
                          pp.group.fixed_base_table(pp.h, H_TABLE_BITS))
     return pp.tables
@@ -152,7 +153,7 @@ def commit(pp: PublicParams, m: Scalar, r: Scalar):
 
 def commit_many(pp: PublicParams, pairs) -> list:
     """Commitments m*G + r*H for each (m, r) in pairs, batched by the group."""
-    return pp.group.mul2_many(pairs, pp.g, pp.h, _tables(pp, batch=True))
+    return pp.group.mul2_many(pairs, pp.g, pp.h, _tables(pp, None))
 
 
 def verify_opening(pp: PublicParams, c, m: Scalar, r: Scalar) -> bool:
@@ -162,8 +163,13 @@ def verify_opening(pp: PublicParams, c, m: Scalar, r: Scalar) -> bool:
 # Batch weights are this many bits wide, so a batch with any bad opening
 # passes with probability at most 2**-BATCH_WEIGHT_BITS per attempt.
 BATCH_WEIGHT_BITS = 128
-# Below about this many openings on secp256k1, checking them one by one
-# measured faster than the batch's multi-scalar multiplication.
+# From this many openings on secp256k1, verify_openings first tries the
+# batch's multi-scalar multiplication.  Against the item path through built
+# tables (mul2_many), the msm took 1.75x the time at 64 items, 1.16x at
+# 128, about 1.0x at 192 to 256 and 0.81x at 512; against one ladder per
+# item without tables, 0.13x at 64 and 0.06x at 512 (x86-64, Python 3.11).
+# A process without tables that checks more than TABLES_AFTER_SINGLE_OPS
+# items pays about 90 ms to build them, so no size suits both cases better.
 BATCH_MIN_ITEMS = 128
 BATCH_DOMAIN = b"emissions-audit-kit/batch-openings/v1"
 
@@ -196,10 +202,13 @@ def verify_openings(pp: PublicParams, items) -> int | None:
     least 2**BATCH_WEIGHT_BITS is first checked at once with the
     small-exponent test of Bellare, Garay and Rabin:
     sum(w_i*C_i) == (sum w_i*m_i)*G + (sum w_i*r_i)*H for hashed weights
-    w_i, the left side by one multi-scalar multiplication.  Only a failing
-    batch is rescanned item by item, so the index named is always the one
-    the item-by-item check names.  Smaller groups (the toy group) skip the
-    batch test, whose false-accept chance there would be about 1/q.
+    w_i, the left side by one multi-scalar multiplication.  Smaller
+    batches, and a batch that fails, are checked item by item: one
+    mul2_many computes every m_i*G + r_i*H, each item counting as one
+    single operation towards building pp's tables, and the first point
+    that differs from its C_i names the index, the one a verify_opening
+    scan names.  Smaller groups (the toy group) skip the batch test, whose
+    false-accept chance there would be about 1/q.
     """
     items = list(items)
     if len(items) >= BATCH_MIN_ITEMS and pp.q >> BATCH_WEIGHT_BITS:
@@ -209,10 +218,10 @@ def verify_openings(pp: PublicParams, items) -> int | None:
         lhs = pp.group.msm(weights, [c for c, _, _ in items])
         if pp.group.is_mul2(m_sum, pp.g, r_sum, pp.h, lhs, _tables(pp)):
             return None
-    for i, (c, m, r) in enumerate(items):
-        if not verify_opening(pp, c, m, r):
-            return i
-    return None
+    points = pp.group.mul2_many([(m, r) for _, m, r in items], pp.g, pp.h,
+                                _tables(pp, len(items)))
+    return next((i for i, (point, (c, _, _)) in enumerate(zip(points, items))
+                 if point != c), None)
 
 
 def random_blinding(pp: PublicParams, rng: random.Random) -> Scalar:

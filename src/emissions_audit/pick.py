@@ -228,9 +228,11 @@ def _base_params(pp: PublicParams, base_mode: str, rng: random.Random) -> dict:
         return {COUNTRY: pp, VERIFIER: pp}
     # Cross: each side runs a trusted setup and publishes its base; the peer
     # commits under it, so the committer never knows the trapdoor of the
-    # base binding its own commitment.
-    base_by_country = setup(pp.group, "trusted", rng)
-    base_by_verifier = setup(pp.group, "trusted", rng)
+    # base binding its own commitment.  Equal bases would share a trapdoor,
+    # which on the toy group happens in 1 of 100 pairs: the verifier redraws.
+    base_by_country = base_by_verifier = setup(pp.group, "trusted", rng)
+    while base_by_verifier.h == base_by_country.h:
+        base_by_verifier = setup(pp.group, "trusted", rng)
     return {COUNTRY: base_by_verifier, VERIFIER: base_by_country}
 
 

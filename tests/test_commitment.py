@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from emissions_audit import commitment
+from emissions_audit import commitment, groups
 from emissions_audit.commitment import (
     MAX_EMISSIONS_KG,
     NotACollision,
@@ -433,3 +433,60 @@ def test_tables_built_after_a_run_of_single_operations(table_builds):
     assert table_builds == [] and pp.tables is None
     assert verify_opening(pp, c, m, r)
     assert table_builds == [pp.g, pp.h] and pp.tables is not None
+
+
+def test_checking_openings_counts_each_toward_the_tables(table_builds, monkeypatch):
+    """The item-by-item check counts each opening as one single operation:
+    a process checking 40 or fewer builds no tables, and the batch that
+    passes TABLES_AFTER_SINGLE_OPS builds them once, before its points."""
+    group = production_group()
+    pp = setup(group, "hash_derived")
+    rng = random.Random(48)
+    pairs = [(group.scalar(rng.randrange(MAX_EMISSIONS_KG)), random_blinding(pp, rng))
+             for _ in range(commitment.TABLES_AFTER_SINGLE_OPS + 1)]
+    items = [(group.mul2(m, pp.g, r, pp.h), m, r) for m, r in pairs]  # no pp counts these
+    ladders, jac_mul2 = [], groups._jac_mul2
+    monkeypatch.setattr(groups, "_jac_mul2", lambda *args: ladders.append(1) or jac_mul2(*args))
+    assert verify_openings(pp, items[:5]) is None
+    assert verify_openings(pp, items[5:-1]) is None
+    assert table_builds == [] and pp.tables is None and len(ladders) == len(items) - 1
+    ladders.clear()
+    fresh = setup(group, "hash_derived")
+    assert verify_openings(fresh, items) is None
+    assert table_builds == [fresh.g, fresh.h] and ladders == []
+    c, m, r = items[0]
+    assert verify_openings(fresh, items + [(c, m + group.scalar(1), r)]) == len(items)
+    assert len(table_builds) == 2 and ladders == []
+
+
+_FOREIGN = {"toy": production_group().scalar(1), "secp256k1": toy_group().scalar(1)}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["toy", "secp256k1"]), data=st.data())
+def test_verify_openings_names_the_item_scan_index(toy_pp, prod_pp_tabled, name, data):
+    """Below BATCH_MIN_ITEMS, on both groups, verify_openings names the index
+    a verify_opening scan names, whatever is corrupted; a scalar of the
+    other group anywhere raises the batched path's ValueError."""
+    pp = toy_pp if name == "toy" else prod_pp_tabled
+    group = pp.group
+    n = data.draw(st.integers(2, commitment.BATCH_MIN_ITEMS - 1), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    pairs = [(group.scalar(rng.randrange(MAX_EMISSIONS_KG)), random_blinding(pp, rng))
+             for _ in range(n)]
+    items = [(c, m, r) for c, (m, r) in zip(commitment.commit_many(pp, pairs), pairs)]
+    one = group.scalar(1)
+    corruptions = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                st.sampled_from("mrcs")), max_size=4),
+                            label="corruptions")
+    for i, what in corruptions:
+        c, m, r = items[i]
+        items[i] = {"m": (c, m + one, r), "r": (c, m, r + one),
+                    "c": (c + group.generator, m, r), "s": (items[(i + 1) % n][0], m, r)}[what]
+    scan = next((i for i, item in enumerate(items) if not verify_opening(pp, *item)), None)
+    assert verify_openings(pp, items) == scan
+    at = data.draw(st.integers(0, n - 1), label="foreign at")
+    c, m, _ = items[at]
+    items[at] = (c, m, _FOREIGN[name])
+    with pytest.raises(ValueError, match="^scalar from a different group$"):
+        verify_openings(pp, items)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from emissions_audit import groups
+from emissions_audit import commitment, groups
 from emissions_audit.commitment import H_DOMAIN, hash_to_point
 from emissions_audit.groups import (
     MalformedPoint,
@@ -821,22 +821,89 @@ def test_mul2_many_edge_cases(name, monkeypatch):
     assert group.mul2_many(wide, g, h, tables) == [group.mul2(a, g, b, h) for a, b in wide]
 
 
-def test_mul2_many_takes_mul2_below_the_lockstep_size(prod, monkeypatch):
-    """Fewer than LOCKSTEP_MIN_PAIRS pairs go through mul2 one by one; from
-    there on, the lockstep walk calls mul2 for none."""
+def test_mul2_many_sums_trees_below_the_lockstep_size(prod, monkeypatch):
+    """With both tables, mul2_many calls mul2 for no pair: fewer than
+    LOCKSTEP_MIN_PAIRS pairs are summed as trees by one _batch_sums, and
+    from there on the lockstep walk calls it for none.  Without tables,
+    every pair goes through mul2."""
     calls, mul2 = [], type(prod).mul2
     monkeypatch.setattr(type(prod), "mul2",
                         lambda self, *args: calls.append(1) or mul2(self, *args))
+    trees, batch_sums = [], groups._batch_sums
+    monkeypatch.setattr(groups, "_batch_sums",
+                        lambda lists: trees.append(1) or batch_sums(lists))
     g = prod.generator
     h = hash_to_point(prod, H_DOMAIN)
     tables = (_table(prod, g), _table(prod, h))
     n = groups.LOCKSTEP_MIN_PAIRS
-    for size, want in ((n - 1, n - 1), (n, 0)):
+    for size, want_trees in ((1, 1), (n - 1, 1), (n, 0)):
         pairs = [(m, 2**200 + m) for m in range(size)]
+        expected = [mul2(prod, a, g, b, h, tables) for a, b in pairs]
         calls.clear()
-        got = prod.mul2_many(pairs, g, h, tables)
-        assert len(calls) == want
-        assert got == [prod.mul(a, g) + prod.mul(b, h) for a, b in pairs]
+        trees.clear()
+        assert prod.mul2_many(pairs, g, h, tables) == expected
+        assert calls == [] and len(trees) == want_trees
+    calls.clear()
+    assert prod.mul2_many(pairs[:3], g, h) == expected[:3]
+    assert len(calls) == 3
+
+
+def test_mul2_many_tree_of_four_pairs_makes_no_jacobian_addition(prod):
+    """Four pairs cost no mixed Jacobian addition and one inversion per
+    tree level: at most ceil(log2(rows)) + 1 for the two tables' rows."""
+    g = prod.generator
+    h = hash_to_point(prod, H_DOMAIN)
+    tables = (_table(prod, g, 8), _table(prod, h, 10))
+    rng = random.Random(24)
+    pairs = [(rng.randrange(prod.q), rng.randrange(prod.q)) for _ in range(4)]
+    expected = [prod.mul2(a, g, b, h, tables) for a, b in pairs]
+    rows = sum(len(table.rows) for table in tables)
+    with mock.patch.object(groups, "_jac_add_affine", wraps=groups._jac_add_affine) as jac, \
+            mock.patch.object(groups, "_batch_inverse", wraps=groups._batch_inverse) as inv:
+        assert prod.mul2_many(pairs, g, h, tables) == expected
+    assert jac.call_count == 0
+    assert 0 < inv.call_count <= math.ceil(math.log2(rows)) + 1
+
+
+_TRUSTED = commitment.setup(_SECP, "trusted", random.Random(25))
+_TRUSTED_T = _TRUSTED.trapdoor.value
+_L = groups.LOCKSTEP_MIN_PAIRS
+_WIDE = st.one_of(st.sampled_from([0, 1, _SECP.q - 1, 2**256 - 1]),
+                  st.integers(0, 2**40), st.integers(0, 2**256 - 1))
+
+
+@st.composite
+def _batch_pairs(draw):
+    """1 to LOCKSTEP_MIN_PAIRS + 1 pairs: a few drawn, the rest from a drawn
+    seed, so that both sides of the crossover occur."""
+    pairs = draw(st.lists(st.tuples(_WIDE, _WIDE), min_size=1, max_size=6))
+    size = draw(st.sampled_from([len(pairs), _L - 1, _L, _L + 1]) | st.integers(1, _L + 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pairs += [(rng.randrange(1 << 40), rng.randrange(_SECP.q)) for _ in range(size - len(pairs))]
+    return pairs[:size]
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pairs=_batch_pairs(), bits=st.tuples(st.sampled_from(TABLE_WIDTHS),
+                                            st.sampled_from(TABLE_WIDTHS)))
+@example(pairs=[(0, 0)], bits=(8, 10))
+@example(pairs=[(0, 0), (0, 5), (7, 0), (0, 0)], bits=(10, 8))
+@example(pairs=[((-12345 * _TRUSTED_T) % _SECP.q, 12345), (1, 1)], bits=(8, 10))
+@example(pairs=[(_SECP.q - _TRUSTED_T, 1)] * 3, bits=(10, 10))
+@example(pairs=[(2**40 - 1, _SECP.q - 1)] * 6, bits=(8, 10))
+@example(pairs=[(3, 2**255 + 5)] * (_L - 1), bits=(8, 8))
+@example(pairs=[(3, 2**255 + 5)] * (_L + 1), bits=(8, 8))
+def test_mul2_many_matches_the_joint_ladder(pairs, bits):
+    """mul2_many through the tables of a trusted pp's bases, on both sides of
+    LOCKSTEP_MIN_PAIRS, gives each pair's joint-ladder point; a pair with
+    a == -b * trapdoor mod q sums to the identity."""
+    from emissions_audit.groups import _jac_mul2, _jac_to_affine
+
+    g, h = _TRUSTED.g, _TRUSTED.h
+    tables = (_table(_SECP, g, bits[0]), _table(_SECP, h, bits[1]))
+    ladder = functools.cache(lambda a, b: groups._affine_point(
+        _jac_to_affine(_jac_mul2(a, (g.x, g.y), b, (h.x, h.y)))))
+    assert _SECP.mul2_many(pairs, g, h, tables) == [ladder(a, b) for a, b in pairs]
 
 
 @pytest.mark.parametrize("name, other", [("toy", "secp256k1"), ("secp256k1", "toy")])
