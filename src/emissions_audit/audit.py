@@ -20,11 +20,13 @@ country's lane of reports.
 Two data modes: *abstract* sessions take each firm's true total straight
 from the config; *integrated* sessions derive it from the firm's signed
 meter ledger, once, when the config is built, and extend the verifier's
-step-6 check with a ledger spot check (``measurement.spot_check``).  That
-walk checks in full every entry after the longest prefix of the very entry
-objects the config's walk passed (see ``measurement.walk_ledger``), so a
-ledger unchanged since the config costs no Ed25519 verify and no hash, and
-one changed after it is caught.
+step-6 check with a ledger spot check (``measurement.spot_check``).  The
+config's walk records its entry objects and their total; the spot check
+compares the ledger with that record once, by identity, and checks in full,
+and adds to the recorded total, only entries appended after it (see
+``measurement.walk_ledger``).  So a ledger unchanged since the config costs
+no Ed25519 verify, no hash and no sum, and one changed within the recorded
+entries is walked in full, so the change is caught.
 """
 
 from __future__ import annotations

@@ -218,6 +218,10 @@ def verify_openings(pp: PublicParams, items) -> int | None:
         lhs = pp.group.msm(weights, [c for c, _, _ in items])
         if pp.group.is_mul2(m_sum, pp.g, r_sum, pp.h, lhs, _tables(pp)):
             return None
+    # Every item counts toward the tables, even if the first one fails: a
+    # passing check of 41 to 127 items on fresh params then costs one table
+    # build and no ladder, where counting item by item would run 40 ladders
+    # before the same build.
     points = pp.group.mul2_many([(m, r) for _, m, r in items], pp.g, pp.h,
                                 _tables(pp, len(items)))
     return next((i for i, (point, (c, _, _)) in enumerate(zip(points, items))

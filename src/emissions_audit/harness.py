@@ -422,8 +422,10 @@ def run_trials(
 
     With structural_checks on (the default), every trial records a
     transcript and the routing invariant is asserted on it.  In integrated
-    mode the trials share the config's ledgers, so their step-6 walks skip
-    the signatures that the config's walk verified.
+    mode the trials share the config's ledgers, so their step-6 walks find
+    the config's clean walk on record: each compares the entries once, by
+    identity, and takes the recorded total, verifying no signature and
+    summing no reading.
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")

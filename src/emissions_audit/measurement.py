@@ -17,18 +17,21 @@ entries 0..i is ``sha256(head_{i-1} || signing_bytes_i || signature_i)``
 with an empty prefix for the first entry.
 
 Each reading keeps its signing bytes, built once when the reading is made.
-Each ledger remembers its last clean walk: the meter key, the firm id and
-the very entry objects walked.  A later walk under the same key and firm id
-(the step-6 spot check after the session config's walk, every trial of a
-simulation) checks only the entries after the longest prefix of those same
-objects, so a repeat walk of an unchanged ledger verifies no signature and
-hashes no link.
+Each ledger remembers its last clean walk: the meter key, the firm id, the
+very entry objects walked and the total of their readings.  A later walk
+under the same key and firm id (the step-6 spot check after the session
+config's walk, every trial of a simulation) that finds those same objects
+as a prefix of the ledger checks, and adds to the recorded total, only the
+entries after it.  So a repeat walk of an unchanged ledger compares the
+entries once, by identity, and verifies no signature, hashes no link and
+sums nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -187,13 +190,15 @@ class FirmLedger:
     """Append-only reading log.  Entries built via append_reading always
     chain correctly; ledgers loaded from disk are claims to be verified.
 
-    ``clean_walk`` is ``(meter_pk, firm_id, entries)`` of the last walk under
-    a valid key that found no failure, with the entries as a tuple of the
-    very objects walked; only walk_ledger writes it."""
+    ``clean_walk`` is ``(meter_pk, firm_id, entries, total)`` of the last
+    walk under a valid key that found no failure, with the entries as a
+    tuple of the very objects walked and ``total`` the sum of their
+    readings; only walk_ledger writes it."""
 
     firm_id: str
     entries: list[LedgerEntry]
-    clean_walk: tuple = field(default=(None, None, ()), init=False, repr=False, compare=False)
+    clean_walk: tuple = field(default=(None, None, (), 0), init=False, repr=False,
+                              compare=False)
 
     @classmethod
     def empty(cls, firm_id: str) -> "FirmLedger":
@@ -266,46 +271,62 @@ def walk_ledger(ledger: FirmLedger, meter_pk: bytes):
     """Replay the whole ledger, yielding a CheckFailure per broken invariant:
     per entry its signature (else, if validly signed, its firm id), its hour
     order and its chain link.  The meter key is built once per ledger; if
-    ``meter_pk`` is not a 32-byte Ed25519 key, no signature verifies.
+    ``meter_pk`` is not a 32-byte Ed25519 key, no signature verifies.  The
+    generator returns the total of every entry's reading, failed or not.
 
     A walk that yields no failure under a valid key records
-    ``(meter_pk, firm_id, entries)`` in ``ledger.clean_walk``.  A later walk
-    under the same key and firm id skips every check of the longest prefix
-    of the very same entry objects.  Entries are frozen and their fields
+    ``(meter_pk, firm_id, entries, total)`` in ``ledger.clean_walk``.  A
+    later walk under the same key and firm id whose ledger starts with the
+    very same entry objects (compared by identity, never by ``==``, which a
+    subclass could answer falsely) skips every check of those entries and
+    starts from their recorded total.  Entries are frozen and their fields
     immutable, and each check of an entry reads only that entry, its
     predecessor, the firm id and the key, so a skipped entry would pass
     again; every other entry is checked in full, so the failures are those
-    of a walk with nothing on record.  Code that changes an entry through
+    of a walk with nothing on record.  A ledger changed within the recorded
+    entries is walked in full.  Code that changes an entry through
     ``object.__setattr__`` is outside this model."""
     verify, key = _meter_key(meter_pk)
     firm_id, entries = ledger.firm_id, tuple(ledger.entries)
-    walked_key, walked_firm, walked = ledger.clean_walk
-    skip = 0
-    if (walked_key, walked_firm) == (key, firm_id):
-        for entry, seen in zip(entries, walked):
-            if entry is not seen:
-                break
-            skip += 1
+    walked_key, walked_firm, walked, total = ledger.clean_walk
+    skip = len(walked)
+    if ((walked_key, walked_firm) != (key, firm_id) or len(entries) < skip
+            or not all(map(operator.is_, walked, entries))):
+        skip = total = 0
     clean = True
     for i in range(skip, len(entries)):
+        entry = entries[i]
         for failure in _entry_failures(verify, firm_id, i, entries[i - 1] if i else None,
-                                       entries[i]):
+                                       entry):
             clean = False
             yield failure
+        total += entry.reading.e
     if clean and key is not None:
-        ledger.clean_walk = (key, firm_id, entries)
+        ledger.clean_walk = (key, firm_id, entries, total)
+    return total
 
 
-def verify_ledger(ledger: FirmLedger, meter_pk: bytes) -> None:
-    """Replay the whole ledger; raise on the first broken invariant."""
-    for failure in walk_ledger(ledger, meter_pk):
-        _raise(failure)
+def _run_walk(ledger: FirmLedger, meter_pk: bytes, on_failure) -> int:
+    """Pass each failure of walk_ledger to ``on_failure``; return its total."""
+    walk = walk_ledger(ledger, meter_pk)
+    try:
+        while True:
+            on_failure(next(walk))
+    except StopIteration as done:
+        return done.value
+
+
+def verify_ledger(ledger: FirmLedger, meter_pk: bytes) -> int:
+    """Replay the whole ledger; raise on the first broken invariant, else
+    return the total of its readings."""
+    return _run_walk(ledger, meter_pk, _raise)
 
 
 def aggregate(ledger: FirmLedger, meter_pk: bytes) -> int:
-    """Verified sum of all readings; the total must respect the range bound."""
-    verify_ledger(ledger, meter_pk)
-    total = sum(entry.reading.e for entry in ledger.entries)
+    """Verified sum of all readings, taken from the walk (a repeat walk of
+    an unchanged ledger sums nothing); the total must respect the range
+    bound."""
+    total = verify_ledger(ledger, meter_pk)
     check_range(total)
     return total
 
@@ -343,17 +364,17 @@ def spot_check(ledger: FirmLedger, meter_pk: bytes, firm_id: str,
 
     The ledger must be ``firm_id``'s and walk clean (every walk_ledger
     failure; entries that an earlier clean walk under ``meter_pk`` passed
-    are not checked again), and its readings must sum to
-    ``total`` within the range bound.  The commitment to that total is the
-    caller's to open (step 6 opens it first, see ``audit.picked_check``).
+    are not checked again), and its readings, summed by that walk from the
+    recorded total on, must sum to ``total`` within the range bound.  The
+    commitment to that total is the caller's to open (step 6 opens it
+    first, see ``audit.picked_check``).
     """
     failures: list[CheckFailure] = []
     if ledger.firm_id != firm_id:
         failures.append(
             CheckFailure("identity", f"ledger belongs to {ledger.firm_id!r}")
         )
-    failures.extend(walk_ledger(ledger, meter_pk))
-    ledger_total = sum(entry.reading.e for entry in ledger.entries)
+    ledger_total = _run_walk(ledger, meter_pk, failures.append)
     if ledger_total >= MAX_EMISSIONS_KG:
         failures.append(CheckFailure("range", f"ledger total {ledger_total}"))
     if ledger_total != total:

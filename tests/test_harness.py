@@ -1200,7 +1200,7 @@ def test_batched_examine_names_the_sequential_culprit(examined_session, monkeypa
             return dataclasses.replace(
                 ev, payload_json=canonical_json(dict(ev.payload, m=reports[fid][0])))
 
-        replayed = replay_verdict(_edited(transcript, edit))["abort"]
+        replayed = replay_verdict(_edited(transcript, edit), pp)["abort"]
         assert (replayed["culprit"], replayed["reason"]) == expected, positions
         checked += 1
     assert checked == 5 + 5 * 4 * 4

@@ -414,10 +414,11 @@ _B_KP = MeterKeypair.generate(random.Random(903))
 
 
 def _walked_a9_ledger():
-    """A copy of the A9 ledger whose clean walk under the meter key is on record."""
+    """A copy of the A9 ledger whose clean walk under the meter key, with
+    its total, is on record."""
     ledger = FirmLedger("F2", list(_A9_LEDGER.entries))
     assert spot_check(ledger, _A9_KP.public_bytes, "F2", _A9_TOTAL) == ()
-    assert ledger.clean_walk == (_A9_KP.public_bytes, "F2", tuple(ledger.entries))
+    assert ledger.clean_walk == (_A9_KP.public_bytes, "F2", tuple(ledger.entries), _A9_TOTAL)
     return ledger
 
 
@@ -437,12 +438,13 @@ def _append_forged(entries, e, sign_key, firm_id="F2"):
         entries[-1].chain if entries else b"", reading.signing_bytes(), reading.signature)))
 
 
-def _verify_outcome(ledger, meter_pk):
+def _outcome(check, ledger, meter_pk):
+    """What ``check(ledger, meter_pk)`` returns, or the type and message of
+    what it raises."""
     try:
-        verify_ledger(ledger, meter_pk)
+        return check(ledger, meter_pk)
     except ValueError as exc:
         return type(exc), str(exc)
-    return None
 
 
 _MEMO_TAMPER = st.one_of(
@@ -485,13 +487,14 @@ def test_walk_with_recorded_heads_matches_a_fresh_walk(tampers):
         elif kind == "firm_id":
             ledger.firm_id = "F2-renamed"
         # After every tamper, and twice: a clean walk on record must not
-        # hide a failure from the next walk.
+        # hide a failure from the next walk, nor change the total it sums.
         fresh = FirmLedger(ledger.firm_id, list(ledger.entries))
         want = spot_check(fresh, meter_pk, "F2", _A9_TOTAL)
         for _ in range(2):
             assert spot_check(ledger, meter_pk, "F2", _A9_TOTAL) == want
-            assert _verify_outcome(ledger, meter_pk) == _verify_outcome(
-                FirmLedger(ledger.firm_id, list(ledger.entries)), meter_pk)
+            for check in (verify_ledger, aggregate):
+                assert _outcome(check, ledger, meter_pk) == _outcome(
+                    check, FirmLedger(ledger.firm_id, list(ledger.entries)), meter_pk)
 
 
 def test_heads_recorded_under_one_key_skip_nothing_under_another():
@@ -506,14 +509,14 @@ def test_heads_recorded_under_one_key_skip_nothing_under_another():
     theirs = FirmLedger("F2", [])
     _append_forged(theirs.entries, 5, _B_KP)
     assert list(walk_ledger(theirs, stranger)) == []
-    assert theirs.clean_walk == (stranger, "F2", tuple(theirs.entries))
+    assert theirs.clean_walk == (stranger, "F2", tuple(theirs.entries), 5)
     assert [f.kind for f in walk_ledger(theirs, _A9_KP.public_bytes)] == ["signature"]
     # The meter's entries under a record the stranger's key made: the record
     # names the stranger's key and other entries, so nothing is skipped.
     meter_entries, ledger.entries = ledger.entries, theirs.entries
     assert list(walk_ledger(ledger, stranger)) == []
     ledger.entries = meter_entries
-    assert ledger.clean_walk == (stranger, "F2", tuple(theirs.entries))
+    assert ledger.clean_walk == (stranger, "F2", tuple(theirs.entries), 5)
     assert spot_check(ledger, stranger, "F2", _A9_TOTAL) == failures
 
 
@@ -562,15 +565,15 @@ def test_repeat_walks_verify_only_signatures_not_yet_on_record(keypair, verified
         verified_messages.clear()
         assert list(walk_ledger(ledger, keypair.public_bytes))
         assert len(verified_messages) == 1
-    assert ledger.clean_walk == (keypair.public_bytes, "F1", tuple(ledger.entries[:6]))
+    assert ledger.clean_walk == (keypair.public_bytes, "F1", tuple(ledger.entries[:6]), 23)
 
 
 def test_recorded_heads_stay_out_of_equality_repr_and_loading(tmp_path, keypair):
-    nothing = (None, None, ())
+    nothing = (None, None, (), 0)
     ledger = _ledger(keypair, [1, 2])
     assert ledger.clean_walk == nothing  # append_reading records nothing
-    verify_ledger(ledger, keypair.public_bytes)
-    assert ledger.clean_walk == (keypair.public_bytes, "F1", tuple(ledger.entries))
+    assert verify_ledger(ledger, keypair.public_bytes) == 3
+    assert ledger.clean_walk == (keypair.public_bytes, "F1", tuple(ledger.entries), 3)
     fresh = FirmLedger("F1", list(ledger.entries))
     assert fresh == ledger and repr(fresh) == repr(ledger)
     assert "clean_walk" not in repr(ledger)
@@ -578,7 +581,7 @@ def test_recorded_heads_stay_out_of_equality_repr_and_loading(tmp_path, keypair)
     write_ledger(ledger, path)
     assert read_ledger(path).clean_walk == nothing
     with pytest.raises(TypeError):
-        FirmLedger("F1", [], clean_walk=(keypair.public_bytes, "F1", ()))
+        FirmLedger("F1", [], clean_walk=(keypair.public_bytes, "F1", (), 0))
 
 
 def test_a_repeat_walk_hashes_each_link_once_and_builds_no_signing_bytes(
@@ -611,6 +614,61 @@ def test_a_repeat_walk_hashes_each_link_once_and_builds_no_signing_bytes(
     verified_messages.clear()
     assert aggregate(ledger, keypair.public_bytes) == 31
     assert hashed == [] and verified_messages == []
+
+
+def test_repeat_checks_of_a_walked_ledger_check_and_sum_only_appended_entries(
+        keypair, monkeypatch):
+    """With a clean walk on record, spot_check and aggregate of the unchanged
+    ledger check no entry; after three appends, each checks just those three
+    and adds them to the recorded total."""
+    import emissions_audit.measurement as measurement
+
+    pk = keypair.public_bytes
+    checked, real_entry_failures = [], measurement._entry_failures
+    monkeypatch.setattr(measurement, "_entry_failures",
+                        lambda *a: checked.append(a[2]) or real_entry_failures(*a))
+    hours = _hours(8)
+    for check in ("spot_check", "aggregate"):
+        ledger = _ledger(keypair, [3, 1, 4, 1, 5])
+        assert aggregate(ledger, pk) == 14
+        checked.clear()
+        for _ in range(2):
+            assert spot_check(ledger, pk, "F1", 14) == () and aggregate(ledger, pk) == 14
+        assert checked == []
+        for hour, e in zip(hours[5:], (9, 2, 6)):
+            append_reading(ledger, keypair.sign_reading("F1", hour, e), pk)
+        checked.clear()
+        if check == "spot_check":
+            assert spot_check(ledger, pk, "F1", 14 + 9 + 2 + 6) == ()
+        else:
+            assert aggregate(ledger, pk) == 14 + 9 + 2 + 6
+        assert checked == [5, 6, 7]
+
+
+class _EqualToAnyEntry(LedgerEntry):
+    """An entry that claims to equal every other."""
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = LedgerEntry.__hash__
+
+
+def test_an_entry_equal_to_a_walked_one_is_still_checked():
+    """A recorded walk is matched by identity: an entry whose ``__eq__``
+    says it is the walked one, carrying a changed reading, is checked in
+    full and its failures are reported."""
+    ledger = _walked_a9_ledger()
+    old = ledger.entries[5]
+    ledger.entries[5] = _EqualToAnyEntry(
+        dataclasses.replace(old.reading, e=old.reading.e + 1), old.chain)
+    assert tuple(ledger.entries) == ledger.clean_walk[2]  # == would pass it
+    failures = spot_check(ledger, _A9_KP.public_bytes, "F2", _A9_TOTAL)
+    assert [f.kind for f in failures] == ["signature", "chain", "aggregation"]
+    assert failures == spot_check(FirmLedger("F2", list(ledger.entries)),
+                                  _A9_KP.public_bytes, "F2", _A9_TOTAL)
+    with pytest.raises(BadSignature):
+        aggregate(ledger, _A9_KP.public_bytes)
 
 
 # ---------------------------------------------------------------------------
