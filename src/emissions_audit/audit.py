@@ -197,6 +197,16 @@ def examine(pp: PublicParams, order, reports: dict, commitments: dict) -> Abort 
     return failure
 
 
+def country_sums(pp: PublicParams, openings) -> tuple[int, Scalar]:
+    """Step 4, the country's move after a clean examine: the integer sum
+    of the firms' claims and the scalar sum of their blindings, over
+    ``openings`` of (m, r)."""
+    m_sum, r_sum = 0, pp.group.scalar(0)
+    for m, r in openings:
+        m_sum, r_sum = m_sum + m, r_sum + r
+    return m_sum, r_sum
+
+
 def picked_check(pp: PublicParams, fid: str, commitments: dict, reveals: dict,
                  truths: dict, ledger: FirmLedger | None = None,
                  meter_pk: bytes | None = None) -> Abort | None:
@@ -234,7 +244,10 @@ def sum_check(pp: PublicParams, n: int, commitments, m_pub, r_pub) -> Abort | No
     published (m_pub, r_pub).
 
     The opening check works modulo q, so the published integer must also
-    sit in the only range n in-range reports can sum to.
+    sit in the only range n in-range reports can sum to.  Nothing here
+    bounds each commitment: a country that passes a colluding firm's
+    out-of-range opening at step 3 can lower the published total by any
+    amount, and only a spot check of that firm (probability k/n) names it.
     """
     if not is_int(m_pub) or m_pub < 0 or m_pub > n * (MAX_EMISSIONS_KG - 1):
         return Abort(7, ROLE_COUNTRY, COUNTRY_ID, "published total outside the admissible range")
@@ -436,12 +449,8 @@ class AuditSession:
         """Country broadcasts the integer total and the blinding total."""
         if abort := self._silent(Step.PUBLISH, COUNTRY_ID):
             return abort
-        pp = self.config.pp
-        m_sum = sum(m for m, _ in self.state.reports.values())
-        r_sum = pp.group.scalar(0)
-        for _, r in self.state.reports.values():
-            r_sum = r_sum + r
-        m_pub, r_pub = self.behaviors[COUNTRY_ID].publish(m_sum, r_sum)
+        m_pub, r_pub = self.behaviors[COUNTRY_ID].publish(
+            *country_sums(self.config.pp, self.state.reports.values()))
         self.state.published_m = m_pub
         self.state.published_r = r_pub
         self._emit(Step.PUBLISH, "sum", COUNTRY_ID,

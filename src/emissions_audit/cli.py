@@ -25,7 +25,7 @@ from . import __version__
 from . import harness as hz
 from . import measurement as ms
 from . import pick as pk
-from .audit import ConfigInvalid, examine, sum_check
+from .audit import ConfigInvalid, country_sums, examine, sum_check
 from .commitment import commit, is_int, params_from_dict, params_to_dict, setup
 from .groups import GroupError, group_by_name
 
@@ -205,25 +205,27 @@ def cmd_report(args) -> int:
         raise ConfigInvalid(f"{args.meter_key}: pk is not a 32-byte Ed25519 key")
     ledger = ms.read_ledger(args.ledger)
     rng = _secret_rng(args.seed, "report", ledger.firm_id, args.cycle)
-    report = ms.build_report(pp, ledger, meter_pk, args.cycle, rng)
+    total = ms.aggregate(ledger, meter_pk)
+    r = pp.group.random_scalar(rng)
+    c = commit(pp, pp.group.scalar(total), r)
     # The ledger is not JSON: read_ledger reads it, and its digest reads it again.
     prov = _provenance("report", pp=digests[args.pp], ledger=_file_digest(args.ledger))
     _write_json(args.out, {
         "format": "report/v1",
-        "firm_id": report.firm_id,
-        "cycle_id": report.cycle_id,
+        "firm_id": ledger.firm_id,
+        "cycle_id": args.cycle,
         # Uncompressed: every reader checks it without a square root.
-        "c": pp.group.encode_point(report.commitment, compressed=False).hex(),
+        "c": pp.group.encode_point(c, compressed=False).hex(),
         "provenance": prov,
     })
     _write_json(args.opening_out, {
         "format": "opening/v1",
-        "firm_id": report.firm_id,
-        "cycle_id": report.cycle_id,
-        "m": report.total_kg,
-        "r": pp.group.encode_scalar(report.r).hex(),
+        "firm_id": ledger.firm_id,
+        "cycle_id": args.cycle,
+        "m": total,
+        "r": pp.group.encode_scalar(r).hex(),
     })
-    _emit({"ok": True, "firm_id": report.firm_id, "out": args.out})
+    _emit({"ok": True, "firm_id": ledger.firm_id, "out": args.out})
     return 0
 
 
@@ -288,8 +290,8 @@ def cmd_aggregate(args) -> int:
                     {rep["firm_id"]: rep["c_point"] for rep in reports})
     if abort is not None:
         return _reject(3, abort.culprit_id, abort.reason)
-    m_total = sum(openings[fid]["m"] for fid in ids)
-    r_total = sum((openings[fid]["r_scalar"] for fid in ids), pp.group.scalar(0))
+    m_total, r_total = country_sums(pp, ((openings[fid]["m"], openings[fid]["r_scalar"])
+                                         for fid in ids))
     prov_inputs = {f"report_{r['firm_id']}": digests[p] for r, p in zip(reports, args.report)}
     _write_json(args.out, {
         "format": "sums/v1",

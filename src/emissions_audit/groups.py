@@ -683,14 +683,12 @@ class Secp256k1Group(Group):
         in lockstep: each row is one _batch_add over every pair with a
         nonzero digit there, so a row costs one inversion for all pairs.
         Without a table for both bases, or with a multiplier too wide for
-        the tables, the pairs go through mul2 one by one; so does a single
-        pair, since one tree pays an inversion per level where mul2's
-        Jacobian chain pays one in all.
+        the tables, the pairs go through mul2 one by one.
         """
         ks = [(_multiplier(a, _Q), _multiplier(b, _Q)) for a, b in pairs]
         tables = tables or (None, None)
         widest = max((max(pair) for pair in ks), default=0)
-        if None in tables or widest >> _TABLE_MULTIPLIER_BITS or len(ks) == 1:
+        if None in tables or widest >> _TABLE_MULTIPLIER_BITS:
             return [self.mul2(a, p1, b, p2, tables) for a, b in ks]
         if len(ks) < LOCKSTEP_MIN_PAIRS:
             return [_affine_point(xy) for xy in _batch_sums(

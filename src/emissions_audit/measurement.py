@@ -1,12 +1,14 @@
-"""Signed meter readings, tamper-evident ledgers, and committed reports.
+"""Signed meter readings and tamper-evident ledgers.
 
 A certified meter signs one reading per hour with Ed25519.  The firm keeps
 readings in an append-only ledger whose entries are linked by a SHA-256
 hash chain, so any after-the-fact edit breaks every later link.  At the end
-of a reporting cycle the firm aggregates the ledger into a total and wraps
-it in a commitment.  An auditor handed the ledger rechecks it against the
-total the commitment opens to (``spot_check``); opening the commitment is
-the auditor's own step (``audit.picked_check``).
+of a reporting cycle the firm takes its verified total from the ledger
+(``aggregate``); committing to that total is the firm's step-2 move, made
+by the engine (``audit.AuditSession.step2_reports``) and by ``cli report``.
+An auditor handed the ledger rechecks it against the total the commitment
+opens to (``spot_check``); opening the commitment is the auditor's own step
+(``audit.picked_check``).
 
 Canonical signing bytes for a reading are::
 
@@ -42,8 +44,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .commitment import MAX_EMISSIONS_KG, PublicParams, check_range, commit, is_int
-from .groups import Scalar
+from .commitment import MAX_EMISSIONS_KG, check_range, is_int
 
 SIGNING_CONTEXT = b"meter-reading/v1"
 
@@ -329,32 +330,6 @@ def aggregate(ledger: FirmLedger, meter_pk: bytes) -> int:
     total = verify_ledger(ledger, meter_pk)
     check_range(total)
     return total
-
-
-@dataclass(frozen=True)
-class FirmReport:
-    """What a firm submits for one cycle: a commitment plus its opening."""
-
-    firm_id: str
-    cycle_id: str
-    total_kg: int
-    r: Scalar
-    commitment: object
-
-
-def build_report(
-    pp: PublicParams,
-    ledger: FirmLedger,
-    meter_pk: bytes,
-    cycle_id: str,
-    rng: random.Random,
-) -> FirmReport:
-    total = aggregate(ledger, meter_pk)
-    r = pp.group.random_scalar(rng)
-    c = commit(pp, pp.group.scalar(total), r)
-    return FirmReport(
-        firm_id=ledger.firm_id, cycle_id=cycle_id, total_kg=total, r=r, commitment=c
-    )
 
 
 def spot_check(ledger: FirmLedger, meter_pk: bytes, firm_id: str,

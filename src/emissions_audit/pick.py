@@ -74,22 +74,8 @@ def derive_index(m_c: int, m_v: int, l: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# One round: a party's commitment, and the round rule.
+# The round rule.
 # ---------------------------------------------------------------------------
-
-
-def round_commit(l: int, pp: PublicParams, rng: random.Random):
-    """Party-local half of the commit phase: draw, blind, commit.
-
-    Returns (m, r, c) with m uniform over [0, l); the caller keeps (m, r)
-    private and sends c to the peer.
-    """
-    if l <= 0:
-        raise PickError(f"list length must be positive, got {l}")
-    m = rng.randrange(l)
-    r = pp.group.random_scalar(rng)
-    c = commit(pp, pp.group.scalar(m), r)
-    return m, r, c
 
 
 class PickFold:
@@ -211,6 +197,25 @@ class PickStrategy:
 _HONEST = PickStrategy()
 
 
+def round_commit(l: int, pp: PublicParams, rng: random.Random,
+                 strategy: PickStrategy = _HONEST, round_index: int = 0,
+                 peer_commitment=None):
+    """A party's move in the commit phase of round ``round_index``: draw,
+    blind, commit, all from the party's ``rng``, the draw first.
+
+    Returns (m, r, c): the strategy's draw m (an honest one is uniform over
+    [0, l)), a fresh blinding r and c, the commitment to m under ``pp``.
+    A rushing strategy derives m from the encoding of ``peer_commitment``,
+    the peer's point.  The caller keeps (m, r) private and sends c.
+    """
+    if l <= 0:
+        raise PickError(f"list length must be positive, got {l}")
+    peer = pp.group.encode_point(peer_commitment) if strategy.sees_peer_commitment else None
+    m = strategy.choose(l, round_index, rng, peer_commitment=peer)
+    r = pp.group.random_scalar(rng)
+    return m, r, commit(pp, pp.group.scalar(m), r)
+
+
 # ---------------------------------------------------------------------------
 # Full selection engine.
 # ---------------------------------------------------------------------------
@@ -285,16 +290,12 @@ def run_pick(
         if fold.faulted is None:
             blind, chosen = {}, {}  # party -> its blinding and its chosen draw
             for party in order:
-                peer_c = fold.commits.get(other(party))
-                peer_enc = pp.group.encode_point(peer_c) if peer_c is not None else None
-                base = fold.bases[party]
-                chosen[party] = strategies[party].choose(l, j, party_rng[party],
-                                                         peer_commitment=peer_enc)
-                blind[party] = base.group.random_scalar(party_rng[party])
-                c = commit(base, base.group.scalar(chosen[party]), blind[party])
+                chosen[party], blind[party], c = round_commit(
+                    l, fold.bases[party], party_rng[party], strategies[party], j,
+                    fold.commits.get(other(party)))
                 fold.commit(party, c)
                 if recorder is not None:
-                    recorder("pick_commit", j, party, {"c": base.group.encode_point(c).hex()})
+                    recorder("pick_commit", j, party, {"c": pp.group.encode_point(c).hex()})
 
             # Each reveal is checked as it lands.
             for party in PARTIES:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from emissions_audit.audit import (
+    Abort,
     AuditSession,
     ConfigInvalid,
     COUNTRY_ID,
@@ -22,10 +23,13 @@ from emissions_audit.audit import (
     SessionConfig,
     Step,
     VERIFIER_ID,
+    country_sums,
     env_setup,
+    examine,
+    sum_check,
     true_total,
 )
-from emissions_audit.commitment import MAX_EMISSIONS_KG, setup
+from emissions_audit.commitment import MAX_EMISSIONS_KG, commit, setup
 from emissions_audit.groups import toy_group, production_group
 from emissions_audit.measurement import FirmLedger, MeterKeypair, append_reading, parse_hour
 
@@ -264,6 +268,24 @@ def test_published_sum_above_range_bound_aborts_step7(pp):
     verdict = _run(config, behaviors={COUNTRY_ID: _Wrapper()})
     assert verdict.abort.step == Step.SUM_CHECK
     assert "range" in verdict.abort.reason
+
+
+def test_step7_passes_a_total_lowered_by_an_out_of_range_opening():
+    """The gap step 7 leaves: a country that passes a colluding firm's
+    out-of-range opening publishes a national total lowered by any amount,
+    and the sum check accepts it; only examine, the country's own step,
+    would have named the firm."""
+    pp = setup(production_group(), "hash_derived")
+    rng = random.Random(9)
+    claims = {"F1": 5_000_000, "F2": 4_000_000, "F3": 6_000_000,
+              "F4": 9_000_000 - 20_000_000}  # true totals sum to 24 000 000
+    openings = {fid: (m, pp.group.random_scalar(rng)) for fid, m in claims.items()}
+    commitments = {fid: commit(pp, pp.group.scalar(m), r) for fid, (m, r) in openings.items()}
+    m_pub, r_pub = country_sums(pp, openings.values())
+    assert m_pub == 4_000_000
+    assert sum_check(pp, 4, commitments.values(), m_pub, r_pub) is None
+    assert examine(pp, list(claims), openings, commitments) == Abort(
+        3, ROLE_FIRM, "F4", "reported total -11000000 out of range")
 
 
 def test_silent_country_aborts_with_attribution(pp):

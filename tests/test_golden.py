@@ -1,4 +1,4 @@
-"""Pinned transcripts: digests and verdicts under fixed seeds.
+"""Pinned transcripts and CLI files: digests and verdicts under fixed seeds.
 
 The curve arithmetic may change how a commitment is computed, never which
 point comes out, and the transcript encoder may change how bytes are
@@ -7,7 +7,9 @@ stay the same.  The abstract secp256k1 sessions have n >= BATCH_MIN_ITEMS,
 so their examine step takes the batch path; the toy-group pins cover every
 builtin scenario plus a joint pick that ends in a pick fault.  Every
 pinned transcript, read back from its bytes, also passes the independent
-audit, whose replay reaches the pinned verdict.
+audit, whose replay reaches the pinned verdict.  The CLI pins cover the
+files that ``report``, ``aggregate`` and ``pick-commit`` write under
+``--seed``, byte for byte.
 """
 
 import random
@@ -208,3 +210,64 @@ def test_pinned_transcript_replays_to_its_verdict(pp, group, case, seed, verdict
     # The pinned silences and pick faults are recorded as events, so even
     # these behavioral aborts replay to the pinned line.
     assert _replay_line(report["replayed"]) == verdict
+
+
+# The CLI's files under --seed, from one toy cycle: two firms ingest and
+# report, the country aggregates, and each pick party commits.
+CLI_GOLDEN = {
+    "F1.report.json":
+        "1a062305070f3268da822e1ebb89ce37a842fd13f52455a8f5495037f1458a9d",
+    "F1.opening.json":
+        "16ee3d6a2cdd3b24d2bc725c83988ae382923a9f4c767cdc18a970cc6d2ff40e",
+    "F2.report.json":
+        "1352cbe029fe6128604cfe23c16e5ec944f5456c102fef0eec4a0dbd53fdafc6",
+    "F2.opening.json":
+        "9145825253d4f99938c9ddb88f041b42f5739fee1f315a75c0ac9a8fc8017137",
+    "sums.json":
+        "a6f2f14ad3b1344225d803d196ad545ccce6299e36b60baf742bbbdba3e89704",
+    "country.commit.json":
+        "8b21b6fb9276b29aa8c8aae42a5b15aa11b0910663691cff3fe95cb65a7162ac",
+    "country.state.json":
+        "b660ab0ec33f5616106ba86d3f2c494628b3a272c4b0c336e0b0a842c16540ce",
+    "verifier.commit.json":
+        "be9bd09ca9e0d78b3d82bef07bec4e18fcfcd65c8d0fbde56deb8ed139686621",
+    "verifier.state.json":
+        "22ac9bd49fa551739d0dcb2cad0078fa204fd05832bd819205dba0d48f27d476",
+}
+
+
+def _cli_cycle(ws):
+    from emissions_audit.cli import main
+
+    def cli(*argv):
+        assert main([str(a) for a in argv]) == 0
+
+    pp = ws / "pp.json"
+    cli("setup", "--group", "toy", "--mode", "hash", "--out", pp)
+    aggregate = ["aggregate", "--pp", pp, "--out", ws / "sums.json"]
+    for i, base in ((1, 40), (2, 75)):
+        fid = f"F{i}"
+        csv = ws / f"{fid}.csv"
+        csv.write_text("hour,e\n" + "".join(
+            f"2026-04-01T{h:02d}:00:00Z,{base + h}\n" for h in range(6)))
+        cli("ingest", "--firm-id", fid, "--readings", csv, "--ledger", ws / f"{fid}.jsonl",
+            "--meter-key", ws / f"{fid}.key.json", "--seed", 10 + i)
+        cli("report", "--pp", pp, "--ledger", ws / f"{fid}.jsonl",
+            "--meter-key", ws / f"{fid}.key.json", "--cycle", "cy-1", "--seed", 100 + i,
+            "--out", ws / f"{fid}.report.json", "--opening-out", ws / f"{fid}.opening.json")
+        aggregate += ["--report", ws / f"{fid}.report.json",
+                      "--opening", ws / f"{fid}.opening.json"]
+    cli(*aggregate)
+    for party, seed in (("country", 21), ("verifier", 22)):
+        cli("pick-commit", "--pp", pp, "--party", party, "--l", 7, "--round", 1,
+            "--seed", seed, "--state", ws / f"{party}.state.json",
+            "--out", ws / f"{party}.commit.json")
+
+
+def test_cli_files_under_a_seed_are_pinned(tmp_path, capsys):
+    import hashlib
+
+    _cli_cycle(tmp_path)
+    capsys.readouterr()
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in CLI_GOLDEN} == CLI_GOLDEN

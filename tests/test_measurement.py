@@ -11,7 +11,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emissions_audit.commitment import MAX_EMISSIONS_KG, setup, verify_opening
+from emissions_audit.commitment import MAX_EMISSIONS_KG, commit, setup, verify_opening
 from emissions_audit.groups import toy_group
 from emissions_audit.measurement import (
     BadSignature,
@@ -28,7 +28,6 @@ from emissions_audit.measurement import (
     NonMonotonicHour,
     aggregate,
     append_reading,
-    build_report,
     chain_head,
     entry_from_dict,
     entry_to_dict,
@@ -242,13 +241,16 @@ def test_aggregate_is_order_insensitive_in_value(keypair):
 # ---------------------------------------------------------------------------
 
 
-def test_build_report_commits_to_ledger_total(keypair):
+def test_report_commits_to_the_aggregated_ledger_total(keypair):
+    """The firm's report: the ledger's verified total, then a commitment to
+    it under a fresh blinding, which the spot check accepts."""
     pp = setup(toy_group(), "hash_derived")
     ledger = _ledger(keypair, [10, 20, 30])
-    report = build_report(pp, ledger, keypair.public_bytes, "cy-1", random.Random(25))
-    assert report.total_kg == 60
-    assert verify_opening(pp, report.commitment, pp.group.scalar(report.total_kg), report.r)
-    assert spot_check(ledger, keypair.public_bytes, "F1", report.total_kg) == ()
+    total = aggregate(ledger, keypair.public_bytes)
+    r = pp.group.random_scalar(random.Random(25))
+    assert total == 60
+    assert verify_opening(pp, commit(pp, pp.group.scalar(total), r), pp.group.scalar(60), r)
+    assert spot_check(ledger, keypair.public_bytes, "F1", total) == ()
 
 
 def test_spot_check_names_the_failure_kind(keypair):

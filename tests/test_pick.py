@@ -92,6 +92,20 @@ def test_round_commit_blinds_with_fresh_randomness(pp):
     assert len(seen) > 40  # blinding varies even when the draw repeats
 
 
+@pytest.mark.parametrize("draw", ["zero", "max", "peer_seeded", (4, 1, 5)])
+def test_round_commit_commits_to_the_strategy_draw(pp, draw):
+    """A dishonest strategy's draw for the round, committed under the
+    returned blinding, which is the party rng's first scalar: no draw of
+    these strategies reads the rng."""
+    peer = round_commit(7, pp, random.Random(35))[2]
+    enc = pp.group.encode_point(peer)
+    want = {"zero": 0, "max": 6, "peer_seeded": (enc[0] + 31 * sum(enc) + 2) % 7}
+    m, r, c = round_commit(7, pp, random.Random(36), PickStrategy(draw), 2, peer)
+    assert m == want.get(draw, 5)
+    assert r == pp.group.random_scalar(random.Random(36))
+    assert verify_opening(pp, c, pp.group.scalar(m), r)
+
+
 def _reveal(l, c, m, r, pp):
     """``PickFold.reveal`` of the country's (m, r) against commitment c, in a
     round over l candidates."""
