@@ -215,9 +215,12 @@ class UnknownParticipant(ValueError):
 @dataclass(slots=True)
 class Event:
     """One recorded message.  Its payload is kept as canonical JSON bytes,
-    encoded once, when the event is recorded or parsed: ``digest`` is taken
-    over them, ``payload`` decodes a fresh dict from them on each read, and
-    ``to_json`` inserts them into the event's line as they are."""
+    encoded once, when the event is recorded or parsed: ``payload`` decodes
+    a fresh dict from them on each read, and ``to_json`` inserts them into
+    the event's line as they are.  ``digest`` is their SHA-256, derived on
+    each read unless given (parsed from a file, or assigned): only a given
+    digest can disagree with the bytes, so ``routing_violations`` rechecks
+    only those."""
 
     seq: int
     step: int
@@ -226,7 +229,17 @@ class Event:
     channel: str  # "broadcast" | "private"
     recipient: str | None
     payload_json: bytes
-    digest: str
+    given_digest: str | None = None
+
+    @property
+    def digest(self) -> str:
+        if self.given_digest is not None:
+            return self.given_digest
+        return hashlib.sha256(self.payload_json).hexdigest()
+
+    @digest.setter
+    def digest(self, value: str):
+        self.given_digest = value
 
     @property
     def payload(self) -> dict:
@@ -263,10 +276,10 @@ class Transcript:
         self.verdict: dict | None = None
 
     def record(self, *, step, kind, sender, channel, recipient, payload):
-        """Append an event; a later change to ``payload`` does not reach it."""
-        payload_json = canonical_json(payload)
+        """Append an event; a later change to ``payload`` does not reach it.
+        The payload is hashed only when the event's ``digest`` is read."""
         self.events.append(Event(len(self.events), step, kind, sender, channel, recipient,
-                                 payload_json, hashlib.sha256(payload_json).hexdigest()))
+                                 canonical_json(payload)))
 
     def seen_by(self, viewers, kinds=None) -> list[tuple[str, Event]]:
         """(viewer, event) for each event (of ``kinds``, if given) in each view,
@@ -421,7 +434,8 @@ def run_trials(
     """N independent sessions with derived per-trial seeds.
 
     With structural_checks on (the default), every trial records a
-    transcript and the routing invariant is asserted on it.  In integrated
+    transcript and the routing invariant is asserted on it; its events'
+    digests are derived, so neither step hashes a payload.  In integrated
     mode the trials share the config's ledgers, so their step-6 walks find
     the config's clean walk on record: each compares the entries once, by
     identity, and takes the recorded total, verifying no signature and
@@ -531,7 +545,9 @@ def _addressed_firm(ev: Event):
 
 
 def routing_violations(transcript: Transcript) -> list[str]:
-    """No private-lane message may be addressed outside its lane."""
+    """No private-lane message may be addressed outside its lane, and each
+    given digest (parsed or assigned) must be its payload's.  A recorded
+    event's digest is derived from its payload, so it is not rehashed."""
     out = _header_violations(transcript.header)
     last_seq = -1
     last_step = 0
@@ -542,7 +558,8 @@ def routing_violations(transcript: Transcript) -> list[str]:
         if ev.step < last_step:
             out.append(f"step went backwards at seq {ev.seq}")
         last_step = max(last_step, ev.step)
-        if ev.digest != hashlib.sha256(ev.payload_json).hexdigest():
+        if (ev.given_digest is not None
+                and ev.given_digest != hashlib.sha256(ev.payload_json).hexdigest()):
             out.append(f"payload digest mismatch at seq {ev.seq}")
         if ev.kind in PRIVATE_KINDS:
             if ev.channel != "private" or ev.recipient is None:
@@ -870,8 +887,8 @@ def parse_transcript(data: bytes) -> Transcript:
                 if isinstance(obj[name], bool) or not isinstance(obj[name], kind)]
             if bad:
                 raise TranscriptFormatError(f"line {line_no}: bad event fields {bad}")
-            payload_json = canonical_json(obj.pop("payload"))
-            events.append(Event(**obj, payload_json=payload_json))
+            payload_json, given_digest = canonical_json(obj.pop("payload")), obj.pop("digest")
+            events.append(Event(**obj, payload_json=payload_json, given_digest=given_digest))
     if not isinstance(header, dict):
         raise TranscriptFormatError("transcript has no header object")
     if verdict is not None and not isinstance(verdict, dict):

@@ -849,6 +849,28 @@ def test_simulate_scenario_file_and_transcript_audit(capsys, ws):
     assert code == 1 and not report["ok"]
 
 
+@pytest.mark.parametrize("kind, field", [("report", "m"), ("commitment", "c"),
+                                         ("pick_reveal", "m")])
+def test_transcript_audit_rechecks_a_payload_edited_under_its_digest(capsys, ws, kind, field):
+    scenario = ws / "sc.json"
+    scenario.write_text(json.dumps({
+        "group": "toy", "n": 3, "k": 2, "pick_mode": "joint", "trials": 1, "seed": 5,
+        "adversary": {"corrupted": [], "behaviors": {}},
+    }))
+    t = ws / "t.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--transcript", str(t))
+    assert code == 0
+    lines = [json.loads(line) for line in t.read_text().splitlines()]
+    edited = next(obj for obj in lines if obj.get("kind") == kind)
+    value = edited["payload"][field]
+    edited["payload"][field] = value + 1 if isinstance(value, int) else value[::-1]
+    assert edited["payload"][field] != value
+    t.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    code, report, _ = run_cli(capsys, "transcript-audit", "--transcript", str(t))
+    assert code == 1 and not report["ok"]
+    assert f"payload digest mismatch at seq {edited['seq']}" in report["violations"]
+
+
 def test_simulate_unknown_scenario(capsys, ws):
     code, _, err = run_cli(capsys, "simulate", "--scenario", "mystery-meat")
     assert code == 2 and err["error"] == "ConfigInvalid"

@@ -1,6 +1,7 @@
 """Simulation harness: determinism, views, checkers, scenarios, replay."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -598,6 +599,63 @@ def test_a_payload_changed_after_record_leaves_the_event_as_recorded():
     assert ev.payload == {"firm": "F1", "m": 10, "hours": [1, 2]}
     assert (ev.digest, transcript.to_jsonl()) == recorded
     assert routing_violations(transcript) == []
+
+
+def _payload_edited(blob, kind, field):
+    """The JSONL with the first ``kind`` event's payload ``field`` changed and
+    its recorded digest left as it was, and that event's seq."""
+    lines = [json.loads(line) for line in blob.splitlines()]
+    obj = next(obj for obj in lines if obj.get("kind") == kind)
+    value = obj["payload"][field]
+    obj["payload"][field] = value + 1 if isinstance(value, int) else value[::-1]
+    assert obj["payload"][field] != value
+    return b"\n".join(canonical_json(obj) for obj in lines) + b"\n", obj["seq"]
+
+
+@pytest.mark.parametrize("kind, field", [("report", "m"), ("commitment", "c"),
+                                         ("pick_reveal", "m")])
+def test_routing_flags_a_payload_edited_under_its_recorded_digest(pp, kind, field):
+    """A parsed event's digest is the file's: it is rechecked against the
+    payload, and an edited payload no longer matches it."""
+    config = _config(pp, [10, 20, 30], k=2, pick_mode="joint")
+    edited, seq = _payload_edited(run_session(config, seed=3).transcript.to_jsonl(), kind, field)
+    assert routing_violations(parse_transcript(edited)) == [
+        f"payload digest mismatch at seq {seq}"]
+
+
+@pytest.fixture(scope="module", params=["toy", "secp256k1"])
+def either_pp(request, pp):
+    return pp if request.param == "toy" else setup(production_group(), "hash_derived")
+
+
+def test_a_recorded_digest_is_derived_and_a_parsed_one_given(either_pp):
+    transcript = run_session(_config(either_pp, [10, 20, 30], k=2, pick_mode="joint"),
+                             seed=3).transcript
+    for ev in transcript.events:
+        assert ev.digest == hashlib.sha256(ev.payload_json).hexdigest()
+    parsed = parse_transcript(transcript.to_jsonl())
+    assert [ev.digest for ev in parsed.events] == [ev.digest for ev in transcript.events]
+    assert routing_violations(parsed) == []
+
+    other = canonical_json({"firm": "F1", "m": 11})
+    recorded = dataclasses.replace(transcript.events[1], payload_json=other)
+    assert recorded.digest == hashlib.sha256(other).hexdigest()
+    given = dataclasses.replace(parsed.events[1], payload_json=other)
+    assert given.digest == parsed.events[1].digest != hashlib.sha256(other).hexdigest()
+    parsed.events[1] = given
+    assert routing_violations(parsed) == ["payload digest mismatch at seq 1"]
+
+
+def test_recording_and_routing_hash_no_payload(pp):
+    """The sha256 calls of a recorded session and its routing check do not
+    grow with the number of events."""
+    calls = []
+    for n in (3, 30):
+        config = _config(pp, list(range(n)), k=2)
+        with mock.patch.object(harness.hashlib, "sha256", wraps=harness.hashlib.sha256) as sha:
+            routing_violations(run_session(config, seed=4, record=True).transcript)
+        calls.append(sha.call_count)
+    assert calls[0] == calls[1]
 
 
 _PAYLOADS = st.dictionaries(st.text(), _JSON_VALUES, max_size=5)
