@@ -375,6 +375,7 @@ class AuditSession:
     # -- plumbing -----------------------------------------------------------
 
     def _emit(self, step, kind, sender, payload, recipient=None):
+        # A payload that takes encoding to build is built only when recording.
         if self.recorder is not None:
             self.recorder(
                 step=int(step),
@@ -404,7 +405,8 @@ class AuditSession:
     def step1_setup(self) -> None:
         """Environment broadcasts pp and hands each firm its true total."""
         self.state.env = env_setup(self.config, self.rng)
-        self._emit(Step.SETUP, "pp", ENV_ID, params_to_dict(self.config.pp))
+        if self.recorder is not None:
+            self._emit(Step.SETUP, "pp", ENV_ID, params_to_dict(self.config.pp))
         for fid in self.config.roster:
             self._emit(
                 Step.SETUP, "assign_m", ENV_ID,
@@ -433,11 +435,12 @@ class AuditSession:
             self._firm_blindings[fid] = r
             self.state.commitments[fid] = c
             self.state.reports[fid] = (claim, r)
-            self._emit(Step.REPORT, "commitment", fid,
-                       {"firm": fid, "c": self._hex_point(c)})
-            self._emit(Step.REPORT, "report", fid,
-                       {"firm": fid, "m": claim, "r": self._hex_scalar(r)},
-                       recipient=COUNTRY_ID)
+            if self.recorder is not None:
+                self._emit(Step.REPORT, "commitment", fid,
+                           {"firm": fid, "c": self._hex_point(c)})
+                self._emit(Step.REPORT, "report", fid,
+                           {"firm": fid, "m": claim, "r": self._hex_scalar(r)},
+                           recipient=COUNTRY_ID)
 
     def step3_examine(self) -> Abort | None:
         """Country checks every firm's opening and range (see ``examine``)."""
@@ -453,8 +456,9 @@ class AuditSession:
             *country_sums(self.config.pp, self.state.reports.values()))
         self.state.published_m = m_pub
         self.state.published_r = r_pub
-        self._emit(Step.PUBLISH, "sum", COUNTRY_ID,
-                   {"m": m_pub, "r": self._hex_scalar(r_pub)})
+        if self.recorder is not None:
+            self._emit(Step.PUBLISH, "sum", COUNTRY_ID,
+                       {"m": m_pub, "r": self._hex_scalar(r_pub)})
         return None
 
     def step5_reveal(self) -> Abort | None:
@@ -475,7 +479,7 @@ class AuditSession:
                 strategies=strategies,
                 base_mode=self.config.pick_base_mode,
                 on_fault=self.config.pick_fault_policy,
-                recorder=self._pick_recorder,
+                recorder=self._pick_recorder if self.recorder is not None else None,
             )
             if outcome.picked is None:
                 fault = outcome.fault
@@ -494,9 +498,10 @@ class AuditSession:
             if fid in self._firm_blindings and not behavior.silent_at(5):
                 r_fwd = behavior.reveal_blinding(self._firm_blindings[fid])
                 self.state.verifier_blindings[fid] = r_fwd
-                self._emit(Step.REVEAL, "reveal_opening", fid,
-                           {"firm": fid, "r": self._hex_scalar(r_fwd)},
-                           recipient=VERIFIER_ID)
+                if self.recorder is not None:
+                    self._emit(Step.REVEAL, "reveal_opening", fid,
+                               {"firm": fid, "r": self._hex_scalar(r_fwd)},
+                               recipient=VERIFIER_ID)
             if self.config.data_mode == "integrated":
                 spec = self.config.firm_by_id[fid]
                 self.state.verifier_ledgers[fid] = spec.ledger

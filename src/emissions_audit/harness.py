@@ -55,9 +55,10 @@ from .groups import group_by_name
 # canonical_json gives the bytes of json.dumps(obj, sort_keys=True,
 # separators=(",", ":")) from one encoder built here: json.dumps builds a new
 # one per call, which costs more than encoding a small payload, and every
-# recorded or parsed event encodes its payload once.  The encoder keeps no
-# circular-reference markers, so it holds no state between calls; a cyclic
-# object raises RecursionError instead of ValueError.
+# parsed event, and every recorded one when first read, encodes its payload
+# once.  The encoder keeps no circular-reference markers, so it holds no
+# state between calls; a cyclic object raises RecursionError instead of
+# ValueError.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 if c_make_encoder is None:
     def canonical_json(obj) -> bytes:
@@ -212,15 +213,42 @@ class UnknownParticipant(ValueError):
     """A view was asked for an id that never took part in the session."""
 
 
+# Payload values ``Transcript.record`` keeps as they are: immutable, and
+# encoded later exactly as they would be now.
+_JSON_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_copy(obj):
+    """A copy at any depth of a dict or list ``obj``, whose canonical JSON is
+    ``obj``'s; ``TypeError`` unless ``obj`` holds only dicts with str keys,
+    lists and ``_JSON_ATOMS``."""
+    t = type(obj)
+    if t is dict:
+        out = obj.copy()
+        for k, v in out.items():
+            if type(k) is not str:
+                raise TypeError(k)
+            if type(v) not in _JSON_ATOMS:
+                out[k] = _json_copy(v)
+        return out
+    if t is list:
+        return [v if type(v) in _JSON_ATOMS else _json_copy(v) for v in obj]
+    raise TypeError(obj)
+
+
 @dataclass(slots=True)
 class Event:
     """One recorded message.  Its payload is kept as canonical JSON bytes,
-    encoded once, when the event is recorded or parsed: ``payload`` decodes
-    a fresh dict from them on each read, and ``to_json`` inserts them into
-    the event's line as they are.  ``digest`` is their SHA-256, derived on
-    each read unless given (parsed from a file, or assigned): only a given
-    digest can disagree with the bytes, so ``routing_violations`` rechecks
-    only those."""
+    ``payload_json``, encoded once: a parsed event keeps the file's, and a
+    recorded event keeps ``recorded_payload``, a copy taken at record, and
+    encodes it when ``payload_json`` is first read (the copy is then
+    dropped).  ``payload`` decodes a fresh dict from the bytes on each read,
+    and ``to_json`` inserts them into the event's line as they are.
+    ``digest`` is their SHA-256, derived on each read unless given (parsed
+    from a file, or assigned): only a given digest can disagree with the
+    bytes, so ``routing_violations`` rechecks only those.  To change a
+    recorded event's payload, build a new event with ``dataclasses.replace``,
+    which keeps no copy."""
 
     seq: int
     step: int
@@ -230,6 +258,17 @@ class Event:
     recipient: str | None
     payload_json: bytes
     given_digest: str | None = None
+    recorded_payload: dict | list | None = field(default=None, init=False, repr=False,
+                                                 compare=False)
+
+    def __getattr__(self, name):
+        # Called only when normal lookup fails: for payload_json, a slot left
+        # unset by record until its copy is encoded.
+        if name != "payload_json" or self.recorded_payload is None:
+            raise AttributeError(name)
+        self.payload_json = data = canonical_json(self.recorded_payload)
+        self.recorded_payload = None
+        return data
 
     @property
     def digest(self) -> str:
@@ -277,9 +316,21 @@ class Transcript:
 
     def record(self, *, step, kind, sender, channel, recipient, payload):
         """Append an event; a later change to ``payload`` does not reach it.
-        The payload is hashed only when the event's ``digest`` is read."""
-        self.events.append(Event(len(self.events), step, kind, sender, channel, recipient,
-                                 canonical_json(payload)))
+        A dict or list payload of JSON types with str keys is copied at any
+        depth and encoded only when the event's bytes are first read; any
+        other is encoded now, so one that canonical JSON refuses raises here."""
+        try:
+            copy = _json_copy(payload)
+        except TypeError:
+            copy = None
+        # Built without __init__, so that payload_json stays unset until read.
+        ev = object.__new__(Event)
+        ev.seq, ev.step, ev.kind, ev.sender = len(self.events), step, kind, sender
+        ev.channel, ev.recipient, ev.given_digest = channel, recipient, None
+        ev.recorded_payload = copy
+        if copy is None:
+            ev.payload_json = canonical_json(payload)
+        self.events.append(ev)
 
     def seen_by(self, viewers, kinds=None) -> list[tuple[str, Event]]:
         """(viewer, event) for each event (of ``kinds``, if given) in each view,
@@ -337,7 +388,9 @@ def config_digest(header: dict) -> str:
     return digest_of({name: header.get(name) for name in CONFIG_FIELDS})
 
 
-def _transcript_header(config: SessionConfig, adversary: AdversarySpec, seed: int) -> dict:
+def _config_header(config: SessionConfig, adversary: AdversarySpec) -> dict:
+    """A transcript header with its ``seed`` left None: every field but the
+    seed depends on the config and the adversary alone."""
     structure = dict(zip(CONFIG_FIELDS, (
         list(config.roster), config.k, config.data_mode, config.pick_mode, config.cycle_id,
         config.pp.group.descriptor.name)))
@@ -345,11 +398,31 @@ def _transcript_header(config: SessionConfig, adversary: AdversarySpec, seed: in
         "format": "transcript/v1",
         "participants": [ENV_ID, COUNTRY_ID, VERIFIER_ID, *config.roster],
         "corrupted": sorted(adversary.corrupted),
-        "seed": seed,
+        "seed": None,
         "pp": params_to_dict(config.pp),
         "config_digest": config_digest(structure),
         **structure,
     }
+
+
+def _run_wired(config: SessionConfig, behaviors: dict, header: dict | None,
+               seed: int) -> SessionResult:
+    """One session of wired ``behaviors``, recorded under a copy of a
+    ``_config_header`` with ``seed`` set, if one is given."""
+    transcript = None
+    if header is not None:
+        # Its values are atoms, lists of ids and the pp dict of atoms, so no
+        # two transcripts share a mutable object.
+        header = {name: value.copy() if isinstance(value, (list, dict)) else value
+                  for name, value in header.items()}
+        header["seed"] = seed
+        transcript = Transcript(header)
+    session = AuditSession(config, random.Random(seed), behaviors,
+                           recorder=transcript.record if transcript is not None else None)
+    verdict = session.run()
+    if transcript is not None:
+        transcript.verdict = verdict_to_dict(verdict)
+    return SessionResult(verdict=verdict, transcript=transcript)
 
 
 def run_session(
@@ -360,13 +433,8 @@ def run_session(
 ) -> SessionResult:
     """One deterministic session under the given adversary and seed."""
     behaviors = _wire(config, adversary)
-    transcript = Transcript(_transcript_header(config, adversary, seed)) if record else None
-    session = AuditSession(config, random.Random(seed), behaviors,
-                           recorder=transcript.record if transcript is not None else None)
-    verdict = session.run()
-    if transcript is not None:
-        transcript.verdict = verdict_to_dict(verdict)
-    return SessionResult(verdict=verdict, transcript=transcript)
+    header = _config_header(config, adversary) if record else None
+    return _run_wired(config, behaviors, header, seed)
 
 
 @dataclass
@@ -433,23 +501,24 @@ def run_trials(
 ) -> TrialStats:
     """N independent sessions with derived per-trial seeds.
 
+    The behaviors are wired, and the header's per-config part built, once
+    per call; each trial records under a fresh copy with its own seed.
     With structural_checks on (the default), every trial records a
-    transcript and the routing invariant is asserted on it; its events'
-    digests are derived, so neither step hashes a payload.  In integrated
-    mode the trials share the config's ledgers, so their step-6 walks find
-    the config's clean walk on record: each compares the entries once, by
-    identity, and takes the recorded total, verifying no signature and
-    summing no reading.
+    transcript and the routing invariant is asserted on it; recording
+    copies each payload and routing reads the copies, so neither step
+    encodes or hashes a payload.  In integrated mode the trials share the
+    config's ledgers, so their step-6 walks find the config's clean walk on
+    record: each compares the entries once, by identity, and takes the
+    recorded total, verifying no signature and summing no reading.
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
     stats = TrialStats()
     truth = true_total(config)
+    behaviors = _wire(config, adversary)
+    header = _config_header(config, adversary) if structural_checks else None
     for i in range(trials):
-        result = run_session(
-            config, adversary, seed=derive_seed(seed, "trial", i),
-            record=structural_checks,
-        )
+        result = _run_wired(config, behaviors, header, derive_seed(seed, "trial", i))
         if structural_checks:
             violations = routing_violations(result.transcript)
             if violations:
@@ -535,19 +604,20 @@ def _header_violations(header: dict) -> list[str]:
 
 
 def _addressed_firm(ev: Event):
-    """The payload's ``firm``.  Canonical JSON sorts keys, so a payload that
-    starts with ``{"firm":``, the recipient's canonical JSON and then ``,``
-    or ``}`` names the recipient, and needs no decode."""
-    head, payload = b'{"firm":' + canonical_json(ev.recipient), ev.payload_json
-    if payload.startswith(head) and payload[len(head):len(head) + 1] in (b",", b"}"):
-        return ev.recipient
-    return ev.payload.get("firm")
+    """The payload's ``firm``.  A recorded event's copy gives a string firm
+    with nothing encoded; any other is decoded from the bytes, so that a
+    violation prints it as a parsed transcript's would, keys sorted."""
+    firm = ev.recorded_payload.get("firm") if ev.recorded_payload is not None else None
+    return firm if type(firm) is str else ev.payload.get("firm")
 
 
 def routing_violations(transcript: Transcript) -> list[str]:
     """No private-lane message may be addressed outside its lane, and each
     given digest (parsed or assigned) must be its payload's.  A recorded
-    event's digest is derived from its payload, so it is not rehashed."""
+    event's digest is derived from its payload, so it is not rehashed, and
+    its routing reads only its kind, lane, recipient and, for ``assign_m``,
+    its copy's ``firm``: a recorded transcript is checked without encoding
+    a payload."""
     out = _header_violations(transcript.header)
     last_seq = -1
     last_step = 0
@@ -557,7 +627,8 @@ def routing_violations(transcript: Transcript) -> list[str]:
         last_seq = ev.seq
         if ev.step < last_step:
             out.append(f"step went backwards at seq {ev.seq}")
-        last_step = max(last_step, ev.step)
+        else:
+            last_step = ev.step
         if (ev.given_digest is not None
                 and ev.given_digest != hashlib.sha256(ev.payload_json).hexdigest()):
             out.append(f"payload digest mismatch at seq {ev.seq}")

@@ -6,6 +6,7 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -386,6 +387,21 @@ def test_unpicked_openings_never_reach_the_verifier(pp):
             assert ev["payload"]["firm"] in picked
         if ev["kind"] == "report":
             assert ev["recipient"] == COUNTRY_ID
+
+
+@pytest.mark.parametrize("recorded", [False, True])
+def test_an_unrecorded_session_encodes_nothing(pp, recorded):
+    """Without a recorder no payload is built: a joint-pick session encodes
+    no point or scalar, at step 5 or elsewhere (a recorded one encodes)."""
+    config = _config(pp, [5, 6, 7, 8], k=2, pick_mode="joint")
+    session = AuditSession(config, random.Random(3),
+                           recorder=(lambda **ev: None) if recorded else None)
+    group = config.pp.group
+    with mock.patch.object(group, "encode_point", wraps=group.encode_point) as point, \
+            mock.patch.object(group, "encode_scalar", wraps=group.encode_scalar) as scalar:
+        assert session.run().completed
+    assert len(session.state.v_list) == 2
+    assert (point.call_count + scalar.call_count > 0) == recorded
 
 
 def _broadcasts(config, seed, behaviors=None, steps=AuditSession._STEP_METHODS):

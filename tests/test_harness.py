@@ -355,6 +355,26 @@ def test_routing_reads_the_firm_as_a_full_decode_does(events):
     assert routing_violations(t) == decoded
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["F1", "F2", "F1x", "", 1]),
+    st.dictionaries(st.sampled_from(["firm", "a", "m"]), _ROUTING_VALUES, max_size=3)),
+    max_size=6))
+def test_routing_reads_a_recorded_copy_as_a_full_decode_does(events):
+    """Routing a fresh recording reads each assign_m's firm from the copy;
+    its violations equal those of a check that decodes every payload."""
+    def recorded():
+        t = Transcript({"roster": ["F1"], "participants": ["F1"], "corrupted": []})
+        for recipient, payload in events:
+            t.record(step=2, kind="assign_m", sender=ENV_ID, channel="private",
+                     recipient=recipient, payload=payload)
+        return t
+
+    copied = routing_violations(recorded())
+    with mock.patch.object(harness, "_addressed_firm", lambda ev: ev.payload.get("firm")):
+        assert routing_violations(recorded()) == copied
+
+
 def test_leakage_checker_flags_opening_sent_to_peer_firm(pp):
     config = _config(pp, [10, 20], k=1)
     honest = run_session(config, seed=6).transcript
@@ -656,6 +676,89 @@ def test_recording_and_routing_hash_no_payload(pp):
             routing_violations(run_session(config, seed=4, record=True).transcript)
         calls.append(sha.call_count)
     assert calls[0] == calls[1]
+
+
+@pytest.mark.parametrize("first_read", ["payload_json", "digest", "to_jsonl", "routing"])
+def test_record_copies_the_payload_before_anything_reads_it(first_read):
+    """A payload edited at any depth right after record, before the event is
+    read: the event keeps the payload as it was when recorded."""
+    def recorded(payload):
+        t = Transcript({"participants": [ENV_ID, "F1"], "roster": ["F1"]})
+        t.record(step=1, kind="assign_m", sender=ENV_ID, channel="private",
+                 recipient="F1", payload=payload)
+        return t
+
+    payload = {"firm": "F1", "m": 10, "hours": [1, [2]], "meta": {"a": {"b": 1}}}
+    original = canonical_json(payload)
+    transcript = recorded(payload)
+    payload["m"] = 11
+    payload["firm"] = "F2"
+    payload["hours"].append(3)
+    payload["hours"][1].append(4)
+    payload["meta"]["c"] = None
+    payload["meta"]["a"]["d"] = 2
+    ev = transcript.events[0]
+    if first_read == "routing":
+        assert routing_violations(transcript) == []
+    elif first_read != "payload_json":
+        getattr(ev, first_read) if first_read == "digest" else transcript.to_jsonl()
+    assert ev.payload_json == original
+    assert ev.digest == hashlib.sha256(original).hexdigest()
+    assert transcript.to_jsonl() == recorded(json.loads(original)).to_jsonl()
+    assert routing_violations(transcript) == []
+
+
+@pytest.mark.parametrize("payload", [
+    {"blob": b"x"}, {"ids": {"F1"}}, {"obj": object()}, {"deep": [{"blob": b"x"}]},
+    {1: "a", "b": 2}, {("F1",): 1},
+])
+def test_record_refuses_a_payload_canonical_json_refuses(payload):
+    transcript = Transcript({"participants": [ENV_ID], "roster": []})
+    with pytest.raises(TypeError):
+        transcript.record(step=1, kind="pp", sender=ENV_ID, channel="broadcast",
+                          recipient=None, payload=payload)
+    assert transcript.events == []
+
+
+def test_recording_and_routing_encode_no_payload(pp):
+    """The canonical_json calls of a recorded session and its routing check
+    do not grow with the number of events."""
+    calls = []
+    for n in (3, 30):
+        config = _config(pp, list(range(n)), k=2, pick_mode="joint")
+        with mock.patch.object(harness, "canonical_json", wraps=harness.canonical_json) as enc:
+            routing_violations(run_session(config, seed=4, record=True).transcript)
+        calls.append(enc.call_count)
+    assert calls[0] == calls[1]
+
+
+def test_run_trials_records_what_run_session_does(pp, monkeypatch):
+    """Each trial's transcript is run_session's under the trial's seed, and
+    no two trials' headers share a list or dict."""
+    config = _config(pp, [10, 20, 30, 40], k=2, pick_mode="joint")
+    adversary = AdversarySpec(corrupted={"F2"}, behaviors={"F2": Deviation(delta=5)})
+    captured = []
+    check = harness.routing_violations
+
+    def capture(transcript):
+        captured.append(transcript)
+        return check(transcript)
+
+    monkeypatch.setattr(harness, "routing_violations", capture)
+    run_trials(config, adversary, trials=3, seed=9)
+    assert len(captured) == 3
+    blobs = [t.to_jsonl() for t in captured]
+    for i, blob in enumerate(blobs):
+        alone = run_session(config, adversary, seed=derive_seed(9, "trial", i)).transcript
+        assert blob == alone.to_jsonl()
+    captured[0].header["roster"].append("F9")
+    for value in captured[1].header.values():
+        if isinstance(value, list):
+            value.append("F9")
+        elif isinstance(value, dict):
+            value["extra"] = 1
+    assert captured[2].to_jsonl() == blobs[2]
+    assert captured[1].header["roster"] == ["F1", "F2", "F3", "F4", "F9"]
 
 
 _PAYLOADS = st.dictionaries(st.text(), _JSON_VALUES, max_size=5)
