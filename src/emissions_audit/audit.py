@@ -513,7 +513,8 @@ class AuditSession:
 
     def _pick_recorder(self, kind, round_index, party, payload):
         sender = PICK_SENDERS.get(party, ENV_ID)
-        self._emit(Step.REVEAL, kind, sender, dict(payload, round=round_index))
+        payload["round"] = round_index  # run_pick builds a fresh payload per call
+        self._emit(Step.REVEAL, kind, sender, payload)
 
     def step6_spot_checks(self) -> Abort | None:
         """Verifier rechecks every picked firm against ground truth."""

@@ -23,7 +23,6 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import pick as pick_mod
 from .audit import (
@@ -52,27 +51,9 @@ from .commitment import PublicParams, is_int, params_from_dict, params_to_dict, 
 from .groups import group_by_name
 
 
-# canonical_json gives the bytes of json.dumps(obj, sort_keys=True,
-# separators=(",", ":")) from one encoder built here: json.dumps builds a new
-# one per call, which costs more than encoding a small payload, and every
-# parsed event, and every recorded one when first read, encodes its payload
-# once.  The encoder keeps no circular-reference markers, so it holds no
-# state between calls; a cyclic object raises RecursionError instead of
-# ValueError.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
-if c_make_encoder is None:
-    def canonical_json(obj) -> bytes:
-        """Sorted-key, separator-free JSON: byte for byte what json.dumps gives."""
-        return _ENCODER.encode(obj).encode()
-else:
-    # (markers, default, encoder, indent, key_separator, item_separator,
-    #  sort_keys, skipkeys, allow_nan), as JSONEncoder.iterencode passes them.
-    _c_encode = c_make_encoder(None, _ENCODER.default, encode_basestring_ascii, None,
-                               ":", ",", True, False, True)
-
-    def canonical_json(obj) -> bytes:
-        """Sorted-key, separator-free JSON: byte for byte what json.dumps gives."""
-        return "".join(_c_encode(obj, 0)).encode()
+def canonical_json(obj) -> bytes:
+    """Sorted-key, separator-free JSON."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def digest_of(obj) -> str:
@@ -238,17 +219,15 @@ def _json_copy(obj):
 
 @dataclass(slots=True)
 class Event:
-    """One recorded message.  Its payload is kept as canonical JSON bytes,
-    ``payload_json``, encoded once: a parsed event keeps the file's, and a
-    recorded event keeps ``recorded_payload``, a copy taken at record, and
-    encodes it when ``payload_json`` is first read (the copy is then
-    dropped).  ``payload`` decodes a fresh dict from the bytes on each read,
-    and ``to_json`` inserts them into the event's line as they are.
-    ``digest`` is their SHA-256, derived on each read unless given (parsed
-    from a file, or assigned): only a given digest can disagree with the
-    bytes, so ``routing_violations`` rechecks only those.  To change a
-    recorded event's payload, build a new event with ``dataclasses.replace``,
-    which keeps no copy."""
+    """One recorded message.  ``payload`` is a dict of JSON data that the
+    event owns: a recorded event holds the copy ``Transcript.record`` took,
+    and a parsed one the dict ``json.loads`` gave.  ``payload_json``, its
+    canonical JSON, and ``digest``, their SHA-256, are derived on each read,
+    so recording encodes and hashes nothing.  A digest may also be given
+    (parsed from a file, or assigned): only a given digest can disagree with
+    the payload, so ``routing_violations`` rechecks only those.  Readers
+    leave ``payload`` as it is; to change an event's payload, build a new
+    event with ``dataclasses.replace``."""
 
     seq: int
     step: int
@@ -256,19 +235,12 @@ class Event:
     sender: str
     channel: str  # "broadcast" | "private"
     recipient: str | None
-    payload_json: bytes
+    payload: dict
     given_digest: str | None = None
-    recorded_payload: dict | list | None = field(default=None, init=False, repr=False,
-                                                 compare=False)
 
-    def __getattr__(self, name):
-        # Called only when normal lookup fails: for payload_json, a slot left
-        # unset by record until its copy is encoded.
-        if name != "payload_json" or self.recorded_payload is None:
-            raise AttributeError(name)
-        self.payload_json = data = canonical_json(self.recorded_payload)
-        self.recorded_payload = None
-        return data
+    @property
+    def payload_json(self) -> bytes:
+        return canonical_json(self.payload)
 
     @property
     def digest(self) -> str:
@@ -280,30 +252,19 @@ class Event:
     def digest(self, value: str):
         self.given_digest = value
 
-    @property
-    def payload(self) -> dict:
-        # Canonical JSON is ASCII; json.loads would first detect an encoding.
-        return json.loads(self.payload_json.decode())
-
     def to_dict(self) -> dict:
         """The event's ``transcript/v1`` object."""
-        return {name: getattr(self, name) for name in _EVENT_LINE_KEYS}
+        return {name: getattr(self, name) for name in _EVENT_FIELD_TYPES}
 
     def to_json(self) -> bytes:
-        """``canonical_json(self.to_dict())``, built from its parts: each
-        field's canonical JSON under its key, in sorted key order."""
-        return b"{" + b",".join(
-            key + (self.payload_json if name == "payload" else canonical_json(getattr(self, name)))
-            for name, key in _EVENT_LINE_KEYS.items()) + b"}"
+        return canonical_json(self.to_dict())
 
 
-# The fields of a ``transcript/v1`` event line and their JSON types; then
-# each field's key as canonical JSON with its colon, in sorted key order.
+# The fields of a ``transcript/v1`` event line and their JSON types.
 _EVENT_FIELD_TYPES = {
     "seq": int, "step": int, "kind": str, "sender": str, "channel": str,
     "recipient": (str, type(None)), "payload": dict, "digest": str,
 }
-_EVENT_LINE_KEYS = {name: canonical_json(name) + b":" for name in sorted(_EVENT_FIELD_TYPES)}
 
 
 class Transcript:
@@ -315,22 +276,15 @@ class Transcript:
         self.verdict: dict | None = None
 
     def record(self, *, step, kind, sender, channel, recipient, payload):
-        """Append an event; a later change to ``payload`` does not reach it.
-        A dict or list payload of JSON types with str keys is copied at any
-        depth and encoded only when the event's bytes are first read; any
-        other is encoded now, so one that canonical JSON refuses raises here."""
-        try:
-            copy = _json_copy(payload)
-        except TypeError:
-            copy = None
-        # Built without __init__, so that payload_json stays unset until read.
-        ev = object.__new__(Event)
-        ev.seq, ev.step, ev.kind, ev.sender = len(self.events), step, kind, sender
-        ev.channel, ev.recipient, ev.given_digest = channel, recipient, None
-        ev.recorded_payload = copy
-        if copy is None:
-            ev.payload_json = canonical_json(payload)
-        self.events.append(ev)
+        """Append an event that holds a copy of ``payload`` at any depth, so
+        a later change to it does not reach the event.  The payload must be a
+        dict of JSON data: str keys, and dict, list, str, int, float, bool and
+        None values, by exact type.  Anything else raises ``TypeError`` and
+        appends nothing."""
+        if type(payload) is not dict:
+            raise TypeError(payload)
+        self.events.append(Event(len(self.events), step, kind, sender, channel, recipient,
+                                 _json_copy(payload)))
 
     def seen_by(self, viewers, kinds=None) -> list[tuple[str, Event]]:
         """(viewer, event) for each event (of ``kinds``, if given) in each view,
@@ -411,10 +365,7 @@ def _run_wired(config: SessionConfig, behaviors: dict, header: dict | None,
     ``_config_header`` with ``seed`` set, if one is given."""
     transcript = None
     if header is not None:
-        # Its values are atoms, lists of ids and the pp dict of atoms, so no
-        # two transcripts share a mutable object.
-        header = {name: value.copy() if isinstance(value, (list, dict)) else value
-                  for name, value in header.items()}
+        header = _json_copy(header)
         header["seed"] = seed
         transcript = Transcript(header)
     session = AuditSession(config, random.Random(seed), behaviors,
@@ -502,14 +453,15 @@ def run_trials(
     """N independent sessions with derived per-trial seeds.
 
     The behaviors are wired, and the header's per-config part built, once
-    per call; each trial records under a fresh copy with its own seed.
-    With structural_checks on (the default), every trial records a
-    transcript and the routing invariant is asserted on it; recording
-    copies each payload and routing reads the copies, so neither step
-    encodes or hashes a payload.  In integrated mode the trials share the
-    config's ledgers, so their step-6 walks find the config's clean walk on
-    record: each compares the entries once, by identity, and takes the
-    recorded total, verifying no signature and summing no reading.
+    per call; each trial records under a ``_json_copy`` of it with its own
+    seed.  With structural_checks on (the default), every trial records a
+    transcript and the routing invariant is asserted on it; each event
+    holds a copy of its payload as JSON data, which routing reads as it is,
+    so neither step encodes or hashes a payload.  In integrated mode the
+    trials share the config's ledgers, so their step-6 walks find the
+    config's clean walk on record: each compares the entries once, by
+    identity, and takes the recorded total, verifying no signature and
+    summing no reading.
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
@@ -603,21 +555,13 @@ def _header_violations(header: dict) -> list[str]:
     ]
 
 
-def _addressed_firm(ev: Event):
-    """The payload's ``firm``.  A recorded event's copy gives a string firm
-    with nothing encoded; any other is decoded from the bytes, so that a
-    violation prints it as a parsed transcript's would, keys sorted."""
-    firm = ev.recorded_payload.get("firm") if ev.recorded_payload is not None else None
-    return firm if type(firm) is str else ev.payload.get("firm")
-
-
 def routing_violations(transcript: Transcript) -> list[str]:
     """No private-lane message may be addressed outside its lane, and each
-    given digest (parsed or assigned) must be its payload's.  A recorded
-    event's digest is derived from its payload, so it is not rehashed, and
-    its routing reads only its kind, lane, recipient and, for ``assign_m``,
-    its copy's ``firm``: a recorded transcript is checked without encoding
-    a payload."""
+    given digest (parsed or assigned) must be its payload's.  A derived
+    digest is its payload's by construction, so it is not rehashed, and
+    routing reads only an event's kind, lane, recipient and, for
+    ``assign_m``, its payload's ``firm``: a recorded transcript is checked
+    without encoding a payload."""
     out = _header_violations(transcript.header)
     last_seq = -1
     last_step = 0
@@ -638,7 +582,7 @@ def routing_violations(transcript: Transcript) -> list[str]:
                 continue
             expected = PRIVATE_KINDS[ev.kind]
             if expected is None:
-                expected = _addressed_firm(ev)
+                expected = ev.payload.get("firm")
             if ev.recipient != expected:
                 out.append(
                     f"{ev.kind} at seq {ev.seq} routed to {ev.recipient}, expected {expected}"
@@ -958,8 +902,8 @@ def parse_transcript(data: bytes) -> Transcript:
                 if isinstance(obj[name], bool) or not isinstance(obj[name], kind)]
             if bad:
                 raise TranscriptFormatError(f"line {line_no}: bad event fields {bad}")
-            payload_json, given_digest = canonical_json(obj.pop("payload")), obj.pop("digest")
-            events.append(Event(**obj, payload_json=payload_json, given_digest=given_digest))
+            given_digest = obj.pop("digest")
+            events.append(Event(**obj, given_digest=given_digest))
     if not isinstance(header, dict):
         raise TranscriptFormatError("transcript has no header object")
     if verdict is not None and not isinstance(verdict, dict):

@@ -255,8 +255,9 @@ def run_pick(
 
     ``strategies`` maps "country"/"verifier" to PickStrategy instances;
     omitted parties play honestly.  ``recorder`` receives
-    (kind, round_index, party, payload) callbacks for transcripting; the
-    payloads are built only when it is set.
+    (kind, round_index, party, payload) callbacks for transcripting; each
+    payload is a fresh dict the recorder may change, built only when it is
+    set.
     """
     candidates = list(candidates)
     if not isinstance(k, int) or k < 0 or k > len(candidates):

@@ -25,6 +25,7 @@ from emissions_audit.harness import (
     AdversarySpec,
     Deviation,
     audit_transcript,
+    parse_transcript,
     replay_verdict,
     run_session,
 )
@@ -137,6 +138,10 @@ def _check_blame(config, adversary, seed: int):
     assert replay_verdict(transcript) == transcript.verdict
     report = audit_transcript(transcript)
     assert report["ok"], report["violations"]
+    blob = transcript.to_jsonl()
+    parsed = parse_transcript(blob)
+    assert parsed.to_jsonl() == blob
+    assert audit_transcript(parsed) == report
     return verdict
 
 
