@@ -350,6 +350,55 @@ def test_routing_flags_each_assign_m_not_sent_to_its_payloads_firm(events):
         if recipient != payload.get("firm")]
 
 
+def _decoded_routing(transcript):
+    """The assign_m violations of a check that decodes every payload from
+    its encoded bytes, as a transcript read back from its file does; each
+    message names the firm as the recorded payload holds it."""
+    out = []
+    for ev in transcript.events:
+        decoded = json.loads(ev.payload_json).get("firm")
+        assert decoded == ev.payload.get("firm")
+        if ev.recipient != decoded:
+            out.append(f"assign_m at seq {ev.seq} routed to {ev.recipient}, "
+                       f"expected {ev.payload.get('firm')}")
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["F1", "F2", "F1x", "", "\u00e9", 'F"1', 1]),
+    st.dictionaries(st.sampled_from(["firm", "a", "f", "fir", "firl", "firm0", "m", "\u00e9"]),
+                    _ROUTING_VALUES, max_size=4)), max_size=6))
+@example([("F1", {"firm": "F1", "m": 3}), ("F1", {"a": 0, "firm": "F2"}), (1, {"firm": 12})])
+def test_routing_reads_the_firm_as_a_full_decode_does(events):
+    """assign_m payloads of any shape, keys sorting before "firm" too, and a
+    recipient whose JSON prefixes another value (1 and 12): the violations
+    equal those of a check that decodes every payload."""
+    t = Transcript({"roster": ["F1"], "participants": ["F1"], "corrupted": []})
+    for recipient, payload in events:
+        t.record(step=2, kind="assign_m", sender=ENV_ID, channel="private",
+                 recipient=recipient, payload=payload)
+    assert routing_violations(t) == _decoded_routing(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["F1", "F2", "F1x", "", 1]),
+    st.dictionaries(st.sampled_from(["firm", "a", "m"]), _ROUTING_VALUES, max_size=3)),
+    max_size=6))
+def test_routing_reads_a_recorded_copy_as_a_full_decode_does(events):
+    """Routing a fresh recording reads each assign_m's firm from the copy;
+    its violations equal those of a check that decodes every payload."""
+    def recorded():
+        t = Transcript({"roster": ["F1"], "participants": ["F1"], "corrupted": []})
+        for recipient, payload in events:
+            t.record(step=2, kind="assign_m", sender=ENV_ID, channel="private",
+                     recipient=recipient, payload=payload)
+        return t
+
+    assert routing_violations(recorded()) == _decoded_routing(recorded())
+
+
 def test_leakage_checker_flags_opening_sent_to_peer_firm(pp):
     config = _config(pp, [10, 20], k=1)
     honest = run_session(config, seed=6).transcript
