@@ -51,9 +51,15 @@ from .commitment import PublicParams, is_int, params_from_dict, params_to_dict, 
 from .groups import group_by_name
 
 
+# ``json.dumps`` with these arguments builds an encoder per call; this one
+# keeps no state between calls, so every caller shares it.
+CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> bytes:
-    """Sorted-key, separator-free JSON."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    """Sorted-key, separator-free JSON: ``json.dumps``' bytes with those
+    arguments."""
+    return CANONICAL_ENCODER.encode(obj).encode()
 
 
 def digest_of(obj) -> str:
@@ -199,22 +205,35 @@ class UnknownParticipant(ValueError):
 _JSON_ATOMS = frozenset({str, int, float, bool, type(None)})
 
 
-def _json_copy(obj):
-    """A copy at any depth of a dict or list ``obj``, whose canonical JSON is
-    ``obj``'s; ``TypeError`` unless ``obj`` holds only dicts with str keys,
-    lists and ``_JSON_ATOMS``."""
+def _json_walk(obj, copy: bool):
+    """``obj`` walked at any depth, and with ``copy`` a copy of it whose
+    canonical JSON is ``obj``'s (else ``obj`` itself); ``TypeError`` unless
+    ``obj`` is a dict or list holding only dicts with str keys, lists and
+    ``_JSON_ATOMS``."""
     t = type(obj)
     if t is dict:
-        out = obj.copy()
-        for k, v in out.items():
+        out = obj.copy() if copy else obj
+        for k, v in obj.items():
             if type(k) is not str:
                 raise TypeError(k)
             if type(v) not in _JSON_ATOMS:
-                out[k] = _json_copy(v)
+                v = _json_walk(v, copy)
+                if copy:
+                    out[k] = v
         return out
     if t is list:
-        return [v if type(v) in _JSON_ATOMS else _json_copy(v) for v in obj]
+        if copy:
+            return [v if type(v) in _JSON_ATOMS else _json_walk(v, True) for v in obj]
+        for v in obj:
+            if type(v) not in _JSON_ATOMS:
+                _json_walk(v, False)
+        return obj
     raise TypeError(obj)
+
+
+def _json_copy(obj):
+    """A copy at any depth of JSON data ``obj`` (see ``_json_walk``)."""
+    return _json_walk(obj, True)
 
 
 @dataclass(slots=True)
@@ -342,9 +361,7 @@ def config_digest(header: dict) -> str:
     return digest_of({name: header.get(name) for name in CONFIG_FIELDS})
 
 
-def _config_header(config: SessionConfig, adversary: AdversarySpec) -> dict:
-    """A transcript header with its ``seed`` left None: every field but the
-    seed depends on the config and the adversary alone."""
+def _transcript_header(config: SessionConfig, adversary: AdversarySpec, seed: int) -> dict:
     structure = dict(zip(CONFIG_FIELDS, (
         list(config.roster), config.k, config.data_mode, config.pick_mode, config.cycle_id,
         config.pp.group.descriptor.name)))
@@ -352,28 +369,11 @@ def _config_header(config: SessionConfig, adversary: AdversarySpec) -> dict:
         "format": "transcript/v1",
         "participants": [ENV_ID, COUNTRY_ID, VERIFIER_ID, *config.roster],
         "corrupted": sorted(adversary.corrupted),
-        "seed": None,
+        "seed": seed,
         "pp": params_to_dict(config.pp),
         "config_digest": config_digest(structure),
         **structure,
     }
-
-
-def _run_wired(config: SessionConfig, behaviors: dict, header: dict | None,
-               seed: int) -> SessionResult:
-    """One session of wired ``behaviors``, recorded under a copy of a
-    ``_config_header`` with ``seed`` set, if one is given."""
-    transcript = None
-    if header is not None:
-        header = _json_copy(header)
-        header["seed"] = seed
-        transcript = Transcript(header)
-    session = AuditSession(config, random.Random(seed), behaviors,
-                           recorder=transcript.record if transcript is not None else None)
-    verdict = session.run()
-    if transcript is not None:
-        transcript.verdict = verdict_to_dict(verdict)
-    return SessionResult(verdict=verdict, transcript=transcript)
 
 
 def run_session(
@@ -384,8 +384,13 @@ def run_session(
 ) -> SessionResult:
     """One deterministic session under the given adversary and seed."""
     behaviors = _wire(config, adversary)
-    header = _config_header(config, adversary) if record else None
-    return _run_wired(config, behaviors, header, seed)
+    transcript = Transcript(_transcript_header(config, adversary, seed)) if record else None
+    session = AuditSession(config, random.Random(seed), behaviors,
+                           recorder=transcript.record if record else None)
+    verdict = session.run()
+    if record:
+        transcript.verdict = verdict_to_dict(verdict)
+    return SessionResult(verdict=verdict, transcript=transcript)
 
 
 @dataclass
@@ -452,30 +457,32 @@ def run_trials(
 ) -> TrialStats:
     """N independent sessions with derived per-trial seeds.
 
-    The behaviors are wired, and the header's per-config part built, once
-    per call; each trial records under a ``_json_copy`` of it with its own
-    seed.  With structural_checks on (the default), every trial records a
-    transcript and the routing invariant is asserted on it; each event
-    holds a copy of its payload as JSON data, which routing reads as it is,
-    so neither step encodes or hashes a payload.  In integrated mode the
-    trials share the config's ledgers, so their step-6 walks find the
-    config's clean walk on record: each compares the entries once, by
-    identity, and takes the recorded total, verifying no signature and
-    summing no reading.
+    The behaviors are wired, and the header's routing checked, once per
+    call.  With structural_checks on (the default), each trial's recorder
+    is a fresh ``RoutingCheck``: every message is checked for routing as it
+    is sent, its payload refused as ``Transcript.record`` would refuse it,
+    and an ``AssertionError`` names the trial's violations.  No transcript
+    is kept, so a checked trial builds no event and copies, encodes and
+    hashes no payload.  In integrated mode the trials share the config's
+    ledgers, so their step-6 walks find the config's clean walk on record:
+    each compares the entries once, by identity, and takes the recorded
+    total, verifying no signature and summing no reading.
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
     stats = TrialStats()
     truth = true_total(config)
     behaviors = _wire(config, adversary)
-    header = _config_header(config, adversary) if structural_checks else None
+    if structural_checks:
+        header_violations = _header_violations(_transcript_header(config, adversary, seed))
     for i in range(trials):
-        result = _run_wired(config, behaviors, header, derive_seed(seed, "trial", i))
-        if structural_checks:
-            violations = routing_violations(result.transcript)
-            if violations:
-                raise AssertionError(f"routing violations in trial {i}: {violations}")
-        stats.record(result.verdict, true_m=truth)
+        check = RoutingCheck(header_violations) if structural_checks else None
+        session = AuditSession(config, random.Random(derive_seed(seed, "trial", i)), behaviors,
+                               recorder=check.record if check else None)
+        verdict = session.run()
+        if check and check.violations:
+            raise AssertionError(f"routing violations in trial {i}: {check.violations}")
+        stats.record(verdict, true_m=truth)
     stats.check_invariants()
     return stats
 
@@ -555,44 +562,74 @@ def _header_violations(header: dict) -> list[str]:
     ]
 
 
-def routing_violations(transcript: Transcript) -> list[str]:
-    """No private-lane message may be addressed outside its lane, and each
-    given digest (parsed or assigned) must be its payload's.  A derived
-    digest is its payload's by construction, so it is not rehashed, and
-    routing reads only an event's kind, lane, recipient and, for
-    ``assign_m``, its payload's ``firm``: a recorded transcript is checked
-    without encoding a payload."""
-    out = _header_violations(transcript.header)
-    last_seq = -1
-    last_step = 0
-    for ev in transcript.events:
-        if ev.seq <= last_seq:
-            out.append(f"seq not increasing at {ev.seq}")
-        last_seq = ev.seq
-        if ev.step < last_step:
-            out.append(f"step went backwards at seq {ev.seq}")
+class RoutingCheck:
+    """The routing rule, checked one event at a time with no event kept.
+
+    ``violations`` starts as a copy of a header's (``_header_violations``)
+    and gains one string for each way an event breaks the rule: its seq is
+    not above the last, its step is below the highest so far, its given
+    digest is not its payload's, a private-lane kind is not sent privately
+    to its lane's recipient (for ``assign_m``, the payload's ``firm``), a
+    broadcast kind is not broadcast, or its kind is unknown.  ``event``
+    takes a transcript event's fields, and ``record`` a message as an
+    ``AuditSession`` recorder sends it.
+    """
+
+    __slots__ = ("violations", "_seq", "_step")
+
+    def __init__(self, header_violations: list[str]):
+        self.violations = list(header_violations)
+        self._seq = -1
+        self._step = 0
+
+    def record(self, *, step, kind, sender, channel, recipient, payload):
+        """Check a message as ``Transcript.record`` would record it: as the
+        next event, with no given digest; ``TypeError`` for a payload that
+        ``record`` refuses.  Nothing of the message is kept."""
+        if type(payload) is not dict:
+            raise TypeError(payload)
+        _json_walk(payload, False)
+        self.event(self._seq + 1, step, kind, channel, recipient, payload)
+
+    def event(self, seq, step, kind, channel, recipient, payload, given_digest=None):
+        out = self.violations
+        if seq <= self._seq:
+            out.append(f"seq not increasing at {seq}")
+        self._seq = seq
+        if step < self._step:
+            out.append(f"step went backwards at seq {seq}")
         else:
-            last_step = ev.step
-        if (ev.given_digest is not None
-                and ev.given_digest != hashlib.sha256(ev.payload_json).hexdigest()):
-            out.append(f"payload digest mismatch at seq {ev.seq}")
-        if ev.kind in PRIVATE_KINDS:
-            if ev.channel != "private" or ev.recipient is None:
-                out.append(f"{ev.kind} at seq {ev.seq} not on a private lane")
-                continue
-            expected = PRIVATE_KINDS[ev.kind]
+            self._step = step
+        if (given_digest is not None
+                and given_digest != hashlib.sha256(canonical_json(payload)).hexdigest()):
+            out.append(f"payload digest mismatch at seq {seq}")
+        if kind in PRIVATE_KINDS:
+            if channel != "private" or recipient is None:
+                out.append(f"{kind} at seq {seq} not on a private lane")
+                return
+            expected = PRIVATE_KINDS[kind]
             if expected is None:
-                expected = ev.payload.get("firm")
-            if ev.recipient != expected:
-                out.append(
-                    f"{ev.kind} at seq {ev.seq} routed to {ev.recipient}, expected {expected}"
-                )
-        elif ev.kind in BROADCAST_KINDS:
-            if ev.channel != "broadcast" or ev.recipient is not None:
-                out.append(f"{ev.kind} at seq {ev.seq} should be broadcast")
+                expected = payload.get("firm")
+            if recipient != expected:
+                out.append(f"{kind} at seq {seq} routed to {recipient}, expected {expected}")
+        elif kind in BROADCAST_KINDS:
+            if channel != "broadcast" or recipient is not None:
+                out.append(f"{kind} at seq {seq} should be broadcast")
         else:
-            out.append(f"unknown event kind {ev.kind!r} at seq {ev.seq}")
-    return out
+            out.append(f"unknown event kind {kind!r} at seq {seq}")
+
+
+def routing_violations(transcript: Transcript) -> list[str]:
+    """The header's violations, then each event's under ``RoutingCheck``.
+    A derived digest is its payload's by construction, so only a given one
+    (parsed or assigned) is rehashed, and routing reads only an event's
+    kind, lane, recipient and, for ``assign_m``, its payload's ``firm``: a
+    recorded transcript is checked without encoding a payload."""
+    check = RoutingCheck(_header_violations(transcript.header))
+    for ev in transcript.events:
+        check.event(ev.seq, ev.step, ev.kind, ev.channel, ev.recipient, ev.payload,
+                    ev.given_digest)
+    return check.violations
 
 
 def _revealed_list(transcript: Transcript) -> tuple[str, ...] | None:

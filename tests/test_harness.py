@@ -1,5 +1,6 @@
 """Simulation harness: determinism, views, checkers, scenarios, replay."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -745,32 +746,74 @@ def test_record_refuses_a_payload_canonical_json_refuses(payload):
 
 
 def test_run_trials_records_what_run_session_does(pp, monkeypatch):
-    """Each trial's transcript is run_session's under the trial's seed, and
-    no two trials' headers share a list or dict."""
+    """Each trial's routing check receives, message for message, the events
+    run_session records under the trial's seed."""
     config = _config(pp, [10, 20, 30, 40], k=2, pick_mode="joint")
     adversary = AdversarySpec(corrupted={"F2"}, behaviors={"F2": Deviation(delta=5)})
-    captured = []
-    check = harness.routing_violations
+    received = {}  # check -> its messages, in trial order
+    record = harness.RoutingCheck.record
 
-    def capture(transcript):
-        captured.append(transcript)
-        return check(transcript)
+    def capture(self, **message):
+        received.setdefault(self, []).append(tuple(copy.deepcopy(message[name]) for name in (
+            "step", "kind", "sender", "channel", "recipient", "payload")))
+        return record(self, **message)
 
-    monkeypatch.setattr(harness, "routing_violations", capture)
+    monkeypatch.setattr(harness.RoutingCheck, "record", capture)
     run_trials(config, adversary, trials=3, seed=9)
-    assert len(captured) == 3
-    blobs = [t.to_jsonl() for t in captured]
-    for i, blob in enumerate(blobs):
+    assert len(received) == 3
+    for i, messages in enumerate(received.values()):
         alone = run_session(config, adversary, seed=derive_seed(9, "trial", i)).transcript
-        assert blob == alone.to_jsonl()
-    captured[0].header["roster"].append("F9")
-    for value in captured[1].header.values():
-        if isinstance(value, list):
-            value.append("F9")
-        elif isinstance(value, dict):
-            value["extra"] = 1
-    assert captured[2].to_jsonl() == blobs[2]
-    assert captured[1].header["roster"] == ["F1", "F2", "F3", "F4", "F9"]
+        assert messages == [(ev.step, ev.kind, ev.sender, ev.channel, ev.recipient, ev.payload)
+                            for ev in alone.events]
+
+
+def _emit_patched(monkeypatch, change):
+    """AuditSession._emit with ``change(kind, sender, payload, recipient)``
+    giving each message's (payload, recipient)."""
+    emit = AuditSession._emit
+
+    def patched(self, step, kind, sender, payload, recipient=None):
+        payload, recipient = change(kind, sender, payload, recipient)
+        return emit(self, step, kind, sender, payload, recipient)
+
+    monkeypatch.setattr(AuditSession, "_emit", patched)
+
+
+def test_run_trials_fails_on_a_misrouted_message(pp, monkeypatch):
+    """A firm's report sent to the verifier: run_trials names the violations
+    routing_violations finds in run_session's transcript of that trial."""
+    config = _config(pp, [10, 20, 30], k=2, pick_mode="joint")
+    _emit_patched(monkeypatch, lambda kind, sender, payload, recipient: (
+        payload, VERIFIER_ID if (kind, sender) == ("report", "F2") else recipient))
+    found = routing_violations(run_session(config, seed=derive_seed(5, "trial", 0)).transcript)
+    assert len(found) == 1 and found[0].startswith("report at seq ")
+    assert found[0].endswith(f" routed to {VERIFIER_ID}, expected {COUNTRY_ID}")
+    with pytest.raises(AssertionError) as raised:
+        run_trials(config, trials=2, seed=5)
+    assert str(raised.value) == f"routing violations in trial 0: {found}"
+
+
+def test_run_trials_refuses_a_payload_record_refuses(pp, monkeypatch):
+    config = _config(pp, [10, 20, 30], k=2)
+    _emit_patched(monkeypatch, lambda kind, sender, payload, recipient: (
+        {**payload, "extra": (1, 2)} if kind == "sum" else payload, recipient))
+    with pytest.raises(TypeError):
+        run_session(config, seed=5)
+    with pytest.raises(TypeError):
+        run_trials(config, trials=2, seed=5)
+
+
+def test_a_checked_trial_builds_no_event_and_copies_no_payload(pp):
+    """run_trials checks each message as it is sent, so it keeps no
+    transcript; run_session still records one."""
+    config = _config(pp, [100 * (i + 1) for i in range(10)], k=3, pick_mode="joint")
+    adversary = AdversarySpec(corrupted={"F3"}, behaviors={"F3": Deviation(delta=100)})
+    with mock.patch.object(harness, "Event", wraps=harness.Event) as events, \
+            mock.patch.object(harness, "_json_copy", wraps=harness._json_copy) as copies:
+        run_trials(config, adversary, trials=3, seed=1)
+        assert (events.call_count, copies.call_count) == (0, 0)
+        run_session(config, adversary, seed=1)
+        assert events.call_count > 0 and copies.call_count > 0
 
 
 _PAYLOADS = st.dictionaries(st.text(), _JSON_VALUES, max_size=5)
