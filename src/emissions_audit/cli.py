@@ -16,8 +16,10 @@ means an error (JSON with the error class on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import random
 import sys
 
@@ -40,9 +42,28 @@ def _sha256(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
+def _read_bytes(path: str) -> bytes:
+    """The file's bytes, read to EOF through one descriptor.  Raises the
+    OSError that open() would, naming the path (a directory opens, and
+    os.read's IsADirectoryError alone does not name it)."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _sha256(fh.read())
+    return _sha256(_read_bytes(path))
 
 
 def _provenance(command: str, **digests) -> dict:
@@ -61,17 +82,43 @@ def _secret_rng(seed: int | None, *labels) -> random.Random:
     return random.Random(hz.derive_seed(seed, *labels))
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _write_file(path: str, data: bytes, secret: bool = False, replace: bool = True) -> None:
+    """Write ``data`` as the whole file at ``path``.
+
+    A public file (the default) goes to a temporary file beside ``path``,
+    which then replaces it, so no reader sees half a file.  A secret is
+    owner-only (0600) and fsynced: with ``replace=False`` it is created at
+    ``path`` and never replaces a file (FileExistsError names ``path``),
+    else it replaces ``path`` through a 0600 temporary file."""
+    target = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp" if replace else path
+    fd = os.open(target, _WRITE_FLAGS, 0o600 if secret else 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if secret:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        if replace:
+            os.replace(target, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(target)
+        raise
+
+
+def _write_json(path: str, obj: dict, **kind) -> None:
+    """``obj`` as indented JSON, written by _write_file with ``kind``."""
+    _write_file(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(), **kind)
 
 
 def _read_json(path: str, digests: dict | None = None):
     """The JSON value in the file, read once as bytes and decoded as UTF-8
     (json.loads of the bytes would also take a BOM or UTF-16); ``digests``,
     if given, gets the SHA-256 of those bytes under ``path``."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_bytes(path)
     if digests is not None:
         digests[path] = _sha256(raw)
     try:
@@ -138,17 +185,17 @@ def cmd_setup(args) -> int:
         raise ConfigInvalid("trusted setup requires --seed")
     rng = random.Random(args.seed) if args.seed is not None else None
     pp = setup(group, mode, rng)
-    envelope = params_to_dict(pp)
-    # A trusted-setup seed yields the trapdoor, so it stays out of pp.json.
-    envelope["provenance"] = _provenance("setup")
-    _write_json(args.out, envelope)
     if args.trapdoor_out:
         if pp.trapdoor is None:
             raise ConfigInvalid("--trapdoor-out only applies to trusted mode")
         _write_json(args.trapdoor_out, {
             "format": "trapdoor/v1",
             "h_scalar": pp.group.encode_scalar(pp.trapdoor).hex(),
-        })
+        }, secret=True, replace=False)
+    envelope = params_to_dict(pp)
+    # A trusted-setup seed yields the trapdoor, so it stays out of pp.json.
+    envelope["provenance"] = _provenance("setup")
+    _write_json(args.out, envelope)
     _emit({"ok": True, "group": pp.group.descriptor.name, "mode": mode, "out": args.out})
     return 0
 
@@ -159,8 +206,6 @@ def _load_meter_key(path: str) -> ms.MeterKeypair:
 
 
 def cmd_ingest(args) -> int:
-    import os
-
     if os.path.exists(args.meter_key):
         kp = _load_meter_key(args.meter_key)
     else:
@@ -169,7 +214,7 @@ def cmd_ingest(args) -> int:
             "format": "meter-key/v1",
             "sk": kp.seed_bytes().hex(),
             "pk": kp.public_bytes.hex(),
-        })
+        }, secret=True, replace=False)
     if os.path.exists(args.ledger):
         ledger = ms.read_ledger(args.ledger)
         if ledger.firm_id != args.firm_id:
@@ -184,7 +229,7 @@ def cmd_ingest(args) -> int:
         reading = kp.sign_reading(args.firm_id, hour, e)
         ms.append_reading(ledger, reading, kp.public_bytes)
         added += 1
-    ms.write_ledger(ledger, args.ledger)
+    _write_file(args.ledger, ms.ledger_jsonl(ledger))
     _emit({
         "ok": True,
         "firm_id": args.firm_id,
@@ -210,6 +255,15 @@ def cmd_report(args) -> int:
     c = commit(pp, pp.group.scalar(total), r)
     # The ledger is not JSON: read_ledger reads it, and its digest reads it again.
     prov = _provenance("report", pp=digests[args.pp], ledger=_file_digest(args.ledger))
+    # The opening first: a live one is refused before the report it opens
+    # is replaced.
+    _write_json(args.opening_out, {
+        "format": "opening/v1",
+        "firm_id": ledger.firm_id,
+        "cycle_id": args.cycle,
+        "m": total,
+        "r": pp.group.encode_scalar(r).hex(),
+    }, secret=True, replace=False)
     _write_json(args.out, {
         "format": "report/v1",
         "firm_id": ledger.firm_id,
@@ -217,13 +271,6 @@ def cmd_report(args) -> int:
         # Uncompressed: every reader checks it without a square root.
         "c": pp.group.encode_point(c, compressed=False).hex(),
         "provenance": prov,
-    })
-    _write_json(args.opening_out, {
-        "format": "opening/v1",
-        "firm_id": ledger.firm_id,
-        "cycle_id": args.cycle,
-        "m": total,
-        "r": pp.group.encode_scalar(r).hex(),
     })
     _emit({"ok": True, "firm_id": ledger.firm_id, "out": args.out})
     return 0
@@ -351,7 +398,7 @@ def cmd_pick_commit(args) -> int:
         "r": pp.group.encode_scalar(r).hex(),
         "pp_digest": digests[args.pp],
         "peer_commitment": None,
-    })
+    }, secret=True, replace=False)
     _write_json(args.out, {
         "format": "pick-commit/v1",
         "party": args.party,
@@ -373,7 +420,7 @@ def cmd_pick_reveal(args) -> int:
     # Reveal only exists once the peer is committed; storing the peer's
     # commitment now pins what the settle step will verify against.
     state["peer_commitment"] = peer["c"]
-    _write_json(args.state, state)
+    _write_json(args.state, state, secret=True)
     _write_json(args.out, {
         "format": "pick-reveal/v1",
         "party": state["party"],
@@ -439,8 +486,7 @@ def cmd_simulate(args) -> int:
             scenario.config, scenario.adversary,
             seed=hz.derive_seed(seed, "trial", 0), record=True,
         )
-        with open(args.transcript, "wb") as fh:
-            fh.write(first.transcript.to_jsonl())
+        _write_file(args.transcript, first.transcript.to_jsonl())
     stats = hz.run_trials(
         scenario.config, scenario.adversary, trials=trials, seed=seed,
         structural_checks=not args.no_checks,
@@ -467,8 +513,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transcript_audit(args) -> int:
-    with open(args.transcript, "rb") as fh:
-        transcript = hz.parse_transcript(fh.read())
+    transcript = hz.parse_transcript(_read_bytes(args.transcript))
     report = hz.audit_transcript(transcript)
     _emit({
         "ok": report["ok"],
@@ -485,96 +530,101 @@ def cmd_transcript_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  With ``command`` one of the subcommands, it holds
+    that subcommand's parser alone, which parses that subcommand's argv,
+    help and usage errors as the full parser does; with anything else (None,
+    an option, an unknown name) it holds every subcommand.  The handlers
+    are this module's functions as they are at the call."""
+    # name: (handler, help, [(flag, add_argument keywords), ...])
+    commands = {
+        "setup": (cmd_setup, "generate commitment public parameters", [
+            ("--group", dict(required=True, help="toy | secp256k1 (aliases: prod)")),
+            ("--mode", dict(default="hash", help="hash (derived H) | trusted")),
+            ("--seed", dict(type=int, help="required for trusted mode")),
+            ("--out", dict(required=True, help="output params file")),
+            ("--trapdoor-out", dict(help="write the trusted-setup trapdoor here (testing only)")),
+        ]),
+        "ingest": (cmd_ingest, "sign readings into a hash-chained ledger", [
+            ("--firm-id", dict(required=True)),
+            ("--readings", dict(required=True, help="CSV of hour,value rows")),
+            ("--ledger", dict(required=True, help="ledger file (extended if present)")),
+            ("--meter-key", dict(required=True, help="meter key file (generated if missing)")),
+            ("--seed", dict(type=int, help="replay: derive a new key from it")),
+        ]),
+        "report": (cmd_report, "aggregate a ledger into a committed report", [
+            ("--pp", dict(required=True)),
+            ("--ledger", dict(required=True)),
+            ("--meter-key", dict(required=True,
+                                 help="meter key file; only its public key 'pk' is read")),
+            ("--cycle", dict(default="cycle-0")),
+            ("--seed", dict(type=int, help="replay: derive r from it")),
+            ("--out", dict(required=True, help="public report file")),
+            ("--opening-out", dict(required=True, help="private opening file")),
+        ]),
+        "aggregate": (cmd_aggregate, "examine openings and publish sums", [
+            ("--pp", dict(required=True)),
+            ("--report", dict(action="extend", nargs="+", required=True)),
+            ("--opening", dict(action="extend", nargs="+", required=True)),
+            ("--out", dict(required=True, help="sums file")),
+        ]),
+        "verify-sum": (cmd_verify_sum, "check commitments against published sums", [
+            ("--pp", dict(required=True)),
+            ("--report", dict(action="extend", nargs="+", required=True)),
+            ("--sums", dict(required=True)),
+        ]),
+        "pick-commit": (cmd_pick_commit, "first pick phase: commit to a draw", [
+            ("--pp", dict(required=True)),
+            ("--party", dict(required=True, help="country | verifier")),
+            ("--l", dict(type=int, required=True, help="remaining list length")),
+            ("--round", dict(type=int, default=0)),
+            ("--seed", dict(type=int, help="replay: derive the draw from it")),
+            ("--state", dict(required=True, help="private state file (keep secret)")),
+            ("--out", dict(required=True, help="commitment message for the peer")),
+        ]),
+        "pick-reveal": (cmd_pick_reveal, "second pick phase: open the commitment", [
+            ("--state", dict(required=True)),
+            ("--peer-commit", dict(required=True, help="peer's commitment message")),
+            ("--out", dict(required=True, help="reveal message for the peer")),
+        ]),
+        "pick-settle": (cmd_pick_settle, "verify the peer's reveal and derive the index", [
+            ("--pp", dict(required=True)),
+            ("--state", dict(required=True)),
+            ("--peer-reveal", dict(required=True)),
+            ("--roster", dict(help="comma-separated remaining firms, to name the pick")),
+        ]),
+        "simulate": (cmd_simulate, "run seeded protocol trials", [
+            ("--scenario", dict(required=True, help="builtin "
+                                f"({', '.join(sorted(hz.BUILTIN_SCENARIOS))}) or JSON file")),
+            ("--trials", dict(type=int)),
+            ("--seed", dict(type=int)),
+            ("--out", dict(help="stats file")),
+            ("--transcript", dict(help="write the first trial's transcript")),
+            ("--no-checks", dict(action="store_true",
+                                 help="skip per-trial structural checks (bulk statistics)")),
+        ]),
+        "transcript-audit": (cmd_transcript_audit, "independently re-audit a transcript", [
+            ("--transcript", dict(required=True)),
+        ]),
+    }
     p = argparse.ArgumentParser(
         prog="emissions-audit",
         description="Committed emissions reporting, verifiable aggregation, "
                     "randomized audit selection, and protocol simulation.",
     )
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("setup", help="generate commitment public parameters")
-    sp.add_argument("--group", required=True, help="toy | secp256k1 (aliases: prod)")
-    sp.add_argument("--mode", default="hash", help="hash (derived H) | trusted")
-    sp.add_argument("--seed", type=int, default=None, help="required for trusted mode")
-    sp.add_argument("--out", required=True, help="output params file")
-    sp.add_argument("--trapdoor-out", default=None,
-                    help="write the trusted-setup trapdoor here (testing only)")
-    sp.set_defaults(func=cmd_setup)
-
-    sp = sub.add_parser("ingest", help="sign readings into a hash-chained ledger")
-    sp.add_argument("--firm-id", required=True)
-    sp.add_argument("--readings", required=True, help="CSV of hour,value rows")
-    sp.add_argument("--ledger", required=True, help="ledger file (extended if present)")
-    sp.add_argument("--meter-key", required=True,
-                    help="meter key file (generated if missing)")
-    sp.add_argument("--seed", type=int, default=None, help="replay: derive a new key from it")
-    sp.set_defaults(func=cmd_ingest)
-
-    sp = sub.add_parser("report", help="aggregate a ledger into a committed report")
-    sp.add_argument("--pp", required=True)
-    sp.add_argument("--ledger", required=True)
-    sp.add_argument("--meter-key", required=True,
-                    help="meter key file; only its public key 'pk' is read")
-    sp.add_argument("--cycle", default="cycle-0")
-    sp.add_argument("--seed", type=int, default=None, help="replay: derive r from it")
-    sp.add_argument("--out", required=True, help="public report file")
-    sp.add_argument("--opening-out", required=True, help="private opening file")
-    sp.set_defaults(func=cmd_report)
-
-    sp = sub.add_parser("aggregate", help="examine openings and publish sums")
-    sp.add_argument("--pp", required=True)
-    sp.add_argument("--report", action="extend", nargs="+", required=True)
-    sp.add_argument("--opening", action="extend", nargs="+", required=True)
-    sp.add_argument("--out", required=True, help="sums file")
-    sp.set_defaults(func=cmd_aggregate)
-
-    sp = sub.add_parser("verify-sum", help="check commitments against published sums")
-    sp.add_argument("--pp", required=True)
-    sp.add_argument("--report", action="extend", nargs="+", required=True)
-    sp.add_argument("--sums", required=True)
-    sp.set_defaults(func=cmd_verify_sum)
-
-    sp = sub.add_parser("pick-commit", help="first pick phase: commit to a draw")
-    sp.add_argument("--pp", required=True)
-    sp.add_argument("--party", required=True, help="country | verifier")
-    sp.add_argument("--l", type=int, required=True, help="remaining list length")
-    sp.add_argument("--round", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=None, help="replay: derive the draw from it")
-    sp.add_argument("--state", required=True, help="private state file (keep secret)")
-    sp.add_argument("--out", required=True, help="commitment message for the peer")
-    sp.set_defaults(func=cmd_pick_commit)
-
-    sp = sub.add_parser("pick-reveal", help="second pick phase: open the commitment")
-    sp.add_argument("--state", required=True)
-    sp.add_argument("--peer-commit", required=True, help="peer's commitment message")
-    sp.add_argument("--out", required=True, help="reveal message for the peer")
-    sp.set_defaults(func=cmd_pick_reveal)
-
-    sp = sub.add_parser("pick-settle", help="verify the peer's reveal and derive the index")
-    sp.add_argument("--pp", required=True)
-    sp.add_argument("--state", required=True)
-    sp.add_argument("--peer-reveal", required=True)
-    sp.add_argument("--roster", default=None,
-                    help="comma-separated remaining firms, to name the pick")
-    sp.set_defaults(func=cmd_pick_settle)
-
-    sp = sub.add_parser("simulate", help="run seeded protocol trials")
-    sp.add_argument("--scenario", required=True,
-                    help=f"builtin ({', '.join(sorted(hz.BUILTIN_SCENARIOS))}) or JSON file")
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None, help="stats file")
-    sp.add_argument("--transcript", default=None, help="write the first trial's transcript")
-    sp.add_argument("--no-checks", action="store_true",
-                    help="skip per-trial structural checks (bulk statistics)")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("transcript-audit", help="independently re-audit a transcript")
-    sp.add_argument("--transcript", required=True)
-    sp.set_defaults(func=cmd_transcript_audit)
-
+    if command in commands:
+        # The usage line still names every subcommand.
+        sub = p.add_subparsers(dest="command", required=True,
+                               metavar="{" + ",".join(commands) + "}")
+        commands = {command: commands[command]}
+    else:
+        sub = p.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, flags) in commands.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags:
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=func)
     return p
 
 
@@ -616,8 +666,12 @@ def _coalesce_list_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names,
+    parsed by build_parser(argv[0]); return the exit code.  An error from
+    the handler (ValueError or OSError) is exit 2, with its class and
+    message as JSON on stderr; argparse exits 2 itself on a usage error."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_coalesce_list_flags(argv))
+    args = build_parser(argv[0] if argv else None).parse_args(_coalesce_list_flags(argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -510,12 +511,25 @@ def run_pick_trials(
 
 
 def chi_square_uniform(counts) -> tuple[float, float]:
-    """Chi-square statistic and p-value against the uniform expectation."""
-    from scipy.stats import chisquare
-
+    """Chi-square statistic of two or more cells against their mean, and its
+    p-value: the chi-square tail at df = cells - 1, in closed form.  With
+    y = stat/2 that tail is e^-y * sum_{i<df/2} y^i/i! for even df, and
+    erfc(sqrt y) + e^-y * sum_{i=1}^{(df-1)/2} y^(i-1/2)/Gamma(i+1/2) for
+    odd df; each term is summed from its logarithm."""
     observed = list(counts)
-    stat, p = chisquare(observed)
-    return float(stat), float(p)
+    expected = sum(observed) / len(observed)
+    stat = sum((o - expected) ** 2 / expected for o in observed)
+    df, y = len(observed) - 1, stat / 2
+    if y == 0:
+        return stat, 1.0
+    if df % 2:
+        terms = [math.erfc(math.sqrt(y))]
+        powers = [(i - 0.5, math.lgamma(i + 0.5)) for i in range(1, (df + 1) // 2)]
+    else:
+        terms, powers = [], [(i, math.lgamma(i + 1)) for i in range(df // 2)]
+    log_y = math.log(y)
+    terms += [math.exp(a * log_y - y - log_gamma) for a, log_gamma in powers]
+    return stat, math.fsum(terms)
 
 
 def subset_chi_square(counts: Counter, roster, k: int) -> tuple[float, float]:

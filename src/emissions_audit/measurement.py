@@ -389,10 +389,10 @@ def entry_from_dict(data: dict) -> LedgerEntry:
     return LedgerEntry(reading=reading, chain=chain)
 
 
-def write_ledger(ledger: FirmLedger, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in ledger.entries:
-            fh.write(json.dumps(entry_to_dict(entry), sort_keys=True) + "\n")
+def ledger_jsonl(ledger: FirmLedger) -> bytes:
+    """The ledger file's bytes: one JSON line per entry, as read_ledger reads."""
+    return "".join(json.dumps(entry_to_dict(e), sort_keys=True) + "\n"
+                   for e in ledger.entries).encode()
 
 
 def read_ledger(path) -> FirmLedger:

@@ -4,14 +4,18 @@ import argparse
 import builtins
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+import os
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from emissions_audit import commitment, harness
+from emissions_audit import cli, commitment, harness
 from emissions_audit.cli import (
     _LIST_FLAGS, _OTHER_FLAGS, _coalesce_list_flags, build_parser, main,
 )
@@ -303,19 +307,59 @@ def test_verify_sum_rejects_files_from_two_cycles(capsys, ws):
 
 
 def test_aggregate_reads_each_input_once_and_digests_those_bytes(capsys, ws, monkeypatch):
+    """Every input goes through cli._read_bytes once, and no other open of
+    any kind reads it; the provenance digests are of the bytes it returned."""
     pp, reports, openings, _ = _pipeline(capsys, ws)
     sums = ws / "s.json"
-    opened = []
-    real_open = builtins.open
-    monkeypatch.setattr(builtins, "open", lambda file, *a, **kw: opened.append(str(file))
-                        or real_open(file, *a, **kw))
+    read, opened, real_read, real_os_open = {}, [], cli._read_bytes, os.open
+
+    def spy_read(path):
+        assert path not in read
+        read[path] = real_read(path)
+        return read[path]
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append((str(path), flags & (os.O_WRONLY | os.O_RDWR)))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read_bytes", spy_read)
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", lambda *a, **kw: pytest.fail(f"open{a}"))
     code, verdict, _ = run_cli(capsys, *_aggregate_args(pp, sums, reports, openings))
     monkeypatch.undo()
     assert code == 0 and verdict["verdict"] == "ACCEPT"
-    assert sorted(opened) == sorted(map(str, [pp, *reports, *openings, sums]))
-    digest = {path: hashlib.sha256(path.read_bytes()).hexdigest() for path in (pp, *reports)}
+    inputs = sorted(map(str, [pp, *reports, *openings]))
+    assert sorted(read) == inputs
+    assert sorted(path for path, writes in opened if not writes) == inputs
+    # The one other descriptor is the temporary file that becomes the sums.
+    assert [path.startswith(f"{sums}.") for path, writes in opened if writes] == [True]
+    digest = {path: hashlib.sha256(read[str(path)]).hexdigest() for path in (pp, *reports)}
     assert json.loads(sums.read_text())["provenance"]["inputs"] == {
         "pp": digest[pp], "report_F1": digest[reports[0]], "report_F2": digest[reports[1]]}
+
+
+@pytest.mark.parametrize("kind, error", [("missing", "FileNotFoundError"),
+                                         ("directory", "IsADirectoryError")])
+@pytest.mark.parametrize("flag", ["--pp", "--report", "--opening", "--sums"])
+def test_an_input_that_is_missing_or_a_directory_is_an_input_error_naming_it(
+        capsys, ws, flag, kind, error):
+    """Exit 2 with the class open() raises, and a message naming the path
+    (os.read alone would not name a directory)."""
+    pp, reports, openings, sums = _pipeline(capsys, ws)
+    bad = ws / "bad.json"
+    if kind == "directory":
+        bad.mkdir()
+    if flag == "--sums":
+        argv = _verify_sum_args(pp, reports, bad)
+    else:
+        files = {"--pp": pp, "--report": reports[1], "--opening": openings[1]}
+        files[flag] = bad
+        argv = _aggregate_args(files["--pp"], ws / "s.json", [reports[0], files["--report"]],
+                               [openings[0], files["--opening"]])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out is None
+    assert err["error"] == error and repr(str(bad)) in err["message"]
+    assert not (ws / "s.json").exists()
 
 
 @pytest.mark.parametrize("encode", [lambda text: b"\xef\xbb\xbf" + text.encode(),
@@ -699,6 +743,39 @@ def test_pick_settle_rejects_swapped_params(capsys, ws):
         "--peer-reveal", str(ws / "v.reveal.json"),
     )
     assert code == 2 and err["error"] == "ConfigInvalid"
+
+
+@pytest.mark.parametrize("group, l", [("toy", 5), ("secp256k1", 7)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_known_defect_a_second_committer_steers_the_cli_pick(capsys, ws, group, l, seed):
+    """Pins a known defect, to be flipped by a non-malleable pick round: the
+    verifier runs pick-commit and pick-reveal honestly, and the country,
+    sending both its messages second, commits to (l-1)*G - c_v and reveals
+    (l-1-m, -r) once it has read the verifier's (m, r).  Both files stand,
+    so the verifier's pick-settle gives SETTLED on index l-1 whatever its
+    draw."""
+    pp = ws / "pp.json"
+    run_cli(capsys, "setup", "--group", group, "--out", str(pp))
+    params = commitment.params_from_dict(json.loads(pp.read_text()))
+    g = params.group
+    run_cli(capsys, "pick-commit", "--pp", str(pp), "--party", "verifier", "--l", str(l),
+            "--seed", str(seed), "--state", str(ws / "v.state"), "--out", str(ws / "v.commit"))
+    c_v = g.decode_point(bytes.fromhex(json.loads((ws / "v.commit").read_text())["c"]))
+    steered = commitment.commit(params, g.scalar(l - 1), g.scalar(0)) + -c_v
+    header = {"party": "country", "round": 0, "l": l}
+    (ws / "c.commit").write_text(json.dumps(
+        {"format": "pick-commit/v1", **header, "c": g.encode_point(steered).hex()}))
+    code, _, _ = run_cli(capsys, "pick-reveal", "--state", str(ws / "v.state"),
+                         "--peer-commit", str(ws / "c.commit"), "--out", str(ws / "v.reveal"))
+    assert code == 0
+    reveal = json.loads((ws / "v.reveal").read_text())
+    r_v = g.decode_scalar(bytes.fromhex(reveal["r"]))
+    (ws / "c.reveal").write_text(json.dumps(
+        {"format": "pick-reveal/v1", **header, "m": l - 1 - reveal["m"],
+         "r": g.encode_scalar(-r_v).hex()}))
+    code, out, _ = run_cli(capsys, "pick-settle", "--pp", str(pp), "--state", str(ws / "v.state"),
+                           "--peer-reveal", str(ws / "c.reveal"))
+    assert (code, out) == (0, {"verdict": "SETTLED", "index": l - 1, "l": l, "round": 0})
 
 
 def _without(path, out, field):
@@ -1378,29 +1455,37 @@ def test_one_flag_and_repeated_flags_give_identical_output(capsys, ws):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(which=st.sampled_from(["ledger", "meter-key"]),
-       edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
-def test_report_exit_contract_on_mutated_files(capsys, ws, which, edits):
-    """report has no verdict to give: it succeeds, or fails with exit 2."""
+       edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3), live=st.booleans())
+def test_report_exit_contract_on_mutated_files(capsys, ws, which, edits, live):
+    """report has no verdict to give: it succeeds, or fails with exit 2.  An
+    opening already at --opening-out is exit 2 and stays as it was."""
     if not (ws / "pp.json").exists():
         _pipeline(capsys, ws)
-    ledger, key = ws / "F1.jsonl", ws / "F1.key.json"
+    ledger, key, opening = ws / "F1.jsonl", ws / "F1.key.json", ws / "o.json"
     bad = ws / f"mutated-{which}"
     bad.write_bytes(_mutate((ledger if which == "ledger" else key).read_bytes(), edits))
+    opening.unlink(missing_ok=True)
+    if live:
+        opening.write_bytes(b"a live opening")
     code, _ = _exit_contract([
         "report", "--pp", ws / "pp.json", "--ledger", bad if which == "ledger" else ledger,
         "--meter-key", bad if which == "meter-key" else key, "--cycle", "cy-1",
-        "--seed", "1", "--out", ws / "r.json", "--opening-out", ws / "o.json"])
+        "--seed", "1", "--out", ws / "r.json", "--opening-out", opening])
     assert code in (0, 2)
+    if live:
+        assert code == 2 and opening.read_bytes() == b"a live opening"
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(which=st.sampled_from(["pp", "state", "peer-commit", "settle-state", "peer-reveal"]),
-       edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
-def test_pick_exit_contract_on_mutated_files(capsys, ws, which, edits):
+       edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3), live=st.booleans())
+def test_pick_exit_contract_on_mutated_files(capsys, ws, which, edits, live):
     """pick-commit and pick-reveal give no verdict (exit 0 or 2); pick-settle
     exits 1 only with a FAULT verdict.  Each run reads fresh copies, since
-    pick-reveal rewrites its state file."""
+    pick-reveal rewrites its state file.  With ``live``, the output files
+    exist already: pick-commit refuses its state file (exit 2, the file as
+    it was), and pick-reveal replaces its public message."""
     if not (ws / "c.reveal.json").exists():
         _revealed_pair(capsys, ws)
     pp = ws / "pp.json"
@@ -1411,12 +1496,17 @@ def test_pick_exit_contract_on_mutated_files(capsys, ws, which, edits):
         files[name] = ws / f"run-{name}.json"
         data = path.read_bytes()
         files[name].write_bytes(_mutate(data, edits) if name == which else data)
+    out_state, out = ws / "run-out-state.json", ws / "run-out.json"
+    for path in (out_state, out):
+        path.unlink(missing_ok=True)
+        if live:
+            path.write_bytes(b"a live file")
     if which == "pp":
         argv = ["pick-commit", "--pp", files["pp"], "--party", "country", "--l", "5",
-                "--state", ws / "run-out-state.json", "--out", ws / "run-out.json"]
+                "--state", out_state, "--out", out]
     elif which in ("state", "peer-commit"):
         argv = ["pick-reveal", "--state", files["state"], "--peer-commit",
-                files["peer-commit"], "--out", ws / "run-out.json"]
+                files["peer-commit"], "--out", out]
     else:
         argv = ["pick-settle", "--pp", pp, "--state", files["settle-state"],
                 "--peer-reveal", files["peer-reveal"]]
@@ -1425,6 +1515,10 @@ def test_pick_exit_contract_on_mutated_files(capsys, ws, which, edits):
         assert verdict["verdict"] == ("SETTLED" if code == 0 else "FAULT")
     else:
         assert code in (0, 2)
+    if live and argv[0] == "pick-commit":
+        assert code == 2 and out_state.read_bytes() == out.read_bytes() == b"a live file"
+    elif live and argv[0] == "pick-reveal" and code == 0:
+        assert json.loads(out.read_text())["format"] == "pick-reveal/v1"
 
 
 def test_pick_settle_refuses_a_roster_that_names_a_firm_twice(capsys, ws):
@@ -1442,13 +1536,13 @@ def test_pick_settle_refuses_a_roster_that_names_a_firm_twice(capsys, ws):
 # ---------------------------------------------------------------------------
 
 
-def _parsed(argv):
-    """build_parser().parse_args(argv), or its exit code and its output
-    where it exits (help, or a usage error)."""
+def _parsed(argv, parse=lambda argv: build_parser().parse_args(argv)):
+    """parse(argv), by default build_parser().parse_args(argv), or its exit
+    code and its output where it exits (help, or a usage error)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         try:
-            return build_parser().parse_args(argv)
+            return parse(argv)
         except SystemExit as exc:
             return ("exit", exc.code, out.getvalue())
 
@@ -1520,6 +1614,64 @@ def test_repeated_list_flags_become_one_flag_each():
     assert _parsed(argv).report == ["r1", "r2", "-", "r3"]
     argv = ["verify-sum", "--pp", "p", "--sums", "s", "--report", "r1", "--", "--report"]
     assert _coalesce_list_flags(argv) is argv
+
+
+(_SUBPARSERS,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+_REQUIRED = {command: [a.option_strings[0] for a in sp._actions if a.required]
+             for command, sp in _SUBPARSERS.choices.items()}
+_OWN_FLAGS = {command: [a.option_strings[0] for a in sp._actions if a.dest != "help"]
+              for command, sp in _SUBPARSERS.choices.items()}
+_ANY_FLAG = st.sampled_from(sorted(
+    {s for sp in _SUBPARSERS.choices.values() for a in sp._actions for s in a.option_strings}
+    | {"--version", "--bogus", "--rep", "--pp=a.json"}))
+_ANY_VALUE = _PLAIN | _ODD_VALUE | st.sampled_from(["1", "5", "country", "hash"])
+_HEAD = st.sampled_from([*_SUBPARSERS.choices, "-h", "--help", "--version", "bogus",
+                         "aggregat", "verify_sum", "Aggregate", "--pp", "a.json", "1"])
+
+
+@st.composite
+def _any_argv(draw):
+    """argv of every shape: empty, any head token with any flags and values
+    after it, a help or version request, a subcommand with all its required
+    flags and more, or one of _list_flag_argv's."""
+    shape = draw(st.sampled_from(["any", "help", "complete", "list flags"]))
+    if shape == "list flags":
+        return draw(_list_flag_argv())
+    if shape == "help":
+        return draw(st.lists(_HEAD, max_size=1)) + [
+            draw(st.sampled_from(["-h", "--help", "--version"]))]
+    tail = draw(st.lists(_ANY_FLAG | _ANY_VALUE, max_size=8))
+    if shape == "any":
+        return draw(st.lists(_HEAD, max_size=1)) + tail
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    more = draw(st.lists(st.tuples(st.sampled_from(_OWN_FLAGS[command]), _PLAIN | st.just("1")),
+                         max_size=3))
+    tail = draw(st.sampled_from([[], [], tail[:2]]))
+    return [command] + [t for flag in _REQUIRED[command] for t in (flag, "1")] + [
+        t for pair in more for t in pair] + tail
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_any_argv())
+def test_main_parses_argv_as_the_full_parser_does(monkeypatch, argv):
+    """main builds only argv[0]'s subcommand parser: for every argv it hands
+    its handler the namespace that build_parser() gives, or exits with the
+    same code and output (help, version, usage errors).  The handlers are
+    read from the module when the parser is built."""
+    handed = []
+    for name in dir(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: handed.append(args) or 0)
+
+    def main_parse(argv):
+        assert main(argv) == 0
+        return handed.pop()
+
+    got = _parsed(argv, main_parse)
+    event(argv[0] if argv and argv[0] in _SUBPARSERS.choices else "other head")
+    event("parsed" if isinstance(got, argparse.Namespace) else f"exit {got[1]}")
+    assert got == _parsed(argv) and not handed
 
 
 def test_list_flag_tables_match_the_parser():
@@ -1701,3 +1853,97 @@ def test_scenario_numbers_must_be_bounded_integers(capsys, ws, field, body):
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "1")
     assert code == 2 and err["error"] == "ConfigInvalid"
     assert repr(field) in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# Output files: secrets owner-only and never replaced, every file whole
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_secret_outputs_are_owner_only_under_umask_022(capsys, ws):
+    """The trapdoor, a generated meter key, an opening and a pick state (as
+    pick-commit creates it and as pick-reveal rewrites it) are 0600; public
+    files keep the umask's 0644."""
+    umask = os.umask(0o022)
+    try:
+        _write_csv(ws / "F1.csv", [("2026-04-01T00:00:00Z", 5)])
+        for argv in (
+            ["setup", "--group", "toy", "--mode", "trusted", "--seed", "3",
+             "--out", "pp.json", "--trapdoor-out", "td.json"],
+            ["ingest", "--firm-id", "F1", "--readings", "F1.csv", "--ledger", "F1.jsonl",
+             "--meter-key", "F1.key"],
+            ["report", "--pp", "pp.json", "--ledger", "F1.jsonl", "--meter-key", "F1.key",
+             "--out", "F1.report", "--opening-out", "F1.opening"],
+            ["pick-commit", "--pp", "pp.json", "--party", "country", "--l", "3",
+             "--state", "c.state", "--out", "c.commit"],
+            ["pick-commit", "--pp", "pp.json", "--party", "verifier", "--l", "3",
+             "--state", "v.state", "--out", "v.commit"],
+            ["pick-reveal", "--state", "v.state", "--peer-commit", "c.commit",
+             "--out", "v.reveal"],
+        ):
+            code, _, err = run_cli(capsys, *[str(ws / a) if "." in a else a for a in argv])
+            assert code == 0, err
+    finally:
+        os.umask(umask)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in ws.iterdir()}
+    secret = {"td.json", "F1.key", "F1.opening", "c.state", "v.state"}
+    assert {name for name, mode in modes.items() if mode == 0o600} == secret
+    assert all(mode == 0o644 for name, mode in modes.items() if name not in secret)
+    assert json.loads((ws / "v.state").read_text())["peer_commitment"] is not None
+
+
+def test_a_second_report_or_pick_commit_onto_live_files_is_refused(capsys, ws):
+    """Exit 2 naming the live secret, before anything is written: the
+    report and opening already sent, or the pick state and commitment,
+    stay byte for byte as they were.  So does the pp file of a setup whose
+    trapdoor file exists."""
+    pp, reports, openings, _ = _pipeline(capsys, ws)
+    _pick_setup(capsys, ws)
+    live = {path: path.read_bytes() for path in ws.iterdir() if path.is_file()}
+    for argv, secret in (
+        (["report", "--pp", pp, "--ledger", ws / "F1.jsonl", "--meter-key",
+          ws / "F1.key.json", "--cycle", "cy-1", "--out", reports[0],
+          "--opening-out", openings[0]], openings[0]),
+        (["pick-commit", "--pp", pp, "--party", "country", "--l", "5",
+          "--state", ws / "c.state.json", "--out", ws / "c.commit.json"], ws / "c.state.json"),
+        (["setup", "--group", "toy", "--mode", "trusted", "--seed", "4", "--out", pp,
+          "--trapdoor-out", openings[1]], openings[1]),
+    ):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 2 and out is None
+        assert err["error"] == "FileExistsError" and repr(str(secret)) in err["message"]
+        assert {path: path.read_bytes() for path in ws.iterdir() if path.is_file()} == live
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(ws, monkeypatch):
+    """A public file or a rewritten secret is replaced only once written
+    whole; a new secret that fails is removed."""
+    old = ws / "sums.json"
+    old.write_bytes(b"old")
+
+    def disk_full(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", disk_full)
+    for path, kind in ((old, {}), (old, {"secret": True}),
+                       (ws / "new.opening", {"secret": True, "replace": False})):
+        with pytest.raises(OSError, match="No space"):
+            cli._write_file(str(path), b"new", **kind)
+    monkeypatch.undo()
+    assert [path.name for path in ws.iterdir()] == ["sums.json"]
+    assert old.read_bytes() == b"old"
+
+
+def test_benchmark_cli_workload_writes_only_fresh_files(ws, monkeypatch):
+    """perfbench's cli-n500 set-up and input generation create each secret
+    once, in a fresh directory, and its op accepts the generator's total."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec.loader.exec_module(workloads)
+    bench, pkg = workloads.CliN500(n=3, readings=2), argparse.Namespace(cli=cli)
+    inputs = bench.spec(5)
+    argvs = bench.prepare(pkg, inputs, bench.setup(pkg, inputs, str(ws)), str(ws))
+    assert bench.op(pkg, inputs, argvs, 0) and bench.op(pkg, inputs, argvs, 1)

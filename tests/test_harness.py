@@ -486,6 +486,21 @@ def test_chi_square_helper_contrasts_uniform_and_skewed():
     assert p_uniform > 0.5 and p_skewed < 1e-6
 
 
+def test_chi_square_helper_matches_scipy():
+    """The closed-form tail agrees with scipy's chisquare to 1e-11 relative,
+    at degrees of freedom odd and even, small and large, and at p-values
+    from near 1 down into tails below 1e-50."""
+    chisquare = pytest.importorskip("scipy.stats").chisquare
+    rng = random.Random(31)
+    for df in [*range(1, 60), 119, 120, 251, 252, 1000, 4095]:
+        for skew in (0.0, 0.05, 0.2, 1.0):
+            counts = [int(rng.gauss(50, 7) * (1 + skew * rng.random())) for _ in range(df + 1)]
+            stat, p = chi_square_uniform(counts)
+            want_stat, want_p = chisquare(counts)
+            assert stat == pytest.approx(float(want_stat), rel=1e-12), (df, skew)
+            assert p == pytest.approx(float(want_p), rel=1e-11, abs=1e-300), (df, skew)
+
+
 # ---------------------------------------------------------------------------
 # Scenario parsing.
 # ---------------------------------------------------------------------------

@@ -31,13 +31,13 @@ from emissions_audit.measurement import (
     chain_head,
     entry_from_dict,
     entry_to_dict,
+    ledger_jsonl,
     read_ledger,
     read_readings_csv,
     signing_bytes,
     spot_check,
     verify_ledger,
     walk_ledger,
-    write_ledger,
 )
 
 
@@ -580,7 +580,7 @@ def test_recorded_heads_stay_out_of_equality_repr_and_loading(tmp_path, keypair)
     assert fresh == ledger and repr(fresh) == repr(ledger)
     assert "clean_walk" not in repr(ledger)
     path = tmp_path / "F1.jsonl"
-    write_ledger(ledger, path)
+    path.write_bytes(ledger_jsonl(ledger))
     assert read_ledger(path).clean_walk == nothing
     with pytest.raises(TypeError):
         FirmLedger("F1", [], clean_walk=(keypair.public_bytes, "F1", (), 0))
@@ -764,7 +764,7 @@ def test_ledger_file_bytes_are_unchanged_by_stored_signing_bytes(tmp_path):
         append_reading(ledger, kp.sign_reading("F-\u00e9", start + timedelta(hours=h), e),
                        kp.public_bytes)
     path = tmp_path / "F.jsonl"
-    write_ledger(ledger, path)
+    path.write_bytes(ledger_jsonl(ledger))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "54057225d88d11e85f6823fbd6bbd22dc6df5d2357a8235c62eadc32b6d502fb")
 
@@ -789,7 +789,7 @@ def test_entry_dict_roundtrip(keypair):
 def test_ledger_file_roundtrip(tmp_path, keypair):
     ledger = _ledger(keypair, [5, 6, 7])
     path = tmp_path / "ledger.jsonl"
-    write_ledger(ledger, str(path))
+    path.write_bytes(ledger_jsonl(ledger))
     restored = read_ledger(str(path))
     assert restored == ledger
     verify_ledger(restored, keypair.public_bytes)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emissions_audit.commitment import commit, equivocate, setup, verify_opening
-from emissions_audit.groups import toy_group
+from emissions_audit.groups import group_by_name, toy_group
 from emissions_audit.harness import run_pick_trials, subset_chi_square
 from emissions_audit.pick import (
     COUNTRY,
@@ -471,6 +471,41 @@ def test_trapdoor_rushing_verifier_cannot_steer_a_cross_base_pick():
     assert forged == 0
     _, p = subset_chi_square(counts, roster, 2)
     assert p > 0.001, f"uniformity rejected: p={p}"
+
+
+# ---------------------------------------------------------------------------
+# A second committer that malleates the peer's commitment (a known defect).
+# ---------------------------------------------------------------------------
+
+
+def _malleated_pick(roster, k, pp, rng):
+    """A joint pick through PickFold under shared parameters: the verifier
+    commits and reveals honestly; the country, second both times, commits
+    to (l-1)*G - c_v and, once it has read the verifier's reveal (m, r),
+    reveals (l-1-m, -r), which opens it.  Returns the settled indices."""
+    group, fold, indices = pp.group, PickFold(roster, {COUNTRY: pp, VERIFIER: pp}), []
+    for _ in range(k):
+        l = len(fold.remaining)
+        m, r = rng.randrange(l), group.random_scalar(rng)
+        c_v = commit(pp, group.scalar(m), r)
+        fold.commit(VERIFIER, c_v)
+        fold.commit(COUNTRY, commit(pp, group.scalar(l - 1), group.scalar(0)) + -c_v)
+        assert fold.reveal(VERIFIER, m, r) is None
+        assert fold.reveal(COUNTRY, l - 1 - m, -r) is None
+        indices.append(fold.settle())
+    return indices
+
+
+@pytest.mark.parametrize("group", ["toy", "secp256k1"])
+def test_known_defect_a_second_committer_steers_every_round_to_the_last_index(group):
+    """Pins a known defect, to be flipped by a non-malleable pick round:
+    Pedersen commitments are additively homomorphic, so under shared
+    hash-derived parameters the party that commits and reveals second
+    settles every round on index l-1, whatever the honest party drew."""
+    pp = setup(group_by_name(group), "hash_derived")
+    roster = [f"F{i}" for i in range(1, 8)]
+    for seed in range(4):
+        assert _malleated_pick(roster, 4, pp, random.Random(seed)) == [6, 5, 4, 3]
 
 
 def test_strategy_interface_defaults():
